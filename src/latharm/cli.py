@@ -8,6 +8,7 @@ defaults.  Exact quantities are printed as rationals p/q, never decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -66,6 +67,26 @@ def _json_out(payload: dict) -> None:
     print(json.dumps(payload))
 
 
+def _require_finite(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise UsageError(f"--{name} must be a finite number, got {value!r}")
+
+
+def _domain_errors_are_usage(fn):
+    """Report the library's domain errors (ValueError) as usage errors."""
+
+    @functools.wraps(fn)
+    def wrapper(args) -> int:
+        try:
+            return fn(args)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+
+    return wrapper
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -99,7 +120,9 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+@_domain_errors_are_usage
 def cmd_shortsum(args) -> int:
+    _require_finite(args, "r", "h")
     p = _poly_arg(args.poly)
     if args.json:
         rep = lattice.short_sum_report(p, args.r, args.h)
@@ -112,7 +135,9 @@ def cmd_shortsum(args) -> int:
     return 0
 
 
+@_domain_errors_are_usage
 def cmd_longsum(args) -> int:
+    _require_finite(args, "r", "h")
     p = _poly_arg(args.poly)
     if args.json:
         rep = lattice.long_sum_report(p, args.r, args.h)
@@ -125,7 +150,9 @@ def cmd_longsum(args) -> int:
     return 0
 
 
+@_domain_errors_are_usage
 def cmd_freqsum(args) -> int:
+    _require_finite(args, "r", "h")
     p = _poly_arg(args.poly)
     value = oscsum.freq_long_sum(p, args.r, args.h, args.n_trunc)
     if args.json:
@@ -145,7 +172,9 @@ def _parse_h(text: str) -> tuple[float, float, float]:
     return tuple(float(_fraction(s)) for s in parts)  # type: ignore[return-value]
 
 
+@_domain_errors_are_usage
 def cmd_expsum(args) -> int:
+    _require_finite(args, "r")
     q = _poly_arg(args.poly)
     h = _parse_h(args.h) if args.h else (0.0, 0.0, 0.0)
     if args.n_list:

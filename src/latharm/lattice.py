@@ -143,6 +143,36 @@ def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
     return [(key, c) for key, c in sorted(classes.items()) if c != 0]
 
 
+def shell_totals(
+    p: Polynomial3, n_max: int, workers: int = 1, memo: dict | None = None
+) -> tuple[int, np.ndarray]:
+    """Exact shell sums of a real polynomial, as integers over one denominator.
+
+    Returns (D, T) with T[n] / D = sum of p over |x|^2 = n for 0 <= n <= n_max
+    (T[0] / D is p at the origin); T is an object array of Python integers.
+    p need not be homogeneous.  `memo` maps sorted exponent triples to their
+    class shell sums at this n_max, so callers summing several polynomials of
+    one degree compute each class once.
+    """
+    denom, _ = p.integer_form()
+    classes = _monomial_classes(p)
+    memo = {} if memo is None else memo
+    missing = [key for key, _ in classes if key not in memo]
+
+    def class_sums(key: tuple[int, int, int]) -> np.ndarray:
+        return np.array(_class_shell_sums(key, n_max), dtype=object)
+
+    if workers > 1 and len(missing) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            memo.update(zip(missing, pool.map(class_sums, missing)))
+    else:
+        memo.update((key, class_sums(key)) for key in missing)
+    totals = np.zeros(n_max + 1, dtype=object)
+    for key, coeff in classes:
+        totals += coeff * memo[key]
+    return denom, totals
+
+
 def coeff_series(p: Polynomial3, n_max: int, workers: int = 1) -> CoefficientSeries:
     """Exact a_n = sum of p over the shell of norm n, for 1 <= n <= n_max."""
     if not p.is_homogeneous:
@@ -150,23 +180,8 @@ def coeff_series(p: Polynomial3, n_max: int, workers: int = 1) -> CoefficientSer
     p.require_real("coefficient series")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    denom, _ = p.integer_form()
-    classes = _monomial_classes(p)
-
-    def shell_sums(cls: tuple[tuple[int, int, int], int]) -> list[int]:
-        return _class_shell_sums(cls[0], n_max)
-
-    if workers > 1 and len(classes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_sums = list(pool.map(shell_sums, classes))
-    else:
-        all_sums = [shell_sums(c) for c in classes]
-
-    totals = [0] * (n_max + 1)
-    for (_, coeff), sums in zip(classes, all_sums):
-        for idx in range(n_max + 1):
-            totals[idx] += coeff * sums[idx]
-    values = tuple(Fraction(totals[n], denom) for n in range(1, n_max + 1))
+    denom, totals = shell_totals(p, n_max, workers=workers)
+    values = tuple(Fraction(t, denom) for t in totals[1:])
     return CoefficientSeries(
         nu=p.degree,
         poly_id=p.to_string(),

@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import main_term
+from .lattice import main_term, shell_totals
 from .poly import Polynomial3
-from .util import FitResult, KahanSum, linear_fit
+from .util import FitResult, linear_fit
 
 # Frequency scales appearing in trig phases pi * c * |xi|.
 FREQ_2R = "2R"
@@ -236,49 +236,76 @@ def eval_radial_terms(
     return total * 1j if expansion.imaginary else complex(total)
 
 
-def _frequency_grid(n_trunc: int):
-    """Arrays (x, y, z, nsq) for all nonzero |xi|^2 <= n_trunc."""
-    k = math.isqrt(n_trunc)
-    rng = np.arange(-k, k + 1)
-    x, y, z = np.meshgrid(rng, rng, rng, indexing="ij")
-    nsq = x * x + y * y + z * z
-    mask = (nsq > 0) & (nsq <= n_trunc)
-    return (
-        x[mask].astype(np.float64),
-        y[mask].astype(np.float64),
-        z[mask].astype(np.float64),
-        nsq[mask],
-    )
+def _shell_values(totals: np.ndarray, denom: int) -> np.ndarray:
+    """Floats T[n] / D, each rounded once from the exact integers."""
+    return (totals / denom).astype(np.float64)
 
 
 def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
     """Main term plus the truncated frequency sum of the transformed kernel.
 
-    Sums all nonzero frequencies with |xi|^2 <= n_trunc; shell subtotals are
-    combined in ascending shell order with exact compensated addition.
+    Sums all nonzero frequencies with |xi|^2 <= n_trunc.  Each term is
+    radial(|xi|) Q(xi), so its shell subtotal at |xi|^2 = n is radial(sqrt n)
+    times the exact shell sum of Q; the shells are combined with exact
+    compensated addition.  Memory is O(n_trunc).
     """
     if n_trunc < 1:
         raise ValueError("n_trunc must be at least 1")
+    if r < 1 or not 0 < h <= 1:
+        raise ValueError("need R >= 1 and 0 < H <= 1")
     expansion = gP_fourier_terms(p)
-    xf, yf, zf, nsq = _frequency_grid(n_trunc)
-    norm = np.sqrt(nsq.astype(np.float64))
-    contrib = np.zeros_like(norm)
+    main = float(main_term(p, Fraction(r), Fraction(h))) * math.pi
+    if expansion.imaginary:
+        return main  # i * (a sum of odd Q over shells, which vanishes)
+    norm = np.sqrt(np.arange(1, n_trunc + 1, dtype=np.float64))
+    memo: dict = {}  # every Q has degree nu: few monomial classes, shared
+    contrib = np.zeros(n_trunc)
     for t in expansion.terms:
-        val = t.prefactor(r, h) * t.poly.evaluate_arrays(xf, yf, zf)
-        val = val / norm**t.denom_pow
+        denom, totals = shell_totals(t.poly, n_trunc, memo=memo)
+        val = t.prefactor(r, h) * _shell_values(totals[1:], denom) / norm**t.denom_pow
         for f in t.trig:
             val = val * f.value(norm, r, h)
         contrib += val
-    if expansion.imaginary:
-        tail = 0.0  # i * (sum that cancels pairwise under xi -> -xi)
-    else:
-        shells = np.bincount(nsq, weights=contrib, minlength=n_trunc + 1)
-        tail = math.fsum(shells[1:])
-    main = float(main_term(p, Fraction(r), Fraction(h))) * math.pi
-    return main + tail
+    return main + math.fsum(contrib)
 
 
 # -- direct oscillatory sums -------------------------------------------------
+
+
+def _cumulative_exp_sum(
+    q: Polynomial3, n_top: int, r: float, h: tuple[float, float, float]
+) -> np.ndarray:
+    """V[m] = sum of Q(xi) e(R |xi| + h . xi) over |xi|^2 <= m, 0 <= m <= n_top.
+
+    With h = 0 the summand depends on xi only through |xi| and Q, so each
+    shell contributes its exact shell sum of Q times e(R sqrt m).  Otherwise
+    one sweep over x-slabs collects the shell subtotals point by point.
+    """
+    q.require_real("exponential sum")
+    if not any(h):
+        denom, totals = shell_totals(q, n_top)
+        phase = r * np.sqrt(np.arange(n_top + 1, dtype=np.float64))
+        shells = _shell_values(totals, denom) * np.exp(2j * np.pi * phase)
+        return np.cumsum(shells)
+    k = math.isqrt(n_top)
+    rng = np.arange(-k, k + 1)
+    yy, zz = np.meshgrid(rng, rng, indexing="ij")
+    h1, h2, h3 = (float(v) for v in h)
+    shell_re = np.zeros(n_top + 1)
+    shell_im = np.zeros(n_top + 1)
+    for x in range(-k, k + 1):
+        nsq = x * x + yy * yy + zz * zz
+        mask = nsq <= n_top
+        nm = nsq[mask]
+        ym = yy[mask].astype(np.float64)
+        zm = zz[mask].astype(np.float64)
+        phase = r * np.sqrt(nm.astype(np.float64)) + h1 * x + h2 * ym + h3 * zm
+        vals = q.evaluate_arrays(np.full_like(ym, float(x)), ym, zm) * np.exp(
+            2j * np.pi * phase
+        )
+        shell_re += np.bincount(nm, weights=vals.real, minlength=n_top + 1)
+        shell_im += np.bincount(nm, weights=vals.imag, minlength=n_top + 1)
+    return np.cumsum(shell_re) + 1j * np.cumsum(shell_im)
 
 
 def exp_sum_lattice(
@@ -290,28 +317,7 @@ def exp_sum_lattice(
     """Sum of Q(xi) e(R |xi| + h . xi) over all |xi|^2 <= n (origin included)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    q.require_real("exponential sum")
-    k = math.isqrt(n)
-    rng = np.arange(-k, k + 1)
-    yy, zz = np.meshgrid(rng, rng, indexing="ij")
-    h1, h2, h3 = (float(v) for v in h)
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for x in range(-k, k + 1):
-        nsq = x * x + yy * yy + zz * zz
-        mask = nsq <= n
-        if not mask.any():
-            continue
-        ym = yy[mask].astype(np.float64)
-        zm = zz[mask].astype(np.float64)
-        nm = nsq[mask].astype(np.float64)
-        phase = r * np.sqrt(nm) + h1 * x + h2 * ym + h3 * zm
-        vals = q.evaluate_arrays(np.full_like(ym, float(x)), ym, zm) * np.exp(
-            2j * np.pi * phase
-        )
-        re_parts.append(float(vals.real.sum()))
-        im_parts.append(float(vals.imag.sum()))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    return complex(_cumulative_exp_sum(q, n, r, h)[n])
 
 
 def exp_sum_grid(n: int, d: int, r: float) -> float:
@@ -322,12 +328,11 @@ def exp_sum_grid(n: int, d: int, r: float) -> float:
     if d > n:
         raise ValueError("need D <= N")
     xs = np.arange(n + 1, 2 * n + 1, dtype=np.float64)
-    acc = KahanSum()
+    inner = []
     for y in range(d + 1, 2 * d + 1):
         phases = r * (np.sqrt(xs + y) - np.sqrt(xs))
-        inner = np.exp(2j * np.pi * phases).sum()
-        acc.add(abs(inner))
-    return acc.value()
+        inner.append(abs(np.exp(2j * np.pi * phases).sum()))
+    return math.fsum(inner)
 
 
 # -- empirical bound reports --------------------------------------------------
@@ -378,30 +383,10 @@ def bound_check_VNQR(
     """
     if not n_list or list(n_list) != sorted(set(n_list)):
         raise ValueError("n_list must be ascending and nonempty")
-    q.require_real("exponential sum")
+    if n_list[0] < 1:
+        raise ValueError("every N must be at least 1")
     nu = q.degree
-    n_top = n_list[-1]
-    k = math.isqrt(n_top)
-    rng = np.arange(-k, k + 1)
-    yy, zz = np.meshgrid(rng, rng, indexing="ij")
-    h1, h2, h3 = (float(v) for v in h)
-    shell_re = np.zeros(n_top + 1)
-    shell_im = np.zeros(n_top + 1)
-    for x in range(-k, k + 1):
-        nsq = x * x + yy * yy + zz * zz
-        mask = nsq <= n_top
-        if not mask.any():
-            continue
-        nm = nsq[mask]
-        ym = yy[mask].astype(np.float64)
-        zm = zz[mask].astype(np.float64)
-        phase = r * np.sqrt(nm.astype(np.float64)) + h1 * x + h2 * ym + h3 * zm
-        vals = q.evaluate_arrays(np.full_like(ym, float(x)), ym, zm) * np.exp(
-            2j * np.pi * phase
-        )
-        shell_re += np.bincount(nm, weights=vals.real, minlength=n_top + 1)
-        shell_im += np.bincount(nm, weights=vals.imag, minlength=n_top + 1)
-    cum = np.cumsum(shell_re) + 1j * np.cumsum(shell_im)
+    cum = _cumulative_exp_sum(q, n_list[-1], r, h)
     rows = []
     for n in n_list:
         abs_v = float(abs(cum[n]))

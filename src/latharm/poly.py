@@ -50,6 +50,8 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
+        if not (self.im or other.im):  # real operands: skip the zero parts
+            return GaussianRational(self.re + other.re, self.im)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
@@ -59,6 +61,8 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        if not (self.im or other.im):
+            return GaussianRational(self.re * other.re, self.im)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

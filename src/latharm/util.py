@@ -1,10 +1,10 @@
-"""Small shared numerics: least-squares fitting and compensated summation."""
+"""Small shared numerics: least-squares line fitting."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -36,28 +36,3 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
     r_squared = 1.0 if syy == 0 else min(1.0, max(0.0, (sxy * sxy) / (sxx * syy)))
     return FitResult(slope=slope, intercept=intercept, r_squared=r_squared, points_used=n)
 
-
-class KahanSum:
-    """Compensated accumulator; keeps a running sum accurate to ~1 ulp."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value: float) -> None:
-        value += self.carry
-        previous = self.total
-        self.total += value
-        self.carry = value - (self.total - previous)
-
-    def value(self) -> float:
-        return self.total
-
-
-def kahan_sum(values: Iterable[float]) -> float:
-    acc = KahanSum()
-    for v in values:
-        acc.add(v)
-    return acc.value()

@@ -132,6 +132,33 @@ def test_expsum_json(capsys):
     assert [row["N"] for row in payload["rows"]] == [16, 64]
 
 
+
+SMOOTHING_BAD_INPUT = {
+    "freqsum-n-trunc-0": ("freqsum", "--poly", "1", "--r", "10", "--h", "0.5",
+                          "--n-trunc", "0"),
+    "expsum-n-0": ("expsum", "--poly", "1", "--r", "10", "--n", "0"),
+    "freqsum-r-nan": ("freqsum", "--poly", "1", "--r", "nan", "--h", "0.5",
+                      "--n-trunc", "64"),
+    "freqsum-h-inf": ("freqsum", "--poly", "1", "--r", "10", "--h", "inf",
+                      "--n-trunc", "64"),
+    "expsum-r-inf": ("expsum", "--poly", "1", "--r", "inf", "--n", "4"),
+    "expsum-r-nan-sweep": ("expsum", "--poly", "1", "--r", "nan", "--n-list", "4,16"),
+    "expsum-h-nan": ("expsum", "--poly", "1", "--r", "10", "--h=nan,0,0", "--n", "4"),
+    "longsum-r-nan": ("longsum", "--poly", "1", "--r", "nan", "--h", "0.5"),
+    "longsum-h-inf": ("longsum", "--poly", "1", "--r", "10", "--h", "inf"),
+    "shortsum-r-inf": ("shortsum", "--poly", "1", "--r", "inf", "--h", "0.5"),
+    "shortsum-h-nan": ("shortsum", "--poly", "1", "--r", "10", "--h", "nan"),
+    "shortsum-r-below-1": ("shortsum", "--poly", "1", "--r", "0.5", "--h", "0.5"),
+}
+
+
+@pytest.mark.parametrize("argv", SMOOTHING_BAD_INPUT.values(), ids=SMOOTHING_BAD_INPUT)
+def test_smoothing_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 def test_theta_check_single(capsys):
     code, out, _ = run(capsys, "theta-check", "--gamma", "1,0,4,1", "--z", "0,0.5",
                        "--tol", "1e-8")

@@ -1,11 +1,13 @@
 import cmath
 import math
 import statistics
+import time
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from latharm.lattice import long_sum_physical
+from latharm.lattice import long_sum_physical, main_term, representations
 from latharm.oscsum import (
     FREQ_2R,
     FREQ_H,
@@ -19,6 +21,8 @@ from latharm.oscsum import (
     kernel_base_terms,
 )
 from latharm.poly import parse_poly
+
+from conftest import QUARTIC_EXPR, SEXTIC_EXPR
 
 mp.mp.dps = 40
 
@@ -79,8 +83,6 @@ def test_exp_sum_offset_periodicity():
 
 def test_exp_sum_against_pointwise_oracle():
     # independent slow oracle: plain loop over representations
-    from latharm.lattice import representations
-
     q = parse_poly("x^2-y^2")
     r, h, n = 2.3, (0.125, 0.0, 0.5), 12
     expected = 0j
@@ -275,3 +277,92 @@ def test_bound_check_csv_shape():
 def test_bound_check_validates_input(quartic):
     with pytest.raises(ValueError):
         bound_check_VNQR(quartic, [64, 16], 10.0)
+
+
+# -- shell route against the routes it replaced ---------------------------------------
+
+
+def _grid_freq_long_sum(p, r, h, n_trunc):
+    """Reference: every term evaluated at every frequency of a dense 3-D grid."""
+    expansion = gP_fourier_terms(p)
+    k = math.isqrt(n_trunc)
+    rng = np.arange(-k, k + 1)
+    x, y, z = np.meshgrid(rng, rng, rng, indexing="ij")
+    nsq = x * x + y * y + z * z
+    mask = (nsq > 0) & (nsq <= n_trunc)
+    xf, yf, zf = (a[mask].astype(np.float64) for a in (x, y, z))
+    nsq = nsq[mask]
+    norm = np.sqrt(nsq.astype(np.float64))
+    contrib = np.zeros_like(norm)
+    for t in expansion.terms:
+        val = t.prefactor(r, h) * t.poly.evaluate_arrays(xf, yf, zf) / norm**t.denom_pow
+        for f in t.trig:
+            val = val * f.value(norm, r, h)
+        contrib += val
+    tail = 0.0
+    if not expansion.imaginary:
+        tail = math.fsum(np.bincount(nsq, weights=contrib, minlength=n_trunc + 1)[1:])
+    return float(main_term(p, r, h)) * math.pi + tail
+
+
+@pytest.mark.parametrize(
+    "expr, n_trunc",
+    [("1", 512), (QUARTIC_EXPR, 512), (SEXTIC_EXPR, 256),
+     ("x^2*y^2-1/3*z^4+2*x^4", 512), ("x^2*y-3*z^3", 512)],
+    ids=["constant", "quartic", "sextic", "non-harmonic", "odd"],
+)
+def test_freq_sum_shell_route_matches_grid(expr, n_trunc):
+    p = parse_poly(expr)
+    expected = _grid_freq_long_sum(p, 7.3, 0.375, n_trunc)
+    assert freq_long_sum(p, 7.3, 0.375, n_trunc) == pytest.approx(expected, rel=1e-12)
+
+
+def test_freq_sum_scales_to_large_truncation(quartic):
+    phys = long_sum_physical(quartic, 10.0, 0.5)
+    coarse = freq_long_sum(quartic, 10.0, 0.5, 4096)
+    start = time.perf_counter()
+    fine = freq_long_sum(quartic, 10.0, 0.5, 65536)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0  # the 3-D grid would need ~1 GB per array here
+    assert abs(fine - phys) < abs(coarse - phys)
+
+
+def _pointwise_partial_sums(q, n_top, r, h=(0.0, 0.0, 0.0)):
+    """V_N for 0 <= N <= n_top by a plain loop over representations, plus
+    the sum of |summands| that scales the rounding error."""
+    sums, scale = [], []
+    value, weight = 0j, 0.0
+    for m in range(n_top + 1):
+        for (x, y, z) in representations(m):
+            term = q.evaluate_float(x, y, z) * cmath.exp(
+                2j * math.pi * (r * math.sqrt(m) + h[0] * x + h[1] * y + h[2] * z)
+            )
+            value += term
+            weight += abs(term)
+        sums.append(value)
+        scale.append(weight)
+    return sums, scale
+
+
+@pytest.mark.parametrize(
+    "expr", ["x^2*y^2-2*z^4", "x^2+1", "x^3-x*y*z", "1"],
+    ids=["homogeneous", "non-homogeneous", "odd", "constant"],
+)
+def test_radial_exp_sums_match_pointwise_oracle(expr):
+    q = parse_poly(expr)
+    r, n_list = 3.7, [1, 2, 5, 37, 150, 300]
+    oracle, scale = _pointwise_partial_sums(q, n_list[-1], r)
+    report = bound_check_VNQR(q, n_list, r)
+    for n, row in zip(n_list, report.rows):
+        tol = 1e-12 * scale[n]
+        assert abs(exp_sum_lattice(q, n, (0, 0, 0), r) - oracle[n]) <= tol
+        assert abs(row.abs_v - abs(oracle[n])) <= tol
+
+
+@pytest.mark.parametrize("expr", ["x^2-z^2", "x^2+1", "x*y^2"])
+def test_exp_sum_is_last_value_of_sweep(expr):
+    q = parse_poly(expr)
+    h, r, n_list = (0.3, -0.125, 0.25), 2.6, [3, 40, 100, 257]
+    report = bound_check_VNQR(q, n_list, r, h)
+    for n, row in zip(n_list, report.rows):
+        assert abs(exp_sum_lattice(q, n, h, r)) == row.abs_v
