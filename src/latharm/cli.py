@@ -8,6 +8,7 @@ defaults.  Exact quantities are printed as rationals p/q, never decimals.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import exppairs, lattice, modular, oscsum
 from .poly import DegreeCapError, Polynomial3, PolyParseError, parse_poly, sphere_average
-from .util import FitResult, linear_fit
+from .util import FitResult
 
 SCHEMA = 1
 
@@ -75,13 +76,14 @@ def _require_finite(args, *names: str) -> None:
 
 
 def _domain_errors_are_usage(fn):
-    """Report the library's domain errors (ValueError) as usage errors."""
+    """Report the library's domain errors (ValueError) and file errors
+    (OSError) as usage errors."""
 
     @functools.wraps(fn)
     def wrapper(args) -> int:
         try:
             return fn(args)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise UsageError(str(exc)) from None
 
     return wrapper
@@ -90,6 +92,7 @@ def _domain_errors_are_usage(fn):
 # -- subcommands -------------------------------------------------------------
 
 
+@_domain_errors_are_usage
 def cmd_sum(args) -> int:
     p = _poly_arg(args.poly)
     if args.json:
@@ -103,9 +106,10 @@ def cmd_sum(args) -> int:
     return 0
 
 
+@_domain_errors_are_usage
 def cmd_coeffs(args) -> int:
     p = _poly_arg(args.poly)
-    series = lattice.coeff_series(p, args.n_max, workers=args.threads)
+    series = lattice.coeff_series(p, args.n_max)
     if args.json:
         _json_out(
             {
@@ -218,13 +222,10 @@ def cmd_expsum(args) -> int:
     return 0
 
 
+@_domain_errors_are_usage
 def cmd_pair(args) -> int:
-    try:
-        pair = exppairs.parse_pair(args.pair, eps=args.eps)
-        result = exppairs.pair_apply_word(args.word, pair) if args.word else pair
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    print(result)
+    pair = exppairs.parse_pair(args.pair, eps=args.eps)
+    print(exppairs.pair_apply_word(args.word, pair) if args.word else pair)
     return 0
 
 
@@ -239,23 +240,18 @@ _NAMED_LONG = {
 }
 
 
-def _parse_long(text: str):
-    if text in _NAMED_LONG:
-        return list(_NAMED_LONG[text])
-    try:
-        return exppairs.parse_terms(text)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
+@_domain_errors_are_usage
 def cmd_balance(args) -> int:
-    long_terms = _parse_long(args.long)
-    try:
-        short_terms = exppairs.parse_terms(args.short)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if args.long in _NAMED_LONG:
+        long_terms = list(_NAMED_LONG[args.long])
+    else:
+        long_terms = exppairs.parse_terms(args.long)
+    short_terms = exppairs.parse_terms(args.short)
     if args.alpha_range:
-        lo, hi = (_fraction(s) for s in args.alpha_range.split(","))
+        bounds = args.alpha_range.split(",")
+        if len(bounds) != 2:
+            raise UsageError("--alpha-range wants lo,hi")
+        lo, hi = (_fraction(s) for s in bounds)
     else:
         lo, hi = Fraction(-1), Fraction(0)
     result = exppairs.balance(long_terms, short_terms, (lo, hi))
@@ -274,6 +270,7 @@ def cmd_balance(args) -> int:
     return 0
 
 
+@_domain_errors_are_usage
 def cmd_table(args) -> int:
     rows = exppairs.exponent_table()
     _emit(exppairs.table_csv(rows) if args.csv_format else exppairs.table_text(rows),
@@ -281,45 +278,38 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _headline_magnitudes(p: Polynomial3, r_max: int, subtract_main: bool,
-                         workers: int) -> list[float]:
+def _headline_magnitudes(p: Polynomial3, r_max: int, subtract_main: bool) -> list[float]:
     """|headline sum| (optionally volume-corrected) at every shell n <= r_max^2."""
     n_max = r_max * r_max
-    series = lattice.coeff_series(p, n_max, workers=workers)
-    origin = p.evaluate(0, 0, 0)
-    running = Fraction(origin if p.degree == 0 else 0)
+    denom, totals = lattice.homogeneous_shell_totals(p, n_max, "headline sum")
     avg = sphere_average(p)
     out = []
+    running = totals[0]  # p(0), nonzero only in degree 0
     for n in range(1, n_max + 1):
-        running += series.values[n - 1]
-        value = float(running)
+        running += totals[n]
+        value = running / denom
         if subtract_main:
             value -= (4 * math.pi / 3) * float(avg) * n ** ((p.degree + 3) / 2)
         out.append(abs(value))
     return out
 
 
-def _fit_from_magnitudes(mags: list[float], r_max: int) -> FitResult:
-    xs, ys = [], []
-    edge = 4
-    running = 0.0
-    idx = 0
-    while edge <= len(mags):
-        while idx < edge:
-            running = max(running, mags[idx])
-            idx += 1
-        if running > 0:
-            xs.append(math.log(math.sqrt(edge)))
-            ys.append(math.log(running))
-        edge *= 4
-    if len(xs) < 3:
+def _headline_fit(mags: list[float]) -> FitResult:
+    """Growth fit of log |sum| against log R at R = 2, 4, 8, ...
+
+    The windows end at n = R^2 = 4^j; the log-n slope is doubled, an exact
+    power-of-two scaling of the fit.
+    """
+    fit = lattice.dyadic_growth_fit(mags, edge_ratio=4)
+    if fit is None:
         raise CheckFailed("degenerate series: too few nonzero dyadic windows to fit")
-    return linear_fit(xs, ys)
+    return dataclasses.replace(fit, slope=2 * fit.slope)
 
 
+@_domain_errors_are_usage
 def cmd_fit(args) -> int:
     if args.from_csv:
-        mags, r_max = _read_fit_csv(args.from_csv)
+        mags = _read_fit_csv(args.from_csv)
     else:
         if args.poly is None:
             raise UsageError("fit needs --poly or --from-csv")
@@ -331,8 +321,7 @@ def cmd_fit(args) -> int:
                 "fit requires a polynomial with zero mean on the sphere "
                 "(or --subtract-main to remove the volume term)"
             )
-        mags = _headline_magnitudes(p, args.r_max, args.subtract_main, args.threads)
-        r_max = args.r_max
+        mags = _headline_magnitudes(p, args.r_max, args.subtract_main)
         if args.csv:
             lines = ["n,R,abs_sum"]
             lines.extend(
@@ -341,7 +330,7 @@ def cmd_fit(args) -> int:
             _emit("\n".join(lines) + "\n", args.csv)
     if all(m == 0.0 for m in mags):
         raise CheckFailed("degenerate series: headline sum is identically zero")
-    fit = _fit_from_magnitudes(mags, r_max)
+    fit = _headline_fit(mags)
     if args.json:
         _json_out(
             {"slope": fit.slope, "intercept": fit.intercept,
@@ -355,7 +344,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _read_fit_csv(path: str) -> tuple[list[float], int]:
+def _read_fit_csv(path: str) -> list[float]:
     mags: dict[int, float] = {}
     with open(path) as fh:
         header = fh.readline().strip()
@@ -369,10 +358,11 @@ def _read_fit_csv(path: str) -> tuple[list[float], int]:
     if not mags:
         raise UsageError("empty series file")
     n_max = max(mags)
-    return [mags.get(n, 0.0) for n in range(1, n_max + 1)], math.isqrt(n_max)
+    return [mags.get(n, 0.0) for n in range(1, n_max + 1)]
 
 
 def cmd_theta_check(args) -> int:
+    seed = args.seed if args.seed is not None else _env_int("LH_SEED", 0)
     p = _poly_arg(args.poly)
     ctx = modular.theta_context(p, n_max=args.n_max)
     reports = []
@@ -390,9 +380,7 @@ def cmd_theta_check(args) -> int:
             modular.transformation_check(ctx, gamma, complex(zr, zi), tol=args.tol)
         )
     else:
-        reports.extend(
-            modular.sample_checks(ctx, args.sample, seed=args.seed, tol=args.tol)
-        )
+        reports.extend(modular.sample_checks(ctx, args.sample, seed=seed, tol=args.tol))
     ok = True
     for rep in reports:
         if args.json:
@@ -411,12 +399,10 @@ def cmd_theta_check(args) -> int:
     return 0
 
 
+@_domain_errors_are_usage
 def cmd_gauss(args) -> int:
-    try:
-        direct = modular.gauss_sum_direct(args.d, args.c)
-        closed = modular.gauss_sum_closed(args.d, args.c)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    direct = modular.gauss_sum_direct(args.d, args.c)
+    closed = modular.gauss_sum_closed(args.d, args.c)
     diff = abs(direct - closed)
     print(f"direct={direct:.12g} closed={closed:.12g} |diff|={diff:.3e}")
     if args.xi is not None:
@@ -436,23 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lattice sums of polynomials over spheres: exact series, "
         "oscillatory sums, theta modularity checks, exponent balancing.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap for exact series (default: LH_THREADS or 1)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for sampled checks (default: LH_SEED or 0)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_, parents=[common])
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         return p
 
@@ -530,6 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--n-max", type=int, default=modular.DEFAULT_N_MAX)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for sampled checks (default: LH_SEED or 0)")
     p.add_argument("--json", action="store_true")
 
     p = add("gauss", cmd_gauss, "quadratic Gauss sum, direct vs closed form")
@@ -548,8 +523,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors already; normalize others
         return 2 if exc.code not in (0,) else 0
     try:
-        args.threads = args.threads if args.threads is not None else _env_int("LH_THREADS", 1)
-        args.seed = args.seed if args.seed is not None else _env_int("LH_SEED", 0)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

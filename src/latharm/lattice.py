@@ -9,7 +9,6 @@ point only through the window weight.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,6 +21,8 @@ from .util import FitResult, linear_fit
 # Above this bound the int64 convolution path could overflow; 2^62 leaves
 # headroom for one extra addition.
 _INT64_SAFE = 1 << 62
+
+_ONE = Polynomial3.constant(1)
 
 
 def representations(n: int) -> list[tuple[int, int, int]]:
@@ -144,7 +145,7 @@ def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
 
 
 def shell_totals(
-    p: Polynomial3, n_max: int, workers: int = 1, memo: dict | None = None
+    p: Polynomial3, n_max: int, memo: dict | None = None
 ) -> tuple[int, np.ndarray]:
     """Exact shell sums of a real polynomial, as integers over one denominator.
 
@@ -155,32 +156,28 @@ def shell_totals(
     one degree compute each class once.
     """
     denom, _ = p.integer_form()
-    classes = _monomial_classes(p)
     memo = {} if memo is None else memo
-    missing = [key for key, _ in classes if key not in memo]
-
-    def class_sums(key: tuple[int, int, int]) -> np.ndarray:
-        return np.array(_class_shell_sums(key, n_max), dtype=object)
-
-    if workers > 1 and len(missing) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            memo.update(zip(missing, pool.map(class_sums, missing)))
-    else:
-        memo.update((key, class_sums(key)) for key in missing)
     totals = np.zeros(n_max + 1, dtype=object)
-    for key, coeff in classes:
+    for key, coeff in _monomial_classes(p):
+        if key not in memo:
+            memo[key] = np.array(_class_shell_sums(key, n_max), dtype=object)
         totals += coeff * memo[key]
     return denom, totals
 
 
-def coeff_series(p: Polynomial3, n_max: int, workers: int = 1) -> CoefficientSeries:
-    """Exact a_n = sum of p over the shell of norm n, for 1 <= n <= n_max."""
+def homogeneous_shell_totals(p: Polynomial3, n_max: int, what: str) -> tuple[int, np.ndarray]:
+    """`shell_totals` of a real homogeneous polynomial; `what` names the caller."""
     if not p.is_homogeneous:
-        raise ValueError("coefficient series requires a homogeneous polynomial")
-    p.require_real("coefficient series")
+        raise ValueError(f"{what} requires a homogeneous polynomial")
+    p.require_real(what)
+    return shell_totals(p, n_max)
+
+
+def coeff_series(p: Polynomial3, n_max: int) -> CoefficientSeries:
+    """Exact a_n = sum of p over the shell of norm n, for 1 <= n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    denom, totals = shell_totals(p, n_max, workers=workers)
+    denom, totals = homogeneous_shell_totals(p, n_max, "coefficient series")
     values = tuple(Fraction(t, denom) for t in totals[1:])
     return CoefficientSeries(
         nu=p.degree,
@@ -207,52 +204,42 @@ class SumReport:
     term_count: int
 
 
-def _point_counts(n_max: int) -> CoefficientSeries:
-    return coeff_series(Polynomial3.constant(1), n_max)
+def _point_count(lo: int, hi: int) -> int:
+    """Number of lattice points with lo <= |x|^2 <= hi (0 when lo > hi)."""
+    _, counts = shell_totals(_ONE, hi)
+    return int(counts[lo : hi + 1].sum())
 
 
 def ball_sum(p: Polynomial3, r_sq: int) -> Fraction:
     """Exact sum of p over all lattice points with |x|^2 <= r_sq."""
     if r_sq < 0:
         raise ValueError("r_sq must be non-negative")
-    if not p.is_homogeneous:
-        raise ValueError("ball sum requires a homogeneous polynomial")
-    p.require_real("ball sum")
-    origin = p.evaluate(0, 0, 0)
-    origin = origin if isinstance(origin, Fraction) else Fraction(0)
-    if r_sq == 0:
-        return origin
-    series = coeff_series(p, r_sq)
-    return origin + sum(series.values, Fraction(0))
+    denom, totals = homogeneous_shell_totals(p, r_sq, "ball sum")
+    return Fraction(int(totals.sum()), denom)
 
 
 def ball_sum_report(p: Polynomial3, r_sq: int) -> SumReport:
     """Exact ball sum with the number of lattice points included."""
     value = ball_sum(p, r_sq)
-    count = 1  # origin
-    if r_sq >= 1:
-        count += sum(int(v) for v in _point_counts(r_sq).values)
-    return SumReport(r_sq=Fraction(r_sq), h=None, value=value, term_count=count)
+    return SumReport(r_sq=Fraction(r_sq), h=None, value=value,
+                     term_count=_point_count(0, r_sq))
 
 
 def short_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
     """Weighted boundary-shell sum with the number of points in the window."""
     value = short_sum(p, r, h)
     lo, hi = _window_bounds(r, h)
-    count = 0
-    if lo <= hi:
-        counts = _point_counts(hi)
-        count = sum(int(counts.a(n)) for n in range(max(lo, 1), hi + 1))
-    return SumReport(r_sq=Fraction(r) ** 2, h=h, value=value, term_count=count)
+    return SumReport(r_sq=Fraction(r) ** 2, h=h, value=value,
+                     term_count=_point_count(lo, hi))
 
 
 def long_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
     """Smoothed lattice sum with the number of points carrying weight."""
     value = long_sum_physical(p, r, h)
     _, hi = _window_bounds(r, h)
-    counts = _point_counts(max(hi, 1))
-    count = sum(int(v) for v in counts.values) + 1  # origin always weighted
-    return SumReport(r_sq=Fraction(r) ** 2, h=h, value=value, term_count=count)
+    # the origin always carries weight
+    return SumReport(r_sq=Fraction(r) ** 2, h=h, value=value,
+                     term_count=_point_count(0, hi))
 
 
 def cutoff_f(x: float, r: float, h: float) -> float:
@@ -275,55 +262,44 @@ def _window_bounds(r: float, h: float) -> tuple[int, int]:
     return lo, hi
 
 
-def short_sum(p: Polynomial3, r: float, h: float, series: CoefficientSeries | None = None) -> float:
-    """Weighted boundary-shell sum over R^2 <= n <= (R+H)^2."""
+def _window_totals(p: Polynomial3, r: float, h: float, what: str):
+    """Checked (D, T, lo, hi) for a weighted sum over the window of R, H."""
     if r < 1 or not 0 < h <= 1:
         raise ValueError("need R >= 1 and 0 < H <= 1")
     lo, hi = _window_bounds(r, h)
-    if lo > hi:
-        return 0.0
-    if series is None or series.n_max < hi:
-        series = coeff_series(p, hi)
+    denom, totals = homogeneous_shell_totals(p, hi, what)
+    return denom, totals, lo, hi
+
+
+def _ramp_sum(denom: int, totals: np.ndarray, r: float, h: float, lo: int, hi: int) -> float:
+    """Sum of (T[n]/D) f(sqrt n)/sqrt n over lo <= n <= hi."""
     terms = []
-    for n in range(max(lo, 1), hi + 1):
-        a_n = series.a(n)
-        if a_n:
+    for n in range(lo, hi + 1):
+        t = totals[n]
+        if t:
             root = math.sqrt(n)
-            terms.append(float(a_n) * cutoff_f(root, r, h) / root)
+            terms.append(t / denom * cutoff_f(root, r, h) / root)
     return math.fsum(terms)
 
 
-def long_sum_physical(
-    p: Polynomial3, r: float, h: float, series: CoefficientSeries | None = None
-) -> float:
+def short_sum(p: Polynomial3, r: float, h: float) -> float:
+    """Weighted boundary-shell sum over R^2 <= n <= (R+H)^2."""
+    denom, totals, lo, hi = _window_totals(p, r, h, "short sum")
+    return _ramp_sum(denom, totals, r, h, lo, hi)
+
+
+def long_sum_physical(p: Polynomial3, r: float, h: float) -> float:
     """Smoothed lattice sum: sum over n of a_n f(sqrt n)/sqrt n, plus origin.
 
     The weight is exactly 1 for n <= R^2, so that part of the sum is done
     exactly and converted to float once.  The origin contributes p(0) (the
     weight extends continuously to 1 at 0), which vanishes unless deg p = 0.
     """
-    if r < 1 or not 0 < h <= 1:
-        raise ValueError("need R >= 1 and 0 < H <= 1")
-    if not p.is_homogeneous:
-        raise ValueError("long sum requires a homogeneous polynomial")
-    r_sq = Fraction(r) ** 2
-    _, hi = _window_bounds(r, h)
-    if series is None or series.n_max < max(hi, 1):
-        series = coeff_series(p, max(hi, 1))
-    inner = Fraction(0)
-    ramp_terms = []
-    for n in range(1, hi + 1):
-        a_n = series.a(n)
-        if not a_n:
-            continue
-        if n <= r_sq:
-            inner += a_n
-        else:
-            root = math.sqrt(n)
-            ramp_terms.append(float(a_n) * cutoff_f(root, r, h) / root)
-    origin = p.evaluate(0, 0, 0)
-    origin_val = float(origin) if p.degree == 0 else 0.0
-    return float(inner) + math.fsum(ramp_terms) + origin_val
+    denom, totals, _, hi = _window_totals(p, r, h, "long sum")
+    inner_top = math.floor(Fraction(r) ** 2)
+    inner = int(totals[1 : inner_top + 1].sum())
+    ramp = _ramp_sum(denom, totals, r, h, inner_top + 1, hi)
+    return inner / denom + ramp + totals[0] / denom
 
 
 def main_term(
@@ -415,12 +391,12 @@ def coefficient_bound_report(
 
 
 def dyadic_growth_fit(
-    magnitudes: Sequence[float], start_exponent: int = 2
+    magnitudes: Sequence[float], start_exponent: int = 2, edge_ratio: int = 2
 ) -> FitResult | None:
-    """Fit log(running max) against log(n) at dyadic window ends.
+    """Fit log(running max) against log(n) at window ends 2^start_exponent * edge_ratio^j.
 
     magnitudes[i] is the value at n = i + 1.  Returns None when fewer than
-    three dyadic windows carry a nonzero running maximum.
+    three windows carry a nonzero running maximum.
     """
     n_max = len(magnitudes)
     xs, ys = [], []
@@ -434,7 +410,7 @@ def dyadic_growth_fit(
         if running > 0:
             xs.append(math.log(edge))
             ys.append(math.log(running))
-        edge <<= 1
+        edge *= edge_ratio
     if len(xs) < 3:
         return None
     return linear_fit(xs, ys)

@@ -223,10 +223,9 @@ def test_criterion_10_poisson_consistency_trend():
 
 
 def test_criterion_11_headline_scaling():
-    from latharm.cli import _fit_from_magnitudes, _headline_magnitudes
+    from latharm.cli import _headline_fit, _headline_magnitudes
 
-    mags = _headline_magnitudes(QUARTIC, 512, False, 1)
-    fit = _fit_from_magnitudes(mags, 512)
+    fit = _headline_fit(_headline_magnitudes(QUARTIC, 512, False))
     nu = QUARTIC.degree
     assert fit.slope <= nu + 1.55
     # informational: the conjectured exponent is nu + 1

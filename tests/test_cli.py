@@ -132,8 +132,7 @@ def test_expsum_json(capsys):
     assert [row["N"] for row in payload["rows"]] == [16, 64]
 
 
-
-SMOOTHING_BAD_INPUT = {
+BAD_INPUT = {
     "freqsum-n-trunc-0": ("freqsum", "--poly", "1", "--r", "10", "--h", "0.5",
                           "--n-trunc", "0"),
     "expsum-n-0": ("expsum", "--poly", "1", "--r", "10", "--n", "0"),
@@ -149,12 +148,20 @@ SMOOTHING_BAD_INPUT = {
     "shortsum-r-inf": ("shortsum", "--poly", "1", "--r", "inf", "--h", "0.5"),
     "shortsum-h-nan": ("shortsum", "--poly", "1", "--r", "10", "--h", "nan"),
     "shortsum-r-below-1": ("shortsum", "--poly", "1", "--r", "0.5", "--h", "0.5"),
+    "coeffs-nonhomogeneous": ("coeffs", "--poly", "x^2+y", "--n-max", "10"),
+    "coeffs-n-max-0": ("coeffs", "--poly", "1", "--n-max", "0"),
+    "sum-r-sq-negative": ("sum", "--poly", "1", "--r-sq", "-1"),
+    "balance-alpha-range-one-value": ("balance", "--long", "classic", "--short", "cusp",
+                                      "--alpha-range", "1"),
+    "fit-missing-csv": ("fit", "--from-csv", "{tmp}/missing.csv"),
+    "table-out-missing-dir": ("table", "--out", "{tmp}/missing/t.txt"),
+    "pair-bad-word": ("pair", "--pair", "1/6,2/3", "--word", "C"),
 }
 
 
-@pytest.mark.parametrize("argv", SMOOTHING_BAD_INPUT.values(), ids=SMOOTHING_BAD_INPUT)
-def test_smoothing_bad_input_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_bad_input_is_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -220,8 +227,12 @@ def test_fit_degenerate_series(capsys):
 def test_fit_quartic_and_csv_roundtrip(capsys, tmp_path):
     target = tmp_path / "series.csv"
     code, out, _ = run(capsys, "fit", "--poly", "5*(x^4+y^4+z^4)-3*(x^2+y^2+z^2)^2",
-                       "--r-max", "32", "--csv", str(target), "--json")
+                       "--r-max", "64", "--csv", str(target), "--json")
     assert code == 0
+    assert out == (
+        '{"schema": 1, "slope": 5.260667261761708, "intercept": 1.0637808099181587, '
+        '"r_squared": 0.9999669446563697, "points_used": 6}\n'
+    )
     direct = json.loads(out)
     code, out, _ = run(capsys, "fit", "--from-csv", str(target), "--json")
     assert code == 0

@@ -119,15 +119,24 @@ def test_series_consistency_with_ball_sum(quartic):
     assert ball_sum(quartic, 200) == running  # P(0) = 0 for degree 4
 
 
-def test_parallel_determinism(quartic):
-    assert coeff_series(quartic, 300, workers=3) == coeff_series(quartic, 300)
-
-
 def test_series_rejects_bad_input():
     with pytest.raises(ValueError):
         coeff_series(parse_poly("x^2+y"), 10)
     with pytest.raises(ValueError):
         coeff_series(parse_poly("x"), 0)
+    # every lattice sum keeps the same domain checks
+    for call in (
+        lambda: ball_sum(parse_poly("x^2+y"), 4),
+        lambda: ball_sum(parse_poly("1"), -1),
+        lambda: ball_sum(parse_poly("i*x^2"), 4),
+        lambda: long_sum_physical(parse_poly("x^2+y"), 2.0, 0.5),
+        lambda: long_sum_physical(parse_poly("1"), 0.5, 0.5),
+        lambda: short_sum(parse_poly("x^2+y"), 2.0, 0.5),
+        lambda: short_sum(parse_poly("i*x^2"), 2.0, 0.5),
+        lambda: short_sum(parse_poly("1"), 2.0, 0.0),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 # -- exact ball sums ---------------------------------------------------------------
@@ -211,9 +220,31 @@ def test_difference_identity_integer_radius(quartic):
         )
 
 
+def points_in(lo, hi):
+    return sum(len(representations(n)) for n in range(lo, hi + 1))
+
+
 def test_sum_reports_count_points(quartic):
     rep = ball_sum_report(parse_poly("1"), 1)
     assert rep.term_count == 7 and rep.value == 7
+
+    # counts against brute-force enumeration, for a constant and a harmonic P
+    for p in (parse_poly("2"), quartic):
+        for r_sq in (0, 1, 2, 10, 50):
+            rep = ball_sum_report(p, r_sq)
+            assert rep.term_count == points_in(0, r_sq)
+        assert ball_sum_report(p, 0).value == p.evaluate(0, 0, 0)
+        for r, h in ((1.0, 0.5), (1.5, 0.1), (3.5, 0.25), (4.0, 1.0), (6.3, 0.37)):
+            lo, hi = math.ceil(F(r) ** 2), math.floor(F(r + h) ** 2)
+            rep = short_sum_report(p, r, h)
+            assert rep.term_count == points_in(lo, hi)
+            assert rep.value == short_sum(p, r, h)
+            rep = long_sum_report(p, r, h)
+            assert rep.term_count == points_in(0, hi)
+            assert rep.value == long_sum_physical(p, r, h)
+    # R^2 = 2.25, (R+H)^2 = 2.56: the window holds no shell
+    assert short_sum_report(parse_poly("2"), 1.5, 0.1).term_count == 0
+    assert ball_sum_report(parse_poly("2"), 10).value == 2 * points_in(0, 10)
 
     rep = short_sum_report(quartic, 1.0, 0.5)
     # window [1, 2.25]: shells 1 and 2 hold 6 + 12 points
