@@ -1,8 +1,8 @@
 """Command-line front end: exact sums, sweeps, fits and check reports.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage or
-parse errors.  Flags beat the LH_* environment variables, which beat the
-defaults.  Exact quantities are printed as rationals p/q, never decimals.
+parse errors.  `--seed` beats the LH_SEED environment variable, which beats
+the default.  Exact quantities are printed as rationals p/q, never decimals.
 """
 
 from __future__ import annotations
@@ -362,9 +362,13 @@ def _read_fit_csv(path: str) -> list[float]:
 
 
 def cmd_theta_check(args) -> int:
+    _require_finite(args, "tol")
     seed = args.seed if args.seed is not None else _env_int("LH_SEED", 0)
     p = _poly_arg(args.poly)
-    ctx = modular.theta_context(p, n_max=args.n_max)
+    try:
+        ctx = modular.theta_context(p, n_max=args.n_max)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     reports = []
     if args.gamma:
         try:

@@ -1,9 +1,9 @@
 """Exact Z^3 shell enumeration and exact/weighted lattice sums.
 
 The shell coefficients a_n (sums of a polynomial over all lattice points of
-norm-squared n) are computed exactly with big-integer arithmetic.  Weighted
-sums over a smoothing window carry the exact coefficients into floating
-point only through the window weight.
+norm-squared n) are computed exactly as integers T[n] over one denominator D.
+They become Fractions only at the output edge and floats only through
+`shell_floats` or a window weight.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .util import FitResult, linear_fit
 # Above this bound the int64 convolution path could overflow; 2^62 leaves
 # headroom for one extra addition.
 _INT64_SAFE = 1 << 62
+
+# Largest shell count a series or sum may ask for (see check_n_max).
+N_MAX_CAP = 10**6
 
 _ONE = Polynomial3.constant(1)
 
@@ -57,23 +60,42 @@ def two_adic_part(n: int) -> int:
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """Exact shell sums a_n for 1 <= n <= n_max of a homogeneous polynomial."""
+    """Exact shell sums a_n = totals[n] / denom for 1 <= n <= n_max of a
+    homogeneous polynomial; totals[0] / denom is its value at the origin."""
 
     nu: int
     poly_id: str
-    values: tuple[Fraction, ...]
+    denom: int
+    totals: tuple[int, ...]
     n_max: int
     is_harmonic: bool
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """a_1 .. a_n_max as Fractions."""
+        return tuple(Fraction(t, self.denom) for t in self.totals[1:])
 
     def a(self, n: int) -> Fraction:
         if not 1 <= n <= self.n_max:
             raise IndexError(f"n={n} outside 1..{self.n_max}")
-        return self.values[n - 1]
+        return Fraction(self.totals[n], self.denom)
 
     def to_csv(self) -> str:
         lines = ["n,a_n"]
         lines.extend(f"{n},{v}" for n, v in enumerate(self.values, start=1))
         return "\n".join(lines) + "\n"
+
+
+def shell_floats(denom: int, totals) -> np.ndarray:
+    """Float64 array of T[n] / D, each correctly rounded once from the exact
+    integers (Python int / int), so it equals float(Fraction(T[n], D))."""
+    return (np.asarray(totals, dtype=object) / denom).astype(np.float64)
+
+
+def check_n_max(n_max: int) -> None:
+    """Refuse a shell count outside 0..N_MAX_CAP before anything is allocated."""
+    if not 0 <= n_max <= N_MAX_CAP:
+        raise ValueError(f"shell count {n_max} outside 0..{N_MAX_CAP}")
 
 
 def _square_weights(exponent: int, k_max: int) -> list[int]:
@@ -97,12 +119,13 @@ def _pair_shell_sums(e1: int, e2: int, n_max: int) -> list[int]:
     return t
 
 
-def _class_shell_sums(exponents: tuple[int, int, int], n_max: int) -> list[int]:
+def _class_shell_sums(exponents: tuple[int, int, int], n_max: int) -> np.ndarray:
     """S[m] = sum over the shell of norm m of the monomial, exact.
 
     All exponents must be even. Computed as a convolution of per-axis square
-    sums; the two-axis part is exact Python integers and the final axis is a
-    series of shifted adds, done in int64 when a certified bound permits.
+    sums: the two-axis part in exact Python integers, the final axis as one
+    series of shifted adds, in int64 when a certified bound permits and in
+    Python integers (object dtype) otherwise.  Returns an object array.
     """
     e1, e2, e3 = exponents
     t = _pair_shell_sums(e1, e2, n_max)
@@ -110,21 +133,13 @@ def _class_shell_sums(exponents: tuple[int, int, int], n_max: int) -> list[int]:
     w3 = _square_weights(e3, k)
     # Certified bound: every intermediate value is non-negative and at most
     # max(t) * sum(w3), so int64 is safe iff that product stays small.
-    bound = max(t) * sum(w3) if t else 0
-    if bound < _INT64_SAFE:
-        t_arr = np.asarray(t, dtype=np.int64)
-        s_arr = np.zeros(n_max + 1, dtype=np.int64)
-        for j in range(k + 1):
-            base = j * j
-            s_arr[base:] += w3[j] * t_arr[: n_max + 1 - base]
-        return s_arr.tolist()
-    out = [0] * (n_max + 1)
+    dtype = np.int64 if max(t) * sum(w3) < _INT64_SAFE else object
+    t_arr = np.array(t, dtype=dtype)
+    s_arr = np.zeros(n_max + 1, dtype=dtype)
     for j in range(k + 1):
         base = j * j
-        w = w3[j]
-        for idx in range(n_max + 1 - base):
-            out[base + idx] += w * t[idx]
-    return out
+        s_arr[base:] += w3[j] * t_arr[: n_max + 1 - base]
+    return s_arr.astype(object, copy=False)
 
 
 def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
@@ -153,14 +168,15 @@ def shell_totals(
     (T[0] / D is p at the origin); T is an object array of Python integers.
     p need not be homogeneous.  `memo` maps sorted exponent triples to their
     class shell sums at this n_max, so callers summing several polynomials of
-    one degree compute each class once.
+    one degree compute each class once.  n_max above N_MAX_CAP is refused.
     """
+    check_n_max(n_max)
     denom, _ = p.integer_form()
     memo = {} if memo is None else memo
     totals = np.zeros(n_max + 1, dtype=object)
     for key, coeff in _monomial_classes(p):
         if key not in memo:
-            memo[key] = np.array(_class_shell_sums(key, n_max), dtype=object)
+            memo[key] = _class_shell_sums(key, n_max)
         totals += coeff * memo[key]
     return denom, totals
 
@@ -178,11 +194,11 @@ def coeff_series(p: Polynomial3, n_max: int) -> CoefficientSeries:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     denom, totals = homogeneous_shell_totals(p, n_max, "coefficient series")
-    values = tuple(Fraction(t, denom) for t in totals[1:])
     return CoefficientSeries(
         nu=p.degree,
         poly_id=p.to_string(),
-        values=values,
+        denom=denom,
+        totals=tuple(totals),
         n_max=n_max,
         is_harmonic=p.is_harmonic,
     )
@@ -369,31 +385,27 @@ def coefficient_bound_report(
     exponent = k_half - (Fraction(5, 16) if use_gcd else Fraction(1, 4))
     mode = "blomer-harcos" if use_gcd else "sarnak"
     exp_f = float(exponent)
+    mags = np.abs(shell_floats(series.denom, series.totals[1:])).tolist()
     max_ratio = 0.0
     argmax = 0
-    for n in range(1, series.n_max + 1):
-        a_n = series.values[n - 1]
-        if not a_n:
+    for n, mag in enumerate(mags, start=1):
+        if not mag:
             continue
         denom = n**exp_f
         if use_gcd:
             denom *= two_adic_part(n) ** 0.625
-        ratio = abs(float(a_n)) / denom
+        ratio = mag / denom
         if ratio > max_ratio:
             max_ratio = ratio
             argmax = n
-    fit = dyadic_growth_fit(
-        [abs(float(v)) for v in series.values], start_exponent=2
-    )
+    fit = dyadic_growth_fit(mags)
     return CoefficientBoundReport(
         mode=mode, exponent=exponent, max_ratio=max_ratio, argmax_n=argmax, fit=fit
     )
 
 
-def dyadic_growth_fit(
-    magnitudes: Sequence[float], start_exponent: int = 2, edge_ratio: int = 2
-) -> FitResult | None:
-    """Fit log(running max) against log(n) at window ends 2^start_exponent * edge_ratio^j.
+def dyadic_growth_fit(magnitudes: Sequence[float], edge_ratio: int = 2) -> FitResult | None:
+    """Fit log(running max) against log(n) at window ends n = 4 * edge_ratio^j.
 
     magnitudes[i] is the value at n = i + 1.  Returns None when fewer than
     three windows carry a nonzero running maximum.
@@ -401,7 +413,7 @@ def dyadic_growth_fit(
     n_max = len(magnitudes)
     xs, ys = [], []
     running = 0.0
-    edge = 1 << start_exponent
+    edge = 4
     idx = 0
     while edge <= n_max:
         while idx < edge:

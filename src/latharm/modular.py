@@ -16,12 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .lattice import CoefficientSeries, coeff_series
+from .lattice import coeff_series, shell_floats
 from .poly import Polynomial3
 
 DEFAULT_Y_MIN = 0.05
 DEFAULT_N_MAX = 1 << 14
-N_MAX_CAP = 10**6
+
+# Sampled checks draw c from this pool and Im z uniformly from this range.
+SAMPLE_C_POOL = (0, 4, -4, 8, -8, 12, -12, 16, -16)
+SAMPLE_Y_RANGE = (0.1, 2.0)
 
 
 def e_of(t: float) -> complex:
@@ -137,8 +140,9 @@ def automorphy_j(gamma: GammaElement, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Evaluation context: harmonic polynomial, weight, exact coefficients.
+    """Evaluation context: harmonic polynomial, weight, shell coefficients.
 
+    floats[n] is a_n as a float for 0 <= n <= n_max (floats[0] is P(0)).
     coeff_c is C in the crude bound |a_n| <= C n^(nu/2 + 1), used for the
     certified truncation tail.
     """
@@ -146,7 +150,7 @@ class ThetaContext:
     poly: Polynomial3
     nu: int
     weight: Fraction
-    series: CoefficientSeries
+    floats: tuple[float, ...]
     n_max: int
     y_min: float
     coeff_c: float
@@ -166,12 +170,10 @@ class ThetaContext:
 def theta_context(
     p: Polynomial3, n_max: int = DEFAULT_N_MAX, y_min: float = DEFAULT_Y_MIN
 ) -> ThetaContext:
-    """Precompute the exact coefficient series for theta evaluation."""
+    """Precompute the shell coefficients for theta evaluation."""
     if not p.is_homogeneous or not p.is_harmonic:
         raise ValueError("theta context requires a harmonic homogeneous polynomial")
     p.require_real("theta context")
-    if not 1 <= n_max <= N_MAX_CAP:
-        raise ValueError(f"n_max must be in 1..{N_MAX_CAP}")
     series = coeff_series(p, n_max)
     # |a_n| <= r3(n) max|P| <= 18 n * (sum |coeffs|) n^(nu/2)
     coeff_c = 18.0 * float(p.coeff_l1())
@@ -179,7 +181,7 @@ def theta_context(
         poly=p,
         nu=p.degree,
         weight=Fraction(p.degree) + Fraction(3, 2),
-        series=series,
+        floats=tuple(shell_floats(series.denom, series.totals).tolist()),
         n_max=n_max,
         y_min=y_min,
         coeff_c=coeff_c,
@@ -191,29 +193,20 @@ def theta_eval(ctx: ThetaContext, z: complex, tol: float = 1e-12) -> complex:
     y = z.imag
     if y < ctx.y_min:
         raise ValueError(f"Im z = {y} below configured minimum {ctx.y_min}")
-    n_terms = None
-    m = 16
-    while m <= ctx.n_max:
-        if ctx.tail_bound(y, m) < tol:
-            n_terms = m
-            break
+    m = 16  # the first of 16, 32, 64, ... whose tail is certified, else n_max
+    while m < ctx.n_max and not ctx.tail_bound(y, m) < tol:
         m *= 2
-    if n_terms is None:
-        if ctx.tail_bound(y, ctx.n_max) < tol:
-            n_terms = ctx.n_max
-        else:
-            raise ValueError(
-                f"cannot certify tail < {tol} with n_max={ctx.n_max} at Im z = {y}"
-            )
+    n_terms = min(m, ctx.n_max)
+    if not ctx.tail_bound(y, n_terms) < tol:
+        raise ValueError(
+            f"cannot certify tail < {tol} with n_max={ctx.n_max} at Im z = {y}"
+        )
     q1 = e_of(z.real)  # e(z) split into phase and decay for stability
     total = 0 + 0j
-    for n in range(n_terms, 0, -1):  # ascending magnitude
-        a_n = ctx.series.values[n - 1]
+    for n in range(n_terms, -1, -1):  # ascending magnitude, ending at P(0)
+        a_n = ctx.floats[n]
         if a_n:
-            total += float(a_n) * (q1**n) * math.exp(-2 * math.pi * n * y)
-    if ctx.nu == 0:
-        origin = ctx.poly.evaluate(0, 0, 0)
-        total += float(origin)
+            total += a_n * (q1**n) * math.exp(-2 * math.pi * n * y)
     return total
 
 
@@ -281,8 +274,6 @@ def sample_checks(
     ctx: ThetaContext,
     count: int,
     seed: int = 0,
-    c_pool: tuple[int, ...] = (0, 4, -4, 8, -8, 12, -12, 16, -16),
-    y_range: tuple[float, float] = (0.1, 2.0),
     tol: float = 1e-6,
 ) -> Iterator[TransformReport]:
     """Deterministic stream of transformation checks at pseudo-random (gamma, z)."""
@@ -291,12 +282,12 @@ def sample_checks(
     rng = random.Random(seed)
     produced = 0
     while produced < count:
-        c = rng.choice(c_pool)
+        c = rng.choice(SAMPLE_C_POOL)
         d_candidates = [d for d in range(-25, 26, 2) if c == 0 or math.gcd(c, d) == 1]
         d = rng.choice(d_candidates) if c != 0 else rng.choice([1, -1])
         gamma = gamma0_4_from_cd(c, d)
         x = rng.uniform(-0.5, 0.5)
-        y = rng.uniform(*y_range)
+        y = rng.uniform(*SAMPLE_Y_RANGE)
         z = complex(x, y)
         if gamma.apply(z).imag < ctx.y_min:
             continue

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import main_term, shell_totals
+from .lattice import check_n_max, main_term, shell_floats, shell_totals
 from .poly import Polynomial3
 from .util import FitResult, linear_fit
 
@@ -236,11 +236,6 @@ def eval_radial_terms(
     return total * 1j if expansion.imaginary else complex(total)
 
 
-def _shell_values(totals: np.ndarray, denom: int) -> np.ndarray:
-    """Floats T[n] / D, each rounded once from the exact integers."""
-    return (totals / denom).astype(np.float64)
-
-
 def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
     """Main term plus the truncated frequency sum of the transformed kernel.
 
@@ -253,6 +248,7 @@ def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
         raise ValueError("n_trunc must be at least 1")
     if r < 1 or not 0 < h <= 1:
         raise ValueError("need R >= 1 and 0 < H <= 1")
+    check_n_max(n_trunc)
     expansion = gP_fourier_terms(p)
     main = float(main_term(p, Fraction(r), Fraction(h))) * math.pi
     if expansion.imaginary:
@@ -262,7 +258,7 @@ def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
     contrib = np.zeros(n_trunc)
     for t in expansion.terms:
         denom, totals = shell_totals(t.poly, n_trunc, memo=memo)
-        val = t.prefactor(r, h) * _shell_values(totals[1:], denom) / norm**t.denom_pow
+        val = t.prefactor(r, h) * shell_floats(denom, totals[1:]) / norm**t.denom_pow
         for f in t.trig:
             val = val * f.value(norm, r, h)
         contrib += val
@@ -282,10 +278,11 @@ def _cumulative_exp_sum(
     one sweep over x-slabs collects the shell subtotals point by point.
     """
     q.require_real("exponential sum")
+    check_n_max(n_top)
     if not any(h):
         denom, totals = shell_totals(q, n_top)
         phase = r * np.sqrt(np.arange(n_top + 1, dtype=np.float64))
-        shells = _shell_values(totals, denom) * np.exp(2j * np.pi * phase)
+        shells = shell_floats(denom, totals) * np.exp(2j * np.pi * phase)
         return np.cumsum(shells)
     k = math.isqrt(n_top)
     rng = np.arange(-k, k + 1)

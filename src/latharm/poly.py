@@ -8,6 +8,7 @@ decomposition and sphere averages never touch floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -273,9 +274,7 @@ class Polynomial3:
     def integer_form(self) -> tuple[int, dict[Monomial, int]]:
         """Common denominator D and integer coefficients n_m with c_m = n_m / D."""
         self.require_real("integer form")
-        denom = 1
-        for c in self.terms.values():
-            denom = denom * c.re.denominator // _gcd(denom, c.re.denominator)
+        denom = math.lcm(*(c.re.denominator for c in self.terms.values()))
         ints = {m: int(c.re * denom) for m, c in self.terms.items()}
         return denom, ints
 
@@ -329,12 +328,6 @@ class Polynomial3:
 
     def __repr__(self) -> str:
         return f"Polynomial3({self.to_string()!r})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- parsing ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from latharm.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+QUARTIC = "5*(x^4+y^4+z^4)-3*(x^2+y^2+z^2)^2"
 
 
 def run(capsys, *argv):
@@ -156,15 +158,34 @@ BAD_INPUT = {
     "fit-missing-csv": ("fit", "--from-csv", "{tmp}/missing.csv"),
     "table-out-missing-dir": ("table", "--out", "{tmp}/missing/t.txt"),
     "pair-bad-word": ("pair", "--pair", "1/6,2/3", "--word", "C"),
+    # work that would exhaust memory is refused before anything is allocated
+    "coeffs-n-max-huge": ("coeffs", "--poly", "x^2", "--n-max", str(10**11)),
+    "sum-r-sq-huge": ("sum", "--poly", "x^2", "--r-sq", str(10**11)),
+    "fit-r-max-huge": ("fit", "--poly", QUARTIC, "--r-max", str(10**6)),
+    "freqsum-n-trunc-huge": ("freqsum", "--poly", "1", "--r", "10", "--h", "0.5",
+                             "--n-trunc", str(10**11)),
+    "expsum-n-huge": ("expsum", "--poly", "1", "--r", "10", "--n", str(10**11)),
+    "expsum-n-huge-h": ("expsum", "--poly", "1", "--r", "10", "--h", "1/3,0,1/5",
+                        "--n", str(10**11)),
+    "theta-check-n-max-huge": ("theta-check", "--n-max", "2000000"),
+    "theta-check-nonharmonic": ("theta-check", "--poly", "x^2"),
+    "theta-check-nonhomogeneous": ("theta-check", "--poly", "x^2+y"),
+    "theta-check-tol-nan": ("theta-check", "--tol", "nan"),
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT)
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
-    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert peak < 1 << 20  # refused before any large allocation
 
 def test_theta_check_single(capsys):
     code, out, _ = run(capsys, "theta-check", "--gamma", "1,0,4,1", "--z", "0,0.5",

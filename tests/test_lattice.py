@@ -2,10 +2,16 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from scipy import integrate
 
+from latharm import lattice
 from latharm.lattice import (
+    _INT64_SAFE,
+    _monomial_classes,
+    _pair_shell_sums,
+    _square_weights,
     ball_sum,
     ball_sum_report,
     coeff_series,
@@ -15,13 +21,15 @@ from latharm.lattice import (
     long_sum_report,
     main_term,
     representations,
+    shell_floats,
+    shell_totals,
     short_sum,
     short_sum_report,
     two_adic_part,
 )
 from latharm.poly import parse_poly, sphere_average
 
-from conftest import random_homogeneous
+from conftest import QUARTIC_EXPR, random_homogeneous
 
 
 def brute_shell_sum(p, n):
@@ -111,6 +119,56 @@ def test_octahedral_vanishing():
     assert ball_sum(parse_poly("x^2*y"), 30) == 0
 
 
+def _certified_bound(exponents, n_max):
+    """The bound `_class_shell_sums` compares with _INT64_SAFE."""
+    e1, e2, e3 = exponents
+    t = _pair_shell_sums(e1, e2, n_max)
+    return max(t) * sum(_square_weights(e3, math.isqrt(n_max)))
+
+
+@pytest.mark.parametrize("expr", ["x^24*y^24", "x^24*y^24+z^48"])
+def test_big_int_path_matches_brute_force(expr):
+    p = parse_poly(expr)
+    n_max = 120
+    classes = _monomial_classes(p)
+    assert classes and all(_certified_bound(key, n_max) >= _INT64_SAFE for key, _ in classes)
+    series = coeff_series(p, n_max)
+    for n in range(1, n_max + 1):
+        assert series.a(n) == brute_shell_sum(p, n), (expr, n)
+
+
+def test_int64_and_big_int_paths_agree(quartic, sextic, monkeypatch):
+    polys = [parse_poly("1"), quartic, sextic, parse_poly("1/3*x^2-1/7*y^2")]
+    int64 = [shell_totals(p, 3000) for p in polys]
+    assert all(_certified_bound(key, 3000) < _INT64_SAFE
+               for p in polys for key, _ in _monomial_classes(p))
+    monkeypatch.setattr(lattice, "_INT64_SAFE", 0)  # every class goes big-int
+    for p, (denom, totals) in zip(polys, int64):
+        big_denom, big_totals = shell_totals(p, 3000)
+        assert big_denom == denom
+        assert big_totals.tolist() == totals.tolist()
+
+
+@pytest.mark.parametrize("expr", ["1/3*x^2-1/7*y^2", QUARTIC_EXPR, "1/3*x^24*y^24-1/7*z^48"])
+def test_integer_series_edge_values(expr):
+    p = parse_poly(expr)
+    n_max = 60
+    series = coeff_series(p, n_max)
+    expected = [brute_shell_sum(p, n) for n in range(1, n_max + 1)]
+    assert series.values == tuple(expected)
+    assert [series.a(n) for n in range(1, n_max + 1)] == expected
+    assert series.to_csv() == "n,a_n\n" + "".join(
+        f"{n},{v}\n" for n, v in enumerate(expected, start=1))
+    assert series == coeff_series(p, n_max)
+    assert hash(series) == hash(coeff_series(p, n_max))
+    # one float conversion, each value rounded once from the exact integers
+    denom, totals = shell_totals(p, n_max)
+    floats = shell_floats(denom, totals)
+    assert floats.dtype == np.float64
+    assert floats.tolist() == [float(F(t, denom)) for t in totals]
+    assert floats[1:].tolist() == [float(v) for v in expected]
+
+
 def test_series_consistency_with_ball_sum(quartic):
     series = coeff_series(quartic, 200)
     running = F(0)
@@ -134,6 +192,10 @@ def test_series_rejects_bad_input():
         lambda: short_sum(parse_poly("x^2+y"), 2.0, 0.5),
         lambda: short_sum(parse_poly("i*x^2"), 2.0, 0.5),
         lambda: short_sum(parse_poly("1"), 2.0, 0.0),
+        # more shells than the engine allows are refused before allocating
+        lambda: shell_totals(parse_poly("1"), 10**11),
+        lambda: ball_sum(parse_poly("x^2"), 10**11),
+        lambda: long_sum_physical(parse_poly("1"), 10.0**6, 0.5),
     ):
         with pytest.raises(ValueError):
             call()

@@ -22,6 +22,7 @@ from latharm.modular import (
     theta_eval,
     transformation_check,
 )
+from latharm.lattice import representations
 from latharm.poly import parse_poly
 
 
@@ -143,6 +144,23 @@ def test_theta_requires_headroom(quartic):
 def test_theta_context_rejects_nonharmonic():
     with pytest.raises(ValueError):
         theta_context(parse_poly("x^2"))
+
+
+def test_theta_context_refuses_oversized_n_max(quartic):
+    with pytest.raises(ValueError, match="shell count"):
+        theta_context(quartic, n_max=2 * 10**6)
+
+
+@pytest.mark.parametrize("c", [1, 2, F(-1, 3)])
+def test_theta_constant_includes_origin(c):
+    # theta of the constant c is c * (1 + sum r3(n) q^n): the n = 0 term is c
+    ctx = theta_context(parse_poly(str(c)), n_max=256)
+    z = complex(0.15, 0.5)
+    expected = float(c) * sum(
+        len(representations(n)) * cmath.exp(2j * math.pi * n * z) for n in range(60)
+    )
+    assert theta_eval(ctx, z) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert ctx.floats[0] == float(c)
 
 
 def test_cusp_decay(quartic):
