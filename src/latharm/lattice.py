@@ -82,7 +82,10 @@ class CoefficientSeries:
 
     def to_csv(self) -> str:
         lines = ["n,a_n"]
-        lines.extend(f"{n},{v}" for n, v in enumerate(self.values, start=1))
+        for n, t in enumerate(self.totals[1:], start=1):
+            g = math.gcd(t, self.denom)
+            num, den = t // g, self.denom // g
+            lines.append(f"{n},{num}" if den == 1 else f"{n},{num}/{den}")
         return "\n".join(lines) + "\n"
 
 

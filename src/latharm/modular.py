@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .lattice import coeff_series, shell_floats
+from .lattice import N_MAX_CAP, coeff_series, shell_floats
 from .poly import Polynomial3
 
 DEFAULT_Y_MIN = 0.05
@@ -298,17 +298,24 @@ def sample_checks(
 # -- quadratic Gauss sums ----------------------------------------------------
 
 
+def _quadratic_phase_sum(d: int, c: int, xi: int) -> complex:
+    """Sum of e(d (m^2 + m xi) / c) over m mod c, each phase reduced exactly
+    in integers; |c| above N_MAX_CAP is refused before the loop."""
+    if abs(c) > N_MAX_CAP:
+        raise ValueError(f"|c| = {abs(c)} exceeds {N_MAX_CAP}")
+    total = 0 + 0j
+    for m in range(abs(c)):
+        total += e_of(d * (m * m + m * xi) % c / c)
+    return total
+
+
 def gauss_sum_direct(d: int, c: int) -> complex:
     """Sum of e(d m^2 / c) over m mod c, by direct summation."""
     if c == 0:
         raise ValueError("c must be nonzero")
     if math.gcd(c, d) != 1:
         raise ValueError("need gcd(c, d) = 1")
-    total = 0 + 0j
-    for m in range(abs(c)):
-        phase = Fraction(d * m * m, c) % 1
-        total += e_of(float(phase))
-    return total
+    return _quadratic_phase_sum(d, c, 0)
 
 
 def gauss_sum_closed(d: int, c: int) -> complex:
@@ -334,8 +341,4 @@ def quadratic_sum_S(xi: int, d: int, c: int) -> complex:
         raise ValueError("requires 4 | c, c != 0")
     if math.gcd(c, d) != 1:
         raise ValueError("need gcd(c, d) = 1")
-    total = 0 + 0j
-    for m in range(abs(c)):
-        phase = Fraction(d * (m * m + m * xi), c) % 1
-        total += e_of(float(phase))
-    return total
+    return _quadratic_phase_sum(d, c, xi)

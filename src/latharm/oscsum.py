@@ -4,10 +4,16 @@ The centrepiece is a small closed term algebra for expressions of the form
 
     pi^p R^a H^b (2R+H)^w  Q(xi) sin(pi c |xi| + pi s/2) ... / |xi|^m
 
-(with one or two trig factors, c in {2R, H, 2R+H}).  The algebra is closed
-under differentiation in xi, which lets the smoothing kernel's Fourier
-transform be hit with a polynomial differential operator symbolically and
-then evaluated at lattice frequencies.
+(with one or two trig factors, c in {2R, H, 2R+H}).  The smoothing kernel's
+Fourier transform is two such terms with constant Q, a function F(|xi|) of
+the norm alone.  A homogeneous P of degree nu acts on it by Hobson's formula
+(Hobson, The Theory of Spherical and Ellipsoidal Harmonics, 1931, 2.2):
+
+    P(d/dxi) F(|xi|) = sum over k <= nu/2 of Lap^k P(xi) / (2^k k!) D^(nu-k) F
+
+with D = |xi|^-1 d/d|xi|.  The family is closed under D, so only the radial
+factor is differentiated; the result is evaluated at lattice frequencies
+shell by shell.
 """
 
 from __future__ import annotations
@@ -73,24 +79,14 @@ class RadialTerm:
             * (2 * r + h) ** self.mix_pow
         )
 
-    def differentiate(self, axis: int) -> list["RadialTerm"]:
-        """Partial derivative in xi_axis, as a list of terms of the same shape."""
+    def radial_derivative(self) -> list["RadialTerm"]:
+        """D = |xi|^-1 d/d|xi| of a term whose numerator is constant in xi."""
         out: list[RadialTerm] = []
-        xi_j = Polynomial3.variable(axis)
-        dpoly = self.poly.partial(axis)
-        if dpoly:
-            out.append(
-                RadialTerm(
-                    self.pi_pow, self.r_pow, self.h_pow, self.mix_pow,
-                    dpoly, self.denom_pow, self.trig,
-                )
-            )
         for idx, factor in enumerate(self.trig):
-            # d/dxi_j sin(pi c |xi| + .) = pi c (xi_j/|xi|) sin(pi c |xi| + . + pi/2)
+            # D sin(pi c rho + .) = pi c sin(pi c rho + . + pi/2) / rho
             new_trig = tuple(
                 f.shifted() if t == idx else f for t, f in enumerate(self.trig)
             )
-            scaled = self.poly * xi_j
             r0, h0, m0, coeff = self.r_pow, self.h_pow, self.mix_pow, 1
             if factor.freq == FREQ_2R:
                 r0 += 1
@@ -102,13 +98,13 @@ class RadialTerm:
             out.append(
                 RadialTerm(
                     self.pi_pow + 1, r0, h0, m0,
-                    scaled * coeff, self.denom_pow + 1, new_trig,
+                    self.poly * coeff, self.denom_pow + 1, new_trig,
                 )
             )
         out.append(
             RadialTerm(
                 self.pi_pow, self.r_pow, self.h_pow, self.mix_pow,
-                self.poly * xi_j * (-self.denom_pow), self.denom_pow + 2, self.trig,
+                self.poly * (-self.denom_pow), self.denom_pow + 2, self.trig,
             )
         )
         return out
@@ -165,53 +161,33 @@ def gP_fourier_terms(p: Polynomial3) -> FourierTerms:
     """Apply P(-d/(2 pi i)) to the kernel transform, symbolically.
 
     For homogeneous P of degree nu this equals (i/(2 pi))^nu P(d/dxi) applied
-    to the two base terms; the resulting list stays in the closed term shape
-    and every denominator power is at least deg(poly) + 3.
+    to the two radial base terms F, expanded by Hobson's formula (see the
+    module docstring).  The k-th numerator Lap^k P has degree nu - 2k and is
+    brought to degree nu by |xi|^(2k) over |xi|^(2k), so every denominator
+    power is at least nu + 3.
     """
     if not p.is_homogeneous:
         raise ValueError("operator application requires homogeneous P")
     p.require_real("fourier term algebra")
     nu = p.degree
-    collected: list[RadialTerm] = []
-    for (i, j, k), coeff in p.sorted_terms():
-        terms: list[RadialTerm] = list(kernel_base_terms())
-        for axis, reps in ((0, i), (1, j), (2, k)):
-            for _ in range(reps):
-                new_terms: list[RadialTerm] = []
-                for t in terms:
-                    new_terms.extend(t.differentiate(axis))
-                terms = list(merge_terms(new_terms))
-        scale = coeff.re
-        collected.extend(
-            RadialTerm(t.pi_pow, t.r_pow, t.h_pow, t.mix_pow, t.poly * scale,
-                       t.denom_pow, t.trig)
-            for t in terms
-        )
     # overall factor (i / 2pi)^nu = i^nu 2^-nu pi^-nu
     sign = 1 if nu % 4 in (0, 1) else -1
     imaginary = nu % 2 == 1
-    op_scale = Fraction(sign, 2**nu)
-    scaled = [
-        RadialTerm(t.pi_pow - nu, t.r_pow, t.h_pow, t.mix_pow, t.poly * op_scale,
-                   t.denom_pow, t.trig)
-        for t in collected
-    ]
-    # homogenize every numerator polynomial to degree nu (multiply by powers
-    # of |xi|^2); this groups terms into the closed families with denominator
-    # powers 3 + nu1 + 2 nu2 and 3 + nu1 + nu2 + 2 nu3
+    radial = [kernel_base_terms()]  # radial[j] = D^j F
+    for _ in range(nu):
+        radial.append(merge_terms(d for t in radial[-1] for d in t.radial_derivative()))
     r2 = Polynomial3.norm_squared()
-    homogenized = []
-    for t in scaled:
-        deficit = nu - t.poly.degree
-        if deficit:
-            homogenized.append(
-                RadialTerm(t.pi_pow, t.r_pow, t.h_pow, t.mix_pow,
-                           t.poly * r2 ** (deficit // 2),
-                           t.denom_pow + deficit, t.trig)
-            )
-        else:
-            homogenized.append(t)
-    final = merge_terms(homogenized)
+    lap_p = p
+    collected: list[RadialTerm] = []
+    for k in range(nu // 2 + 1):
+        numerator = r2**k * lap_p * Fraction(sign, 2**nu * 2**k * math.factorial(k))
+        collected.extend(
+            RadialTerm(t.pi_pow - nu, t.r_pow, t.h_pow, t.mix_pow, t.poly * numerator,
+                       t.denom_pow + 2 * k, t.trig)
+            for t in radial[nu - k]
+        )
+        lap_p = lap_p.laplacian()
+    final = merge_terms(collected)
     for t in final:
         assert t.poly.degree == nu or not t.poly
         assert t.denom_pow >= nu + 3, "term outside convergent shape"

@@ -171,6 +171,7 @@ BAD_INPUT = {
     "theta-check-nonharmonic": ("theta-check", "--poly", "x^2"),
     "theta-check-nonhomogeneous": ("theta-check", "--poly", "x^2+y"),
     "theta-check-tol-nan": ("theta-check", "--tol", "nan"),
+    "gauss-c-huge": ("gauss", "--d", "1", "--c", "4000000000"),
 }
 
 

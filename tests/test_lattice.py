@@ -204,6 +204,16 @@ def test_series_rejects_bad_input():
 # -- exact ball sums ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("expr", ["1", "2", QUARTIC_EXPR, "x^2*y^2-1/3*z^4+2*x^4"])
+def test_long_minus_short_is_interior_ball_sum(expr):
+    # the smoothing weight is 1 below R^2, where the short window starts
+    p = parse_poly(expr)
+    for r, h in [(1, 0.5), (5, 1), (12.3, 0.37), (30, 0.01), (1.5, 0.1), (4, 0.5)]:
+        interior = ball_sum(p, math.ceil(F(r) ** 2) - 1)
+        diff = long_sum_physical(p, r, h) - short_sum(p, r, h)
+        assert diff == pytest.approx(float(interior), rel=1e-12)
+
+
 def test_ball_sum_odd_symmetry():
     for r_sq in (1, 5, 20):
         assert ball_sum(parse_poly("x*y"), r_sq) == 0

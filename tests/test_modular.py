@@ -10,6 +10,7 @@ from latharm.modular import (
     GammaElement,
     TransformReport,
     automorphy_j,
+    e_of,
     epsilon_d,
     gamma0_4_from_cd,
     gauss_sum_closed,
@@ -330,3 +331,23 @@ def test_quadratic_sum_even_offset_completes_square():
 def test_quadratic_sum_specific_value():
     # S(2, 1, 4) = e(-1/4) * 2(1+i) = 2 - 2i
     assert quadratic_sum_S(2, 1, 4) == pytest.approx(2 - 2j)
+
+
+def _fraction_phase_sum(d, c, xi):
+    """Reference: every phase reduced mod 1 as a Fraction, then rounded."""
+    return sum((e_of(float(F(d * (m * m + m * xi), c) % 1)) for m in range(abs(c))),
+               0 + 0j)
+
+
+def test_phase_sums_equal_fraction_reference():
+    rng = random.Random(11)
+    for _ in range(200):
+        c = 4 * rng.randint(1, 300) * rng.choice((1, -1))
+        d = rng.randrange(-10**6, 10**6) | 1
+        if math.gcd(c, d) != 1:
+            continue
+        xi = rng.randint(-50, 50)
+        assert gauss_sum_direct(d, c) == _fraction_phase_sum(d, c, 0)
+        assert quadratic_sum_S(xi, d, c) == _fraction_phase_sum(d, c, xi)
+    with pytest.raises(ValueError, match=r"\|c\|"):
+        quadratic_sum_S(0, 1, -4 * 10**9)

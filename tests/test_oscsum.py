@@ -1,7 +1,9 @@
 import cmath
 import math
+import random
 import statistics
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +14,8 @@ from latharm.oscsum import (
     FREQ_2R,
     FREQ_H,
     FREQ_MIX,
+    FourierTerms,
+    RadialTerm,
     bound_check_VNQR,
     eval_radial_terms,
     exp_sum_grid,
@@ -19,10 +23,11 @@ from latharm.oscsum import (
     freq_long_sum,
     gP_fourier_terms,
     kernel_base_terms,
+    merge_terms,
 )
-from latharm.poly import parse_poly
+from latharm.poly import Polynomial3, parse_poly
 
-from conftest import QUARTIC_EXPR, SEXTIC_EXPR
+from conftest import QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
 
 mp.mp.dps = 40
 
@@ -163,6 +168,85 @@ def test_eval_rejects_origin():
         eval_radial_terms(expansion, (0, 0, 0), 2.0, 0.5)
 
 
+# -- per-monomial reference -------------------------------------------------------
+
+
+def _partial_term(t, axis):
+    """d/dxi_axis of one term, computed in three dimensions."""
+    out = []
+    xi_j = Polynomial3.variable(axis)
+    dpoly = t.poly.partial(axis)
+    if dpoly:
+        out.append(RadialTerm(t.pi_pow, t.r_pow, t.h_pow, t.mix_pow, dpoly,
+                              t.denom_pow, t.trig))
+    for idx, factor in enumerate(t.trig):
+        # d/dxi_j sin(pi c |xi| + .) = pi c (xi_j/|xi|) sin(pi c |xi| + . + pi/2)
+        new_trig = tuple(f.shifted() if i == idx else f for i, f in enumerate(t.trig))
+        r0, h0, m0, coeff = t.r_pow, t.h_pow, t.mix_pow, 1
+        if factor.freq == FREQ_2R:
+            r0 += 1
+            coeff = 2
+        elif factor.freq == FREQ_H:
+            h0 += 1
+        else:
+            m0 += 1
+        out.append(RadialTerm(t.pi_pow + 1, r0, h0, m0, t.poly * xi_j * coeff,
+                              t.denom_pow + 1, new_trig))
+    out.append(RadialTerm(t.pi_pow, t.r_pow, t.h_pow, t.mix_pow,
+                          t.poly * xi_j * (-t.denom_pow), t.denom_pow + 2, t.trig))
+    return out
+
+
+def _per_monomial_fourier_terms(p):
+    """Reference for gP_fourier_terms: differentiate the base terms once per
+    monomial of P and per axis, rescale by (i/(2 pi))^nu, then bring every
+    numerator to degree nu with powers of |xi|^2."""
+    nu = p.degree
+    collected = []
+    for (i, j, k), coeff in p.sorted_terms():
+        terms = list(kernel_base_terms())
+        for axis, reps in ((0, i), (1, j), (2, k)):
+            for _ in range(reps):
+                terms = list(merge_terms(d for t in terms for d in _partial_term(t, axis)))
+        collected.extend(
+            RadialTerm(t.pi_pow, t.r_pow, t.h_pow, t.mix_pow, t.poly * coeff.re,
+                       t.denom_pow, t.trig)
+            for t in terms
+        )
+    sign = 1 if nu % 4 in (0, 1) else -1
+    r2 = Polynomial3.norm_squared()
+    homogenized = []
+    for t in collected:
+        deficit = nu - t.poly.degree
+        homogenized.append(RadialTerm(
+            t.pi_pow - nu, t.r_pow, t.h_pow, t.mix_pow,
+            t.poly * Fraction(sign, 2**nu) * r2 ** (deficit // 2),
+            t.denom_pow + deficit, t.trig))
+    return FourierTerms(nu=nu, terms=merge_terms(homogenized), imaginary=nu % 2 == 1)
+
+
+TERM_ALGEBRA_POLYS = [
+    "1", "2", "x", "y^2", "x*y", "x^2-y^2", "x*y*z", "x^3", "x^2*z", "x^2+y^2+z^2",
+    "x^2*y^2", "x^4-3*y^2*z^2", QUARTIC_EXPR, SEXTIC_EXPR,
+    "x^8-28*x^6*y^2+70*x^4*y^4-28*x^2*y^6+y^8", "x^2*y^2-1/3*z^4+2*x^4",
+    "x^2*y-3*z^3",
+]
+
+
+@pytest.mark.parametrize("expr", TERM_ALGEBRA_POLYS)
+def test_radial_term_algebra_matches_per_monomial_route(expr):
+    p = parse_poly(expr)
+    assert gP_fourier_terms(p) == _per_monomial_fourier_terms(p)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_radial_term_algebra_matches_per_monomial_route_random(degree):
+    rng = random.Random(degree)
+    for _ in range(4):
+        p = random_homogeneous(rng, degree)
+        assert gP_fourier_terms(p) == _per_monomial_fourier_terms(p)
+
+
 # -- finite-difference oracle -------------------------------------------------------
 
 
@@ -198,7 +282,8 @@ def _fd_operator(p, v, r, h):
 
 
 @pytest.mark.parametrize(
-    "expr", ["1", "x", "x*y", "x^2-y^2", "x*y*z", "x^3", "x^2*z"]
+    "expr", ["1", "x", "x*y", "x^2-y^2", "x*y*z", "x^3", "x^2*z", "x^2*y^2",
+             "x^4-3*y^2*z^2"]
 )
 def test_symbolic_terms_match_finite_differences(expr):
     p = parse_poly(expr)
