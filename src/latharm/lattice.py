@@ -174,14 +174,13 @@ def shell_totals(
     one degree compute each class once.  n_max above N_MAX_CAP is refused.
     """
     check_n_max(n_max)
-    denom, _ = p.integer_form()
     memo = {} if memo is None else memo
     totals = np.zeros(n_max + 1, dtype=object)
     for key, coeff in _monomial_classes(p):
         if key not in memo:
             memo[key] = _class_shell_sums(key, n_max)
         totals += coeff * memo[key]
-    return denom, totals
+    return p.denom, totals
 
 
 def homogeneous_shell_totals(p: Polynomial3, n_max: int, what: str) -> tuple[int, np.ndarray]:

@@ -25,6 +25,7 @@ DEFAULT_N_MAX = 1 << 14
 # Sampled checks draw c from this pool and Im z uniformly from this range.
 SAMPLE_C_POOL = (0, 4, -4, 8, -8, 12, -12, 16, -16)
 SAMPLE_Y_RANGE = (0.1, 2.0)
+SAMPLE_CAP = 10_000  # the largest `theta-check --sample` count
 
 
 def e_of(t: float) -> complex:

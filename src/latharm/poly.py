@@ -1,9 +1,13 @@
 """Exact polynomial algebra in three variables over the Gaussian rationals.
 
-A polynomial is a sparse map from exponent triples (i, j, k) to Gaussian
-rational coefficients (exact rational real and imaginary parts).  Everything
-in this module is exact: parsing, arithmetic, differentiation, harmonic
-decomposition and sphere averages never touch floating point.
+A polynomial is stored as Gaussian-integer numerators over one positive
+denominator: `terms` maps each exponent triple (i, j, k) to a pair (re, im)
+of Python ints, and the coefficient of x^i y^j z^k is (re + im*i) / denom.
+The form is kept reduced (no (0, 0) pair is stored and denom shares no
+factor with every numerator), so equal polynomials have equal `terms` and
+`denom`.  Parsing, arithmetic, differentiation, harmonic decomposition and
+sphere averages are integer operations that never touch floating point;
+`Fraction`s are built only where a coefficient or a value is read out.
 """
 
 from __future__ import annotations
@@ -11,15 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple
 
 Monomial = tuple[int, int, int]
 
 DEFAULT_DEGREE_CAP = 64
 
 VARIABLE_NAMES = ("x", "y", "z")
-
-RationalLike = Union[int, Fraction]
 
 
 class PolyParseError(ValueError):
@@ -34,51 +36,11 @@ class DegreeCapError(ValueError):
     """A monomial exceeded the configured degree cap."""
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+class GaussianRational(NamedTuple):
+    """One coefficient re + im*i of a Polynomial3, read out exactly."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(value: "GaussianRational | RationalLike") -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(Fraction(value), Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        if not (self.im or other.im):  # real operands: skip the zero parts
-            return GaussianRational(self.re + other.re, self.im)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        if not (self.im or other.im):
-            return GaussianRational(self.re * other.re, self.im)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    def l1_bound(self) -> Fraction:
-        """|re| + |im|, an upper bound for the modulus."""
-        return abs(self.re) + abs(self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+    re: Fraction
+    im: Fraction
 
     def __str__(self) -> str:
         if not self.im:
@@ -91,47 +53,52 @@ class GaussianRational:
         return f"({self.re}{sign}{im_part})"
 
 
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
-
-
 class Polynomial3:
-    """Sparse polynomial in x, y, z with GaussianRational coefficients.
+    """Sparse polynomial in x, y, z: Gaussian-integer numerators over `denom`.
 
-    Instances are immutable in practice: operations return new polynomials
-    and no stored coefficient is ever zero.
+    `terms[m] = (re, im)` means the coefficient of m is (re + im*i) / denom.
+    The constructor drops (0, 0) pairs and divides out the gcd of denom and
+    all numerators.  Instances are immutable in practice: operations return
+    new polynomials.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "denom")
 
-    def __init__(self, terms: Mapping[Monomial, GaussianRational] | None = None):
-        cleaned: dict[Monomial, GaussianRational] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = GaussianRational.of(coeff)
-                if c:
-                    cleaned[mono] = c
+    def __init__(self, terms: Mapping[Monomial, tuple[int, int]], denom: int):
+        if denom < 1:
+            raise ValueError("the denominator must be a positive integer")
+        cleaned: dict[Monomial, tuple[int, int]] = {}
+        g = denom
+        for mono, (re, im) in terms.items():
+            if re or im:
+                cleaned[mono] = (re, im)
+                if g != 1:
+                    g = math.gcd(g, re, im)
+        if g != 1:
+            cleaned = {m: (re // g, im // g) for m, (re, im) in cleaned.items()}
         self.terms = cleaned
+        self.denom = denom // g
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "Polynomial3":
-        return Polynomial3()
+        return Polynomial3({}, 1)
 
     @staticmethod
-    def constant(value: GaussianRational | RationalLike) -> "Polynomial3":
-        return Polynomial3({(0, 0, 0): GaussianRational.of(value)})
+    def constant(value: int | Fraction) -> "Polynomial3":
+        value = Fraction(value)
+        return Polynomial3({(0, 0, 0): (value.numerator, 0)}, value.denominator)
 
     @staticmethod
     def variable(axis: int) -> "Polynomial3":
         mono = tuple(1 if a == axis else 0 for a in range(3))
-        return Polynomial3({mono: GR_ONE})  # type: ignore[dict-item]
+        return Polynomial3({mono: (1, 0)}, 1)  # type: ignore[dict-item]
 
     @staticmethod
     def norm_squared() -> "Polynomial3":
         """x^2 + y^2 + z^2."""
-        return Polynomial3({(2, 0, 0): GR_ONE, (0, 2, 0): GR_ONE, (0, 0, 2): GR_ONE})
+        return Polynomial3({(2, 0, 0): (1, 0), (0, 2, 0): (1, 0), (0, 0, 2): (1, 0)}, 1)
 
     # -- basic structure ---------------------------------------------------
 
@@ -141,10 +108,10 @@ class Polynomial3:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial3):
             return NotImplemented
-        return self.terms == other.terms
+        return self.denom == other.denom and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.denom, frozenset(self.terms.items())))
 
     @property
     def degree(self) -> int:
@@ -160,43 +127,48 @@ class Polynomial3:
 
     @property
     def is_real(self) -> bool:
-        return all(c.is_real for c in self.terms.values())
+        return not any(im for _, im in self.terms.values())
 
     def require_real(self, context: str = "operation") -> None:
         if not self.is_real:
             raise ValueError(f"{context} requires real coefficients")
 
+    def coefficient(self, mono: Monomial) -> GaussianRational:
+        """The exact coefficient of one monomial (zero when absent)."""
+        re, im = self.terms.get(mono, (0, 0))
+        return GaussianRational(Fraction(re, self.denom), Fraction(im, self.denom))
+
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms in lexicographic (i, j, k) order, the canonical order."""
-        return sorted(self.terms.items())
+        return [(m, self.coefficient(m)) for m in sorted(self.terms)]
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial3") -> "Polynomial3":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, GR_ZERO) + coeff
-        return Polynomial3(out)
+        denom = math.lcm(self.denom, other.denom)
+        a, b = denom // self.denom, denom // other.denom
+        out = {m: (re * a, im * a) for m, (re, im) in self.terms.items()}
+        for mono, (re, im) in other.terms.items():
+            re0, im0 = out.get(mono, (0, 0))
+            out[mono] = (re0 + re * b, im0 + im * b)
+        return Polynomial3(out, denom)
 
     def __sub__(self, other: "Polynomial3") -> "Polynomial3":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, GR_ZERO) - coeff
-        return Polynomial3(out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial3":
-        return Polynomial3({m: -c for m, c in self.terms.items()})
+        return Polynomial3({m: (-re, -im) for m, (re, im) in self.terms.items()}, self.denom)
 
-    def __mul__(self, other: "Polynomial3 | GaussianRational | RationalLike") -> "Polynomial3":
+    def __mul__(self, other: "Polynomial3 | int | Fraction") -> "Polynomial3":
         if not isinstance(other, Polynomial3):
-            scalar = GaussianRational.of(other)
-            return Polynomial3({m: c * scalar for m, c in self.terms.items()})
-        out: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            other = Polynomial3.constant(other)
+        out: dict[Monomial, tuple[int, int]] = {}
+        for m1, (a, b) in self.terms.items():
+            for m2, (c, d) in other.terms.items():
                 mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out[mono] = out.get(mono, GR_ZERO) + c1 * c2
-        return Polynomial3(out)
+                re0, im0 = out.get(mono, (0, 0))
+                out[mono] = (re0 + a * c - b * d, im0 + a * d + b * c)
+        return Polynomial3(out, self.denom * other.denom)
 
     __rmul__ = __mul__
 
@@ -217,16 +189,13 @@ class Polynomial3:
 
     def partial(self, axis: int) -> "Polynomial3":
         """Exact partial derivative with respect to x, y or z (axis 0, 1, 2)."""
-        out: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in self.terms.items():
+        out: dict[Monomial, tuple[int, int]] = {}
+        for mono, (re, im) in self.terms.items():
             e = mono[axis]
-            if e == 0:
-                continue
-            new = list(mono)
-            new[axis] = e - 1
-            key = (new[0], new[1], new[2])
-            out[key] = out.get(key, GR_ZERO) + coeff * GaussianRational.of(e)
-        return Polynomial3(out)
+            if e:  # distinct monomials keep distinct exponents after the step
+                key = mono[:axis] + (e - 1,) + mono[axis + 1:]
+                out[key] = (re * e, im * e)
+        return Polynomial3(out, self.denom)
 
     def laplacian(self) -> "Polynomial3":
         return (
@@ -244,28 +213,31 @@ class Polynomial3:
     def evaluate(self, x, y, z):
         """Exact evaluation; with int/Fraction inputs the result is exact.
 
-        Returns a GaussianRational when the coefficients are not all real,
-        otherwise a plain Fraction (or int-valued Fraction).
+        Returns a GaussianRational when the value is not real, otherwise a
+        Fraction.
         """
-        total = GR_ZERO
-        for (i, j, k), coeff in self.terms.items():
-            val = Fraction(x) ** i * Fraction(y) ** j * Fraction(z) ** k
-            total = total + coeff * GaussianRational.of(val)
-        return total if not total.is_real else total.re
+        x, y, z = Fraction(x), Fraction(y), Fraction(z)
+        re_sum = im_sum = Fraction(0)
+        for (i, j, k), (re, im) in self.terms.items():
+            val = x**i * y**j * z**k
+            re_sum += re * val
+            im_sum += im * val
+        value = GaussianRational(re_sum / self.denom, im_sum / self.denom)
+        return value if value.im else value.re
 
     def evaluate_float(self, x: float, y: float, z: float) -> float:
         self.require_real("float evaluation")
         total = 0.0
-        for (i, j, k), coeff in self.terms.items():
-            total += float(coeff.re) * x**i * y**j * z**k
+        for (i, j, k), (re, _) in self.terms.items():
+            total += re / self.denom * x**i * y**j * z**k
         return total
 
     def evaluate_arrays(self, x, y, z):
         """Vectorized float evaluation on numpy arrays (real coefficients)."""
         self.require_real("array evaluation")
         total = None
-        for (i, j, k), coeff in self.terms.items():
-            term = float(coeff.re) * x**i * y**j * z**k
+        for (i, j, k), (re, _) in self.terms.items():
+            term = re / self.denom * x**i * y**j * z**k
             total = term if total is None else total + term
         if total is None:
             return x * 0.0
@@ -274,13 +246,11 @@ class Polynomial3:
     def integer_form(self) -> tuple[int, dict[Monomial, int]]:
         """Common denominator D and integer coefficients n_m with c_m = n_m / D."""
         self.require_real("integer form")
-        denom = math.lcm(*(c.re.denominator for c in self.terms.values()))
-        ints = {m: int(c.re * denom) for m, c in self.terms.items()}
-        return denom, ints
+        return self.denom, {m: re for m, (re, _) in self.terms.items()}
 
     def coeff_l1(self) -> Fraction:
         """Sum of |re| + |im| over all coefficients."""
-        return sum((c.l1_bound() for c in self.terms.values()), Fraction(0))
+        return Fraction(sum(abs(re) + abs(im) for re, im in self.terms.values()), self.denom)
 
     # -- presentation ------------------------------------------------------
 
@@ -296,7 +266,7 @@ class Polynomial3:
                 if e > 0
             ]
             body = "*".join(factors)
-            if not coeff.is_real:
+            if coeff.im:
                 coeff_str = str(coeff)  # parenthesized complex form
                 piece = f"{coeff_str}*{body}" if body else coeff_str
                 pieces.append("+" + piece if pieces else piece)
@@ -425,7 +395,7 @@ class _Parser:
         if kind == "variable":
             return Polynomial3.variable("xyz".index(value))
         if kind == "imag":
-            return Polynomial3.constant(GaussianRational(Fraction(0), Fraction(1)))
+            return Polynomial3({(0, 0, 0): (0, 1)}, 1)
         if kind == "op" and value == "(":
             inner = self._expr()
             kind, value, pos = self.tok.next()
@@ -496,9 +466,9 @@ def sphere_average(p: Polynomial3) -> Fraction:
     """(1/4pi) * integral of p over the unit sphere, exactly."""
     p.require_real("sphere average")
     total = Fraction(0)
-    for (i, j, k), coeff in p.terms.items():
-        total += coeff.re * monomial_sphere_average(i, j, k)
-    return total
+    for (i, j, k), (re, _) in p.terms.items():
+        total += re * monomial_sphere_average(i, j, k)
+    return total / p.denom
 
 
 @dataclass(frozen=True)

@@ -32,5 +32,8 @@ def random_homogeneous(rng: random.Random, degree: int, n_terms: int = 4) -> Pol
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         if coeff:
             terms[(i, j, k)] = terms.get((i, j, k), Fraction(0)) + coeff
-    p = Polynomial3({m: c for m, c in terms.items() if c})
-    return p if p else Polynomial3({(degree, 0, 0): Fraction(1)})
+    x, y, z = (Polynomial3.variable(axis) for axis in range(3))
+    p = Polynomial3.zero()
+    for (i, j, k), c in terms.items():
+        p = p + c * x**i * y**j * z**k
+    return p if p else x**degree

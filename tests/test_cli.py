@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from latharm.cli import main
+from latharm.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 QUARTIC = "5*(x^4+y^4+z^4)-3*(x^2+y^2+z^2)^2"
@@ -47,6 +47,15 @@ def test_pair_eps_override(capsys):
                        "--no-eps")
     assert code == 0
     assert out.strip() == "743/2024,269/506"
+
+
+def test_parser_is_built_once_and_calls_stay_independent(capsys):
+    assert build_parser() is build_parser()
+    first = run(capsys, "pair", "--pair", "32/205,269/410")
+    no_eps = run(capsys, "pair", "--pair", "32/205,269/410", "--no-eps")
+    again = run(capsys, "pair", "--pair", "32/205,269/410")
+    assert first == again == (0, "32/205,269/410 (+eps)\n", "")
+    assert no_eps == (0, "32/205,269/410\n", "")
 
 
 def test_balance_named_term_lists(capsys):
@@ -172,6 +181,14 @@ BAD_INPUT = {
     "theta-check-nonhomogeneous": ("theta-check", "--poly", "x^2+y"),
     "theta-check-tol-nan": ("theta-check", "--tol", "nan"),
     "gauss-c-huge": ("gauss", "--d", "1", "--c", "4000000000"),
+    "theta-check-sample-0": ("theta-check", "--sample", "0"),
+    "theta-check-sample-negative": ("theta-check", "--sample", "-3"),
+    "theta-check-sample-huge": ("theta-check", "--sample", "100000000"),
+    # complex coefficients where a real polynomial is needed
+    "sum-complex": ("sum", "--poly", "(x+i*y)^4", "--r-sq", "10"),
+    "freqsum-complex": ("freqsum", "--poly", "(x+i*y)^4", "--r", "10", "--h", "0.5",
+                        "--n-trunc", "64"),
+    "theta-check-complex": ("theta-check", "--poly", "(x+i*y)^4"),
 }
 
 
@@ -205,15 +222,6 @@ def test_theta_check_sampled_json(capsys):
         payload = json.loads(line)
         assert payload["pass"] is True
         assert payload["schema"] == 1
-
-
-def test_theta_check_env_seed_matches_flag(capsys, monkeypatch):
-    code, out_flag, _ = run(capsys, "theta-check", "--sample", "2", "--seed", "9",
-                            "--n-max", "2048")
-    monkeypatch.setenv("LH_SEED", "9")
-    code2, out_env, _ = run(capsys, "theta-check", "--sample", "2", "--n-max", "2048")
-    assert code == code2 == 0
-    assert out_flag == out_env
 
 
 def test_theta_check_impossible_tolerance_fails(capsys):

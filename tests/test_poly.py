@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,14 +16,14 @@ from latharm.poly import (
     sphere_average,
 )
 
-from conftest import QUARTIC_EXPR, random_homogeneous
+from conftest import QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
 
 X, Y, Z = sympy.symbols("x y z")
 
 
 def to_sympy(p: Polynomial3):
     expr = sympy.Integer(0)
-    for (i, j, k), c in p.terms.items():
+    for (i, j, k), c in p.sorted_terms():
         coeff = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
         expr += coeff * X**i * Y**j * Z**k
     return sympy.expand(expr)
@@ -37,7 +38,7 @@ def from_sympy_expr(text: str) -> sympy.Expr:
 
 def test_parse_difference_of_squares():
     p = parse_poly("x^2-y^2")
-    assert {m: c.re for m, c in p.terms.items()} == {
+    assert {m: c.re for m, c in p.sorted_terms()} == {
         (2, 0, 0): Fraction(1),
         (0, 2, 0): Fraction(-1),
     }
@@ -49,7 +50,7 @@ def test_parse_quartic_matches_symbolic_expansion():
     # independent oracle: sympy expands the same expression
     p = parse_poly(QUARTIC_EXPR)
     assert to_sympy(p) == from_sympy_expr(QUARTIC_EXPR)
-    coeffs = sorted({c.re for c in p.terms.values()})
+    coeffs = sorted({c.re for _, c in p.sorted_terms()})
     assert coeffs == [Fraction(-6), Fraction(2)]
     assert len(p.terms) == 6
     assert p.is_homogeneous and p.degree == 4
@@ -63,8 +64,8 @@ def test_parse_mixed_degrees_not_homogeneous():
 
 def test_parse_rational_and_imaginary_literals():
     p = parse_poly("1/3*x-2*i*y")
-    assert p.terms[(1, 0, 0)] == GaussianRational(Fraction(1, 3), Fraction(0))
-    assert p.terms[(0, 1, 0)] == GaussianRational(Fraction(0), Fraction(-2))
+    assert p.coefficient((1, 0, 0)) == GaussianRational(Fraction(1, 3), Fraction(0))
+    assert p.coefficient((0, 1, 0)) == GaussianRational(Fraction(0), Fraction(-2))
 
 
 def test_parse_syntax_error_reports_position():
@@ -106,6 +107,69 @@ def test_canonical_lines_sorted():
     assert p.canonical_lines() == "-1 0 2 0\n1 2 0 0"
 
 
+# -- representation: integer numerators over one reduced denominator ----------
+
+
+def test_equal_values_have_one_representation():
+    half = parse_poly("2/4*x")
+    assert half == parse_poly("1/2*x")
+    assert hash(half) == hash(parse_poly("1/2*x"))
+    assert half.denom == 2 and half.terms == {(1, 0, 0): (1, 0)}
+    assert parse_poly("6/4*x+3/2*i*y") == parse_poly("3/2*(x+i*y)")
+
+
+def test_difference_with_itself_is_zero():
+    for p in (Polynomial3.variable(0), parse_poly("1/3*x-2/5*i*y")):
+        zero = p - p
+        assert zero == Polynomial3.zero() and not zero
+        assert zero.terms == {} and zero.denom == 1
+
+
+def _integer_form_reference(p):
+    """Common denominator as the lcm of the reduced Fraction denominators."""
+    coeffs = {m: c.re for m, c in p.sorted_terms()}
+    denom = math.lcm(*(c.denominator for c in coeffs.values()))
+    return denom, {m: int(c * denom) for m, c in coeffs.items()}
+
+
+BENCHMARK_POLYS = ["1", QUARTIC_EXPR, SEXTIC_EXPR, "x^8-28*x^6*y^2+70*x^4*y^4-28*x^2*y^6+y^8"]
+
+
+def test_integer_form_matches_fraction_reference():
+    polys = [parse_poly(e) for e in BENCHMARK_POLYS]
+    polys += [parse_poly("1/3*x^2-1/7*y^2"), parse_poly("x^2*y^2-1/3*z^4+2*x^4"),
+              Polynomial3.zero()]
+    rng = random.Random(5)
+    polys += [random_homogeneous(rng, degree) for degree in range(0, 9) for _ in range(5)]
+    for p in polys:
+        assert p.integer_form() == _integer_form_reference(p), p
+    with pytest.raises(ValueError):
+        parse_poly("(x+i*y)^4").integer_form()
+
+
+def test_arithmetic_matches_sympy_on_corpus():
+    rng = random.Random(17)
+    scalars = [parse_poly("1"), parse_poly("(1/2-3/4*i)"), parse_poly("5/3*i")]
+    for degree in range(0, 5):
+        p = random_homogeneous(rng, degree) * rng.choice(scalars)
+        q = random_homogeneous(rng, degree + 1) * rng.choice(scalars)
+        sp, sq = to_sympy(p), to_sympy(q)
+        assert to_sympy(p + q) == sympy.expand(sp + sq)
+        assert to_sympy(p - q) == sympy.expand(sp - sq)
+        assert to_sympy(p * q) == sympy.expand(sp * sq)
+        assert to_sympy(p**3) == sympy.expand(sp**3)
+        assert to_sympy(p * Fraction(-4, 6)) == sympy.expand(sp * sympy.Rational(-2, 3))
+
+
+def test_exact_evaluation_real_and_complex():
+    assert parse_poly("1/3*x^2-y").evaluate(1, 2, 0) == Fraction(-5, 3)
+    assert parse_poly("(x+i*y)^2").evaluate(1, 2, 0) == GaussianRational(
+        Fraction(-3), Fraction(4)
+    )
+    value = parse_poly("i*x+y").evaluate(0, Fraction(1, 2), 9)
+    assert value == Fraction(1, 2) and isinstance(value, Fraction)
+
+
 # -- calculus ----------------------------------------------------------------
 
 
@@ -138,13 +202,7 @@ def test_laplacian_matches_sympy_on_corpus():
 
 def test_isotropic_powers_are_harmonic():
     # (a . x)^nu with a1^2 + a2^2 + a3^2 = 0, e.g. a = (3, 4, 5i)
-    a = Polynomial3(
-        {
-            (1, 0, 0): GaussianRational(Fraction(3)),
-            (0, 1, 0): GaussianRational(Fraction(4)),
-            (0, 0, 1): GaussianRational(Fraction(0), Fraction(5)),
-        }
-    )
+    a = parse_poly("3*x+4*y+5*i*z")
     for nu in range(1, 9):
         assert not (a**nu).laplacian()
 
@@ -155,13 +213,9 @@ def test_isotropic_powers_random_vectors():
     for _ in range(5):
         p_ = Fraction(rng.randint(1, 6), rng.randint(1, 4))
         q_ = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-        a = Polynomial3(
-            {
-                (1, 0, 0): GaussianRational(p_**2 - q_**2),
-                (0, 1, 0): GaussianRational(2 * p_ * q_),
-                (0, 0, 1): GaussianRational(Fraction(0), p_**2 + q_**2),
-            }
-        )
+        x, y, z = (Polynomial3.variable(axis) for axis in range(3))
+        i_ = parse_poly("i")
+        a = (p_**2 - q_**2) * x + 2 * p_ * q_ * y + (p_**2 + q_**2) * i_ * z
         for nu in (2, 3, 5):
             assert not (a**nu).laplacian()
 
