@@ -158,10 +158,12 @@ def cmd_freqsum(args) -> int:
 
 
 def _parse_h(text: str) -> tuple[float, float, float]:
+    """Three rationals, each reduced exactly mod 1 before it becomes a float:
+    e(h . xi) has period 1 in every component of h for integer xi."""
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError("--h wants three comma-separated rationals")
-    return tuple(float(_fraction(s)) for s in parts)  # type: ignore[return-value]
+    return tuple(float(_fraction(s) % 1) for s in parts)  # type: ignore[return-value]
 
 
 @_domain_errors_are_usage
@@ -270,14 +272,15 @@ def _headline_magnitudes(p: Polynomial3, r_max: int, subtract_main: bool) -> lis
     """|headline sum| (optionally volume-corrected) at every shell n <= r_max^2."""
     n_max = r_max * r_max
     denom, totals = lattice.homogeneous_shell_totals(p, n_max, "headline sum")
-    avg = sphere_average(p)
+    main_coeff = (4 * math.pi / 3) * float(sphere_average(p))
+    power = (p.degree + 3) / 2
     out = []
     running = totals[0]  # p(0), nonzero only in degree 0
     for n in range(1, n_max + 1):
         running += totals[n]
         value = running / denom
         if subtract_main:
-            value -= (4 * math.pi / 3) * float(avg) * n ** ((p.degree + 3) / 2)
+            value -= main_coeff * n**power
         out.append(abs(value))
     return out
 

@@ -244,41 +244,96 @@ def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
 # -- direct oscillatory sums -------------------------------------------------
 
 
+# Largest |R| sqrt(N) accepted: a float64 phase of 2^32 turns carries about
+# 1e-6 turns of rounding error, and more would make e(R |xi|) meaningless.
+PHASE_CAP = 2.0**32
+
+
+def _sign_tables(h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum over the sign images s of s^e e(h s u), u = 0..k, by parity of e.
+
+    Even e: 2 cos(2 pi h u), and 1 at u = 0 (one image).  Odd e: the sum is
+    2i sin(2 pi h u); the table holds 2 sin(2 pi h u) and the caller carries
+    the i.  At u = 0 it is 0, since u^e = 0 there.  h enters mod 1 (exactly,
+    by fmod), so a large h loses no precision in the angle.
+    """
+    angle = 2 * np.pi * math.fmod(h, 1.0) * np.arange(k + 1)
+    even, odd = 2 * np.cos(angle), 2 * np.sin(angle)
+    even[0], odd[0] = 1.0, 0.0
+    return even, odd
+
+
+def _octant_shells(q: Polynomial3, n_top: int, h: tuple[float, float, float]) -> np.ndarray:
+    """Complex shell sums of Q(xi) e(h . xi) over |xi|^2 = m, 0 <= m <= n_top.
+
+    The 8 sign images of a point (a, b, c) >= 0 share its norm, and the sum
+    of a monomial times e(h . xi) over them factors into one sign table per
+    axis, chosen by the parity of that axis' exponent.  So Q is split into
+    its parity parts, each evaluated only on a, b, c >= 0 and weighted by
+    its three tables: x-slab by x-slab, on the quarter disc b, c >= 0,
+    b^2 + c^2 <= n_top, sorted by b^2 + c^2 so that each slab is a prefix.
+    """
+    k = math.isqrt(n_top)
+    tables = [_sign_tables(float(v), k) for v in h]
+    b, c = np.divmod(np.arange((k + 1) ** 2), k + 1)
+    bc = b * b + c * c
+    order = np.argsort(bc, kind="stable")
+    squares = np.arange(k + 1) ** 2
+    ends = np.searchsorted(bc[order], n_top - squares, side="right")
+    order = order[: ends[0]]  # the quarter disc b^2 + c^2 <= n_top
+    b, c, bc = b[order], c[order], bc[order]
+    bf, cf = b.astype(np.float64), c.astype(np.float64)
+    _, ints = q.integer_form()
+    split: dict[tuple[int, int, int], dict] = {}
+    for mono, coeff in ints.items():
+        split.setdefault(tuple(e % 2 for e in mono), {})[mono] = (coeff, 0)
+    # A part with t odd exponents carries i^t: (t // 2) flips the sign of its
+    # yz weight and t % 2 picks the real or the imaginary subtotal.
+    parts = []
+    for (px, py, pz), terms in sorted(split.items()):
+        t = px + py + pz
+        weight = (-1) ** (t // 2) * tables[1][py][b] * tables[2][pz][c]
+        parts.append((px, Polynomial3(terms, q.denom), weight, t % 2))
+    shell_re = np.zeros(n_top + 1)
+    shell_im = np.zeros(n_top + 1)
+    for a in range(k + 1):
+        end = ends[a]
+        xs = np.full(end, float(a))
+        acc = [np.zeros(end), np.zeros(end)]  # real, imaginary
+        for px, part, weight, imag in parts:
+            vals = part.evaluate_arrays(xs, bf[:end], cf[:end])
+            acc[imag] += vals * (tables[0][px][a] * weight[:end])
+        lo, width = squares[a], n_top + 1 - squares[a]
+        shell_re[lo:] += np.bincount(bc[:end], weights=acc[0], minlength=width)
+        shell_im[lo:] += np.bincount(bc[:end], weights=acc[1], minlength=width)
+    return shell_re + 1j * shell_im
+
+
 def _cumulative_exp_sum(
     q: Polynomial3, n_top: int, r: float, h: tuple[float, float, float]
 ) -> np.ndarray:
     """V[m] = sum of Q(xi) e(R |xi| + h . xi) over |xi|^2 <= m, 0 <= m <= n_top.
 
-    With h = 0 the summand depends on xi only through |xi| and Q, so each
-    shell contributes its exact shell sum of Q times e(R sqrt m).  Otherwise
-    one sweep over x-slabs collects the shell subtotals point by point.
+    e(R |xi|) is constant on each shell, so the shell sums of Q(xi) e(h . xi)
+    are taken first and multiplied by one phase table e(R sqrt m).  With
+    h = 0 they are the exact shell sums of Q; otherwise they come from one
+    sweep of the positive octant (`_octant_shells`).  |R| sqrt(n_top) above
+    PHASE_CAP is refused before either.
     """
     q.require_real("exponential sum")
     check_n_max(n_top)
-    if not any(h):
-        denom, totals = shell_totals(q, n_top)
-        phase = r * np.sqrt(np.arange(n_top + 1, dtype=np.float64))
-        shells = shell_floats(denom, totals) * np.exp(2j * np.pi * phase)
-        return np.cumsum(shells)
-    k = math.isqrt(n_top)
-    rng = np.arange(-k, k + 1)
-    yy, zz = np.meshgrid(rng, rng, indexing="ij")
-    h1, h2, h3 = (float(v) for v in h)
-    shell_re = np.zeros(n_top + 1)
-    shell_im = np.zeros(n_top + 1)
-    for x in range(-k, k + 1):
-        nsq = x * x + yy * yy + zz * zz
-        mask = nsq <= n_top
-        nm = nsq[mask]
-        ym = yy[mask].astype(np.float64)
-        zm = zz[mask].astype(np.float64)
-        phase = r * np.sqrt(nm.astype(np.float64)) + h1 * x + h2 * ym + h3 * zm
-        vals = q.evaluate_arrays(np.full_like(ym, float(x)), ym, zm) * np.exp(
-            2j * np.pi * phase
+    if not abs(r) * math.sqrt(n_top) <= PHASE_CAP:
+        raise ValueError(
+            f"|R| sqrt(N) = {abs(r) * math.sqrt(n_top):.3g} is above 2^32, where the "
+            "float64 phase e(R |xi|) carries more than 1e-6 turns of error"
         )
-        shell_re += np.bincount(nm, weights=vals.real, minlength=n_top + 1)
-        shell_im += np.bincount(nm, weights=vals.imag, minlength=n_top + 1)
-    return np.cumsum(shell_re) + 1j * np.cumsum(shell_im)
+    if any(h):
+        shells = _octant_shells(q, n_top, h)
+    else:
+        denom, totals = shell_totals(q, n_top)
+        shells = shell_floats(denom, totals)
+    phase = r * np.sqrt(np.arange(n_top + 1, dtype=np.float64))
+    return np.cumsum(shells * np.exp(2j * np.pi * phase))
 
 
 def exp_sum_lattice(
@@ -338,8 +393,11 @@ class BoundCheckReport:
 
 
 def bound_value(n: int, nu: int, r: float) -> float:
-    """Comparison bound N^(nu/2) min(N^(3/2), N^(5/4) + N^(15/14) R^(3/14))."""
-    return n ** (nu / 2) * min(n**1.5, n**1.25 + n ** (15 / 14) * r ** (3 / 14))
+    """Comparison bound N^(nu/2) min(N^(3/2), N^(5/4) + N^(15/14) |R|^(3/14)).
+
+    |V(Q, -R, -h)| = |V(Q, R, h)| for real Q, so only |R| matters.
+    """
+    return n ** (nu / 2) * min(n**1.5, n**1.25 + n ** (15 / 14) * abs(r) ** (3 / 14))
 
 
 def bound_check_VNQR(
@@ -352,7 +410,7 @@ def bound_check_VNQR(
 
     Shell sums are accumulated once up to max(N), so the sweep costs a single
     enumeration.  Slopes of log|V| vs log N are fitted per regime, with the
-    regime cut at N ~ R^(1/2) and N ~ R^(6/5).
+    regime cut at N ~ |R|^(1/2) and N ~ |R|^(6/5).
     """
     if not n_list or list(n_list) != sorted(set(n_list)):
         raise ValueError("n_list must be ascending and nonempty")
@@ -366,7 +424,7 @@ def bound_check_VNQR(
         bound = bound_value(n, nu, r)
         rows.append(BoundCheckRow(n=n, abs_v=abs_v, bound=bound, ratio=abs_v / bound))
     regimes = {"low": [], "mid": [], "high": []}
-    lo_cut, hi_cut = r**0.5, r**1.2
+    lo_cut, hi_cut = abs(r) ** 0.5, abs(r) ** 1.2
     for row in rows:
         if row.abs_v <= 0:
             continue

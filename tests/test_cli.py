@@ -143,6 +143,34 @@ def test_expsum_json(capsys):
     assert [row["N"] for row in payload["rows"]] == [16, 64]
 
 
+def test_expsum_reduces_h_exactly_mod_1(capsys):
+    # e(h . xi) has period 1 in each component; the float of a huge
+    # numerator over 3 would lose the 1/3
+    outs = [
+        run(capsys, "expsum", "--poly", "x^3*y+2*x*z-7", "--r", "2.5", f"--h={h}",
+            "--n", "50")
+        for h in ("100000000000000000001/3,-7/4,3", "2/3,1/4,0")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
+@pytest.mark.parametrize("size", [("--n", "16"), ("--n-list", "1,4,16")])
+def test_expsum_negative_r_json(capsys, size):
+    # |V(Q, -R, -h)| = |V(Q, R, h)|, and the bound reads |R|
+    payloads = []
+    for r, h in (("-5", "-1/3,0,-1/5"), ("5", "1/3,0,1/5")):
+        code, out, _ = run(capsys, "expsum", "--poly", "x^2*y-z", f"--r={r}", f"--h={h}",
+                           *size, "--json")
+        assert code == 0
+        payloads.append(json.loads(out))
+    minus, plus = payloads
+    rows = [(minus, plus)] if "rows" not in plus else zip(minus["rows"], plus["rows"])
+    for a, b in rows:
+        assert a["bound"] == b["bound"]
+        assert a["ratio"] == pytest.approx(b["ratio"], rel=1e-12)
+
+
 BAD_INPUT = {
     "freqsum-n-trunc-0": ("freqsum", "--poly", "1", "--r", "10", "--h", "0.5",
                           "--n-trunc", "0"),
@@ -176,6 +204,12 @@ BAD_INPUT = {
     "expsum-n-huge": ("expsum", "--poly", "1", "--r", "10", "--n", str(10**11)),
     "expsum-n-huge-h": ("expsum", "--poly", "1", "--r", "10", "--h", "1/3,0,1/5",
                         "--n", str(10**11)),
+    # |R| sqrt(N) above 2^32 leaves the float64 phase meaningless
+    "expsum-phase-imprecise": ("expsum", "--poly", "1", "--r", "1e300", "--n", "4"),
+    "expsum-phase-imprecise-h": ("expsum", "--poly", "1", "--r", "1e300",
+                                 "--h", "1/3,0,1/5", "--n", "4"),
+    "expsum-phase-imprecise-sweep": ("expsum", "--poly", "x^2", "--r=-3e9",
+                                     "--n-list", "1,4"),
     "theta-check-n-max-huge": ("theta-check", "--n-max", "2000000"),
     "theta-check-nonharmonic": ("theta-check", "--poly", "x^2"),
     "theta-check-nonhomogeneous": ("theta-check", "--poly", "x^2+y"),

@@ -86,6 +86,13 @@ def test_exp_sum_offset_periodicity():
     assert shifted == pytest.approx(base, rel=1e-10, abs=1e-10)
 
 
+def test_exp_sum_large_offset_keeps_precision():
+    # h enters mod 1 exactly; 1e12 + 0.25 and -3.5 are exact floats
+    q = parse_poly("x^3*y+2*x*z-7")
+    big = exp_sum_lattice(q, 400, (1e12 + 0.25, -3.5, 0.0), 2.5)
+    assert big == exp_sum_lattice(q, 400, (0.25, -0.5, 0.0), 2.5)
+
+
 def test_exp_sum_against_pointwise_oracle():
     # independent slow oracle: plain loop over representations
     q = parse_poly("x^2-y^2")
@@ -429,10 +436,15 @@ def _pointwise_partial_sums(q, n_top, r, h=(0.0, 0.0, 0.0)):
     return sums, scale
 
 
-@pytest.mark.parametrize(
-    "expr", ["x^2*y^2-2*z^4", "x^2+1", "x^3-x*y*z", "1"],
-    ids=["homogeneous", "non-homogeneous", "odd", "constant"],
-)
+EXP_SUM_POLYS = {
+    "homogeneous": "x^2*y^2-2*z^4",
+    "non-homogeneous": "x^2+1",
+    "odd": "x^3-x*y*z",
+    "constant": "1",
+}
+
+
+@pytest.mark.parametrize("expr", EXP_SUM_POLYS.values(), ids=EXP_SUM_POLYS)
 def test_radial_exp_sums_match_pointwise_oracle(expr):
     q = parse_poly(expr)
     r, n_list = 3.7, [1, 2, 5, 37, 150, 300]
@@ -442,6 +454,58 @@ def test_radial_exp_sums_match_pointwise_oracle(expr):
         tol = 1e-12 * scale[n]
         assert abs(exp_sum_lattice(q, n, (0, 0, 0), r) - oracle[n]) <= tol
         assert abs(row.abs_v - abs(oracle[n])) <= tol
+
+
+OFFSETS = {
+    "zero-component": (0.3, 0.0, -0.7),
+    "half-integer": (0.5, 0.125, 0.25),
+    "generic": (0.137, -0.291, 0.853),
+}
+
+
+@pytest.mark.parametrize("h", OFFSETS.values(), ids=OFFSETS)
+@pytest.mark.parametrize(
+    "expr",
+    [*EXP_SUM_POLYS.values(), "x^3*y+2*x*z-7"],
+    ids=[*EXP_SUM_POLYS, "mixed-parity"],
+)
+def test_offset_exp_sums_match_pointwise_oracle(expr, h):
+    # the octant fold against every lattice point, one by one
+    q = parse_poly(expr)
+    r, n_list = 3.7, [1, 2, 5, 37, 150, 300]
+    oracle, scale = _pointwise_partial_sums(q, n_list[-1], r, h)
+    report = bound_check_VNQR(q, n_list, r, h)
+    for n, row in zip(n_list, report.rows):
+        value = exp_sum_lattice(q, n, h, r)
+        assert abs(value - oracle[n]) <= 1e-12 * scale[n]
+        assert abs(value) == row.abs_v
+
+
+def test_offset_exp_sum_scales_to_large_n(quartic):
+    start = time.perf_counter()
+    value = exp_sum_lattice(quartic, 65536, (0.3, -0.125, 0.25), 10.0)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0  # a sweep of the whole ball took about 30 s here
+    assert cmath.isfinite(value)
+
+
+@pytest.mark.parametrize("h", [(0.0, 0.0, 0.0), (0.25, 0.0, 0.0)], ids=["h=0", "h!=0"])
+@pytest.mark.parametrize("r", [2.0**40, -(2.0**40), math.nan], ids=["big", "negative", "nan"])
+def test_exp_sum_refuses_imprecise_phase(r, h):
+    with pytest.raises(ValueError, match="2\\^32"):
+        exp_sum_lattice(parse_poly("1"), 4, h, r)
+    with pytest.raises(ValueError, match="2\\^32"):
+        bound_check_VNQR(parse_poly("1"), [1, 4], r, h)
+
+
+def test_bound_uses_abs_r():
+    q = parse_poly("x^2*y-z^3")
+    h = (0.25, -0.375, 0.125)
+    plus = bound_check_VNQR(q, [4, 40, 400], 7.5, h)
+    minus = bound_check_VNQR(q, [4, 40, 400], -7.5, tuple(-v for v in h))
+    assert [row.bound for row in minus.rows] == [row.bound for row in plus.rows]
+    for a, b in zip(plus.rows, minus.rows):
+        assert b.abs_v == pytest.approx(a.abs_v, rel=1e-12)
 
 
 @pytest.mark.parametrize("expr", ["x^2-z^2", "x^2+1", "x*y^2"])
