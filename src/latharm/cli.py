@@ -14,6 +14,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import exppairs, lattice, modular, oscsum
 from .poly import DegreeCapError, Polynomial3, PolyParseError, parse_poly, sphere_average
 from .util import FitResult
@@ -272,17 +274,14 @@ def _headline_magnitudes(p: Polynomial3, r_max: int, subtract_main: bool) -> lis
     """|headline sum| (optionally volume-corrected) at every shell n <= r_max^2."""
     n_max = r_max * r_max
     denom, totals = lattice.homogeneous_shell_totals(p, n_max, "headline sum")
-    main_coeff = (4 * math.pi / 3) * float(sphere_average(p))
-    power = (p.degree + 3) / 2
-    out = []
-    running = totals[0]  # p(0), nonzero only in degree 0
-    for n in range(1, n_max + 1):
-        running += totals[n]
-        value = running / denom
-        if subtract_main:
-            value -= main_coeff * n**power
-        out.append(abs(value))
-    return out
+    # exact running sums from the origin (p(0), nonzero only in degree 0)
+    values = lattice.shell_floats(denom, np.cumsum(totals)[1:])
+    if subtract_main:
+        main_coeff = (4 * math.pi / 3) * float(sphere_average(p))
+        power = (p.degree + 3) / 2
+        # Python's pow, not numpy's, which differs in the last bit on some n
+        values -= main_coeff * np.array([n**power for n in range(1, n_max + 1)])
+    return np.abs(values).tolist()
 
 
 def _headline_fit(mags: list[float]) -> FitResult:

@@ -102,7 +102,7 @@ def check_n_max(n_max: int) -> None:
 
 
 def _square_weights(exponent: int, k_max: int) -> list[int]:
-    """w[j] = j^exponent summed over +-j (doubled for j > 0, 0^0 = 1)."""
+    """w[j] = 2 j^exponent for the two points +-j, and w[0] = 0^exponent (0^0 = 1)."""
     w0 = 1 if exponent == 0 else 0
     return [w0 if j == 0 else 2 * j**exponent for j in range(k_max + 1)]
 
@@ -122,6 +122,16 @@ def _pair_shell_sums(e1: int, e2: int, n_max: int) -> list[int]:
     return t
 
 
+def _add_square_axis(t: np.ndarray, w) -> np.ndarray:
+    """s[m] = sum over j of w[j] t[m - j^2]: shell sums t gain one more axis,
+    whose point +-j carries the weight w[j].  One shifted add per j."""
+    n_max = len(t) - 1
+    s = np.zeros_like(t)
+    for j, wj in enumerate(w):
+        s[j * j :] += wj * t[: n_max + 1 - j * j]
+    return s
+
+
 def _class_shell_sums(exponents: tuple[int, int, int], n_max: int) -> np.ndarray:
     """S[m] = sum over the shell of norm m of the monomial, exact.
 
@@ -137,12 +147,44 @@ def _class_shell_sums(exponents: tuple[int, int, int], n_max: int) -> np.ndarray
     # Certified bound: every intermediate value is non-negative and at most
     # max(t) * sum(w3), so int64 is safe iff that product stays small.
     dtype = np.int64 if max(t) * sum(w3) < _INT64_SAFE else object
-    t_arr = np.array(t, dtype=dtype)
-    s_arr = np.zeros(n_max + 1, dtype=dtype)
-    for j in range(k + 1):
-        base = j * j
-        s_arr[base:] += w3[j] * t_arr[: n_max + 1 - base]
-    return s_arr.astype(object, copy=False)
+    return _add_square_axis(np.array(t, dtype=dtype), w3).astype(object, copy=False)
+
+
+def offset_shell_sums(
+    p: Polynomial3, n_max: int, h: tuple[float, float, float]
+) -> np.ndarray:
+    """Complex shell sums of p(xi) e(h . xi) over |xi|^2 = m, 0 <= m <= n_max.
+
+    Per axis, u^e e(h s u) summed over the signs s of the points +-u is the
+    square weight of u times cos(2 pi h u), or times i sin(2 pi h u) for odd
+    e.  So these are the convolution of `_class_shell_sums` with complex
+    weights: each monomial's x, y weights are multiplied out and binned by
+    a^2 + b^2, the pair tables sharing a z exponent are summed, and each
+    distinct z exponent takes one `_add_square_axis` pass.  h enters mod 1,
+    exactly (by fmod), so a large h loses no precision in the angle.
+    """
+    check_n_max(n_max)
+    denom, ints = p.integer_form()
+    k = math.isqrt(n_max)
+    angles = [2 * np.pi * math.fmod(v, 1.0) * np.arange(k + 1) for v in h]
+
+    def weights(axis: int, e: int) -> np.ndarray:
+        trig = 1j * np.sin(angles[axis]) if e % 2 else np.cos(angles[axis])
+        return np.array(_square_weights(e, k), dtype=np.float64) * trig
+
+    squares = np.arange(k + 1) ** 2
+    norms = squares[:, None] + squares[None, :]
+    inside = norms <= n_max
+    norms = norms[inside]
+    pairs: dict[int, np.ndarray] = {}
+    for (i, j, e), coeff in ints.items():
+        pair = (coeff / denom) * np.outer(weights(0, i), weights(1, j))[inside]
+        re, im = (np.bincount(norms, part, n_max + 1) for part in (pair.real, pair.imag))
+        pairs[e] = pairs.get(e, 0) + re + 1j * im
+    shells = np.zeros(n_max + 1, dtype=np.complex128)
+    for e, t in pairs.items():
+        shells += _add_square_axis(t, weights(2, e))
+    return shells
 
 
 def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:

@@ -26,6 +26,7 @@ DEFAULT_N_MAX = 1 << 14
 SAMPLE_C_POOL = (0, 4, -4, 8, -8, 12, -12, 16, -16)
 SAMPLE_Y_RANGE = (0.1, 2.0)
 SAMPLE_CAP = 10_000  # the largest `theta-check --sample` count
+TRANSFORM_FLOOR = 1e-20  # |theta| below which a transformation check is inconclusive
 
 
 def e_of(t: float) -> complex:
@@ -58,13 +59,12 @@ def jacobi_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def shimura_legendre(c: int, d: int, negative_rule: str = "sign") -> int:
+def shimura_legendre(c: int, d: int) -> int:
     """Quadratic symbol (c/d) for odd d, extended to all odd d.
 
-    For d > 0 this is the Jacobi symbol.  For d < 0 the default rule gives
-    (c/|d|) when c > 0 and -(c/|d|) when c < 0; (0/+-1) = 1.  The end-to-end
-    transformation check validates the convention; negative_rule="absolute"
-    drops the sign flip for experimentation.
+    For d > 0 this is the Jacobi symbol.  For d < 0 it is (c/|d|) when c > 0
+    and -(c/|d|) when c < 0; (0/+-1) = 1.  The end-to-end transformation
+    check validates the convention.
     """
     if d % 2 == 0:
         raise ValueError("extended symbol requires odd d")
@@ -76,8 +76,6 @@ def shimura_legendre(c: int, d: int, negative_rule: str = "sign") -> int:
         raise ValueError(f"non-coprime symbol arguments ({c}/{d})")
     base = jacobi_symbol(c, abs(d)) if abs(d) > 1 else 1
     if d > 0:
-        return base
-    if negative_rule == "absolute":
         return base
     return base if c > 0 else -base
 
@@ -241,12 +239,11 @@ def transformation_check(
     gamma: GammaElement,
     z: complex,
     tol: float = 1e-6,
-    floor: float = 1e-20,
 ) -> TransformReport:
     """Compare theta(gamma z) against the automorphy-factor prediction.
 
-    The error is measured relative to the larger side (with an absolute
-    floor); a result below the floor on both sides is flagged inconclusive.
+    The error is measured relative to the larger side (with the absolute
+    floor TRANSFORM_FLOOR); a theta(z) below the floor is flagged inconclusive.
     """
     image = gamma.apply(z)
     if z.imag < ctx.y_min or image.imag < ctx.y_min:
@@ -256,9 +253,9 @@ def transformation_check(
     base = theta_eval(ctx, z, tol=eval_tol)
     power = 2 * ctx.nu + 3
     rhs = automorphy_j(gamma, z) ** power * base
-    scale = max(abs(lhs), abs(rhs), floor)
+    scale = max(abs(lhs), abs(rhs), TRANSFORM_FLOOR)
     rel_err = abs(lhs - rhs) / scale
-    inconclusive = abs(base) < floor
+    inconclusive = abs(base) < TRANSFORM_FLOOR
     return TransformReport(
         gamma=gamma.entries(),
         z=z,

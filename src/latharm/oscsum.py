@@ -13,7 +13,8 @@ the norm alone.  A homogeneous P of degree nu acts on it by Hobson's formula
 
 with D = |xi|^-1 d/d|xi|.  The family is closed under D, so only the radial
 factor is differentiated; the result is evaluated at lattice frequencies
-shell by shell.
+shell by shell.  The direct sums of Q(xi) e(R |xi| + h . xi) also go shell
+by shell, on shell sums from `lattice` (exact for h = 0, complex otherwise).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import check_n_max, main_term, shell_floats, shell_totals
+from .lattice import check_n_max, main_term, offset_shell_sums, shell_floats, shell_totals
 from .poly import Polynomial3
 from .util import FitResult, linear_fit
 
@@ -249,66 +250,6 @@ def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
 PHASE_CAP = 2.0**32
 
 
-def _sign_tables(h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum over the sign images s of s^e e(h s u), u = 0..k, by parity of e.
-
-    Even e: 2 cos(2 pi h u), and 1 at u = 0 (one image).  Odd e: the sum is
-    2i sin(2 pi h u); the table holds 2 sin(2 pi h u) and the caller carries
-    the i.  At u = 0 it is 0, since u^e = 0 there.  h enters mod 1 (exactly,
-    by fmod), so a large h loses no precision in the angle.
-    """
-    angle = 2 * np.pi * math.fmod(h, 1.0) * np.arange(k + 1)
-    even, odd = 2 * np.cos(angle), 2 * np.sin(angle)
-    even[0], odd[0] = 1.0, 0.0
-    return even, odd
-
-
-def _octant_shells(q: Polynomial3, n_top: int, h: tuple[float, float, float]) -> np.ndarray:
-    """Complex shell sums of Q(xi) e(h . xi) over |xi|^2 = m, 0 <= m <= n_top.
-
-    The 8 sign images of a point (a, b, c) >= 0 share its norm, and the sum
-    of a monomial times e(h . xi) over them factors into one sign table per
-    axis, chosen by the parity of that axis' exponent.  So Q is split into
-    its parity parts, each evaluated only on a, b, c >= 0 and weighted by
-    its three tables: x-slab by x-slab, on the quarter disc b, c >= 0,
-    b^2 + c^2 <= n_top, sorted by b^2 + c^2 so that each slab is a prefix.
-    """
-    k = math.isqrt(n_top)
-    tables = [_sign_tables(float(v), k) for v in h]
-    b, c = np.divmod(np.arange((k + 1) ** 2), k + 1)
-    bc = b * b + c * c
-    order = np.argsort(bc, kind="stable")
-    squares = np.arange(k + 1) ** 2
-    ends = np.searchsorted(bc[order], n_top - squares, side="right")
-    order = order[: ends[0]]  # the quarter disc b^2 + c^2 <= n_top
-    b, c, bc = b[order], c[order], bc[order]
-    bf, cf = b.astype(np.float64), c.astype(np.float64)
-    _, ints = q.integer_form()
-    split: dict[tuple[int, int, int], dict] = {}
-    for mono, coeff in ints.items():
-        split.setdefault(tuple(e % 2 for e in mono), {})[mono] = (coeff, 0)
-    # A part with t odd exponents carries i^t: (t // 2) flips the sign of its
-    # yz weight and t % 2 picks the real or the imaginary subtotal.
-    parts = []
-    for (px, py, pz), terms in sorted(split.items()):
-        t = px + py + pz
-        weight = (-1) ** (t // 2) * tables[1][py][b] * tables[2][pz][c]
-        parts.append((px, Polynomial3(terms, q.denom), weight, t % 2))
-    shell_re = np.zeros(n_top + 1)
-    shell_im = np.zeros(n_top + 1)
-    for a in range(k + 1):
-        end = ends[a]
-        xs = np.full(end, float(a))
-        acc = [np.zeros(end), np.zeros(end)]  # real, imaginary
-        for px, part, weight, imag in parts:
-            vals = part.evaluate_arrays(xs, bf[:end], cf[:end])
-            acc[imag] += vals * (tables[0][px][a] * weight[:end])
-        lo, width = squares[a], n_top + 1 - squares[a]
-        shell_re[lo:] += np.bincount(bc[:end], weights=acc[0], minlength=width)
-        shell_im[lo:] += np.bincount(bc[:end], weights=acc[1], minlength=width)
-    return shell_re + 1j * shell_im
-
-
 def _cumulative_exp_sum(
     q: Polynomial3, n_top: int, r: float, h: tuple[float, float, float]
 ) -> np.ndarray:
@@ -316,9 +257,10 @@ def _cumulative_exp_sum(
 
     e(R |xi|) is constant on each shell, so the shell sums of Q(xi) e(h . xi)
     are taken first and multiplied by one phase table e(R sqrt m).  With
-    h = 0 they are the exact shell sums of Q; otherwise they come from one
-    sweep of the positive octant (`_octant_shells`).  |R| sqrt(n_top) above
-    PHASE_CAP is refused before either.
+    h = 0 they are the exact shell sums of Q; otherwise they come from the
+    same per-axis square convolution with complex weights
+    (`lattice.offset_shell_sums`).  |R| sqrt(n_top) above PHASE_CAP is
+    refused before either.
     """
     q.require_real("exponential sum")
     check_n_max(n_top)
@@ -328,7 +270,7 @@ def _cumulative_exp_sum(
             "float64 phase e(R |xi|) carries more than 1e-6 turns of error"
         )
     if any(h):
-        shells = _octant_shells(q, n_top, h)
+        shells = offset_shell_sums(q, n_top, h)
     else:
         denom, totals = shell_totals(q, n_top)
         shells = shell_floats(denom, totals)

@@ -56,7 +56,6 @@ def test_shimura_symbol_basics():
 def test_shimura_symbol_negative_d():
     assert shimura_legendre(3, -5) == jacobi_symbol(3, 5)
     assert shimura_legendre(-3, -5) == -jacobi_symbol(-3, 5)
-    assert shimura_legendre(-3, -5, negative_rule="absolute") == jacobi_symbol(-3, 5)
 
 
 def test_shimura_symbol_rejects_noncoprime():
@@ -212,7 +211,7 @@ def test_transformation_wrong_symbol_convention_fails(quartic, monkeypatch):
     monkeypatch.setattr(
         modular_mod,
         "shimura_legendre",
-        lambda c, d: original(c, d, negative_rule="absolute"),
+        lambda c, d: original(c, abs(d)),
     )
     bad = transformation_check(ctx, gamma, z, tol=1e-6)
     assert not bad.passed

@@ -16,6 +16,7 @@ from latharm.oscsum import (
     FREQ_MIX,
     FourierTerms,
     RadialTerm,
+    _cumulative_exp_sum,
     bound_check_VNQR,
     eval_radial_terms,
     exp_sum_grid,
@@ -441,6 +442,7 @@ EXP_SUM_POLYS = {
     "non-homogeneous": "x^2+1",
     "odd": "x^3-x*y*z",
     "constant": "1",
+    "zero": "0",  # no monomials: every V_N must be exactly 0
 }
 
 
@@ -470,7 +472,7 @@ OFFSETS = {
     ids=[*EXP_SUM_POLYS, "mixed-parity"],
 )
 def test_offset_exp_sums_match_pointwise_oracle(expr, h):
-    # the octant fold against every lattice point, one by one
+    # the complex square convolution against every lattice point, one by one
     q = parse_poly(expr)
     r, n_list = 3.7, [1, 2, 5, 37, 150, 300]
     oracle, scale = _pointwise_partial_sums(q, n_list[-1], r, h)
@@ -485,8 +487,50 @@ def test_offset_exp_sum_scales_to_large_n(quartic):
     start = time.perf_counter()
     value = exp_sum_lattice(quartic, 65536, (0.3, -0.125, 0.25), 10.0)
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0  # a sweep of the whole ball took about 30 s here
+    assert elapsed < 10.0  # a point-by-point sweep of the ball took about 30 s
     assert cmath.isfinite(value)
+
+
+def _ball_partial_sums(q, n_top, r, h):
+    """V_N for 0 <= N <= n_top and the running sum of |Q(xi)|, from every
+    lattice point of the ball: x-slab by x-slab, vectorised, binned by norm."""
+    k = math.isqrt(n_top)
+    axis = np.arange(-k, k + 1)
+    y, z = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    re, im, mag = (np.zeros(n_top + 1) for _ in range(3))
+    for x in axis:
+        nsq = x * x + y * y + z * z
+        inside = nsq <= n_top
+        ys, zs, nsq = y[inside], z[inside], nsq[inside]
+        vals = q.evaluate_arrays(np.full(ys.size, float(x)), ys * 1.0, zs * 1.0)
+        phase = r * np.sqrt(nsq) + h[0] * x + h[1] * ys + h[2] * zs
+        terms = vals * np.exp(2j * np.pi * phase)
+        re += np.bincount(nsq, terms.real, n_top + 1)
+        im += np.bincount(nsq, terms.imag, n_top + 1)
+        mag += np.bincount(nsq, np.abs(vals), n_top + 1)
+    return np.cumsum(re + 1j * im), np.cumsum(mag)
+
+
+# the benchmark's four polynomials and one of mixed parity with a constant
+BALL_POLYS = {
+    "one": "1",
+    "quartic": QUARTIC_EXPR,
+    "sextic": SEXTIC_EXPR,
+    "octic": "x^8-28*x^6*y^2+70*x^4*y^4-28*x^2*y^6+y^8",
+    "mixed-parity": "x^3*y+2*x*z-7",
+}
+
+
+@pytest.mark.parametrize("h", [OFFSETS["zero-component"], OFFSETS["generic"]],
+                         ids=["zero-component", "generic"])
+@pytest.mark.parametrize("expr", BALL_POLYS.values(), ids=BALL_POLYS)
+def test_offset_exp_sums_match_ball_enumeration(expr, h):
+    # every V_N up to 4096, where the z axis takes 65 shifted adds
+    q = parse_poly(expr)
+    r, n_top = 3.7, 4096
+    expected, scale = _ball_partial_sums(q, n_top, r, h)
+    got = _cumulative_exp_sum(q, n_top, r, h)
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("h", [(0.0, 0.0, 0.0), (0.25, 0.0, 0.0)], ids=["h=0", "h!=0"])
