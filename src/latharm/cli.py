@@ -348,11 +348,14 @@ def _read_fit_csv(path: str) -> list[float]:
     if not mags:
         raise UsageError("empty series file")
     n_max = max(mags)
+    lattice.check_n_max(n_max)
     return [mags.get(n, 0.0) for n in range(1, n_max + 1)]
 
 
 def cmd_theta_check(args) -> int:
     _require_finite(args, "tol")
+    if not args.tol > 0:
+        raise UsageError(f"--tol must be positive, got {args.tol!r}")
     if not 1 <= args.sample <= modular.SAMPLE_CAP:
         raise UsageError(f"--sample must be between 1 and {modular.SAMPLE_CAP}")
     p = _poly_arg(args.poly)
@@ -375,7 +378,11 @@ def cmd_theta_check(args) -> int:
             modular.transformation_check(ctx, gamma, complex(zr, zi), tol=args.tol)
         )
     else:
-        reports.extend(modular.sample_checks(ctx, args.sample, seed=args.seed, tol=args.tol))
+        try:
+            reports.extend(
+                modular.sample_checks(ctx, args.sample, seed=args.seed, tol=args.tol))
+        except ValueError as exc:  # e.g. a tail that n_max cannot certify below tol
+            raise UsageError(str(exc))
     ok = True
     for rep in reports:
         if args.json:

@@ -209,8 +209,6 @@ class TableRow:
 
     long_label: str
     short_label: str
-    long_terms: tuple[ErrorTerm, ...]
-    short_terms: tuple[ErrorTerm, ...]
     theta: Fraction
     alpha: Fraction
     applicability: str
@@ -220,9 +218,8 @@ class TableRow:
         return "?" * self.marks
 
 
-def _terms_label(terms: Iterable[ErrorTerm], marks: int = 0) -> str:
-    suffix = "?" * marks
-    return " + ".join(str(t) for t in terms) + suffix
+def _terms_label(terms: Iterable[ErrorTerm]) -> str:
+    return " + ".join(str(t) for t in terms)
 
 
 _CI_LONG = [
@@ -263,8 +260,6 @@ def exponent_table() -> list[TableRow]:
             TableRow(
                 long_label=f"{_terms_label(long_terms_)} ({long_label})",
                 short_label=f"{_terms_label(short_terms_)} ({short_model})",
-                long_terms=tuple(long_terms_),
-                short_terms=tuple(short_terms_),
                 theta=result.theta,
                 alpha=result.alpha,
                 applicability=applicability,
@@ -274,8 +269,7 @@ def exponent_table() -> list[TableRow]:
     return rows
 
 
-def table_csv(rows: Sequence[TableRow] | None = None) -> str:
-    rows = exponent_table() if rows is None else rows
+def table_csv(rows: Sequence[TableRow]) -> str:
     lines = ["long,short,theta,alpha,marks"]
     for r in rows:
         lines.append(
@@ -284,9 +278,8 @@ def table_csv(rows: Sequence[TableRow] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_text(rows: Sequence[TableRow] | None = None) -> str:
+def table_text(rows: Sequence[TableRow]) -> str:
     """Aligned plain-text rendering of the summary table."""
-    rows = exponent_table() if rows is None else rows
     header = ("Long sum", "Short sum", "theta", "alpha", "applies to")
     body = [
         (

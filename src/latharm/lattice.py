@@ -107,18 +107,17 @@ def _square_weights(exponent: int, k_max: int) -> list[int]:
     return [w0 if j == 0 else 2 * j**exponent for j in range(k_max + 1)]
 
 
-def _pair_shell_sums(e1: int, e2: int, n_max: int) -> list[int]:
-    """t[m] = sum over x^2 + y^2 = m of x^e1 * y^e2, exact (even exponents)."""
-    k = math.isqrt(n_max)
-    w1 = _square_weights(e1, k)
-    w2 = _square_weights(e2, k)
-    t = [0] * (n_max + 1)
-    for j1 in range(k + 1):
-        base = j1 * j1
-        wa = w1[j1]
-        limit = n_max - base
-        for j2 in range(math.isqrt(limit) + 1):
-            t[base + j2 * j2] += wa * w2[j2]
+def _pair_table(wx, wy, n_max: int) -> np.ndarray:
+    """t[m] = sum over a^2 + b^2 = m of wx[a] wy[b], for 0 <= m <= n_max.
+
+    The pair stage of every square convolution: the outer product of two
+    axes' weights, binned by a^2 + b^2 in the weights' dtype.
+    """
+    squares = np.arange(len(wx)) ** 2
+    norms = squares[:, None] + squares[None, :]
+    inside = norms <= n_max
+    t = np.zeros(n_max + 1, dtype=np.result_type(wx, wy))
+    np.add.at(t, norms[inside], np.multiply.outer(wx, wy)[inside])
     return t
 
 
@@ -132,22 +131,30 @@ def _add_square_axis(t: np.ndarray, w) -> np.ndarray:
     return s
 
 
+def _certified_dtype(peak: int, total: int):
+    """int64 when peak * total < _INT64_SAFE, Python integers (object) otherwise.
+
+    A stage convolving inputs a and b with every weight non-negative (all
+    exponents even) keeps every partial sum at most max(a) * sum(b), so
+    int64 is safe whenever that bound is.
+    """
+    return np.int64 if peak * total < _INT64_SAFE else object
+
+
 def _class_shell_sums(exponents: tuple[int, int, int], n_max: int) -> np.ndarray:
     """S[m] = sum over the shell of norm m of the monomial, exact.
 
     All exponents must be even. Computed as a convolution of per-axis square
-    sums: the two-axis part in exact Python integers, the final axis as one
-    series of shifted adds, in int64 when a certified bound permits and in
+    sums: the x, y pair table, then the z axis as one series of shifted
+    adds.  Each stage runs in int64 when its certified bound permits and in
     Python integers (object dtype) otherwise.  Returns an object array.
     """
-    e1, e2, e3 = exponents
-    t = _pair_shell_sums(e1, e2, n_max)
     k = math.isqrt(n_max)
-    w3 = _square_weights(e3, k)
-    # Certified bound: every intermediate value is non-negative and at most
-    # max(t) * sum(w3), so int64 is safe iff that product stays small.
-    dtype = np.int64 if max(t) * sum(w3) < _INT64_SAFE else object
-    return _add_square_axis(np.array(t, dtype=dtype), w3).astype(object, copy=False)
+    w1, w2, w3 = (_square_weights(e, k) for e in exponents)
+    dtype = _certified_dtype(max(w1), sum(w2))
+    t = _pair_table(np.array(w1, dtype=dtype), np.array(w2, dtype=dtype), n_max)
+    t = t.astype(_certified_dtype(int(t.max()), sum(w3)), copy=False)
+    return _add_square_axis(t, w3).astype(object, copy=False)
 
 
 def offset_shell_sums(
@@ -158,10 +165,11 @@ def offset_shell_sums(
     Per axis, u^e e(h s u) summed over the signs s of the points +-u is the
     square weight of u times cos(2 pi h u), or times i sin(2 pi h u) for odd
     e.  So these are the convolution of `_class_shell_sums` with complex
-    weights: each monomial's x, y weights are multiplied out and binned by
-    a^2 + b^2, the pair tables sharing a z exponent are summed, and each
-    distinct z exponent takes one `_add_square_axis` pass.  h enters mod 1,
-    exactly (by fmod), so a large h loses no precision in the angle.
+    weights and the same two stages: each monomial's x, y weights go
+    through `_pair_table` in complex128, the pair tables sharing a z
+    exponent are summed, and each distinct z exponent takes one
+    `_add_square_axis` pass.  h enters mod 1, exactly (by fmod), so a large
+    h loses no precision in the angle.
     """
     check_n_max(n_max)
     denom, ints = p.integer_form()
@@ -170,17 +178,12 @@ def offset_shell_sums(
 
     def weights(axis: int, e: int) -> np.ndarray:
         trig = 1j * np.sin(angles[axis]) if e % 2 else np.cos(angles[axis])
-        return np.array(_square_weights(e, k), dtype=np.float64) * trig
+        return np.array(_square_weights(e, k), dtype=np.complex128) * trig
 
-    squares = np.arange(k + 1) ** 2
-    norms = squares[:, None] + squares[None, :]
-    inside = norms <= n_max
-    norms = norms[inside]
     pairs: dict[int, np.ndarray] = {}
     for (i, j, e), coeff in ints.items():
-        pair = (coeff / denom) * np.outer(weights(0, i), weights(1, j))[inside]
-        re, im = (np.bincount(norms, part, n_max + 1) for part in (pair.real, pair.imag))
-        pairs[e] = pairs.get(e, 0) + re + 1j * im
+        pair = (coeff / denom) * _pair_table(weights(0, i), weights(1, j), n_max)
+        pairs[e] = pairs.get(e, 0) + pair
     shells = np.zeros(n_max + 1, dtype=np.complex128)
     for e, t in pairs.items():
         shells += _add_square_axis(t, weights(2, e))
@@ -204,24 +207,17 @@ def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
     return [(key, c) for key, c in sorted(classes.items()) if c != 0]
 
 
-def shell_totals(
-    p: Polynomial3, n_max: int, memo: dict | None = None
-) -> tuple[int, np.ndarray]:
+def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     """Exact shell sums of a real polynomial, as integers over one denominator.
 
     Returns (D, T) with T[n] / D = sum of p over |x|^2 = n for 0 <= n <= n_max
     (T[0] / D is p at the origin); T is an object array of Python integers.
-    p need not be homogeneous.  `memo` maps sorted exponent triples to their
-    class shell sums at this n_max, so callers summing several polynomials of
-    one degree compute each class once.  n_max above N_MAX_CAP is refused.
+    p need not be homogeneous.  n_max above N_MAX_CAP is refused.
     """
     check_n_max(n_max)
-    memo = {} if memo is None else memo
     totals = np.zeros(n_max + 1, dtype=object)
     for key, coeff in _monomial_classes(p):
-        if key not in memo:
-            memo[key] = _class_shell_sums(key, n_max)
-        totals += coeff * memo[key]
+        totals += coeff * _class_shell_sums(key, n_max)
     return p.denom, totals
 
 
@@ -258,8 +254,6 @@ class SumReport:
     participates).
     """
 
-    r_sq: Fraction
-    h: float | None
     value: Fraction | float
     term_count: int
 
@@ -281,16 +275,14 @@ def ball_sum(p: Polynomial3, r_sq: int) -> Fraction:
 def ball_sum_report(p: Polynomial3, r_sq: int) -> SumReport:
     """Exact ball sum with the number of lattice points included."""
     value = ball_sum(p, r_sq)
-    return SumReport(r_sq=Fraction(r_sq), h=None, value=value,
-                     term_count=_point_count(0, r_sq))
+    return SumReport(value=value, term_count=_point_count(0, r_sq))
 
 
 def short_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
     """Weighted boundary-shell sum with the number of points in the window."""
     value = short_sum(p, r, h)
     lo, hi = _window_bounds(r, h)
-    return SumReport(r_sq=Fraction(r) ** 2, h=h, value=value,
-                     term_count=_point_count(lo, hi))
+    return SumReport(value=value, term_count=_point_count(lo, hi))
 
 
 def long_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
@@ -298,8 +290,7 @@ def long_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
     value = long_sum_physical(p, r, h)
     _, hi = _window_bounds(r, h)
     # the origin always carries weight
-    return SumReport(r_sq=Fraction(r) ** 2, h=h, value=value,
-                     term_count=_point_count(0, hi))
+    return SumReport(value=value, term_count=_point_count(0, hi))
 
 
 def cutoff_f(x: float, r: float, h: float) -> float:

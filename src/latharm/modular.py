@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .lattice import N_MAX_CAP, coeff_series, shell_floats
@@ -139,7 +138,7 @@ def automorphy_j(gamma: GammaElement, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Evaluation context: harmonic polynomial, weight, shell coefficients.
+    """Evaluation context: harmonic polynomial, degree, shell coefficients.
 
     floats[n] is a_n as a float for 0 <= n <= n_max (floats[0] is P(0)).
     coeff_c is C in the crude bound |a_n| <= C n^(nu/2 + 1), used for the
@@ -148,7 +147,6 @@ class ThetaContext:
 
     poly: Polynomial3
     nu: int
-    weight: Fraction
     floats: tuple[float, ...]
     n_max: int
     y_min: float
@@ -179,7 +177,6 @@ def theta_context(
     return ThetaContext(
         poly=p,
         nu=p.degree,
-        weight=Fraction(p.degree) + Fraction(3, 2),
         floats=tuple(shell_floats(series.denom, series.totals).tolist()),
         n_max=n_max,
         y_min=y_min,

@@ -158,14 +158,14 @@ class FourierTerms:
         return min(t.denom_pow for t in self.terms)
 
 
-def gP_fourier_terms(p: Polynomial3) -> FourierTerms:
-    """Apply P(-d/(2 pi i)) to the kernel transform, symbolically.
+def _hobson_split(p: Polynomial3):
+    """P(-d/(2 pi i)) applied to the kernel transform F, split by Hobson's formula.
 
-    For homogeneous P of degree nu this equals (i/(2 pi))^nu P(d/dxi) applied
-    to the two radial base terms F, expanded by Hobson's formula (see the
-    module docstring).  The k-th numerator Lap^k P has degree nu - 2k and is
-    brought to degree nu by |xi|^(2k) over |xi|^(2k), so every denominator
-    power is at least nu + 3.
+    Returns (nu, radial, parts): radial[j] = D^j F for 0 <= j <= nu, and
+    parts lists (k, c_k Lap^k P) for every nonzero Lap^k P, with
+    c_k = s / (2^nu 2^k k!) where i^nu = s for even nu and s i for odd nu.
+    The transform is pi^-nu times the sum over parts of
+    c_k Lap^k P(xi) D^(nu-k) F(|xi|), times i for odd nu.
     """
     if not p.is_homogeneous:
         raise ValueError("operator application requires homogeneous P")
@@ -173,26 +173,47 @@ def gP_fourier_terms(p: Polynomial3) -> FourierTerms:
     nu = p.degree
     # overall factor (i / 2pi)^nu = i^nu 2^-nu pi^-nu
     sign = 1 if nu % 4 in (0, 1) else -1
-    imaginary = nu % 2 == 1
-    radial = [kernel_base_terms()]  # radial[j] = D^j F
+    radial = [kernel_base_terms()]
     for _ in range(nu):
         radial.append(merge_terms(d for t in radial[-1] for d in t.radial_derivative()))
+    parts = []
+    lap_p, k = p, 0
+    while lap_p:
+        parts.append((k, lap_p * Fraction(sign, 2**nu * 2**k * math.factorial(k))))
+        lap_p, k = lap_p.laplacian(), k + 1
+    return nu, radial, parts
+
+
+def gP_fourier_terms(p: Polynomial3) -> FourierTerms:
+    """Apply P(-d/(2 pi i)) to the kernel transform, symbolically.
+
+    For homogeneous P of degree nu this equals (i/(2 pi))^nu P(d/dxi) applied
+    to the two radial base terms F, expanded by Hobson's formula (see the
+    module docstring and `_hobson_split`).  The k-th numerator Lap^k P has
+    degree nu - 2k and is brought to degree nu by |xi|^(2k) over |xi|^(2k),
+    so every denominator power is at least nu + 3.
+    """
+    nu, radial, parts = _hobson_split(p)
     r2 = Polynomial3.norm_squared()
-    lap_p = p
-    collected: list[RadialTerm] = []
-    for k in range(nu // 2 + 1):
-        numerator = r2**k * lap_p * Fraction(sign, 2**nu * 2**k * math.factorial(k))
-        collected.extend(
-            RadialTerm(t.pi_pow - nu, t.r_pow, t.h_pow, t.mix_pow, t.poly * numerator,
-                       t.denom_pow + 2 * k, t.trig)
-            for t in radial[nu - k]
-        )
-        lap_p = lap_p.laplacian()
-    final = merge_terms(collected)
+    final = merge_terms(
+        RadialTerm(t.pi_pow - nu, t.r_pow, t.h_pow, t.mix_pow, t.poly * (r2**k * lap),
+                   t.denom_pow + 2 * k, t.trig)
+        for k, lap in parts
+        for t in radial[nu - k]
+    )
     for t in final:
         assert t.poly.degree == nu or not t.poly
         assert t.denom_pow >= nu + 3, "term outside convergent shape"
-    return FourierTerms(nu=nu, terms=final, imaginary=imaginary)
+    return FourierTerms(nu=nu, terms=final, imaginary=nu % 2 == 1)
+
+
+def _radial_factor(t: RadialTerm, norm, r: float, h: float):
+    """t at |xi| = norm without its numerator polynomial: the prefactor, the
+    trig factors and 1/|xi|^denom_pow (norm a float or an array)."""
+    val = t.prefactor(r, h) / norm**t.denom_pow
+    for f in t.trig:
+        val = val * f.value(norm, r, h)
+    return val
 
 
 def eval_radial_terms(
@@ -204,42 +225,38 @@ def eval_radial_terms(
     if nsq == 0:
         raise ValueError("the transform terms are singular at xi = 0")
     norm = math.sqrt(nsq)
-    total = 0.0
-    for t in expansion.terms:
-        val = t.prefactor(r, h) * t.poly.evaluate_float(x, y, z) / norm**t.denom_pow
-        for f in t.trig:
-            val *= math.sin(math.pi * (f.scale_value(r, h) * norm + f.shift / 2.0))
-        total += val
-    return total * 1j if expansion.imaginary else complex(total)
+    total = complex(sum(t.poly.evaluate_arrays(x, y, z) * _radial_factor(t, norm, r, h)
+                        for t in expansion.terms))
+    return total * 1j if expansion.imaginary else total
 
 
 def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
     """Main term plus the truncated frequency sum of the transformed kernel.
 
-    Sums all nonzero frequencies with |xi|^2 <= n_trunc.  Each term is
-    radial(|xi|) Q(xi), so its shell subtotal at |xi|^2 = n is radial(sqrt n)
-    times the exact shell sum of Q; the shells are combined with exact
-    compensated addition.  Memory is O(n_trunc).
+    Sums all nonzero frequencies with |xi|^2 <= n_trunc.  By Hobson's split
+    (`_hobson_split`) the transform is pi^-nu times the sum over k of
+    c_k Lap^k P(xi) D^(nu-k) F(|xi|), so its shell subtotal at |xi|^2 = n is
+    the exact shell sum of c_k Lap^k P times D^(nu-k) F(sqrt n): one shell
+    series per nonzero Lap^k P, a single one for harmonic P.  For odd nu
+    every Lap^k P is odd and sums to exactly 0 on every shell.  The shells
+    are combined with exact compensated addition.  Memory is O(n_trunc).
     """
     if n_trunc < 1:
         raise ValueError("n_trunc must be at least 1")
     if r < 1 or not 0 < h <= 1:
         raise ValueError("need R >= 1 and 0 < H <= 1")
     check_n_max(n_trunc)
-    expansion = gP_fourier_terms(p)
+    nu, radial, parts = _hobson_split(p)
     main = float(main_term(p, Fraction(r), Fraction(h))) * math.pi
-    if expansion.imaginary:
-        return main  # i * (a sum of odd Q over shells, which vanishes)
     norm = np.sqrt(np.arange(1, n_trunc + 1, dtype=np.float64))
-    memo: dict = {}  # every Q has degree nu: few monomial classes, shared
     contrib = np.zeros(n_trunc)
-    for t in expansion.terms:
-        denom, totals = shell_totals(t.poly, n_trunc, memo=memo)
-        val = t.prefactor(r, h) * shell_floats(denom, totals[1:]) / norm**t.denom_pow
-        for f in t.trig:
-            val = val * f.value(norm, r, h)
-        contrib += val
-    return main + math.fsum(contrib)
+    for k, lap in parts:
+        denom, totals = shell_totals(lap, n_trunc)
+        # the numerators of D^j F are constants
+        factor = sum(float(t.poly.evaluate(0, 0, 0)) * _radial_factor(t, norm, r, h)
+                     for t in radial[nu - k])
+        contrib += shell_floats(denom, totals[1:]) * factor
+    return main + math.pi**-nu * math.fsum(contrib)
 
 
 # -- direct oscillatory sums -------------------------------------------------

@@ -225,15 +225,8 @@ class Polynomial3:
         value = GaussianRational(re_sum / self.denom, im_sum / self.denom)
         return value if value.im else value.re
 
-    def evaluate_float(self, x: float, y: float, z: float) -> float:
-        self.require_real("float evaluation")
-        total = 0.0
-        for (i, j, k), (re, _) in self.terms.items():
-            total += re / self.denom * x**i * y**j * z**k
-        return total
-
     def evaluate_arrays(self, x, y, z):
-        """Vectorized float evaluation on numpy arrays (real coefficients)."""
+        """Float evaluation on numpy arrays or scalars (real coefficients)."""
         self.require_real("array evaluation")
         total = None
         for (i, j, k), (re, _) in self.terms.items():

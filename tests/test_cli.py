@@ -193,6 +193,8 @@ BAD_INPUT = {
     "balance-alpha-range-one-value": ("balance", "--long", "classic", "--short", "cusp",
                                       "--alpha-range", "1"),
     "fit-missing-csv": ("fit", "--from-csv", "{tmp}/missing.csv"),
+    # a series row at n = 10^12 would size a list of 10^12 entries
+    "fit-from-csv-n-huge": ("fit", "--from-csv", "{tmp}/huge-n.csv"),
     "table-out-missing-dir": ("table", "--out", "{tmp}/missing/t.txt"),
     "pair-bad-word": ("pair", "--pair", "1/6,2/3", "--word", "C"),
     # work that would exhaust memory is refused before anything is allocated
@@ -214,6 +216,10 @@ BAD_INPUT = {
     "theta-check-nonharmonic": ("theta-check", "--poly", "x^2"),
     "theta-check-nonhomogeneous": ("theta-check", "--poly", "x^2+y"),
     "theta-check-tol-nan": ("theta-check", "--tol", "nan"),
+    "theta-check-tol-0": ("theta-check", "--tol", "0"),
+    "theta-check-tol-negative": ("theta-check", "--tol", "-1"),
+    # no tail of 256 terms is certified below 1e-30 * 1e-4 near y_min
+    "theta-check-tol-uncertifiable": ("theta-check", "--tol", "1e-30", "--n-max", "256"),
     "gauss-c-huge": ("gauss", "--d", "1", "--c", "4000000000"),
     "theta-check-sample-0": ("theta-check", "--sample", "0"),
     "theta-check-sample-negative": ("theta-check", "--sample", "-3"),
@@ -228,6 +234,7 @@ BAD_INPUT = {
 
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT)
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
+    (tmp_path / "huge-n.csv").write_text("n,R,abs_sum\n1000000000000,1000000.0,1.0\n")
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

@@ -9,8 +9,9 @@ from scipy import integrate
 from latharm import lattice
 from latharm.lattice import (
     _INT64_SAFE,
+    _class_shell_sums,
     _monomial_classes,
-    _pair_shell_sums,
+    _pair_table,
     _square_weights,
     ball_sum,
     ball_sum_report,
@@ -119,11 +120,54 @@ def test_octahedral_vanishing():
     assert ball_sum(parse_poly("x^2*y"), 30) == 0
 
 
+def _pair_loop(w1, w2, n_max):
+    """Reference for `_pair_table`: t[m] = sum over j1^2 + j2^2 = m of
+    w1[j1] w2[j2], by a plain double loop."""
+    k = math.isqrt(n_max)
+    t = [0] * (n_max + 1)
+    for j1 in range(k + 1):
+        base = j1 * j1
+        wa = w1[j1]
+        limit = n_max - base
+        for j2 in range(math.isqrt(limit) + 1):
+            t[base + j2 * j2] += wa * w2[j2]
+    return t
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 100, 4096])
+def test_pair_table_matches_double_loop(n_max):
+    k = math.isqrt(n_max)
+    for e1, e2 in [(0, 0), (2, 0), (4, 2), (6, 2)]:
+        w1, w2 = _square_weights(e1, k), _square_weights(e2, k)
+        assert max(w1) * sum(w2) < _INT64_SAFE
+        table = _pair_table(np.array(w1, dtype=np.int64), np.array(w2, dtype=np.int64), n_max)
+        assert table.dtype == np.int64
+        assert table.tolist() == _pair_loop(w1, w2, n_max)
+    # big integers: no int64 could hold these products
+    w1, w2 = _square_weights(48, k), _square_weights(40, k)
+    table = _pair_table(np.array(w1, dtype=object), np.array(w2, dtype=object), n_max)
+    assert table.dtype == object
+    assert table.tolist() == _pair_loop(w1, w2, n_max)
+    # complex weights, as the offset route passes them
+    rng = np.random.default_rng(n_max)
+    c1, c2 = (rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1) for _ in range(2))
+    table = _pair_table(c1, c2, n_max)
+    assert table.dtype == np.complex128
+    expected = np.array(_pair_loop(c1.tolist(), c2.tolist(), n_max))
+    assert np.allclose(table, expected, rtol=1e-14, atol=1e-14)
+
+
+def _stage_bounds(exponents, n_max):
+    """The two bounds `_class_shell_sums` compares with _INT64_SAFE: the x, y
+    pair stage's max(w1) sum(w2) and the z stage's max(pair table) sum(w3)."""
+    k = math.isqrt(n_max)
+    w1, w2, w3 = (_square_weights(e, k) for e in exponents)
+    return max(w1) * sum(w2), max(_pair_loop(w1, w2, n_max)) * sum(w3)
+
+
 def _certified_bound(exponents, n_max):
-    """The bound `_class_shell_sums` compares with _INT64_SAFE."""
-    e1, e2, e3 = exponents
-    t = _pair_shell_sums(e1, e2, n_max)
-    return max(t) * sum(_square_weights(e3, math.isqrt(n_max)))
+    """The larger stage bound: below _INT64_SAFE both stages run in int64."""
+    return max(_stage_bounds(exponents, n_max))
 
 
 @pytest.mark.parametrize("expr", ["x^24*y^24", "x^24*y^24+z^48"])
@@ -147,6 +191,22 @@ def test_int64_and_big_int_paths_agree(quartic, sextic, monkeypatch):
         big_denom, big_totals = shell_totals(p, 3000)
         assert big_denom == denom
         assert big_totals.tolist() == totals.tolist()
+
+
+def test_mixed_stage_dtypes_agree(sextic, monkeypatch):
+    # a bound between one class's two stage bounds runs its pair stage in
+    # int64 and its z stage in big integers
+    n_max = 3000
+    key = (6, 0, 0)
+    pair_bound, z_bound = _stage_bounds(key, n_max)
+    assert pair_bound < z_bound < _INT64_SAFE
+    int64_class = _class_shell_sums(key, n_max)
+    int64_totals = shell_totals(sextic, n_max)
+    monkeypatch.setattr(lattice, "_INT64_SAFE", (pair_bound + z_bound) // 2)
+    assert _class_shell_sums(key, n_max).tolist() == int64_class.tolist()
+    denom, totals = shell_totals(sextic, n_max)
+    assert denom == int64_totals[0]
+    assert totals.tolist() == int64_totals[1].tolist()
 
 
 @pytest.mark.parametrize("expr", ["1/3*x^2-1/7*y^2", QUARTIC_EXPR, "1/3*x^24*y^24-1/7*z^48"])

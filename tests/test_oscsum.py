@@ -9,7 +9,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from latharm.lattice import long_sum_physical, main_term, representations
+from latharm import oscsum
+from latharm.lattice import (
+    long_sum_physical, main_term, representations, shell_floats, shell_totals,
+)
 from latharm.oscsum import (
     FREQ_2R,
     FREQ_H,
@@ -420,6 +423,53 @@ def test_freq_sum_scales_to_large_truncation(quartic):
     assert abs(fine - phys) < abs(coarse - phys)
 
 
+def _per_term_freq_long_sum(p, r, h, n_trunc):
+    """Reference: one shell series per expanded Fourier term, each times its
+    radial factor at sqrt n."""
+    expansion = gP_fourier_terms(p)
+    norm = np.sqrt(np.arange(1, n_trunc + 1, dtype=np.float64))
+    contrib = np.zeros(n_trunc)
+    for t in expansion.terms:
+        denom, totals = shell_totals(t.poly, n_trunc)
+        val = t.prefactor(r, h) * shell_floats(denom, totals[1:]) / norm**t.denom_pow
+        for f in t.trig:
+            val = val * f.value(norm, r, h)
+        contrib += val
+    tail = 0.0 if expansion.imaginary else math.fsum(contrib)
+    return float(main_term(p, Fraction(r), Fraction(h))) * math.pi + tail
+
+
+OCTIC_EXPR = "x^8-28*x^6*y^2+70*x^4*y^4-28*x^2*y^6+y^8"
+LAPLACIAN_POLYS = [
+    "1", QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR, "x^4", "x^2*y^2-1/3*z^4+2*x^4",
+    "1/3*x^2-1/7*y^2", "x^3*y",
+]
+
+
+@pytest.mark.parametrize("expr", LAPLACIAN_POLYS)
+def test_freq_sum_matches_per_term_route(expr):
+    p = parse_poly(expr)
+    for r, h, n_trunc in [(7.3, 0.375, 512), (10.0, 0.5, 2048), (2.5, 1.0, 97)]:
+        expected = _per_term_freq_long_sum(p, r, h, n_trunc)
+        assert freq_long_sum(p, r, h, n_trunc) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("expr", [*LAPLACIAN_POLYS, "x", "x^2*y-3*z^3"])
+def test_freq_sum_reads_one_series_per_laplacian_power(expr, monkeypatch):
+    calls = []
+
+    def counting(q, n_max):
+        calls.append(q)
+        return shell_totals(q, n_max)
+
+    monkeypatch.setattr(oscsum, "shell_totals", counting)
+    p = parse_poly(expr)
+    freq_long_sum(p, 7.3, 0.375, 64)
+    assert len(calls) <= p.degree // 2 + 1
+    if p.is_harmonic:
+        assert len(calls) == 1
+
+
 def _pointwise_partial_sums(q, n_top, r, h=(0.0, 0.0, 0.0)):
     """V_N for 0 <= N <= n_top by a plain loop over representations, plus
     the sum of |summands| that scales the rounding error."""
@@ -427,7 +477,7 @@ def _pointwise_partial_sums(q, n_top, r, h=(0.0, 0.0, 0.0)):
     value, weight = 0j, 0.0
     for m in range(n_top + 1):
         for (x, y, z) in representations(m):
-            term = q.evaluate_float(x, y, z) * cmath.exp(
+            term = q.evaluate_arrays(x, y, z) * cmath.exp(
                 2j * math.pi * (r * math.sqrt(m) + h[0] * x + h[1] * y + h[2] * z)
             )
             value += term
@@ -516,7 +566,7 @@ BALL_POLYS = {
     "one": "1",
     "quartic": QUARTIC_EXPR,
     "sextic": SEXTIC_EXPR,
-    "octic": "x^8-28*x^6*y^2+70*x^4*y^4-28*x^2*y^6+y^8",
+    "octic": OCTIC_EXPR,
     "mixed-parity": "x^3*y+2*x*z-7",
 }
 
