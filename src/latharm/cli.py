@@ -221,21 +221,10 @@ def cmd_pair(args) -> int:
     return 0
 
 
-_NAMED_LONG = {
-    "vdc": [exppairs.term(1, -1)],
-    "classic": exppairs.long_sum_terms(exppairs.KNOWN_PAIRS["classic"]),
-    "huxley": exppairs.long_sum_terms(exppairs.KNOWN_PAIRS["huxley"]),
-    "huxley-ba2": exppairs.long_sum_terms(
-        exppairs.pair_apply_word("BA2", exppairs.KNOWN_PAIRS["huxley"])
-    ),
-    "lindelof": exppairs.long_sum_terms(exppairs.KNOWN_PAIRS["lindelof"]),
-}
-
-
 @_domain_errors_are_usage
 def cmd_balance(args) -> int:
-    if args.long in _NAMED_LONG:
-        long_terms = list(_NAMED_LONG[args.long])
+    if args.long in exppairs.LONG_SUM_MODELS:
+        long_terms = list(exppairs.LONG_SUM_MODELS[args.long])
     else:
         long_terms = exppairs.parse_terms(args.long)
     short_terms = exppairs.parse_terms(args.short)
@@ -335,21 +324,28 @@ def cmd_fit(args) -> int:
 
 
 def _read_fit_csv(path: str) -> list[float]:
-    mags: dict[int, float] = {}
+    """|sum| at n = 1, 2, 3, ... from a `fit --csv` series; any other row is
+    a usage error that names its line."""
+    mags: list[float] = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "n,R,abs_sum":
             raise UsageError(f"unexpected series header {header!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 3:
-                continue
-            mags[int(parts[0])] = float(parts[2])
+        for line_no, line in enumerate(fh, start=2):
+            n = len(mags) + 1
+            lattice.check_n_max(n)
+            fields = line.strip().split(",")
+            try:
+                ok = len(fields) == 3 and int(fields[0]) == n and 0 <= float(fields[2]) < math.inf
+            except ValueError:
+                ok = False
+            if not ok:
+                raise UsageError(f"series line {line_no}: want n,R,abs_sum with n = {n} and "
+                                 f"a finite abs_sum >= 0, got {line.strip()!r}")
+            mags.append(float(fields[2]))
     if not mags:
         raise UsageError("empty series file")
-    n_max = max(mags)
-    lattice.check_n_max(n_max)
-    return [mags.get(n, 0.0) for n in range(1, n_max + 1)]
+    return mags
 
 
 def cmd_theta_check(args) -> int:
@@ -359,27 +355,27 @@ def cmd_theta_check(args) -> int:
     if not 1 <= args.sample <= modular.SAMPLE_CAP:
         raise UsageError(f"--sample must be between 1 and {modular.SAMPLE_CAP}")
     p = _poly_arg(args.poly)
-    try:
-        ctx = modular.theta_context(p, n_max=args.n_max)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    reports = []
     if args.gamma:
         try:
             a, b, c, d = (int(s) for s in args.gamma.split(","))
             zr, zi = (float(s) for s in args.z.split(","))
         except (ValueError, AttributeError):
             raise UsageError("--gamma wants a,b,c,d and --z wants re,im")
+        if not (math.isfinite(zr) and math.isfinite(zi)):
+            raise UsageError(f"--z must be finite, got {args.z!r}")
         try:
             gamma = modular.GammaElement(a, b, c, d)
         except ValueError as exc:
             raise UsageError(str(exc))
-        reports.append(
-            modular.transformation_check(ctx, gamma, complex(zr, zi), tol=args.tol)
-        )
+    try:
+        ctx = modular.theta_context(p, n_max=args.n_max)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    if args.gamma:
+        reports = [modular.transformation_check(ctx, gamma, complex(zr, zi), tol=args.tol)]
     else:
         try:
-            reports.extend(
+            reports = list(
                 modular.sample_checks(ctx, args.sample, seed=args.seed, tol=args.tol))
         except ValueError as exc:  # e.g. a tail that n_max cannot certify below tol
             raise UsageError(str(exc))

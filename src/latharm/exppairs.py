@@ -86,15 +86,13 @@ class ErrorTerm:
 
     r_exp: Fraction
     h_exp: Fraction
-    label: str = ""
-    eps: bool = False
 
     def at(self, alpha: Fraction) -> Fraction:
         """Exponent of R when H = R^alpha."""
         return self.r_exp + self.h_exp * alpha
 
     def __str__(self) -> str:
-        return self.label or format_term(self.r_exp, self.h_exp)
+        return format_term(self.r_exp, self.h_exp)
 
 
 def format_term(r_exp: Fraction, h_exp: Fraction) -> str:
@@ -108,9 +106,8 @@ def format_term(r_exp: Fraction, h_exp: Fraction) -> str:
     return "".join(parts) or "1"
 
 
-def term(r_exp, h_exp, eps: bool = False) -> ErrorTerm:
-    r, h = Fraction(r_exp), Fraction(h_exp)
-    return ErrorTerm(r, h, label=format_term(r, h), eps=eps)
+def term(r_exp, h_exp) -> ErrorTerm:
+    return ErrorTerm(Fraction(r_exp), Fraction(h_exp))
 
 
 def long_sum_terms(p: ExponentPair) -> list[ErrorTerm]:
@@ -121,8 +118,18 @@ def long_sum_terms(p: ExponentPair) -> list[ErrorTerm]:
     denom = 4 * p.k + 2 * p.l + 4
     return [
         term(1, Fraction(-1, 2)),
-        term(1 + (p.k + 1) / denom, -(p.k + 3 * p.l - 1) / denom, eps=p.eps),
+        term(1 + (p.k + 1) / denom, -(p.k + 3 * p.l - 1) / denom),
     ]
+
+
+# named long-sum estimates: van der Corput's, and those of four exponent pairs
+LONG_SUM_MODELS: dict[str, list[ErrorTerm]] = {
+    "vdc": [term(1, -1)],
+    "classic": long_sum_terms(KNOWN_PAIRS["classic"]),
+    "huxley": long_sum_terms(KNOWN_PAIRS["huxley"]),
+    "huxley-ba2": long_sum_terms(pair_apply_word("BA2", KNOWN_PAIRS["huxley"])),
+    "lindelof": long_sum_terms(KNOWN_PAIRS["lindelof"]),
+}
 
 
 SHORT_SUM_MODELS: dict[str, list[ErrorTerm]] = {
@@ -230,22 +237,19 @@ _CI_LONG = [
 
 
 def _row_definitions() -> list[tuple[str, list[ErrorTerm], str, str, int]]:
-    classic = long_sum_terms(KNOWN_PAIRS["classic"])
-    huxley_ba2 = long_sum_terms(pair_apply_word("BA2", KNOWN_PAIRS["huxley"]))
-    huxley_raw = long_sum_terms(KNOWN_PAIRS["huxley"])
-    lep = long_sum_terms(KNOWN_PAIRS["lindelof"])
+    classic, lep = LONG_SUM_MODELS["classic"], LONG_SUM_MODELS["lindelof"]
     return [
-        ("Van der Corput", [term(1, -1)], "trivial", "all P", 0),
+        ("Van der Corput", LONG_SUM_MODELS["vdc"], "trivial", "all P", 0),
         ("Chen; Vinogradov", [term(1, Fraction(-1, 2))], "trivial", "all P", 0),
         ("Chamizo-Iwaniec", _CI_LONG, "CI", "P = 1", 0),
         ("Chamizo-Iwaniec", _CI_LONG, "HB", "P = 1", 0),
         ("classic pair", classic, "cusp", "mean-zero P", 0),
-        ("Huxley pair BA2", huxley_ba2, "cusp", "mean-zero P", 0),
+        ("Huxley pair BA2", LONG_SUM_MODELS["huxley-ba2"], "cusp", "mean-zero P", 0),
         ("Lindelof pair", lep, "cusp", "mean-zero P", 2),
         ("classic pair", classic, "GLH", "P = 1", 2),
         ("Lindelof pair", lep, "GLH", "P = 1", 2),
         ("classic pair", classic, "RC", "mean-zero P", 2),
-        ("Huxley pair", huxley_raw, "RC", "mean-zero P", 2),
+        ("Huxley pair", LONG_SUM_MODELS["huxley"], "RC", "mean-zero P", 2),
         ("Lindelof pair", lep, "RC", "mean-zero P", 2),
     ]
 

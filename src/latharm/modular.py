@@ -15,20 +15,25 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .lattice import N_MAX_CAP, coeff_series, shell_floats
+from .lattice import N_MAX_CAP, homogeneous_shell_totals, shell_floats
 from .poly import Polynomial3
 
-DEFAULT_Y_MIN = 0.05
+Y_MIN = 0.05  # theta is evaluated only at Im z >= Y_MIN
 DEFAULT_N_MAX = 1 << 14
 
-# Sampled checks draw c from this pool and Im z uniformly from this range.
+# Sampled checks draw c from this pool, d from the odd d in [-25, 25] prime
+# to c (+-1 for c = 0), and Im z uniformly from this range.
 SAMPLE_C_POOL = (0, 4, -4, 8, -8, 12, -12, 16, -16)
+SAMPLE_D_POOL = {
+    c: tuple(d for d in range(-25, 26, 2) if math.gcd(c, d) == 1) if c else (1, -1)
+    for c in SAMPLE_C_POOL
+}
 SAMPLE_Y_RANGE = (0.1, 2.0)
 SAMPLE_CAP = 10_000  # the largest `theta-check --sample` count
 TRANSFORM_FLOOR = 1e-20  # |theta| below which a transformation check is inconclusive
 
 
-def e_of(t: float) -> complex:
+def e_of(t: complex) -> complex:
     """exp(2 pi i t)."""
     return cmath.exp(2j * math.pi * t)
 
@@ -129,27 +134,21 @@ def gamma0_4_from_cd(c: int, d: int) -> GammaElement:
 def automorphy_j(gamma: GammaElement, z: complex) -> complex:
     """(c/d) * epsilon_d^(-1) * (cz + d)^(1/2), principal square root."""
     c, d = gamma.c, gamma.d
-    if c == 0:
-        symbol = 1  # (0 / +-1)
-    else:
-        symbol = shimura_legendre(c, d)
-    return symbol / epsilon_d(d) * cmath.sqrt(c * z + d)
+    return shimura_legendre(c, d) / epsilon_d(d) * cmath.sqrt(c * z + d)
 
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Evaluation context: harmonic polynomial, degree, shell coefficients.
+    """Evaluation context: degree and shell coefficients of a harmonic polynomial.
 
     floats[n] is a_n as a float for 0 <= n <= n_max (floats[0] is P(0)).
     coeff_c is C in the crude bound |a_n| <= C n^(nu/2 + 1), used for the
     certified truncation tail.
     """
 
-    poly: Polynomial3
     nu: int
     floats: tuple[float, ...]
     n_max: int
-    y_min: float
     coeff_c: float
 
     def tail_bound(self, y: float, n_terms: int) -> float:
@@ -164,31 +163,30 @@ class ThetaContext:
         return lead / (1 - t)
 
 
-def theta_context(
-    p: Polynomial3, n_max: int = DEFAULT_N_MAX, y_min: float = DEFAULT_Y_MIN
-) -> ThetaContext:
-    """Precompute the shell coefficients for theta evaluation."""
+def theta_context(p: Polynomial3, n_max: int = DEFAULT_N_MAX) -> ThetaContext:
+    """The exact shell sums a_0..a_n_max of a real harmonic homogeneous P,
+    each rounded once to a float, with the constant of the tail bound."""
     if not p.is_homogeneous or not p.is_harmonic:
         raise ValueError("theta context requires a harmonic homogeneous polynomial")
-    p.require_real("theta context")
-    series = coeff_series(p, n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    denom, totals = homogeneous_shell_totals(p, n_max, "theta context")
     # |a_n| <= r3(n) max|P| <= 18 n * (sum |coeffs|) n^(nu/2)
     coeff_c = 18.0 * float(p.coeff_l1())
     return ThetaContext(
-        poly=p,
         nu=p.degree,
-        floats=tuple(shell_floats(series.denom, series.totals).tolist()),
+        floats=tuple(shell_floats(denom, totals).tolist()),
         n_max=n_max,
-        y_min=y_min,
         coeff_c=coeff_c,
     )
 
 
 def theta_eval(ctx: ThetaContext, z: complex, tol: float = 1e-12) -> complex:
-    """Sum of a_n e(nz) truncated so the certified tail is below tol."""
+    """Sum of a_n e(nz) truncated so the certified tail is below tol, by
+    Horner's rule in q = e(z) from the last term kept down to a_0 = P(0)."""
     y = z.imag
-    if y < ctx.y_min:
-        raise ValueError(f"Im z = {y} below configured minimum {ctx.y_min}")
+    if y < Y_MIN:
+        raise ValueError(f"Im z = {y} below the minimum {Y_MIN}")
     m = 16  # the first of 16, 32, 64, ... whose tail is certified, else n_max
     while m < ctx.n_max and not ctx.tail_bound(y, m) < tol:
         m *= 2
@@ -197,12 +195,10 @@ def theta_eval(ctx: ThetaContext, z: complex, tol: float = 1e-12) -> complex:
         raise ValueError(
             f"cannot certify tail < {tol} with n_max={ctx.n_max} at Im z = {y}"
         )
-    q1 = e_of(z.real)  # e(z) split into phase and decay for stability
-    total = 0 + 0j
-    for n in range(n_terms, -1, -1):  # ascending magnitude, ending at P(0)
-        a_n = ctx.floats[n]
-        if a_n:
-            total += a_n * (q1**n) * math.exp(-2 * math.pi * n * y)
+    q = e_of(z)
+    total = 0j
+    for a_n in reversed(ctx.floats[: n_terms + 1]):
+        total = total * q + a_n
     return total
 
 
@@ -215,7 +211,6 @@ class TransformReport:
     lhs: complex
     rhs: complex
     rel_err: float
-    tol: float
     passed: bool
     inconclusive: bool
 
@@ -243,8 +238,8 @@ def transformation_check(
     floor TRANSFORM_FLOOR); a theta(z) below the floor is flagged inconclusive.
     """
     image = gamma.apply(z)
-    if z.imag < ctx.y_min or image.imag < ctx.y_min:
-        raise ValueError("both z and gamma z must stay above y_min")
+    if z.imag < Y_MIN or image.imag < Y_MIN:
+        raise ValueError(f"both z and gamma z must stay above Im = {Y_MIN}")
     eval_tol = min(1e-14, tol * 1e-4)
     lhs = theta_eval(ctx, image, tol=eval_tol)
     base = theta_eval(ctx, z, tol=eval_tol)
@@ -259,7 +254,6 @@ def transformation_check(
         lhs=lhs,
         rhs=rhs,
         rel_err=rel_err,
-        tol=tol,
         passed=(rel_err < tol) and not inconclusive,
         inconclusive=inconclusive,
     )
@@ -271,20 +265,23 @@ def sample_checks(
     seed: int = 0,
     tol: float = 1e-6,
 ) -> Iterator[TransformReport]:
-    """Deterministic stream of transformation checks at pseudo-random (gamma, z)."""
+    """Deterministic stream of `count` transformation checks.
+
+    Each draw takes c from SAMPLE_C_POOL, d from SAMPLE_D_POOL[c], Re z
+    uniform in [-0.5, 0.5] and Im z from SAMPLE_Y_RANGE; a draw whose
+    gamma z lies below Y_MIN is skipped, so the seed fixes the stream.
+    """
     import random
 
     rng = random.Random(seed)
     produced = 0
     while produced < count:
         c = rng.choice(SAMPLE_C_POOL)
-        d_candidates = [d for d in range(-25, 26, 2) if c == 0 or math.gcd(c, d) == 1]
-        d = rng.choice(d_candidates) if c != 0 else rng.choice([1, -1])
-        gamma = gamma0_4_from_cd(c, d)
+        gamma = gamma0_4_from_cd(c, rng.choice(SAMPLE_D_POOL[c]))
         x = rng.uniform(-0.5, 0.5)
         y = rng.uniform(*SAMPLE_Y_RANGE)
         z = complex(x, y)
-        if gamma.apply(z).imag < ctx.y_min:
+        if gamma.apply(z).imag < Y_MIN:
             continue
         yield transformation_check(ctx, gamma, z, tol=tol)
         produced += 1
@@ -321,13 +318,9 @@ def gauss_sum_closed(d: int, c: int) -> complex:
         raise ValueError("closed form requires odd d")
     if math.gcd(c, d) != 1:
         raise ValueError("need gcd(c, d) = 1")
-    if c > 0 and d > 0:
-        return (1 + 1j) / epsilon_d(d) * math.sqrt(c) * jacobi_symbol(c, d)
-    if c > 0 and d < 0:
-        return (1 - 1j) * epsilon_d(-d) * math.sqrt(c) * jacobi_symbol(c, -d)
-    if c < 0 and d > 0:
-        return (1 - 1j) * epsilon_d(d) * math.sqrt(-c) * jacobi_symbol(-c, d)
-    return (1 + 1j) / epsilon_d(-d) * math.sqrt(-c) * jacobi_symbol(-c, -d)
+    # the sum for (|d|, |c|), conjugated when d and c differ in sign
+    g = (1 + 1j) / epsilon_d(abs(d)) * math.sqrt(abs(c)) * jacobi_symbol(abs(c), abs(d))
+    return g.conjugate() if c * d < 0 else g
 
 
 def quadratic_sum_S(xi: int, d: int, c: int) -> complex:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from latharm import exppairs, lattice
 from latharm.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,6 +64,14 @@ def test_balance_named_term_lists(capsys):
     assert code == 0
     assert "alpha=-37/64" in out
     assert "theta=83/64" in out
+
+
+@pytest.mark.parametrize("name", sorted(exppairs.LONG_SUM_MODELS))
+def test_balance_named_long_list_equals_its_exponents(capsys, name):
+    explicit = ";".join(f"{t.r_exp},{t.h_exp}" for t in exppairs.LONG_SUM_MODELS[name])
+    named = run(capsys, "balance", "--long", name, "--short", "cusp")
+    assert named[0] == 0
+    assert named == run(capsys, "balance", "--long", explicit, "--short", "cusp")
 
 
 def test_balance_json(capsys):
@@ -195,6 +204,12 @@ BAD_INPUT = {
     "fit-missing-csv": ("fit", "--from-csv", "{tmp}/missing.csv"),
     # a series row at n = 10^12 would size a list of 10^12 entries
     "fit-from-csv-n-huge": ("fit", "--from-csv", "{tmp}/huge-n.csv"),
+    # a series must list n = 1, 2, 3, ... as rows n,R,abs_sum
+    "fit-from-csv-two-fields": ("fit", "--from-csv", "{tmp}/two-fields.csv"),
+    "fit-from-csv-gap": ("fit", "--from-csv", "{tmp}/gap.csv"),
+    "fit-from-csv-n-0": ("fit", "--from-csv", "{tmp}/n-0.csv"),
+    "fit-from-csv-abs-sum-inf": ("fit", "--from-csv", "{tmp}/abs-sum-inf.csv"),
+    "fit-from-csv-abs-sum-nan": ("fit", "--from-csv", "{tmp}/abs-sum-nan.csv"),
     "table-out-missing-dir": ("table", "--out", "{tmp}/missing/t.txt"),
     "pair-bad-word": ("pair", "--pair", "1/6,2/3", "--word", "C"),
     # work that would exhaust memory is refused before anything is allocated
@@ -213,12 +228,17 @@ BAD_INPUT = {
     "expsum-phase-imprecise-sweep": ("expsum", "--poly", "x^2", "--r=-3e9",
                                      "--n-list", "1,4"),
     "theta-check-n-max-huge": ("theta-check", "--n-max", "2000000"),
+    "theta-check-n-max-0": ("theta-check", "--n-max", "0"),
+    "theta-check-z-im-nan": ("theta-check", "--gamma", "1,0,4,1", "--z", "0,nan"),
+    "theta-check-z-im-inf": ("theta-check", "--gamma", "1,0,4,1", "--z", "0,inf"),
+    "theta-check-z-re-nan": ("theta-check", "--gamma", "1,0,4,1", "--z", "nan,1"),
+    "theta-check-z-re-inf": ("theta-check", "--gamma", "1,0,4,1", "--z", "inf,1"),
     "theta-check-nonharmonic": ("theta-check", "--poly", "x^2"),
     "theta-check-nonhomogeneous": ("theta-check", "--poly", "x^2+y"),
     "theta-check-tol-nan": ("theta-check", "--tol", "nan"),
     "theta-check-tol-0": ("theta-check", "--tol", "0"),
     "theta-check-tol-negative": ("theta-check", "--tol", "-1"),
-    # no tail of 256 terms is certified below 1e-30 * 1e-4 near y_min
+    # no tail of 256 terms is certified below 1e-30 * 1e-4 near Y_MIN
     "theta-check-tol-uncertifiable": ("theta-check", "--tol", "1e-30", "--n-max", "256"),
     "gauss-c-huge": ("gauss", "--d", "1", "--c", "4000000000"),
     "theta-check-sample-0": ("theta-check", "--sample", "0"),
@@ -235,6 +255,11 @@ BAD_INPUT = {
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT)
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "huge-n.csv").write_text("n,R,abs_sum\n1000000000000,1000000.0,1.0\n")
+    (tmp_path / "two-fields.csv").write_text("n,R,abs_sum\n1,1.0,12.0\n2,1.4142135623730951\n")
+    (tmp_path / "gap.csv").write_text("n,R,abs_sum\n1,1.0,12.0\n3,1.7320508075688772,84.0\n")
+    (tmp_path / "n-0.csv").write_text("n,R,abs_sum\n0,0.0,0.0\n1,1.0,12.0\n")
+    (tmp_path / "abs-sum-inf.csv").write_text("n,R,abs_sum\n1,1.0,12.0\n2,1.4142135623730951,inf\n")
+    (tmp_path / "abs-sum-nan.csv").write_text("n,R,abs_sum\n1,1.0,nan\n")
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
@@ -309,6 +334,28 @@ def test_fit_quartic_and_csv_roundtrip(capsys, tmp_path):
     assert code == 0
     refit = json.loads(out)
     assert refit == direct  # byte-identical fit after re-ingesting the series
+
+
+def test_fit_from_csv_refuses_cut_rows(capsys, tmp_path):
+    # every other row of a quartic series cut to two fields: once read as |sum| = 0
+    target = tmp_path / "series.csv"
+    assert run(capsys, "fit", "--poly", QUARTIC, "--r-max", "16", "--csv", str(target))[0] == 0
+    lines = target.read_text().splitlines()
+    cut = [line.rsplit(",", 1)[0] if i % 2 == 0 else line
+           for i, line in enumerate(lines) if i > 0]
+    target.write_text("\n".join(lines[:1] + cut) + "\n")
+    code, out, err = run(capsys, "fit", "--from-csv", str(target))
+    assert (code, out) == (2, "")
+    assert "series line 3:" in err and "n = 2" in err
+
+
+def test_fit_from_csv_refuses_rows_past_the_shell_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(lattice, "N_MAX_CAP", 3)
+    target = tmp_path / "series.csv"
+    target.write_text("n,R,abs_sum\n" + "".join(f"{n},{n},1.0\n" for n in range(1, 5)))
+    code, out, err = run(capsys, "fit", "--from-csv", str(target))
+    assert (code, out) == (2, "")
+    assert "shell count 4 outside 0..3" in err
 
 
 def test_fit_subtract_main_mode(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from latharm.exppairs import (
     KNOWN_PAIRS,
+    LONG_SUM_MODELS,
     ExponentPair,
     exponent_table,
     balance,
@@ -109,6 +110,21 @@ def test_long_terms_huxley_ba2():
 def test_long_terms_lindelof():
     terms = long_sum_terms(pair(0, F(1, 2)))
     assert (terms[1].r_exp, terms[1].h_exp) == (F(6, 5), F(-1, 10))
+
+
+def test_long_term_models():
+    assert sorted(LONG_SUM_MODELS) == ["classic", "huxley", "huxley-ba2", "lindelof", "vdc"]
+    assert LONG_SUM_MODELS["vdc"] == [term(1, -1)]
+    assert LONG_SUM_MODELS["classic"] == long_sum_terms(pair(F(1, 2), F(1, 2)))
+    assert LONG_SUM_MODELS["huxley"] == long_sum_terms(KNOWN_PAIRS["huxley"])
+    assert LONG_SUM_MODELS["huxley-ba2"][1] == term(F(15987, 13220), F(-1947, 13220))
+    assert LONG_SUM_MODELS["lindelof"] == long_sum_terms(pair(0, F(1, 2)))
+
+
+def test_term_prints_its_exponents():
+    assert [str(t) for t in LONG_SUM_MODELS["classic"]] == ["RH^-1/2", "R^17/14H^-1/7"]
+    assert str(term(0, 0)) == "1"
+    assert str(term(2, 1)) == "R^2H"
 
 
 def test_short_term_models():

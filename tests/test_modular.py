@@ -7,6 +7,9 @@ import pytest
 import sympy
 
 from latharm.modular import (
+    SAMPLE_C_POOL,
+    SAMPLE_Y_RANGE,
+    Y_MIN,
     GammaElement,
     TransformReport,
     automorphy_j,
@@ -25,6 +28,10 @@ from latharm.modular import (
 )
 from latharm.lattice import representations
 from latharm.poly import parse_poly
+
+from conftest import QUARTIC_EXPR, SEXTIC_EXPR
+
+OCTIC_EXPR = "x^8-28*x^6*y^2+70*x^4*y^4-28*x^2*y^6+y^8"
 
 
 # -- symbols ---------------------------------------------------------------------
@@ -134,16 +141,50 @@ def test_theta_leading_terms(quartic):
 
 
 def test_theta_requires_headroom(quartic):
-    ctx = theta_context(quartic, n_max=64, y_min=0.01)
+    ctx = theta_context(quartic, n_max=64)
     with pytest.raises(ValueError):
-        theta_eval(ctx, complex(0, 0.02), tol=1e-12)
+        theta_eval(ctx, complex(0, 0.06), tol=1e-12)  # tail bound 9.6e-3 at n = 64
     with pytest.raises(ValueError):
-        theta_eval(ctx, complex(0, 0.001))  # below y_min
+        theta_eval(ctx, complex(0, 0.001))  # below Y_MIN
 
 
 def test_theta_context_rejects_nonharmonic():
     with pytest.raises(ValueError):
         theta_context(parse_poly("x^2"))
+
+
+def test_theta_context_refuses_empty_series(quartic):
+    with pytest.raises(ValueError, match="at least 1"):
+        theta_context(quartic, n_max=0)
+
+
+def _per_term_theta(ctx, z, tol=1e-12):
+    """Reference: theta_eval as first written, the same truncation followed by
+    a_n e(Re z)^n e^(-2 pi n Im z) term by term; also returns sum |a_n| |q|^n."""
+    y = z.imag
+    m = 16
+    while m < ctx.n_max and not ctx.tail_bound(y, m) < tol:
+        m *= 2
+    n_terms = min(m, ctx.n_max)
+    q1 = e_of(z.real)
+    total, scale = 0 + 0j, 0.0
+    for n in range(n_terms, -1, -1):
+        a_n = ctx.floats[n]
+        if a_n:
+            decay = math.exp(-2 * math.pi * n * y)
+            total += a_n * (q1**n) * decay
+            scale += abs(a_n) * decay
+    return total, scale
+
+
+@pytest.mark.parametrize("expr", ["1", QUARTIC_EXPR, SEXTIC_EXPR],
+                         ids=["one", "quartic", "sextic"])
+def test_horner_theta_matches_per_term_sum(expr):
+    ctx = theta_context(parse_poly(expr), n_max=2048)
+    for z in (complex(0.3, Y_MIN + 1e-3), complex(-0.41, Y_MIN + 0.02), complex(0.25, 0.12),
+              complex(0.1, 0.5), complex(-0.45, 1.3), complex(0.0, 2.0)):
+        expected, scale = _per_term_theta(ctx, z)
+        assert abs(theta_eval(ctx, z) - expected) <= 1e-13 * scale, (expr, z)
 
 
 def test_theta_context_refuses_oversized_n_max(quartic):
@@ -255,6 +296,34 @@ def test_cocycle_consistency(quartic):
             checked += 1
 
 
+def _reference_draws(count, seed):
+    """Reference: the (gamma, z) stream of the sampler as first written, which
+    rebuilt the coprime d list on every draw and drew d from [1, -1] at c = 0."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        c = rng.choice(SAMPLE_C_POOL)
+        d_candidates = [d for d in range(-25, 26, 2) if c == 0 or math.gcd(c, d) == 1]
+        d = rng.choice(d_candidates) if c != 0 else rng.choice([1, -1])
+        gamma = gamma0_4_from_cd(c, d)
+        x = rng.uniform(-0.5, 0.5)
+        y = rng.uniform(*SAMPLE_Y_RANGE)
+        z = complex(x, y)
+        if gamma.apply(z).imag < 0.05:
+            continue
+        draws.append((gamma.entries(), z))
+    return draws
+
+
+@pytest.mark.parametrize("expr", [QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR],
+                         ids=["quartic", "sextic", "octic"])
+def test_sampler_draws_match_reference(expr):
+    ctx = theta_context(parse_poly(expr), n_max=4096)
+    for seed in range(10):
+        draws = [(r.gamma, r.z) for r in sample_checks(ctx, 300, seed=seed)]
+        assert draws == _reference_draws(300, seed), (expr, seed)
+
+
 def test_report_serialization(quartic):
     ctx = theta_context(quartic, n_max=2048)
     rep = transformation_check(ctx, gamma0_4_from_cd(4, 1), complex(0, 0.5))
@@ -284,6 +353,25 @@ def test_gauss_closed_matches_direct_everywhere():
             closed = gauss_sum_closed(d, c)
             assert abs(direct - closed) < 1e-10, (d, c)
             assert abs(closed) == pytest.approx(math.sqrt(2 * abs(c)), rel=1e-12)
+
+
+def _four_branch_gauss_closed(d, c):
+    """Reference: the closed form as first written, one branch per sign pair."""
+    if c > 0 and d > 0:
+        return (1 + 1j) / epsilon_d(d) * math.sqrt(c) * jacobi_symbol(c, d)
+    if c > 0 and d < 0:
+        return (1 - 1j) * epsilon_d(-d) * math.sqrt(c) * jacobi_symbol(c, -d)
+    if c < 0 and d > 0:
+        return (1 - 1j) * epsilon_d(d) * math.sqrt(-c) * jacobi_symbol(-c, d)
+    return (1 + 1j) / epsilon_d(-d) * math.sqrt(-c) * jacobi_symbol(-c, -d)
+
+
+def test_gauss_closed_equals_four_branch_form():
+    for c in range(-64, 65, 4):
+        for d in range(-65, 66, 2):
+            if c == 0 or math.gcd(c, d) != 1:
+                continue
+            assert gauss_sum_closed(d, c) == _four_branch_gauss_closed(d, c), (d, c)
 
 
 def test_gauss_closed_case_values():
