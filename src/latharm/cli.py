@@ -115,32 +115,21 @@ def cmd_coeffs(args) -> int:
 
 
 @_domain_errors_are_usage
-def cmd_shortsum(args) -> int:
+def cmd_window_sum(args) -> int:
+    """`shortsum` and `longsum`: a weighted sum over the window of R, H."""
     _require_finite(args, "r", "h")
     p = _poly_arg(args.poly)
+    short = args.command == "shortsum"
     if args.json:
-        rep = lattice.short_sum_report(p, args.r, args.h)
+        report = lattice.short_sum_report if short else lattice.long_sum_report
+        rep = report(p, args.r, args.h)
         _json_out(
             {"poly": p.to_string(), "R": args.r, "H": args.h,
              "value": rep.value, "term_count": rep.term_count}
         )
     else:
-        print(repr(lattice.short_sum(p, args.r, args.h)))
-    return 0
-
-
-@_domain_errors_are_usage
-def cmd_longsum(args) -> int:
-    _require_finite(args, "r", "h")
-    p = _poly_arg(args.poly)
-    if args.json:
-        rep = lattice.long_sum_report(p, args.r, args.h)
-        _json_out(
-            {"poly": p.to_string(), "R": args.r, "H": args.h,
-             "value": rep.value, "term_count": rep.term_count}
-        )
-    else:
-        print(repr(lattice.long_sum_physical(p, args.r, args.h)))
+        value = lattice.short_sum if short else lattice.long_sum_physical
+        print(repr(value(p, args.r, args.h)))
     return 0
 
 
@@ -440,24 +429,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="output path ('-' = stdout)")
     p.add_argument("--json", action="store_true")
 
-    p = add("shortsum", cmd_shortsum, "weighted boundary-shell sum")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("longsum", cmd_longsum, "smoothed lattice sum, physical side")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("freqsum", cmd_freqsum, "smoothed lattice sum, frequency side")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--n-trunc", type=int, required=True)
-    p.add_argument("--json", action="store_true")
+    for name, fn, help_ in (
+        ("shortsum", cmd_window_sum, "weighted boundary-shell sum"),
+        ("longsum", cmd_window_sum, "smoothed lattice sum, physical side"),
+        ("freqsum", cmd_freqsum, "smoothed lattice sum, frequency side"),
+    ):
+        p = add(name, fn, help_)
+        p.add_argument("--poly", required=True)
+        p.add_argument("--r", type=float, required=True)
+        p.add_argument("--h", type=float, required=True)
+        if name == "freqsum":
+            p.add_argument("--n-trunc", type=int, required=True)
+        p.add_argument("--json", action="store_true")
 
     p = add("expsum", cmd_expsum, "oscillatory lattice exponential sum / bound sweep")
     p.add_argument("--poly", default="1")

@@ -51,12 +51,19 @@ def pair_B(p: ExponentPair) -> ExponentPair:
     return ExponentPair(p.l - Fraction(1, 2), p.k + Fraction(1, 2), eps=p.eps)
 
 
+# Longest expansion a process word may ask for: A^n costs O(n^2) time, and
+# A^10000 already carries denominators of about 10^4 bits.
+WORD_CAP = 10_000
+
+
 def pair_apply_word(word: str, p: ExponentPair) -> ExponentPair:
     """Apply a process word, rightmost letter first, so BA2 = B after A, A.
 
     Accepts e.g. "BA2", "BA^2", "AB"; digits repeat the preceding letter.
+    A word expanding to more than WORD_CAP letters is refused before any
+    letter is applied.
     """
-    steps: list[str] = []
+    runs = []
     i = 0
     while i < len(word):
         ch = word[i]
@@ -65,18 +72,21 @@ def pair_apply_word(word: str, p: ExponentPair) -> ExponentPair:
             continue
         if ch not in "AaBb":
             raise ValueError(f"bad process word {word!r}: unexpected {ch!r}")
-        letter = ch.upper()
+        step = pair_A if ch in "Aa" else pair_B
         i += 1
         if i < len(word) and word[i] == "^":
             i += 1
-        count = 0
+        start = i
         while i < len(word) and word[i].isdigit():
-            count = count * 10 + int(word[i])
             i += 1
-        steps.extend(letter * max(count, 1))
+        runs.append((step, max(int(word[start:i] or 0), 1)))
+    total = sum(count for _, count in runs)
+    if total > WORD_CAP:
+        raise ValueError(f"process word expands to {total} letters, above {WORD_CAP}")
     result = p
-    for letter in reversed(steps):
-        result = pair_A(result) if letter == "A" else pair_B(result)
+    for step, count in reversed(runs):
+        for _ in range(count):
+            result = step(result)
     return result
 
 

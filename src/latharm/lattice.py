@@ -101,6 +101,12 @@ def check_n_max(n_max: int) -> None:
         raise ValueError(f"shell count {n_max} outside 0..{N_MAX_CAP}")
 
 
+def check_window(r: float, h: float) -> None:
+    """Refuse a smoothing window outside R >= 1, 0 < H <= 1 (NaN included)."""
+    if not (r >= 1 and 0 < h <= 1):
+        raise ValueError("need R >= 1 and 0 < H <= 1")
+
+
 def _square_weights(exponent: int, k_max: int) -> list[int]:
     """w[j] = 2 j^exponent for the two points +-j, and w[0] = 0^exponent (0^0 = 1)."""
     w0 = 1 if exponent == 0 else 0
@@ -315,8 +321,7 @@ def _window_bounds(r: float, h: float) -> tuple[int, int]:
 
 def _window_totals(p: Polynomial3, r: float, h: float, what: str):
     """Checked (D, T, lo, hi) for a weighted sum over the window of R, H."""
-    if r < 1 or not 0 < h <= 1:
-        raise ValueError("need R >= 1 and 0 < H <= 1")
+    check_window(r, h)
     lo, hi = _window_bounds(r, h)
     denom, totals = homogeneous_shell_totals(p, hi, what)
     return denom, totals, lo, hi
@@ -443,8 +448,11 @@ def dyadic_growth_fit(magnitudes: Sequence[float], edge_ratio: int = 2) -> FitRe
     """Fit log(running max) against log(n) at window ends n = 4 * edge_ratio^j.
 
     magnitudes[i] is the value at n = i + 1.  Returns None when fewer than
-    three windows carry a nonzero running maximum.
+    three windows carry a nonzero running maximum.  edge_ratio below 2 is
+    refused: the window ends would never grow.
     """
+    if edge_ratio < 2:
+        raise ValueError(f"edge_ratio must be at least 2, not {edge_ratio}")
     n_max = len(magnitudes)
     xs, ys = [], []
     running = 0.0

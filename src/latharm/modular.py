@@ -21,13 +21,9 @@ from .poly import Polynomial3
 Y_MIN = 0.05  # theta is evaluated only at Im z >= Y_MIN
 DEFAULT_N_MAX = 1 << 14
 
-# Sampled checks draw c from this pool, d from the odd d in [-25, 25] prime
-# to c (+-1 for c = 0), and Im z uniformly from this range.
+# Sampled checks draw c from this pool, gamma from SAMPLE_GAMMA_POOL[c] (see
+# below), and Im z uniformly from this range.
 SAMPLE_C_POOL = (0, 4, -4, 8, -8, 12, -12, 16, -16)
-SAMPLE_D_POOL = {
-    c: tuple(d for d in range(-25, 26, 2) if math.gcd(c, d) == 1) if c else (1, -1)
-    for c in SAMPLE_C_POOL
-}
 SAMPLE_Y_RANGE = (0.1, 2.0)
 SAMPLE_CAP = 10_000  # the largest `theta-check --sample` count
 TRANSFORM_FLOOR = 1e-20  # |theta| below which a transformation check is inconclusive
@@ -129,6 +125,15 @@ def gamma0_4_from_cd(c: int, d: int) -> GammaElement:
     a = pow(d, -1, abs(c)) % abs(c)
     b = (a * d - 1) // c
     return GammaElement(a, b, c, d)
+
+
+# Each c of SAMPLE_C_POOL to the completions of its bottom rows (c, d), d
+# odd in [-25, 25] and prime to c (d = 1, -1 for c = 0), built once.
+SAMPLE_GAMMA_POOL = {
+    c: tuple(gamma0_4_from_cd(c, d) for d in
+             (range(-25, 26, 2) if c else (1, -1)) if math.gcd(c, d) == 1)
+    for c in SAMPLE_C_POOL
+}
 
 
 def automorphy_j(gamma: GammaElement, z: complex) -> complex:
@@ -267,8 +272,8 @@ def sample_checks(
 ) -> Iterator[TransformReport]:
     """Deterministic stream of `count` transformation checks.
 
-    Each draw takes c from SAMPLE_C_POOL, d from SAMPLE_D_POOL[c], Re z
-    uniform in [-0.5, 0.5] and Im z from SAMPLE_Y_RANGE; a draw whose
+    Each draw takes c from SAMPLE_C_POOL, gamma from SAMPLE_GAMMA_POOL[c],
+    Re z uniform in [-0.5, 0.5] and Im z from SAMPLE_Y_RANGE; a draw whose
     gamma z lies below Y_MIN is skipped, so the seed fixes the stream.
     """
     import random
@@ -276,8 +281,7 @@ def sample_checks(
     rng = random.Random(seed)
     produced = 0
     while produced < count:
-        c = rng.choice(SAMPLE_C_POOL)
-        gamma = gamma0_4_from_cd(c, rng.choice(SAMPLE_D_POOL[c]))
+        gamma = rng.choice(SAMPLE_GAMMA_POOL[rng.choice(SAMPLE_C_POOL)])
         x = rng.uniform(-0.5, 0.5)
         y = rng.uniform(*SAMPLE_Y_RANGE)
         z = complex(x, y)

@@ -12,9 +12,11 @@ the norm alone.  A homogeneous P of degree nu acts on it by Hobson's formula
     P(d/dxi) F(|xi|) = sum over k <= nu/2 of Lap^k P(xi) / (2^k k!) D^(nu-k) F
 
 with D = |xi|^-1 d/d|xi|.  The family is closed under D, so only the radial
-factor is differentiated; the result is evaluated at lattice frequencies
-shell by shell.  The direct sums of Q(xi) e(R |xi| + h . xi) also go shell
-by shell, on shell sums from `lattice` (exact for h = 0, complex otherwise).
+factor is differentiated, and D^j F is built once per j.  `freq_long_sum`,
+the one evaluator of the transform, takes it at lattice frequencies shell
+by shell; `gP_fourier_terms` expands it into a symbolic term list.  The
+direct sums of Q(xi) e(R |xi| + h . xi) also go shell by shell, on shell
+sums from `lattice` (exact for h = 0, complex otherwise).
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import check_n_max, main_term, offset_shell_sums, shell_floats, shell_totals
+from .lattice import (
+    check_n_max, check_window, main_term, offset_shell_sums, shell_floats, shell_totals,
+)
 from .poly import Polynomial3
 from .util import FitResult, linear_fit
 
@@ -46,15 +51,9 @@ class TrigFactor:
     def shifted(self) -> "TrigFactor":
         return TrigFactor(self.freq, (self.shift + 1) % 4)
 
-    def scale_value(self, r: float, h: float) -> float:
-        if self.freq == FREQ_2R:
-            return 2 * r
-        if self.freq == FREQ_H:
-            return h
-        return 2 * r + h
-
     def value(self, norm: float, r: float, h: float):
-        return np.sin(np.pi * (self.scale_value(r, h) * norm + self.shift / 2.0))
+        scale = {FREQ_2R: 2 * r, FREQ_H: h, FREQ_MIX: 2 * r + h}[self.freq]
+        return np.sin(np.pi * (scale * norm + self.shift / 2.0))
 
 
 @dataclass(frozen=True)
@@ -154,18 +153,29 @@ class FourierTerms:
     terms: tuple[RadialTerm, ...]
     imaginary: bool
 
-    def min_denom_pow(self) -> int:
-        return min(t.denom_pow for t in self.terms)
+
+@lru_cache(maxsize=None)
+def _radial_chain(j: int) -> tuple[tuple[RadialTerm, float], ...]:
+    """D^j F, the j-th radial derivative of the kernel transform, built once
+    per j as D(D^(j-1) F); it depends on j alone, and the degree cap bounds j.
+
+    Every numerator is a constant; each term comes paired with it as a float.
+    """
+    if j == 0:
+        terms = kernel_base_terms()
+    else:
+        terms = merge_terms(d for t, _ in _radial_chain(j - 1) for d in t.radial_derivative())
+    return tuple((t, float(t.poly.evaluate(0, 0, 0))) for t in terms)
 
 
 def _hobson_split(p: Polynomial3):
-    """P(-d/(2 pi i)) applied to the kernel transform F, split by Hobson's formula.
+    """The polynomial half of P(-d/(2 pi i)) applied to the kernel transform F.
 
-    Returns (nu, radial, parts): radial[j] = D^j F for 0 <= j <= nu, and
-    parts lists (k, c_k Lap^k P) for every nonzero Lap^k P, with
-    c_k = s / (2^nu 2^k k!) where i^nu = s for even nu and s i for odd nu.
-    The transform is pi^-nu times the sum over parts of
-    c_k Lap^k P(xi) D^(nu-k) F(|xi|), times i for odd nu.
+    Returns (nu, parts): parts lists (k, c_k Lap^k P) for every nonzero
+    Lap^k P, with c_k = s / (2^nu 2^k k!) where i^nu = s for even nu and
+    s i for odd nu.  By Hobson's formula the transform is pi^-nu times the
+    sum over parts of c_k Lap^k P(xi) D^(nu-k) F(|xi|) (`_radial_chain`),
+    times i for odd nu.
     """
     if not p.is_homogeneous:
         raise ValueError("operator application requires homogeneous P")
@@ -173,15 +183,12 @@ def _hobson_split(p: Polynomial3):
     nu = p.degree
     # overall factor (i / 2pi)^nu = i^nu 2^-nu pi^-nu
     sign = 1 if nu % 4 in (0, 1) else -1
-    radial = [kernel_base_terms()]
-    for _ in range(nu):
-        radial.append(merge_terms(d for t in radial[-1] for d in t.radial_derivative()))
     parts = []
     lap_p, k = p, 0
     while lap_p:
         parts.append((k, lap_p * Fraction(sign, 2**nu * 2**k * math.factorial(k))))
         lap_p, k = lap_p.laplacian(), k + 1
-    return nu, radial, parts
+    return nu, parts
 
 
 def gP_fourier_terms(p: Polynomial3) -> FourierTerms:
@@ -193,13 +200,13 @@ def gP_fourier_terms(p: Polynomial3) -> FourierTerms:
     degree nu - 2k and is brought to degree nu by |xi|^(2k) over |xi|^(2k),
     so every denominator power is at least nu + 3.
     """
-    nu, radial, parts = _hobson_split(p)
+    nu, parts = _hobson_split(p)
     r2 = Polynomial3.norm_squared()
     final = merge_terms(
         RadialTerm(t.pi_pow - nu, t.r_pow, t.h_pow, t.mix_pow, t.poly * (r2**k * lap),
                    t.denom_pow + 2 * k, t.trig)
         for k, lap in parts
-        for t in radial[nu - k]
+        for t, _ in _radial_chain(nu - k)
     )
     for t in final:
         assert t.poly.degree == nu or not t.poly
@@ -216,45 +223,29 @@ def _radial_factor(t: RadialTerm, norm, r: float, h: float):
     return val
 
 
-def eval_radial_terms(
-    expansion: FourierTerms, xi: Sequence[int], r: float, h: float
-) -> complex:
-    """Value of the term sum at a nonzero integer frequency."""
-    x, y, z = xi
-    nsq = x * x + y * y + z * z
-    if nsq == 0:
-        raise ValueError("the transform terms are singular at xi = 0")
-    norm = math.sqrt(nsq)
-    total = complex(sum(t.poly.evaluate_arrays(x, y, z) * _radial_factor(t, norm, r, h)
-                        for t in expansion.terms))
-    return total * 1j if expansion.imaginary else total
-
-
 def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
     """Main term plus the truncated frequency sum of the transformed kernel.
 
     Sums all nonzero frequencies with |xi|^2 <= n_trunc.  By Hobson's split
-    (`_hobson_split`) the transform is pi^-nu times the sum over k of
-    c_k Lap^k P(xi) D^(nu-k) F(|xi|), so its shell subtotal at |xi|^2 = n is
-    the exact shell sum of c_k Lap^k P times D^(nu-k) F(sqrt n): one shell
-    series per nonzero Lap^k P, a single one for harmonic P.  For odd nu
-    every Lap^k P is odd and sums to exactly 0 on every shell.  The shells
-    are combined with exact compensated addition.  Memory is O(n_trunc).
+    (`_hobson_split`, `_radial_chain`) the transform is pi^-nu times the sum
+    over k of c_k Lap^k P(xi) D^(nu-k) F(|xi|), so its shell subtotal at
+    |xi|^2 = n is the exact shell sum of c_k Lap^k P times D^(nu-k) F(sqrt n):
+    one shell series per nonzero Lap^k P, a single one for harmonic P.  For
+    odd nu every Lap^k P is odd and sums to exactly 0 on every shell.  The
+    shells are combined with exact compensated addition.  Memory is
+    O(n_trunc).
     """
     if n_trunc < 1:
         raise ValueError("n_trunc must be at least 1")
-    if r < 1 or not 0 < h <= 1:
-        raise ValueError("need R >= 1 and 0 < H <= 1")
+    check_window(r, h)
     check_n_max(n_trunc)
-    nu, radial, parts = _hobson_split(p)
+    nu, parts = _hobson_split(p)
     main = float(main_term(p, Fraction(r), Fraction(h))) * math.pi
     norm = np.sqrt(np.arange(1, n_trunc + 1, dtype=np.float64))
     contrib = np.zeros(n_trunc)
     for k, lap in parts:
         denom, totals = shell_totals(lap, n_trunc)
-        # the numerators of D^j F are constants
-        factor = sum(float(t.poly.evaluate(0, 0, 0)) * _radial_factor(t, norm, r, h)
-                     for t in radial[nu - k])
+        factor = sum(c * _radial_factor(t, norm, r, h) for t, c in _radial_chain(nu - k))
         contrib += shell_floats(denom, totals[1:]) * factor
     return main + math.pi**-nu * math.fsum(contrib)
 
@@ -314,6 +305,7 @@ def exp_sum_grid(n: int, d: int, r: float) -> float:
         raise ValueError("need N, D >= 1")
     if d > n:
         raise ValueError("need D <= N")
+    check_n_max(n)
     xs = np.arange(n + 1, 2 * n + 1, dtype=np.float64)
     inner = []
     for y in range(d + 1, 2 * d + 1):

@@ -10,6 +10,7 @@ QUARTIC_EXPR = "5*(x^4+y^4+z^4)-3*(x^2+y^2+z^2)^2"
 SEXTIC_EXPR = (
     "231*z^6-315*z^4*(x^2+y^2+z^2)+105*z^2*(x^2+y^2+z^2)^2-5*(x^2+y^2+z^2)^3"
 )
+OCTIC_EXPR = "x^8-28*x^6*y^2+70*x^4*y^4-28*x^2*y^6+y^8"
 
 
 @pytest.fixture(scope="session")

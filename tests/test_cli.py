@@ -212,6 +212,8 @@ BAD_INPUT = {
     "fit-from-csv-abs-sum-nan": ("fit", "--from-csv", "{tmp}/abs-sum-nan.csv"),
     "table-out-missing-dir": ("table", "--out", "{tmp}/missing/t.txt"),
     "pair-bad-word": ("pair", "--pair", "1/6,2/3", "--word", "C"),
+    # A^n costs O(n^2) time; the expansion is counted before it is built
+    "pair-word-huge": ("pair", "--pair", "1/6,2/3", "--word", "A99999999999"),
     # work that would exhaust memory is refused before anything is allocated
     "coeffs-n-max-huge": ("coeffs", "--poly", "x^2", "--n-max", str(10**11)),
     "sum-r-sq-huge": ("sum", "--poly", "x^2", "--r-sq", str(10**11)),

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from latharm.exppairs import (
     KNOWN_PAIRS,
     LONG_SUM_MODELS,
+    WORD_CAP,
     ExponentPair,
     exponent_table,
     balance,
@@ -73,6 +75,28 @@ def test_empty_word_is_identity():
 
 def test_word_AB_on_trivial():
     assert pair_apply_word("AB", pair(0, 1)) == pair(F(1, 6), F(2, 3))
+
+
+def test_huge_word_refused_before_expansion():
+    # "A" * 99999999999 would be a 100 GB string
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="99999999999 letters"):
+            pair_apply_word("A99999999999", KNOWN_PAIRS["huxley"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_word_cap_boundary():
+    # B is an involution, so B^WORD_CAP is the identity; one letter more,
+    # in any run, is refused
+    huxley = KNOWN_PAIRS["huxley"]
+    assert pair_apply_word(f"B{WORD_CAP}", huxley) == huxley
+    for word in (f"B{WORD_CAP + 1}", f"AB{WORD_CAP}", f"B{WORD_CAP // 2}B{WORD_CAP // 2}A"):
+        with pytest.raises(ValueError, match=f"{WORD_CAP + 1} letters"):
+            pair_apply_word(word, huxley)
 
 
 def test_invalid_pair_rejected():

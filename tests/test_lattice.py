@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ from latharm.lattice import (
     coeff_series,
     coefficient_bound_report,
     cutoff_f,
+    dyadic_growth_fit,
     long_sum_physical,
     long_sum_report,
     main_term,
@@ -28,9 +30,10 @@ from latharm.lattice import (
     short_sum_report,
     two_adic_part,
 )
+from latharm.oscsum import freq_long_sum
 from latharm.poly import parse_poly, sphere_average
 
-from conftest import QUARTIC_EXPR, random_homogeneous
+from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
 
 
 def brute_shell_sum(p, n):
@@ -462,6 +465,21 @@ def test_bound_report_quartic_small(quartic):
     assert report.argmax_n == 1
 
 
+@pytest.mark.parametrize("edge_ratio", [1, 0, -2])
+def test_dyadic_fit_refuses_window_ends_that_never_grow(edge_ratio):
+    # three values reach no window end, so an unguarded fit returns at once
+    with pytest.raises(ValueError, match="edge_ratio"):
+        dyadic_growth_fit([1.0] * 3, edge_ratio=edge_ratio)
+
+
+@pytest.mark.parametrize("r, h", [(0.5, 0.5), (10.0, 0.0), (10.0, 1.5), (float("nan"), 0.5)])
+def test_window_sums_share_one_domain_check(r, h):
+    p = parse_poly("x^2-y^2")
+    for fn in (short_sum, long_sum_physical, lambda q, r, h: freq_long_sum(q, r, h, 64)):
+        with pytest.raises(ValueError, match=r"^need R >= 1 and 0 < H <= 1$"):
+            fn(p, r, h)
+
+
 def test_bound_report_blomer_harcos_mode(quartic):
     series = coeff_series(quartic, 64)
     report = coefficient_bound_report(series, use_gcd=True)
@@ -474,3 +492,83 @@ def test_bound_report_blomer_harcos_mode(quartic):
         if series.a(n)
     )
     assert report.max_ratio == pytest.approx(expected)
+
+
+# -- Hecke-relation oracle --------------------------------------------------------
+
+HECKE_N = 30000
+# lambda_p for p = 3, 5, 7, 11: the theta series of these harmonics are
+# Hecke eigenforms (their octahedral averages span one dimension).
+HECKE_EIGENVALUES = {
+    "1": (4, 6, 8, 12),
+    QUARTIC_EXPR: (-156, 870, -952, -56148),
+    SEXTIC_EXPR: (1236, -57450, 64232, 2464572),
+    OCTIC_EXPR: (6084, 1255110, -22465912, 172399692),
+}
+HECKE_PRIMES = (3, 5, 7, 11)
+
+
+@functools.lru_cache(maxsize=None)
+def _hecke_series(expr):
+    """(nu, T) with T[n] the exact shell total of expr for 0 <= n <= HECKE_N."""
+    p = parse_poly(expr)
+    denom, totals = shell_totals(p, HECKE_N)
+    assert denom == 1
+    return p.degree, tuple(int(t) for t in totals)
+
+
+def _hecke_eigenvalue(totals, nu, p):
+    """Check Shimura's T(p^2) relation on totals[1 .. N/p^2] and return lambda_p.
+
+    b(n) = T[p^2 n] + ((-1)^(nu+1) n / p) p^nu T[n] + p^(2 nu + 1) T[n/p^2]
+    must equal lambda_p T[n] for every n <= N/p^2, zeros of T included, with
+    lambda_p read off the first n where T[n] != 0.  All in exact integers.
+    """
+    top = (len(totals) - 1) // (p * p)
+    sign = (-1) ** (nu + 1)
+
+    def b(n):
+        legendre = pow(sign * n % p, (p - 1) // 2, p)  # Euler's criterion
+        chi = -1 if legendre == p - 1 else legendre
+        tail = totals[n // (p * p)] if n % (p * p) == 0 else 0
+        return totals[p * p * n] + chi * p**nu * totals[n] + p ** (2 * nu + 1) * tail
+
+    first = next(n for n in range(1, top + 1) if totals[n])
+    lam, rem = divmod(b(first), totals[first])
+    assert rem == 0, (p, first)
+    for n in range(1, top + 1):
+        assert b(n) == lam * totals[n], (p, n)
+    return lam
+
+
+@pytest.mark.parametrize("expr", list(HECKE_EIGENVALUES),
+                         ids=["one", "quartic", "sextic", "octic"])
+def test_shell_totals_satisfy_hecke_relations(expr):
+    nu, totals = _hecke_series(expr)
+    found = tuple(_hecke_eigenvalue(totals, nu, p) for p in HECKE_PRIMES)
+    assert found == HECKE_EIGENVALUES[expr]
+    if nu >= 1:  # Deligne: |lambda_p| <= 2 p^(nu + 1/2)
+        assert all(lam * lam <= 4 * p ** (2 * nu + 1) for lam, p in zip(found, HECKE_PRIMES))
+
+
+def test_hecke_series_cover_the_big_int_path():
+    # the octic's classes cross the int64 bound at HECKE_N, so the oracle
+    # checks the big-integer convolution at a size brute force cannot reach
+    octic = _monomial_classes(parse_poly(OCTIC_EXPR))
+    assert any(_certified_bound(key, HECKE_N) >= _INT64_SAFE for key, _ in octic)
+
+
+@pytest.mark.parametrize("p", HECKE_PRIMES)
+def test_hecke_oracle_catches_one_changed_total(p):
+    nu, totals = _hecke_series(QUARTIC_EXPR)
+    top = HECKE_N // (p * p)
+    first = next(n for n in range(1, top + 1) if totals[n])
+    zero = next(n for n in range(1, top + 1) if not totals[n])
+    rng = random.Random(p)
+    read = [first, zero, top, p * p, p * p * top, rng.randint(1, top),
+            p * p * rng.randint(1, top)]
+    for m in read:
+        changed = list(totals)
+        changed[m] += 1
+        with pytest.raises(AssertionError):
+            _hecke_eigenvalue(changed, nu, p)

@@ -29,9 +29,7 @@ from latharm.modular import (
 from latharm.lattice import representations
 from latharm.poly import parse_poly
 
-from conftest import QUARTIC_EXPR, SEXTIC_EXPR
-
-OCTIC_EXPR = "x^8-28*x^6*y^2+70*x^4*y^4-28*x^2*y^6+y^8"
+from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR
 
 
 # -- symbols ---------------------------------------------------------------------
