@@ -66,8 +66,8 @@ def _require_finite(args, *names: str) -> None:
 
 
 def _domain_errors_are_usage(fn):
-    """Report the library's domain errors (ValueError) and file errors
-    (OSError) as usage errors."""
+    """Report the library's domain errors (ValueError), float-range errors
+    (OverflowError) and file errors (OSError) as usage errors."""
 
     @functools.wraps(fn)
     def wrapper(args) -> int:
@@ -75,6 +75,8 @@ def _domain_errors_are_usage(fn):
             return fn(args)
         except (ValueError, OSError) as exc:
             raise UsageError(str(exc)) from None
+        except OverflowError as exc:
+            raise UsageError(f"a value is out of float range: {exc}") from None
 
     return wrapper
 

@@ -102,9 +102,9 @@ def check_n_max(n_max: int) -> None:
 
 
 def check_window(r: float, h: float) -> None:
-    """Refuse a smoothing window outside R >= 1, 0 < H <= 1 (NaN included)."""
-    if not (r >= 1 and 0 < h <= 1):
-        raise ValueError("need R >= 1 and 0 < H <= 1")
+    """Refuse a smoothing window outside 1 <= R < inf, 0 < H <= 1 (NaN included)."""
+    if not (1 <= r < math.inf and 0 < h <= 1):
+        raise ValueError("need 1 <= R < inf and 0 < H <= 1")
 
 
 def _square_weights(exponent: int, k_max: int) -> list[int]:
@@ -178,7 +178,6 @@ def offset_shell_sums(
     h loses no precision in the angle.
     """
     check_n_max(n_max)
-    denom, ints = p.integer_form()
     k = math.isqrt(n_max)
     angles = [2 * np.pi * math.fmod(v, 1.0) * np.arange(k + 1) for v in h]
 
@@ -187,8 +186,8 @@ def offset_shell_sums(
         return np.array(_square_weights(e, k), dtype=np.complex128) * trig
 
     pairs: dict[int, np.ndarray] = {}
-    for (i, j, e), coeff in ints.items():
-        pair = (coeff / denom) * _pair_table(weights(0, i), weights(1, j), n_max)
+    for (i, j, e), coeff in p.terms.items():
+        pair = (coeff / p.denom) * _pair_table(weights(0, i), weights(1, j), n_max)
         pairs[e] = pairs.get(e, 0) + pair
     shells = np.zeros(n_max + 1, dtype=np.complex128)
     for e, t in pairs.items():
@@ -197,15 +196,14 @@ def offset_shell_sums(
 
 
 def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
-    """Group the integer form of p by sorted exponent triple.
+    """Group the integer numerators of p by sorted exponent triple.
 
     Monomials with an odd exponent sum to zero on every shell and are
     dropped; shells are symmetric under permuting axes, so monomials sharing
     a sorted exponent triple share their shell sums.
     """
-    _, ints = p.integer_form()
     classes: dict[tuple[int, int, int], int] = {}
-    for (i, j, k), coeff in ints.items():
+    for (i, j, k), coeff in p.terms.items():
         if i % 2 or j % 2 or k % 2:
             continue
         key = tuple(sorted((i, j, k), reverse=True))
@@ -214,7 +212,7 @@ def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
 
 
 def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
-    """Exact shell sums of a real polynomial, as integers over one denominator.
+    """Exact shell sums of a polynomial, as integers over one denominator.
 
     Returns (D, T) with T[n] / D = sum of p over |x|^2 = n for 0 <= n <= n_max
     (T[0] / D is p at the origin); T is an object array of Python integers.
@@ -228,10 +226,9 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
 
 
 def homogeneous_shell_totals(p: Polynomial3, n_max: int, what: str) -> tuple[int, np.ndarray]:
-    """`shell_totals` of a real homogeneous polynomial; `what` names the caller."""
+    """`shell_totals` of a homogeneous polynomial; `what` names the caller."""
     if not p.is_homogeneous:
         raise ValueError(f"{what} requires a homogeneous polynomial")
-    p.require_real(what)
     return shell_totals(p, n_max)
 
 

@@ -1,13 +1,16 @@
-"""Exact polynomial algebra in three variables over the Gaussian rationals.
+"""Exact polynomial algebra in three variables over the rationals.
 
-A polynomial is stored as Gaussian-integer numerators over one positive
-denominator: `terms` maps each exponent triple (i, j, k) to a pair (re, im)
-of Python ints, and the coefficient of x^i y^j z^k is (re + im*i) / denom.
-The form is kept reduced (no (0, 0) pair is stored and denom shares no
-factor with every numerator), so equal polynomials have equal `terms` and
-`denom`.  Parsing, arithmetic, differentiation, harmonic decomposition and
-sphere averages are integer operations that never touch floating point;
-`Fraction`s are built only where a coefficient or a value is read out.
+A polynomial is stored as integer numerators over one positive denominator:
+`terms` maps each exponent triple (i, j, k) to a Python int n, and the
+coefficient of x^i y^j z^k is n / denom.  The form is kept reduced (no zero
+numerator is stored and denom shares no factor with every numerator), so
+equal polynomials have equal `terms` and `denom`, and the lattice engine
+reads them as its integer form directly.  Parsing, arithmetic,
+differentiation, harmonic decomposition and sphere averages are integer
+operations that never touch floating point; `Fraction`s are built only where
+a coefficient or a value is read out.  A coefficient's read-out
+(`coefficient`, `sorted_terms`) keeps the `GaussianRational` shape, with a
+zero imaginary part, for the callers that read `.re`.
 """
 
 from __future__ import annotations
@@ -37,45 +40,35 @@ class DegreeCapError(ValueError):
 
 
 class GaussianRational(NamedTuple):
-    """One coefficient re + im*i of a Polynomial3, read out exactly."""
+    """One coefficient of a Polynomial3, read out exactly as re + 0i."""
 
     re: Fraction
     im: Fraction
 
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i" if self.im != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        im_part = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re}{sign}{im_part})"
-
 
 class Polynomial3:
-    """Sparse polynomial in x, y, z: Gaussian-integer numerators over `denom`.
+    """Sparse polynomial in x, y, z: integer numerators over `denom`.
 
-    `terms[m] = (re, im)` means the coefficient of m is (re + im*i) / denom.
-    The constructor drops (0, 0) pairs and divides out the gcd of denom and
-    all numerators.  Instances are immutable in practice: operations return
-    new polynomials.
+    `terms[m] = n` means the coefficient of m is n / denom.  The constructor
+    drops zero numerators and divides out the gcd of denom and all
+    numerators.  Instances are immutable in practice: operations return new
+    polynomials.
     """
 
     __slots__ = ("terms", "denom")
 
-    def __init__(self, terms: Mapping[Monomial, tuple[int, int]], denom: int):
+    def __init__(self, terms: Mapping[Monomial, int], denom: int):
         if denom < 1:
             raise ValueError("the denominator must be a positive integer")
-        cleaned: dict[Monomial, tuple[int, int]] = {}
+        cleaned: dict[Monomial, int] = {}
         g = denom
-        for mono, (re, im) in terms.items():
-            if re or im:
-                cleaned[mono] = (re, im)
+        for mono, c in terms.items():
+            if c:
+                cleaned[mono] = c
                 if g != 1:
-                    g = math.gcd(g, re, im)
+                    g = math.gcd(g, c)
         if g != 1:
-            cleaned = {m: (re // g, im // g) for m, (re, im) in cleaned.items()}
+            cleaned = {m: c // g for m, c in cleaned.items()}
         self.terms = cleaned
         self.denom = denom // g
 
@@ -88,17 +81,17 @@ class Polynomial3:
     @staticmethod
     def constant(value: int | Fraction) -> "Polynomial3":
         value = Fraction(value)
-        return Polynomial3({(0, 0, 0): (value.numerator, 0)}, value.denominator)
+        return Polynomial3({(0, 0, 0): value.numerator}, value.denominator)
 
     @staticmethod
     def variable(axis: int) -> "Polynomial3":
         mono = tuple(1 if a == axis else 0 for a in range(3))
-        return Polynomial3({mono: (1, 0)}, 1)  # type: ignore[dict-item]
+        return Polynomial3({mono: 1}, 1)  # type: ignore[dict-item]
 
     @staticmethod
     def norm_squared() -> "Polynomial3":
         """x^2 + y^2 + z^2."""
-        return Polynomial3({(2, 0, 0): (1, 0), (0, 2, 0): (1, 0), (0, 0, 2): (1, 0)}, 1)
+        return Polynomial3({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}, 1)
 
     # -- basic structure ---------------------------------------------------
 
@@ -125,18 +118,9 @@ class Polynomial3:
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
 
-    @property
-    def is_real(self) -> bool:
-        return not any(im for _, im in self.terms.values())
-
-    def require_real(self, context: str = "operation") -> None:
-        if not self.is_real:
-            raise ValueError(f"{context} requires real coefficients")
-
     def coefficient(self, mono: Monomial) -> GaussianRational:
         """The exact coefficient of one monomial (zero when absent)."""
-        re, im = self.terms.get(mono, (0, 0))
-        return GaussianRational(Fraction(re, self.denom), Fraction(im, self.denom))
+        return GaussianRational(Fraction(self.terms.get(mono, 0), self.denom), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms in lexicographic (i, j, k) order, the canonical order."""
@@ -147,27 +131,25 @@ class Polynomial3:
     def __add__(self, other: "Polynomial3") -> "Polynomial3":
         denom = math.lcm(self.denom, other.denom)
         a, b = denom // self.denom, denom // other.denom
-        out = {m: (re * a, im * a) for m, (re, im) in self.terms.items()}
-        for mono, (re, im) in other.terms.items():
-            re0, im0 = out.get(mono, (0, 0))
-            out[mono] = (re0 + re * b, im0 + im * b)
+        out = {m: c * a for m, c in self.terms.items()}
+        for mono, c in other.terms.items():
+            out[mono] = out.get(mono, 0) + c * b
         return Polynomial3(out, denom)
 
     def __sub__(self, other: "Polynomial3") -> "Polynomial3":
         return self + -other
 
     def __neg__(self) -> "Polynomial3":
-        return Polynomial3({m: (-re, -im) for m, (re, im) in self.terms.items()}, self.denom)
+        return Polynomial3({m: -c for m, c in self.terms.items()}, self.denom)
 
     def __mul__(self, other: "Polynomial3 | int | Fraction") -> "Polynomial3":
         if not isinstance(other, Polynomial3):
             other = Polynomial3.constant(other)
-        out: dict[Monomial, tuple[int, int]] = {}
-        for m1, (a, b) in self.terms.items():
-            for m2, (c, d) in other.terms.items():
+        out: dict[Monomial, int] = {}
+        for m1, a in self.terms.items():
+            for m2, c in other.terms.items():
                 mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                re0, im0 = out.get(mono, (0, 0))
-                out[mono] = (re0 + a * c - b * d, im0 + a * d + b * c)
+                out[mono] = out.get(mono, 0) + a * c
         return Polynomial3(out, self.denom * other.denom)
 
     __rmul__ = __mul__
@@ -189,12 +171,12 @@ class Polynomial3:
 
     def partial(self, axis: int) -> "Polynomial3":
         """Exact partial derivative with respect to x, y or z (axis 0, 1, 2)."""
-        out: dict[Monomial, tuple[int, int]] = {}
-        for mono, (re, im) in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for mono, c in self.terms.items():
             e = mono[axis]
             if e:  # distinct monomials keep distinct exponents after the step
                 key = mono[:axis] + (e - 1,) + mono[axis + 1:]
-                out[key] = (re * e, im * e)
+                out[key] = c * e
         return Polynomial3(out, self.denom)
 
     def laplacian(self) -> "Polynomial3":
@@ -210,40 +192,27 @@ class Polynomial3:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, x, y, z):
-        """Exact evaluation; with int/Fraction inputs the result is exact.
-
-        Returns a GaussianRational when the value is not real, otherwise a
-        Fraction.
-        """
+    def evaluate(self, x, y, z) -> Fraction:
+        """Exact evaluation: a Fraction for int/Fraction inputs."""
         x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        re_sum = im_sum = Fraction(0)
-        for (i, j, k), (re, im) in self.terms.items():
-            val = x**i * y**j * z**k
-            re_sum += re * val
-            im_sum += im * val
-        value = GaussianRational(re_sum / self.denom, im_sum / self.denom)
-        return value if value.im else value.re
+        total = Fraction(0)
+        for (i, j, k), c in self.terms.items():
+            total += c * x**i * y**j * z**k
+        return total / self.denom
 
     def evaluate_arrays(self, x, y, z):
-        """Float evaluation on numpy arrays or scalars (real coefficients)."""
-        self.require_real("array evaluation")
+        """Float evaluation on numpy arrays or scalars."""
         total = None
-        for (i, j, k), (re, _) in self.terms.items():
-            term = re / self.denom * x**i * y**j * z**k
+        for (i, j, k), c in self.terms.items():
+            term = c / self.denom * x**i * y**j * z**k
             total = term if total is None else total + term
         if total is None:
             return x * 0.0
         return total
 
-    def integer_form(self) -> tuple[int, dict[Monomial, int]]:
-        """Common denominator D and integer coefficients n_m with c_m = n_m / D."""
-        self.require_real("integer form")
-        return self.denom, {m: re for m, (re, _) in self.terms.items()}
-
     def coeff_l1(self) -> Fraction:
-        """Sum of |re| + |im| over all coefficients."""
-        return Fraction(sum(abs(re) + abs(im) for re, im in self.terms.values()), self.denom)
+        """Sum of |c| over all coefficients."""
+        return Fraction(sum(abs(c) for c in self.terms.values()), self.denom)
 
     # -- presentation ------------------------------------------------------
 
@@ -252,19 +221,14 @@ class Polynomial3:
         if not self.terms:
             return "0"
         pieces: list[str] = []
-        for (i, j, k), coeff in self.sorted_terms():
+        for mono, n in sorted(self.terms.items()):
             factors = [
                 f"{name}^{e}" if e > 1 else name
-                for name, e in zip(VARIABLE_NAMES, (i, j, k))
+                for name, e in zip(VARIABLE_NAMES, mono)
                 if e > 0
             ]
             body = "*".join(factors)
-            if coeff.im:
-                coeff_str = str(coeff)  # parenthesized complex form
-                piece = f"{coeff_str}*{body}" if body else coeff_str
-                pieces.append("+" + piece if pieces else piece)
-                continue
-            c = coeff.re
+            c = Fraction(n, self.denom)
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if not body:
@@ -283,7 +247,8 @@ class Polynomial3:
 
     def canonical_lines(self) -> str:
         """Serialized form: one `coef i j k` line per monomial, lex-sorted."""
-        lines = [f"{coeff} {i} {j} {k}" for (i, j, k), coeff in self.sorted_terms()]
+        lines = [f"{Fraction(n, self.denom)} {i} {j} {k}"
+                 for (i, j, k), n in sorted(self.terms.items())]
         return "\n".join(lines)
 
     def __str__(self) -> str:
@@ -316,8 +281,6 @@ class _Tokenizer:
             return ("number", text[pos:end], pos)
         if ch in "xyz":
             return ("variable", ch, pos)
-        if ch == "i":
-            return ("imag", ch, pos)
         if ch in "+-*^()/":
             return ("op", ch, pos)
         raise PolyParseError(f"unexpected character {ch!r}", pos)
@@ -387,8 +350,6 @@ class _Parser:
             return Polynomial3.constant(self._rational_tail(int(value)))
         if kind == "variable":
             return Polynomial3.variable("xyz".index(value))
-        if kind == "imag":
-            return Polynomial3({(0, 0, 0): (0, 1)}, 1)
         if kind == "op" and value == "(":
             inner = self._expr()
             kind, value, pos = self.tok.next()
@@ -396,7 +357,7 @@ class _Parser:
                 raise PolyParseError("expected ')'", pos)
             return inner
         raise PolyParseError(
-            "expected number, variable, 'i' or '('" if kind != "end" else "unexpected end of input",
+            "expected number, variable or '('" if kind != "end" else "unexpected end of input",
             pos,
         )
 
@@ -423,10 +384,11 @@ class _Parser:
 
 
 def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
-    """Parse an expression in x, y, z with +, -, *, ^, parentheses and `i`.
+    """Parse an expression in x, y, z with +, -, *, ^ and parentheses.
 
-    Rational literals are written p/q.  Raises PolyParseError with the
-    offending position on bad syntax, DegreeCapError past the degree cap.
+    Rational literals are written p/q; any other character, `i` included,
+    is refused.  Raises PolyParseError with the offending position on bad
+    syntax, DegreeCapError past the degree cap.
     """
     return _Parser(text, degree_cap).parse()
 
@@ -457,10 +419,9 @@ def monomial_sphere_average(i: int, j: int, k: int) -> Fraction:
 
 def sphere_average(p: Polynomial3) -> Fraction:
     """(1/4pi) * integral of p over the unit sphere, exactly."""
-    p.require_real("sphere average")
     total = Fraction(0)
-    for (i, j, k), (re, _) in p.terms.items():
-        total += re * monomial_sphere_average(i, j, k)
+    for (i, j, k), c in p.terms.items():
+        total += c * monomial_sphere_average(i, j, k)
     return total / p.denom
 
 

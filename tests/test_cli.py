@@ -220,6 +220,9 @@ BAD_INPUT = {
     "fit-r-max-huge": ("fit", "--poly", QUARTIC, "--r-max", str(10**6)),
     "freqsum-n-trunc-huge": ("freqsum", "--poly", "1", "--r", "10", "--h", "0.5",
                              "--n-trunc", str(10**11)),
+    # a finite R whose kernel prefactor overflows a float
+    "freqsum-r-overflow": ("freqsum", "--poly", QUARTIC, "--r", "1e100", "--h", "0.5",
+                           "--n-trunc", "16"),
     "expsum-n-huge": ("expsum", "--poly", "1", "--r", "10", "--n", str(10**11)),
     "expsum-n-huge-h": ("expsum", "--poly", "1", "--r", "10", "--h", "1/3,0,1/5",
                         "--n", str(10**11)),
@@ -246,7 +249,7 @@ BAD_INPUT = {
     "theta-check-sample-0": ("theta-check", "--sample", "0"),
     "theta-check-sample-negative": ("theta-check", "--sample", "-3"),
     "theta-check-sample-huge": ("theta-check", "--sample", "100000000"),
-    # complex coefficients where a real polynomial is needed
+    # coefficients are rational: the parser refuses `i`
     "sum-complex": ("sum", "--poly", "(x+i*y)^4", "--r-sq", "10"),
     "freqsum-complex": ("freqsum", "--poly", "(x+i*y)^4", "--r", "10", "--h", "0.5",
                         "--n-trunc", "64"),

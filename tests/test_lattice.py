@@ -249,11 +249,9 @@ def test_series_rejects_bad_input():
     for call in (
         lambda: ball_sum(parse_poly("x^2+y"), 4),
         lambda: ball_sum(parse_poly("1"), -1),
-        lambda: ball_sum(parse_poly("i*x^2"), 4),
         lambda: long_sum_physical(parse_poly("x^2+y"), 2.0, 0.5),
         lambda: long_sum_physical(parse_poly("1"), 0.5, 0.5),
         lambda: short_sum(parse_poly("x^2+y"), 2.0, 0.5),
-        lambda: short_sum(parse_poly("i*x^2"), 2.0, 0.5),
         lambda: short_sum(parse_poly("1"), 2.0, 0.0),
         # more shells than the engine allows are refused before allocating
         lambda: shell_totals(parse_poly("1"), 10**11),
@@ -472,11 +470,13 @@ def test_dyadic_fit_refuses_window_ends_that_never_grow(edge_ratio):
         dyadic_growth_fit([1.0] * 3, edge_ratio=edge_ratio)
 
 
-@pytest.mark.parametrize("r, h", [(0.5, 0.5), (10.0, 0.0), (10.0, 1.5), (float("nan"), 0.5)])
+@pytest.mark.parametrize(
+    "r, h", [(0.5, 0.5), (10.0, 0.0), (10.0, 1.5), (float("nan"), 0.5), (float("inf"), 0.5)]
+)
 def test_window_sums_share_one_domain_check(r, h):
     p = parse_poly("x^2-y^2")
     for fn in (short_sum, long_sum_physical, lambda q, r, h: freq_long_sum(q, r, h, 64)):
-        with pytest.raises(ValueError, match=r"^need R >= 1 and 0 < H <= 1$"):
+        with pytest.raises(ValueError, match=r"^need 1 <= R < inf and 0 < H <= 1$"):
             fn(p, r, h)
 
 

@@ -144,6 +144,21 @@ def test_grid_sum_refuses_huge_n_before_allocating():
         exp_sum_grid(10**15, 1, 1.0)
 
 
+def test_grid_sum_refuses_work_above_cap_at_once(monkeypatch):
+    # N D = 10^12 would take hours; the refusal comes before any pass
+    assert oscsum.GRID_WORK_CAP == 10**8
+    start = time.perf_counter()
+    for n, d in ((10**6, 10**6), (10**5, 10**3 + 1)):
+        with pytest.raises(ValueError, match="work cap"):
+            exp_sum_grid(n, d, 1.0)
+    assert time.perf_counter() - start < 0.1
+    # N D equal to the cap is admitted
+    monkeypatch.setattr(oscsum, "GRID_WORK_CAP", 32)
+    assert exp_sum_grid(8, 4, 0.0) == pytest.approx(32)
+    with pytest.raises(ValueError, match="work cap"):
+        exp_sum_grid(8, 5, 0.0)
+
+
 # -- symbolic transform terms ------------------------------------------------------
 
 
