@@ -22,6 +22,11 @@ from .util import FitResult, linear_fit
 # headroom for one extra addition.
 _INT64_SAFE = 1 << 62
 
+# A certified float error below this lets the two-pass route recover each
+# sum from its residue mod 2^64 (see _two_pass_sums); 2^62 is half the 2^63
+# that rounding to the nearest multiple of 2^64 tolerates.
+_TWO_PASS_SAFE = 2.0**62
+
 # Largest shell count a series or sum may ask for (see check_n_max).
 N_MAX_CAP = 10**6
 
@@ -82,10 +87,14 @@ class CoefficientSeries:
 
     def to_csv(self) -> str:
         lines = ["n,a_n"]
-        for n, t in enumerate(self.totals[1:], start=1):
-            g = math.gcd(t, self.denom)
-            num, den = t // g, self.denom // g
-            lines.append(f"{n},{num}" if den == 1 else f"{n},{num}/{den}")
+        rows = enumerate(self.totals[1:], start=1)
+        if self.denom == 1:  # every a_n is an integer: no reduction to do
+            lines += [f"{n},{t}" for n, t in rows]
+        else:
+            for n, t in rows:
+                g = math.gcd(t, self.denom)
+                num, den = t // g, self.denom // g
+                lines.append(f"{n},{num}" if den == 1 else f"{n},{num}/{den}")
         return "\n".join(lines) + "\n"
 
 
@@ -137,30 +146,74 @@ def _add_square_axis(t: np.ndarray, w) -> np.ndarray:
     return s
 
 
-def _certified_dtype(peak: int, total: int):
-    """int64 when peak * total < _INT64_SAFE, Python integers (object) otherwise.
+def _float_weights(w: list[int]) -> np.ndarray:
+    """Each weight rounded once to float64; one past the float range is inf."""
+    return np.array([float(v) if v.bit_length() < 1024 else math.inf for v in w])
 
-    A stage convolving inputs a and b with every weight non-negative (all
-    exponents even) keeps every partial sum at most max(a) * sum(b), so
-    int64 is safe whenever that bound is.
+
+def _two_pass_sums(w1: list[int], w2: list[int], w3: list[int], n_max: int) -> np.ndarray | None:
+    """Exact class sums from one uint64 and one float64 convolution, or None
+    when the float estimate is not certified.
+
+    The uint64 pass wraps, so it yields r = x mod 2^64 for each exact sum x.
+    The float pass yields an estimate x~ of x.  Every term of x is a product
+    w1[a] w2[b] w3[j] of non-negative weights, and on its way into x~ it
+    meets at most K = 2k + 5 roundings (k = isqrt(n_max)): three weight
+    conversions, the x, y product, at most k additions in the pair table
+    (at most k + 1 pairs share a norm, and the first lands on 0 exactly),
+    the z product and at most k additions over j.  With every term
+    non-negative, |x~ - x| <= gamma_K x, gamma_K = K u / (1 - K u),
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Lemma 3.1 and section 4.2), hence |x~ - x| <= K u / (1 - 2 K u) x~.
+
+    The estimate is certified when that bound at max(x~) is below
+    _TWO_PASS_SAFE = 2^62; an inf or NaN estimate (a weight or sum past the
+    float range) fails the comparison.  Then x~ < 2^113, and x~ - fl(r)
+    differs from x - r, a multiple of 2^64, by less than 2^62 (the
+    estimate) + 2^11 (rounding r) + 2^60 (rounding the difference) < 2^63,
+    so rint((x~ - fl(r)) / 2^64) is exactly (x - r) / 2^64.
     """
-    return np.int64 if peak * total < _INT64_SAFE else object
+    k = len(w1) - 1
+    mask = (1 << 64) - 1
+    m1, m2, m3 = (np.array([v & mask for v in w], dtype=np.uint64) for w in (w1, w2, w3))
+    r = _add_square_axis(_pair_table(m1, m2, n_max), m3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1, f2, f3 = (_float_weights(w) for w in (w1, w2, w3))
+        est = _add_square_axis(_pair_table(f1, f2, n_max), f3)
+        rel = (2 * k + 5) * 2.0**-53
+        if not est.max() * rel / (1 - 2 * rel) < _TWO_PASS_SAFE:
+            return None
+    high = np.rint((est - r) / 2.0**64).astype(np.int64)
+    exact = r.astype(object)
+    wide = np.flatnonzero(high)
+    exact[wide] += high[wide].astype(object) << 64
+    return exact
 
 
-def _class_shell_sums(exponents: tuple[int, int, int], n_max: int) -> np.ndarray:
-    """S[m] = sum over the shell of norm m of the monomial, exact.
+def _class_shell_sums(
+    exponents: tuple[int, int, int], n_max: int
+) -> tuple[str, np.ndarray]:
+    """(route, S) with S[m] = sum over the shell of norm m of the monomial, exact.
 
     All exponents must be even. Computed as a convolution of per-axis square
     sums: the x, y pair table, then the z axis as one series of shifted
-    adds.  Each stage runs in int64 when its certified bound permits and in
-    Python integers (object dtype) otherwise.  Returns an object array.
+    adds.  Every weight is non-negative, so a stage convolving inputs a and
+    b keeps every partial sum at most max(a) * sum(b).  The route is
+    "int64" when both stages' bounds are below _INT64_SAFE, "two-pass" when
+    `_two_pass_sums` certifies its float estimate, and "object" (Python
+    integers) otherwise.  S is an object array of Python integers.
     """
     k = math.isqrt(n_max)
     w1, w2, w3 = (_square_weights(e, k) for e in exponents)
-    dtype = _certified_dtype(max(w1), sum(w2))
-    t = _pair_table(np.array(w1, dtype=dtype), np.array(w2, dtype=dtype), n_max)
-    t = t.astype(_certified_dtype(int(t.max()), sum(w3)), copy=False)
-    return _add_square_axis(t, w3).astype(object, copy=False)
+    if max(w1) * sum(w2) < _INT64_SAFE:
+        t = _pair_table(np.array(w1, dtype=np.int64), np.array(w2, dtype=np.int64), n_max)
+        if int(t.max()) * sum(w3) < _INT64_SAFE:
+            return "int64", _add_square_axis(t, w3).astype(object)
+    exact = _two_pass_sums(w1, w2, w3, n_max)
+    if exact is not None:
+        return "two-pass", exact
+    big = [np.array(w, dtype=object) for w in (w1, w2, w3)]
+    return "object", _add_square_axis(_pair_table(big[0], big[1], n_max), big[2])
 
 
 def offset_shell_sums(
@@ -221,7 +274,7 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     check_n_max(n_max)
     totals = np.zeros(n_max + 1, dtype=object)
     for key, coeff in _monomial_classes(p):
-        totals += coeff * _class_shell_sums(key, n_max)
+        totals += coeff * _class_shell_sums(key, n_max)[1]
     return p.denom, totals
 
 

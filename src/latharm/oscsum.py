@@ -35,6 +35,22 @@ from .lattice import (
 from .poly import Polynomial3
 from .util import FitResult, linear_fit
 
+# Largest radius times sqrt(N) accepted: a float64 phase of 2^32 turns
+# carries about 1e-6 turns of rounding error, and more would make the
+# phases e(R |xi|) and the kernel's trig factors meaningless.
+PHASE_CAP = 2.0**32
+
+
+def _check_phase(radius: float, n: int, what: str) -> None:
+    """Refuse radius * sqrt(n) above PHASE_CAP (NaN included); `what` names
+    the product in the message."""
+    if not radius * math.sqrt(n) <= PHASE_CAP:
+        raise ValueError(
+            f"{what} = {radius * math.sqrt(n):.3g} is above 2^32, where a float64 "
+            "phase carries more than 1e-6 turns of error"
+        )
+
+
 # Frequency scales appearing in trig phases pi * c * |xi|.
 FREQ_2R = "2R"
 FREQ_H = "H"
@@ -232,12 +248,13 @@ def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
     one shell series per nonzero Lap^k P, a single one for harmonic P.  For
     odd nu every Lap^k P is odd and sums to exactly 0 on every shell.  The
     shells are combined with exact compensated addition.  Memory is
-    O(n_trunc).
+    O(n_trunc).  (R+H) sqrt(n_trunc) above PHASE_CAP is refused first.
     """
     if n_trunc < 1:
         raise ValueError("n_trunc must be at least 1")
     check_window(r, h)
     check_n_max(n_trunc)
+    _check_phase(r + h, n_trunc, "(R+H) sqrt(n_trunc)")
     nu, parts = _hobson_split(p)
     main = float(main_term(p, Fraction(r), Fraction(h))) * math.pi
     norm = np.sqrt(np.arange(1, n_trunc + 1, dtype=np.float64))
@@ -250,11 +267,6 @@ def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
 
 
 # -- direct oscillatory sums -------------------------------------------------
-
-
-# Largest |R| sqrt(N) accepted: a float64 phase of 2^32 turns carries about
-# 1e-6 turns of rounding error, and more would make e(R |xi|) meaningless.
-PHASE_CAP = 2.0**32
 
 
 def _cumulative_exp_sum(
@@ -270,11 +282,7 @@ def _cumulative_exp_sum(
     refused before either.
     """
     check_n_max(n_top)
-    if not abs(r) * math.sqrt(n_top) <= PHASE_CAP:
-        raise ValueError(
-            f"|R| sqrt(N) = {abs(r) * math.sqrt(n_top):.3g} is above 2^32, where the "
-            "float64 phase e(R |xi|) carries more than 1e-6 turns of error"
-        )
+    _check_phase(abs(r), n_top, "|R| sqrt(N)")
     if any(h):
         shells = offset_shell_sums(q, n_top, h)
     else:

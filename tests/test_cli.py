@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,12 @@ BAD_INPUT = {
     # a finite R whose kernel prefactor overflows a float
     "freqsum-r-overflow": ("freqsum", "--poly", QUARTIC, "--r", "1e100", "--h", "0.5",
                            "--n-trunc", "16"),
+    # (R+H) sqrt(n_trunc) above 2^32 leaves the kernel's float64 phases
+    # meaningless; at 1e75 they would also overflow to inf * 0
+    "freqsum-phase-imprecise": ("freqsum", "--poly", QUARTIC, "--r", "1e30", "--h", "0.5",
+                                "--n-trunc", "16"),
+    "freqsum-phase-overflow": ("freqsum", "--poly", QUARTIC, "--r", "1e75", "--h", "0.5",
+                               "--n-trunc", "16"),
     "expsum-n-huge": ("expsum", "--poly", "1", "--r", "10", "--n", str(10**11)),
     "expsum-n-huge-h": ("expsum", "--poly", "1", "--r", "10", "--h", "1/3,0,1/5",
                         "--n", str(10**11)),
@@ -275,6 +282,16 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert peak < 1 << 20  # refused before any large allocation
+
+def test_freqsum_phase_refusal_prints_no_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "freqsum", "--poly", QUARTIC, "--r", "1e75", "--h", "0.5",
+                             "--n-trunc", "16")
+    assert code == 2 and out == ""
+    assert "2^32" in err
+    assert caught == []
+
 
 def test_theta_check_single(capsys):
     code, out, _ = run(capsys, "theta-check", "--gamma", "1,0,4,1", "--z", "0,0.5",

@@ -10,10 +10,12 @@ from scipy import integrate
 from latharm import lattice
 from latharm.lattice import (
     _INT64_SAFE,
+    CoefficientSeries,
     _class_shell_sums,
     _monomial_classes,
     _pair_table,
     _square_weights,
+    _two_pass_sums,
     ball_sum,
     ball_sum_report,
     coeff_series,
@@ -173,43 +175,84 @@ def _certified_bound(exponents, n_max):
     return max(_stage_bounds(exponents, n_max))
 
 
+def _routes(p, n_max):
+    return [_class_shell_sums(key, n_max)[0] for key, _ in _monomial_classes(p)]
+
+
 @pytest.mark.parametrize("expr", ["x^24*y^24", "x^24*y^24+z^48"])
 def test_big_int_path_matches_brute_force(expr):
+    # the float estimate of these classes is past its certificate, so they
+    # keep the Python-integer convolution
     p = parse_poly(expr)
     n_max = 120
     classes = _monomial_classes(p)
     assert classes and all(_certified_bound(key, n_max) >= _INT64_SAFE for key, _ in classes)
+    assert _routes(p, n_max) == ["object"] * len(classes)
     series = coeff_series(p, n_max)
     for n in range(1, n_max + 1):
         assert series.a(n) == brute_shell_sum(p, n), (expr, n)
 
 
 def test_int64_and_big_int_paths_agree(quartic, sextic, monkeypatch):
-    polys = [parse_poly("1"), quartic, sextic, parse_poly("1/3*x^2-1/7*y^2")]
+    # each route forced in turn: int64, two-pass, then Python integers (the
+    # reference) give equal integers
+    polys = [parse_poly("1"), quartic, sextic, parse_poly(OCTIC_EXPR),
+             parse_poly("1/3*x^2-1/7*y^2")]
     int64 = [shell_totals(p, 3000) for p in polys]
     assert all(_certified_bound(key, 3000) < _INT64_SAFE
                for p in polys for key, _ in _monomial_classes(p))
-    monkeypatch.setattr(lattice, "_INT64_SAFE", 0)  # every class goes big-int
-    for p, (denom, totals) in zip(polys, int64):
-        big_denom, big_totals = shell_totals(p, 3000)
-        assert big_denom == denom
-        assert big_totals.tolist() == totals.tolist()
+    for route, attr in [("two-pass", "_INT64_SAFE"), ("object", "_TWO_PASS_SAFE")]:
+        monkeypatch.setattr(lattice, attr, 0)
+        for p, (denom, totals) in zip(polys, int64):
+            assert set(_routes(p, 3000)) == {route}
+            other_denom, other_totals = shell_totals(p, 3000)
+            assert other_denom == denom
+            assert other_totals.tolist() == totals.tolist()
 
 
-def test_mixed_stage_dtypes_agree(sextic, monkeypatch):
-    # a bound between one class's two stage bounds runs its pair stage in
-    # int64 and its z stage in big integers
+def test_two_pass_route_matches_big_int_path_on_the_octic(monkeypatch):
+    # 17867 shells (the benchmark's top octic rung) cross the int64 bound
+    p = parse_poly(OCTIC_EXPR)
+    n_max = 17867
+    assert all(_certified_bound(key, n_max) >= _INT64_SAFE for key, _ in _monomial_classes(p))
+    assert set(_routes(p, n_max)) == {"two-pass"}
+    denom, totals = shell_totals(p, n_max)
+    assert max(abs(t) for t in totals.tolist()).bit_length() > 64
+    monkeypatch.setattr(lattice, "_TWO_PASS_SAFE", 0)
+    assert shell_totals(p, n_max)[1].tolist() == totals.tolist()
+
+
+def test_z_stage_overflow_takes_two_pass_route(sextic, monkeypatch):
+    # a bound between one class's two stage bounds passes its int64 pair
+    # stage and fails its z stage, which leaves the class to the two passes
     n_max = 3000
     key = (6, 0, 0)
     pair_bound, z_bound = _stage_bounds(key, n_max)
     assert pair_bound < z_bound < _INT64_SAFE
-    int64_class = _class_shell_sums(key, n_max)
+    route, int64_class = _class_shell_sums(key, n_max)
+    assert route == "int64"
     int64_totals = shell_totals(sextic, n_max)
     monkeypatch.setattr(lattice, "_INT64_SAFE", (pair_bound + z_bound) // 2)
-    assert _class_shell_sums(key, n_max).tolist() == int64_class.tolist()
+    route, two_pass_class = _class_shell_sums(key, n_max)
+    assert route == "two-pass"
+    assert two_pass_class.tolist() == int64_class.tolist()
     denom, totals = shell_totals(sextic, n_max)
     assert denom == int64_totals[0]
     assert totals.tolist() == int64_totals[1].tolist()
+
+
+# (600, 2, 0) has weights past the float range, and 0 * inf = NaN in its
+# pair table; (200, 200, 0) has finite weights whose products overflow to inf
+@pytest.mark.parametrize("key", [(600, 2, 0), (200, 200, 0)], ids=["nan", "inf"])
+def test_two_pass_refuses_a_non_finite_estimate(key):
+    n_max = 200
+    weights = [_square_weights(e, math.isqrt(n_max)) for e in key]
+    assert _two_pass_sums(*weights, n_max) is None
+    route, sums = _class_shell_sums(key, n_max)
+    assert route == "object"
+    for n in (1, 2, 101, 200):
+        expected = sum(x ** key[0] * y ** key[1] * z ** key[2] for x, y, z in representations(n))
+        assert sums[n] == expected
 
 
 @pytest.mark.parametrize("expr", ["1/3*x^2-1/7*y^2", QUARTIC_EXPR, "1/3*x^24*y^24-1/7*z^48"])
@@ -230,6 +273,19 @@ def test_integer_series_edge_values(expr):
     assert floats.dtype == np.float64
     assert floats.tolist() == [float(F(t, denom)) for t in totals]
     assert floats[1:].tolist() == [float(v) for v in expected]
+
+
+@pytest.mark.parametrize("denom", [1, 6])
+def test_csv_rows_are_reduced_fractions(denom):
+    # reference: each row reduced by its own gcd with the denominator
+    totals = (0, 3, -4, 0, 9, 1 << 70, -(1 << 70) - 3)
+    series = CoefficientSeries(nu=0, poly_id="p", denom=denom, totals=totals,
+                               n_max=len(totals) - 1, is_harmonic=True)
+    rows = []
+    for n, t in enumerate(totals[1:], start=1):
+        g = math.gcd(t, denom)
+        rows.append(f"{n},{t // g}" if denom == g else f"{n},{t // g}/{denom // g}")
+    assert series.to_csv() == "\n".join(["n,a_n"] + rows) + "\n"
 
 
 def test_series_consistency_with_ball_sum(quartic):
@@ -497,6 +553,9 @@ def test_bound_report_blomer_harcos_mode(quartic):
 # -- Hecke-relation oracle --------------------------------------------------------
 
 HECKE_N = 30000
+# 2^17 shells, where every class of the sextic and the octic runs the two
+# passes, far past the reach of brute force and of the int64 route
+HECKE_WIDE_N = 1 << 17
 # lambda_p for p = 3, 5, 7, 11: the theta series of these harmonics are
 # Hecke eigenforms (their octahedral averages span one dimension).
 HECKE_EIGENVALUES = {
@@ -509,10 +568,10 @@ HECKE_PRIMES = (3, 5, 7, 11)
 
 
 @functools.lru_cache(maxsize=None)
-def _hecke_series(expr):
-    """(nu, T) with T[n] the exact shell total of expr for 0 <= n <= HECKE_N."""
+def _hecke_series(expr, n_max):
+    """(nu, T) with T[n] the exact shell total of expr for 0 <= n <= n_max."""
     p = parse_poly(expr)
-    denom, totals = shell_totals(p, HECKE_N)
+    denom, totals = shell_totals(p, n_max)
     assert denom == 1
     return p.degree, tuple(int(t) for t in totals)
 
@@ -541,26 +600,38 @@ def _hecke_eigenvalue(totals, nu, p):
     return lam
 
 
-@pytest.mark.parametrize("expr", list(HECKE_EIGENVALUES),
-                         ids=["one", "quartic", "sextic", "octic"])
-def test_shell_totals_satisfy_hecke_relations(expr):
-    nu, totals = _hecke_series(expr)
+def _check_hecke(expr, n_max):
+    nu, totals = _hecke_series(expr, n_max)
     found = tuple(_hecke_eigenvalue(totals, nu, p) for p in HECKE_PRIMES)
     assert found == HECKE_EIGENVALUES[expr]
     if nu >= 1:  # Deligne: |lambda_p| <= 2 p^(nu + 1/2)
         assert all(lam * lam <= 4 * p ** (2 * nu + 1) for lam, p in zip(found, HECKE_PRIMES))
 
 
-def test_hecke_series_cover_the_big_int_path():
+@pytest.mark.parametrize("expr", list(HECKE_EIGENVALUES),
+                         ids=["one", "quartic", "sextic", "octic"])
+def test_shell_totals_satisfy_hecke_relations(expr):
+    _check_hecke(expr, HECKE_N)
+
+
+@pytest.mark.parametrize("expr", [SEXTIC_EXPR, OCTIC_EXPR], ids=["sextic", "octic"])
+def test_wide_shell_totals_satisfy_hecke_relations(expr):
+    assert set(_routes(parse_poly(expr), HECKE_WIDE_N)) == {"two-pass"}
+    _check_hecke(expr, HECKE_WIDE_N)
+
+
+def test_hecke_series_cover_the_two_pass_route():
     # the octic's classes cross the int64 bound at HECKE_N, so the oracle
-    # checks the big-integer convolution at a size brute force cannot reach
-    octic = _monomial_classes(parse_poly(OCTIC_EXPR))
-    assert any(_certified_bound(key, HECKE_N) >= _INT64_SAFE for key, _ in octic)
+    # checks the two-pass route at a size brute force cannot reach
+    octic = parse_poly(OCTIC_EXPR)
+    assert all(_certified_bound(key, HECKE_N) >= _INT64_SAFE
+               for key, _ in _monomial_classes(octic))
+    assert _routes(octic, HECKE_N) == ["two-pass"] * 3
 
 
 @pytest.mark.parametrize("p", HECKE_PRIMES)
 def test_hecke_oracle_catches_one_changed_total(p):
-    nu, totals = _hecke_series(QUARTIC_EXPR)
+    nu, totals = _hecke_series(QUARTIC_EXPR, HECKE_N)
     top = HECKE_N // (p * p)
     first = next(n for n in range(1, top + 1) if totals[n])
     zero = next(n for n in range(1, top + 1) if not totals[n])

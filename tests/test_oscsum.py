@@ -495,6 +495,16 @@ def test_freq_sum_reads_one_series_per_laplacian_power(expr, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("r, h, n_trunc", [(2.0**30, 0.5, 16), (2.0**28, 1.0, 256),
+                                           (1e75, 0.5, 16)])
+def test_freq_sum_refuses_imprecise_phase_before_any_series(r, h, n_trunc, monkeypatch):
+    # the cap reads (R+H) sqrt(n_trunc): 2^30 + 0.5 times 4 and (2^28 + 1)
+    # times 16 are just past 2^32
+    monkeypatch.setattr(oscsum, "shell_totals", None)
+    with pytest.raises(ValueError, match="2\\^32"):
+        freq_long_sum(parse_poly(QUARTIC_EXPR), r, h, n_trunc)
+
+
 def _pointwise_partial_sums(q, n_top, r, h=(0.0, 0.0, 0.0)):
     """V_N for 0 <= N <= n_top by a plain loop over representations, plus
     the sum of |summands| that scales the rounding error."""
