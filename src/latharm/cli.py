@@ -38,13 +38,6 @@ def _poly_arg(text: str) -> Polynomial3:
         raise UsageError(f"bad polynomial: {exc}")
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational {text!r}")
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -153,10 +146,7 @@ def cmd_freqsum(args) -> int:
 def _parse_h(text: str) -> tuple[float, float, float]:
     """Three rationals, each reduced exactly mod 1 before it becomes a float:
     e(h . xi) has period 1 in every component of h for integer xi."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError("--h wants three comma-separated rationals")
-    return tuple(float(_fraction(s) % 1) for s in parts)  # type: ignore[return-value]
+    return tuple(float(v % 1) for v in exppairs.parse_rationals(text, 3))  # type: ignore[return-value]
 
 
 @_domain_errors_are_usage
@@ -220,10 +210,7 @@ def cmd_balance(args) -> int:
         long_terms = exppairs.parse_terms(args.long)
     short_terms = exppairs.parse_terms(args.short)
     if args.alpha_range:
-        bounds = args.alpha_range.split(",")
-        if len(bounds) != 2:
-            raise UsageError("--alpha-range wants lo,hi")
-        lo, hi = (_fraction(s) for s in bounds)
+        lo, hi = exppairs.parse_rationals(args.alpha_range, 2)
     else:
         lo, hi = Fraction(-1), Fraction(0)
     result = exppairs.balance(long_terms, short_terms, (lo, hi))

@@ -318,12 +318,35 @@ def table_text(rows: Sequence[TableRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A larger decimal exponent is refused before Fraction builds 10^exponent.
+RATIONAL_EXP_CAP = 1000
+
+
+def parse_rational(text: str) -> Fraction:
+    """'p/q' or a decimal such as '-1.5e-3' as a Fraction; ValueError for a
+    zero denominator, an exponent past RATIONAL_EXP_CAP or other bad text."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        if e and abs(int(exponent)) > RATIONAL_EXP_CAP:
+            raise ValueError(f"exponent beyond {RATIONAL_EXP_CAP}")
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {text!r}: zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"bad rational {text!r}: {exc}") from None
+
+
+def parse_rationals(text: str, count: int) -> list[Fraction]:
+    """`count` comma-separated rationals, each read by `parse_rational`."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise ValueError(f"expected {count} comma-separated rationals in {text!r}")
+    return [parse_rational(s) for s in parts]
+
+
 def parse_pair(text: str, eps: bool | None = None) -> ExponentPair:
     """Parse 'k,l' with rational entries; eps defaults from the known-pair list."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected 'k,l'")
-    k, l = (Fraction(s.strip()) for s in parts)
+    k, l = parse_rationals(text, 2)
     if eps is None:
         eps = any(p.k == k and p.l == l and p.eps for p in KNOWN_PAIRS.values())
     return ExponentPair(k, l, eps=eps)
@@ -338,10 +361,7 @@ def parse_terms(text: str) -> list[ErrorTerm]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected 'a,b' in term {chunk!r}")
-        out.append(term(Fraction(parts[0]), Fraction(parts[1])))
+        out.append(term(*parse_rationals(chunk, 2)))
     if not out:
         raise ValueError("empty term list")
     return out

@@ -8,6 +8,7 @@ They become Fractions only at the output edge and floats only through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,13 +19,12 @@ import numpy as np
 from .poly import Polynomial3, sphere_average
 from .util import FitResult, linear_fit
 
-# Above this bound the int64 convolution path could overflow; 2^62 leaves
-# headroom for one extra addition.
-_INT64_SAFE = 1 << 62
+# Stage bounds below this keep a class's uint64 pass from wrapping.
+_RESIDUE_SAFE = 1 << 64
 
-# A certified float error below this lets the two-pass route recover each
-# sum from its residue mod 2^64 (see _two_pass_sums); 2^62 is half the 2^63
-# that rounding to the nearest multiple of 2^64 tolerates.
+# A certified float error below this lets `shell_totals` recover the totals
+# from their residues mod 2^64; 2^62 is half the 2^63 that rounding to the
+# nearest multiple of 2^64 tolerates.
 _TWO_PASS_SAFE = 2.0**62
 
 # Largest shell count a series or sum may ask for (see check_n_max).
@@ -116,10 +116,12 @@ def check_window(r: float, h: float) -> None:
         raise ValueError("need 1 <= R < inf and 0 < H <= 1")
 
 
-def _square_weights(exponent: int, k_max: int) -> list[int]:
+# Cached: building the weights is a tenth of a small shell sum's cost.
+@functools.lru_cache(maxsize=64)
+def _square_weights(exponent: int, k_max: int) -> tuple[int, ...]:
     """w[j] = 2 j^exponent for the two points +-j, and w[0] = 0^exponent (0^0 = 1)."""
     w0 = 1 if exponent == 0 else 0
-    return [w0 if j == 0 else 2 * j**exponent for j in range(k_max + 1)]
+    return tuple(w0 if j == 0 else 2 * j**exponent for j in range(k_max + 1))
 
 
 def _pair_table(wx, wy, n_max: int) -> np.ndarray:
@@ -140,80 +142,31 @@ def _add_square_axis(t: np.ndarray, w) -> np.ndarray:
     """s[m] = sum over j of w[j] t[m - j^2]: shell sums t gain one more axis,
     whose point +-j carries the weight w[j].  One shifted add per j."""
     n_max = len(t) - 1
-    s = np.zeros_like(t)
-    for j, wj in enumerate(w):
-        s[j * j :] += wj * t[: n_max + 1 - j * j]
+    s = w[0] * t
+    for j in range(1, len(w)):
+        s[j * j :] += w[j] * t[: n_max + 1 - j * j]
     return s
 
 
-def _float_weights(w: list[int]) -> np.ndarray:
-    """Each weight rounded once to float64; one past the float range is inf."""
-    return np.array([float(v) if v.bit_length() < 1024 else math.inf for v in w])
+def _to_float(v: int) -> float:
+    """v rounded once to float64; one past the float range is inf."""
+    return float(v) if v.bit_length() < 1024 else math.inf
 
 
-def _two_pass_sums(w1: list[int], w2: list[int], w3: list[int], n_max: int) -> np.ndarray | None:
-    """Exact class sums from one uint64 and one float64 convolution, or None
-    when the float estimate is not certified.
-
-    The uint64 pass wraps, so it yields r = x mod 2^64 for each exact sum x.
-    The float pass yields an estimate x~ of x.  Every term of x is a product
-    w1[a] w2[b] w3[j] of non-negative weights, and on its way into x~ it
-    meets at most K = 2k + 5 roundings (k = isqrt(n_max)): three weight
-    conversions, the x, y product, at most k additions in the pair table
-    (at most k + 1 pairs share a norm, and the first lands on 0 exactly),
-    the z product and at most k additions over j.  With every term
-    non-negative, |x~ - x| <= gamma_K x, gamma_K = K u / (1 - K u),
-    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., Lemma 3.1 and section 4.2), hence |x~ - x| <= K u / (1 - 2 K u) x~.
-
-    The estimate is certified when that bound at max(x~) is below
-    _TWO_PASS_SAFE = 2^62; an inf or NaN estimate (a weight or sum past the
-    float range) fails the comparison.  Then x~ < 2^113, and x~ - fl(r)
-    differs from x - r, a multiple of 2^64, by less than 2^62 (the
-    estimate) + 2^11 (rounding r) + 2^60 (rounding the difference) < 2^63,
-    so rint((x~ - fl(r)) / 2^64) is exactly (x - r) / 2^64.
-    """
-    k = len(w1) - 1
-    mask = (1 << 64) - 1
-    m1, m2, m3 = (np.array([v & mask for v in w], dtype=np.uint64) for w in (w1, w2, w3))
-    r = _add_square_axis(_pair_table(m1, m2, n_max), m3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f1, f2, f3 = (_float_weights(w) for w in (w1, w2, w3))
-        est = _add_square_axis(_pair_table(f1, f2, n_max), f3)
-        rel = (2 * k + 5) * 2.0**-53
-        if not est.max() * rel / (1 - 2 * rel) < _TWO_PASS_SAFE:
-            return None
-    high = np.rint((est - r) / 2.0**64).astype(np.int64)
-    exact = r.astype(object)
-    wide = np.flatnonzero(high)
-    exact[wide] += high[wide].astype(object) << 64
-    return exact
+def _class_sums(weights, n_max: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(pair table, shell sums) of one class's monomial, both stages in `dtype`."""
+    t = _pair_table(np.array(weights[0], dtype=dtype), np.array(weights[1], dtype=dtype), n_max)
+    return t, _add_square_axis(t, weights[2])
 
 
-def _class_shell_sums(
-    exponents: tuple[int, int, int], n_max: int
-) -> tuple[str, np.ndarray]:
-    """(route, S) with S[m] = sum over the shell of norm m of the monomial, exact.
-
-    All exponents must be even. Computed as a convolution of per-axis square
-    sums: the x, y pair table, then the z axis as one series of shifted
-    adds.  Every weight is non-negative, so a stage convolving inputs a and
-    b keeps every partial sum at most max(a) * sum(b).  The route is
-    "int64" when both stages' bounds are below _INT64_SAFE, "two-pass" when
-    `_two_pass_sums` certifies its float estimate, and "object" (Python
-    integers) otherwise.  S is an object array of Python integers.
-    """
-    k = math.isqrt(n_max)
-    w1, w2, w3 = (_square_weights(e, k) for e in exponents)
-    if max(w1) * sum(w2) < _INT64_SAFE:
-        t = _pair_table(np.array(w1, dtype=np.int64), np.array(w2, dtype=np.int64), n_max)
-        if int(t.max()) * sum(w3) < _INT64_SAFE:
-            return "int64", _add_square_axis(t, w3).astype(object)
-    exact = _two_pass_sums(w1, w2, w3, n_max)
-    if exact is not None:
-        return "two-pass", exact
-    big = [np.array(w, dtype=object) for w in (w1, w2, w3)]
-    return "object", _add_square_axis(_pair_table(big[0], big[1], n_max), big[2])
+def _class_residues(weights, n_max: int) -> tuple[np.ndarray, int]:
+    """(S mod 2^64, b) for one class from one wrapping uint64 pass.  b is the
+    z-stage bound (>= max(S)) when the pair stage's is below _RESIDUE_SAFE,
+    else _RESIDUE_SAFE; nothing wrapped when b < _RESIDUE_SAFE."""
+    w1, w2, w3 = weights
+    t, r = _class_sums([w if max(w) < 1 << 64 else [v % (1 << 64) for v in w] for w in weights],
+                       n_max, np.uint64)
+    return r, int(t.max()) * sum(w3) if max(w1) * sum(w2) < _RESIDUE_SAFE else _RESIDUE_SAFE
 
 
 def offset_shell_sums(
@@ -223,7 +176,7 @@ def offset_shell_sums(
 
     Per axis, u^e e(h s u) summed over the signs s of the points +-u is the
     square weight of u times cos(2 pi h u), or times i sin(2 pi h u) for odd
-    e.  So these are the convolution of `_class_shell_sums` with complex
+    e.  So these are the convolution of `_class_sums` with complex
     weights and the same two stages: each monomial's x, y weights go
     through `_pair_table` in complex128, the pair tables sharing a z
     exponent are summed, and each distinct z exponent takes one
@@ -270,12 +223,50 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     Returns (D, T) with T[n] / D = sum of p over |x|^2 = n for 0 <= n <= n_max
     (T[0] / D is p at the origin); T is an object array of Python integers.
     p need not be homogeneous.  n_max above N_MAX_CAP is refused.
+
+    T = sum over monomial classes of c x (c an integer, x >= 0 the class's
+    sums); s = sum of (c mod 2^64)(x mod 2^64), in uint64 read as int64, is
+    T mod 2^64.  Given T~ with |T~| < 2^113 and |T~ - T| < _TWO_PASS_SAFE =
+    2^62, T~ - fl(s) is within 2^62 + 2^10 + 2^60 < 2^63 (rounding s and the
+    difference) of T - s, so T = s + 2^64 rint((T~ - s) / 2^64).  T~ = 0
+    serves when every class is exact in uint64 and sum |c| b < 2^62.  Else
+    T~ = sum of fl(c) x~ (x~ = fl(x) for an exact class, one float64 pass
+    otherwise), whose terms c w1[a] w2[b] w3[j] each meet at most
+    K = 2k + 6 + C roundings (k = isqrt(n_max), C classes): three weight
+    conversions, two products and k additions per stage (at most k + 1
+    terms share a norm, the first landing on 0 exactly), then fl(c), the
+    product with it and C additions.  Whatever the signs, |T~ - T| <=
+    gamma_K sum |c| x <= K u / (1 - 2 K u) sum |fl(c)| max(x~), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Lemma 3.1 and section 4.2).  That bound below 2^62 certifies T~ (and
+    with K >= 7 gives |T~| < 2^113); an inf or NaN bound fails, and the
+    classes are then summed on Python integers (`object`).
     """
     check_n_max(n_max)
-    totals = np.zeros(n_max + 1, dtype=object)
-    for key, coeff in _monomial_classes(p):
-        totals += coeff * _class_shell_sums(key, n_max)[1]
-    return p.denom, totals
+    k = math.isqrt(n_max)
+    classes = [(c, [_square_weights(e, k) for e in key]) for key, c in _monomial_classes(p)]
+    residues = [_class_residues(w, n_max) for _, w in classes]
+    s = sum((c % (1 << 64) * r for (c, _), (r, _) in zip(classes, residues)),
+            np.zeros(n_max + 1, dtype=np.uint64)).view(np.int64)
+    if all(b < _RESIDUE_SAFE for _, b in residues) and sum(
+            abs(c) * b for (c, _), (_, b) in zip(classes, residues)) < _TWO_PASS_SAFE:
+        return p.denom, s.astype(object)
+    estimate, magnitude = np.zeros(n_max + 1), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (c, w), (r, b) in zip(classes, residues):
+            x = r.astype(np.float64) if b < _RESIDUE_SAFE else _class_sums(
+                [[_to_float(v) for v in a] for a in w], n_max, np.float64)[1]
+            estimate += _to_float(c) * x
+            magnitude += abs(_to_float(c)) * float(x.max())
+        rel = (2 * k + 6 + len(classes)) * 2.0**-53
+        if magnitude * rel / (1 - 2 * rel) < _TWO_PASS_SAFE:
+            high = np.rint((estimate - s) / 2.0**64).astype(np.int64)
+            totals = s.astype(object)
+            carry = np.flatnonzero(high)
+            totals[carry] += high[carry].astype(object) << 64
+            return p.denom, totals
+    return p.denom, sum((c * _class_sums(w, n_max, object)[1] for c, w in classes),
+                        np.zeros(n_max + 1, dtype=object))
 
 
 def homogeneous_shell_totals(p: Polynomial3, n_max: int, what: str) -> tuple[int, np.ndarray]:

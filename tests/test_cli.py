@@ -202,6 +202,19 @@ BAD_INPUT = {
     "sum-r-sq-negative": ("sum", "--poly", "1", "--r-sq", "-1"),
     "balance-alpha-range-one-value": ("balance", "--long", "classic", "--short", "cusp",
                                       "--alpha-range", "1"),
+    # one rational parser refuses a zero denominator, and an exponent past
+    # RATIONAL_EXP_CAP before Fraction builds 10^(10^8)
+    "pair-zero-denominator": ("pair", "--pair", "1/0,1"),
+    "pair-exponent-huge": ("pair", "--pair", "1e100000000,1"),
+    "balance-long-zero-denominator": ("balance", "--long", "1/0,1", "--short", "trivial"),
+    "balance-short-zero-denominator": ("balance", "--long", "1,1", "--short", "1,1/0"),
+    "balance-long-exponent-huge": ("balance", "--long", "1,1e100000000", "--short", "trivial"),
+    "balance-alpha-range-exponent-huge": ("balance", "--long", "classic", "--short", "cusp",
+                                          "--alpha-range=-1e100000000,0"),
+    "expsum-h-exponent-huge": ("expsum", "--poly", "1", "--r", "10", "--h=1e100000000,0,0",
+                               "--n", "4"),
+    "expsum-h-zero-denominator": ("expsum", "--poly", "1", "--r", "10", "--h=1/0,0,0",
+                                  "--n", "4"),
     "fit-missing-csv": ("fit", "--from-csv", "{tmp}/missing.csv"),
     # a series row at n = 10^12 would size a list of 10^12 entries
     "fit-from-csv-n-huge": ("fit", "--from-csv", "{tmp}/huge-n.csv"),

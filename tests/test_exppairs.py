@@ -6,6 +6,7 @@ import pytest
 from latharm.exppairs import (
     KNOWN_PAIRS,
     LONG_SUM_MODELS,
+    RATIONAL_EXP_CAP,
     WORD_CAP,
     ExponentPair,
     exponent_table,
@@ -15,6 +16,8 @@ from latharm.exppairs import (
     pair_B,
     pair_apply_word,
     parse_pair,
+    parse_rational,
+    parse_rationals,
     parse_terms,
     short_sum_terms,
     term,
@@ -292,6 +295,19 @@ def test_parse_pair_known_eps():
     assert p.eps  # recognized as Huxley's pair
     assert not parse_pair("1/2,1/2").eps
     assert parse_pair("1/2,1/2", eps=True).eps
+
+
+def test_parse_rational_refuses_before_building():
+    assert parse_rational("-1.5e-3") == F(-3, 2000)
+    assert parse_rational(" 1_000e-4 ") == F(1, 10)
+    assert parse_rational(f"1e{RATIONAL_EXP_CAP}") == 10**RATIONAL_EXP_CAP
+    assert parse_rational(f"1E-{RATIONAL_EXP_CAP}") == F(1, 10**RATIONAL_EXP_CAP)
+    assert parse_rationals("1/6,2/3,0", 3) == [F(1, 6), F(2, 3), F(0)]
+    for bad in ["1/0", "0/0", f"1e{RATIONAL_EXP_CAP + 1}", "1e-100000000", "nan", "inf", "1/2e3", ""]:
+        with pytest.raises(ValueError, match="bad rational"):
+            parse_rational(bad)
+    with pytest.raises(ValueError, match="2 comma-separated"):
+        parse_rationals("1,2,3", 2)
 
 
 def test_parse_terms():

@@ -9,13 +9,10 @@ from scipy import integrate
 
 from latharm import lattice
 from latharm.lattice import (
-    _INT64_SAFE,
     CoefficientSeries,
-    _class_shell_sums,
     _monomial_classes,
     _pair_table,
     _square_weights,
-    _two_pass_sums,
     ball_sum,
     ball_sum_report,
     coeff_series,
@@ -33,7 +30,7 @@ from latharm.lattice import (
     two_adic_part,
 )
 from latharm.oscsum import freq_long_sum
-from latharm.poly import parse_poly, sphere_average
+from latharm.poly import Polynomial3, parse_poly, sphere_average
 
 from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
 
@@ -144,7 +141,7 @@ def test_pair_table_matches_double_loop(n_max):
     k = math.isqrt(n_max)
     for e1, e2 in [(0, 0), (2, 0), (4, 2), (6, 2)]:
         w1, w2 = _square_weights(e1, k), _square_weights(e2, k)
-        assert max(w1) * sum(w2) < _INT64_SAFE
+        assert max(w1) * sum(w2) < 1 << 63
         table = _pair_table(np.array(w1, dtype=np.int64), np.array(w2, dtype=np.int64), n_max)
         assert table.dtype == np.int64
         assert table.tolist() == _pair_loop(w1, w2, n_max)
@@ -163,7 +160,7 @@ def test_pair_table_matches_double_loop(n_max):
 
 
 def _stage_bounds(exponents, n_max):
-    """The two bounds `_class_shell_sums` compares with _INT64_SAFE: the x, y
+    """The two bounds `_class_residues` compares with _RESIDUE_SAFE: the x, y
     pair stage's max(w1) sum(w2) and the z stage's max(pair table) sum(w3)."""
     k = math.isqrt(n_max)
     w1, w2, w3 = (_square_weights(e, k) for e in exponents)
@@ -171,74 +168,99 @@ def _stage_bounds(exponents, n_max):
 
 
 def _certified_bound(exponents, n_max):
-    """The larger stage bound: below _INT64_SAFE both stages run in int64."""
+    """The larger stage bound: below _RESIDUE_SAFE the class's uint64 pass is exact."""
     return max(_stage_bounds(exponents, n_max))
 
 
-def _routes(p, n_max):
-    return [_class_shell_sums(key, n_max)[0] for key, _ in _monomial_classes(p)]
+def _wide_classes(p, n_max):
+    """The classes of p whose uint64 pass may wrap, so they need the float pass."""
+    return [key for key, _ in _monomial_classes(p)
+            if _certified_bound(key, n_max) >= lattice._RESIDUE_SAFE]
+
+
+def _passes(p, n_max):
+    """((D, T as a list), dtypes): `shell_totals` and the dtype of each class
+    pass it ran: uint64 residues, float64 estimates or object integers."""
+    seen = []
+    inner = lattice._class_sums
+
+    def spy(weights, n, dtype):
+        seen.append(np.dtype(dtype).name)
+        return inner(weights, n, dtype)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lattice, "_class_sums", spy)
+        denom, totals = shell_totals(p, n_max)
+    totals = totals.tolist()
+    assert all(type(t) is int for t in totals)
+    return (denom, totals), seen
+
+
+ROUTE_CORPUS = ["1", QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR, "1/3*x^2-1/7*y^2"]
 
 
 @pytest.mark.parametrize("expr", ["x^24*y^24", "x^24*y^24+z^48"])
 def test_big_int_path_matches_brute_force(expr):
-    # the float estimate of these classes is past its certificate, so they
-    # keep the Python-integer convolution
+    # the float estimate of these classes is past its certificate, so the
+    # polynomial is summed on Python integers
     p = parse_poly(expr)
     n_max = 120
     classes = _monomial_classes(p)
-    assert classes and all(_certified_bound(key, n_max) >= _INT64_SAFE for key, _ in classes)
-    assert _routes(p, n_max) == ["object"] * len(classes)
+    assert classes and _wide_classes(p, n_max) == [key for key, _ in classes]
+    _, passes = _passes(p, n_max)
+    assert passes.count("float64") == passes.count("object") == len(classes)
     series = coeff_series(p, n_max)
     for n in range(1, n_max + 1):
         assert series.a(n) == brute_shell_sum(p, n), (expr, n)
 
 
-def test_int64_and_big_int_paths_agree(quartic, sextic, monkeypatch):
-    # each route forced in turn: int64, two-pass, then Python integers (the
-    # reference) give equal integers
-    polys = [parse_poly("1"), quartic, sextic, parse_poly(OCTIC_EXPR),
-             parse_poly("1/3*x^2-1/7*y^2")]
-    int64 = [shell_totals(p, 3000) for p in polys]
-    assert all(_certified_bound(key, 3000) < _INT64_SAFE
-               for p in polys for key, _ in _monomial_classes(p))
-    for route, attr in [("two-pass", "_INT64_SAFE"), ("object", "_TWO_PASS_SAFE")]:
-        monkeypatch.setattr(lattice, attr, 0)
-        for p, (denom, totals) in zip(polys, int64):
-            assert set(_routes(p, 3000)) == {route}
-            other_denom, other_totals = shell_totals(p, 3000)
-            assert other_denom == denom
-            assert other_totals.tolist() == totals.tolist()
+def test_forced_float_and_object_passes_agree(monkeypatch):
+    # by default these run the uint64 passes alone; the float pass forced on
+    # every class, then Python integers (the reference) give equal integers
+    polys = [parse_poly(e) for e in ROUTE_CORPUS]
+    default = []
+    for p in polys:
+        assert not _wide_classes(p, 3000)
+        totals, passes = _passes(p, 3000)
+        assert set(passes) == {"uint64"}
+        default.append(totals)
+    for attr, forced in [("_RESIDUE_SAFE", "float64"), ("_TWO_PASS_SAFE", "object")]:
+        with monkeypatch.context() as m:
+            m.setattr(lattice, attr, 0)
+            for p, totals in zip(polys, default):
+                other, passes = _passes(p, 3000)
+                assert passes.count(forced) == len(_monomial_classes(p))
+                assert forced == "object" or "object" not in passes
+                assert other == totals
 
 
 def test_two_pass_route_matches_big_int_path_on_the_octic(monkeypatch):
-    # 17867 shells (the benchmark's top octic rung) cross the int64 bound
+    # at 17867 shells (the benchmark's top octic rung) every class may wrap
+    # in uint64, so each takes the float pass
     p = parse_poly(OCTIC_EXPR)
     n_max = 17867
-    assert all(_certified_bound(key, n_max) >= _INT64_SAFE for key, _ in _monomial_classes(p))
-    assert set(_routes(p, n_max)) == {"two-pass"}
-    denom, totals = shell_totals(p, n_max)
-    assert max(abs(t) for t in totals.tolist()).bit_length() > 64
+    assert len(_wide_classes(p, n_max)) == len(_monomial_classes(p))
+    (denom, totals), passes = _passes(p, n_max)
+    assert passes.count("float64") == len(_monomial_classes(p)) and "object" not in passes
+    assert max(abs(t) for t in totals).bit_length() > 64
     monkeypatch.setattr(lattice, "_TWO_PASS_SAFE", 0)
-    assert shell_totals(p, n_max)[1].tolist() == totals.tolist()
+    assert shell_totals(p, n_max)[1].tolist() == totals
 
 
 def test_z_stage_overflow_takes_two_pass_route(sextic, monkeypatch):
-    # a bound between one class's two stage bounds passes its int64 pair
-    # stage and fails its z stage, which leaves the class to the two passes
+    # a bound between one class's two stage bounds passes its pair stage and
+    # fails its z stage, which leaves that class to the float pass
     n_max = 3000
-    key = (6, 0, 0)
-    pair_bound, z_bound = _stage_bounds(key, n_max)
-    assert pair_bound < z_bound < _INT64_SAFE
-    route, int64_class = _class_shell_sums(key, n_max)
-    assert route == "int64"
-    int64_totals = shell_totals(sextic, n_max)
-    monkeypatch.setattr(lattice, "_INT64_SAFE", (pair_bound + z_bound) // 2)
-    route, two_pass_class = _class_shell_sums(key, n_max)
-    assert route == "two-pass"
-    assert two_pass_class.tolist() == int64_class.tolist()
-    denom, totals = shell_totals(sextic, n_max)
-    assert denom == int64_totals[0]
-    assert totals.tolist() == int64_totals[1].tolist()
+    pair_bound, z_bound = _stage_bounds((6, 0, 0), n_max)
+    assert pair_bound < z_bound < lattice._RESIDUE_SAFE
+    default, passes = _passes(sextic, n_max)
+    assert set(passes) == {"uint64"}
+    monkeypatch.setattr(lattice, "_RESIDUE_SAFE", (pair_bound + z_bound) // 2)
+    assert (6, 0, 0) in _wide_classes(sextic, n_max)
+    totals, passes = _passes(sextic, n_max)
+    assert passes.count("float64") == len(_wide_classes(sextic, n_max))
+    assert "object" not in passes
+    assert totals == default
 
 
 # (600, 2, 0) has weights past the float range, and 0 * inf = NaN in its
@@ -246,13 +268,35 @@ def test_z_stage_overflow_takes_two_pass_route(sextic, monkeypatch):
 @pytest.mark.parametrize("key", [(600, 2, 0), (200, 200, 0)], ids=["nan", "inf"])
 def test_two_pass_refuses_a_non_finite_estimate(key):
     n_max = 200
-    weights = [_square_weights(e, math.isqrt(n_max)) for e in key]
-    assert _two_pass_sums(*weights, n_max) is None
-    route, sums = _class_shell_sums(key, n_max)
-    assert route == "object"
+    (_, totals), passes = _passes(Polynomial3({key: 1}, 1), n_max)
+    assert passes == ["uint64", "float64", "object"]
     for n in (1, 2, 101, 200):
         expected = sum(x ** key[0] * y ** key[1] * z ** key[2] for x, y, z in representations(n))
-        assert sums[n] == expected
+        assert totals[n] == expected
+
+
+WIDE_COEFFS = "(2^70+1)*x^8-(2^75-3)*y^4*z^4+7*z^8"
+
+
+@pytest.mark.parametrize("n_max", [300, 3000])
+def test_wide_and_negative_coefficients_match_object(n_max, monkeypatch):
+    # coefficients of 2^64 or more and negative ones enter the residue mod
+    # 2^64; at 300 shells the estimate is certified, at 3000 it is not
+    p = parse_poly(WIDE_COEFFS)
+    (denom, totals), passes = _passes(p, n_max)
+    assert ("object" in passes) == (n_max == 3000)
+    assert min(totals) < 0 and max(abs(t) for t in totals).bit_length() > 100
+    for n in (1, 2, 3, 50):
+        assert F(totals[n], denom) == brute_shell_sum(p, n)
+    monkeypatch.setattr(lattice, "_TWO_PASS_SAFE", 0)
+    assert shell_totals(p, n_max)[1].tolist() == totals
+
+
+def test_coefficient_past_the_float_range_falls_back_to_object():
+    (denom, totals), passes = _passes(parse_poly("2^1100*x^2"), 3000)
+    assert passes == ["uint64", "object"]
+    base = shell_totals(parse_poly("x^2"), 3000)
+    assert (denom, totals) == (1, [2**1100 * t for t in base[1].tolist()])
 
 
 @pytest.mark.parametrize("expr", ["1/3*x^2-1/7*y^2", QUARTIC_EXPR, "1/3*x^24*y^24-1/7*z^48"])
@@ -553,8 +597,8 @@ def test_bound_report_blomer_harcos_mode(quartic):
 # -- Hecke-relation oracle --------------------------------------------------------
 
 HECKE_N = 30000
-# 2^17 shells, where every class of the sextic and the octic runs the two
-# passes, far past the reach of brute force and of the int64 route
+# 2^17 shells, where classes of the sextic and the octic need the float
+# pass, far past the reach of brute force
 HECKE_WIDE_N = 1 << 17
 # lambda_p for p = 3, 5, 7, 11: the theta series of these harmonics are
 # Hecke eigenforms (their octahedral averages span one dimension).
@@ -616,17 +660,20 @@ def test_shell_totals_satisfy_hecke_relations(expr):
 
 @pytest.mark.parametrize("expr", [SEXTIC_EXPR, OCTIC_EXPR], ids=["sextic", "octic"])
 def test_wide_shell_totals_satisfy_hecke_relations(expr):
-    assert set(_routes(parse_poly(expr), HECKE_WIDE_N)) == {"two-pass"}
+    p = parse_poly(expr)
+    wide = _wide_classes(p, HECKE_WIDE_N)
+    _, passes = _passes(p, HECKE_WIDE_N)
+    assert wide and passes.count("float64") == len(wide) and "object" not in passes
     _check_hecke(expr, HECKE_WIDE_N)
 
 
 def test_hecke_series_cover_the_two_pass_route():
-    # the octic's classes cross the int64 bound at HECKE_N, so the oracle
-    # checks the two-pass route at a size brute force cannot reach
+    # every class of the octic may wrap in uint64 at HECKE_N, so the oracle
+    # checks the float pass at a size brute force cannot reach
     octic = parse_poly(OCTIC_EXPR)
-    assert all(_certified_bound(key, HECKE_N) >= _INT64_SAFE
-               for key, _ in _monomial_classes(octic))
-    assert _routes(octic, HECKE_N) == ["two-pass"] * 3
+    assert len(_wide_classes(octic, HECKE_N)) == 3
+    _, passes = _passes(octic, HECKE_N)
+    assert passes.count("float64") == 3 and "object" not in passes
 
 
 @pytest.mark.parametrize("p", HECKE_PRIMES)
