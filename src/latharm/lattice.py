@@ -8,7 +8,6 @@ They become Fractions only at the output edge and floats only through
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,12 +115,10 @@ def check_window(r: float, h: float) -> None:
         raise ValueError("need 1 <= R < inf and 0 < H <= 1")
 
 
-# Cached: building the weights is a tenth of a small shell sum's cost.
-@functools.lru_cache(maxsize=64)
-def _square_weights(exponent: int, k_max: int) -> tuple[int, ...]:
+def _square_weights(exponent: int, k_max: int) -> list[int]:
     """w[j] = 2 j^exponent for the two points +-j, and w[0] = 0^exponent (0^0 = 1)."""
     w0 = 1 if exponent == 0 else 0
-    return tuple(w0 if j == 0 else 2 * j**exponent for j in range(k_max + 1))
+    return [w0 if j == 0 else 2 * j**exponent for j in range(k_max + 1)]
 
 
 def _pair_table(wx, wy, n_max: int) -> np.ndarray:
@@ -155,18 +152,9 @@ def _to_float(v: int) -> float:
 
 def _class_sums(weights, n_max: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(pair table, shell sums) of one class's monomial, both stages in `dtype`."""
-    t = _pair_table(np.array(weights[0], dtype=dtype), np.array(weights[1], dtype=dtype), n_max)
+    t = _pair_table(np.asarray(weights[0], dtype=dtype), np.asarray(weights[1], dtype=dtype),
+                    n_max)
     return t, _add_square_axis(t, weights[2])
-
-
-def _class_residues(weights, n_max: int) -> tuple[np.ndarray, int]:
-    """(S mod 2^64, b) for one class from one wrapping uint64 pass.  b is the
-    z-stage bound (>= max(S)) when the pair stage's is below _RESIDUE_SAFE,
-    else _RESIDUE_SAFE; nothing wrapped when b < _RESIDUE_SAFE."""
-    w1, w2, w3 = weights
-    t, r = _class_sums([w if max(w) < 1 << 64 else [v % (1 << 64) for v in w] for w in weights],
-                       n_max, np.uint64)
-    return r, int(t.max()) * sum(w3) if max(w1) * sum(w2) < _RESIDUE_SAFE else _RESIDUE_SAFE
 
 
 def offset_shell_sums(
@@ -235,7 +223,8 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     K = 2k + 6 + C roundings (k = isqrt(n_max), C classes): three weight
     conversions, two products and k additions per stage (at most k + 1
     terms share a norm, the first landing on 0 exactly), then fl(c), the
-    product with it and C additions.  Whatever the signs, |T~ - T| <=
+    product with it and C - 1 additions (the first lands on the zero
+    estimate exactly).  Whatever the signs, |T~ - T| <=
     gamma_K sum |c| x <= K u / (1 - 2 K u) sum |fl(c)| max(x~), u = 2^-53
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     Lemma 3.1 and section 4.2).  That bound below 2^62 certifies T~ (and
@@ -244,18 +233,30 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
-    classes = [(c, [_square_weights(e, k) for e in key]) for key, c in _monomial_classes(p)]
-    residues = [_class_residues(w, n_max) for _, w in classes]
-    s = sum((c % (1 << 64) * r for (c, _), (r, _) in zip(classes, residues)),
-            np.zeros(n_max + 1, dtype=np.uint64)).view(np.int64)
+    classes = _monomial_classes(p)
+    # classes share exponents: each axis's weights are built once per call
+    weights = {e: _square_weights(e, k) for e in {e for key, _ in classes for e in key}}
+    residue_weights = {e: np.array(w if max(w) < 1 << 64 else [v % (1 << 64) for v in w],
+                                   dtype=np.uint64) for e, w in weights.items()}
+    s = np.zeros(n_max + 1, dtype=np.uint64)
+    residues = []  # (x mod 2^64, b) per class; b >= max(x) when b < _RESIDUE_SAFE
+    for (e1, e2, e3), c in classes:
+        t, r = _class_sums([residue_weights[e] for e in (e1, e2, e3)], n_max, np.uint64)
+        s += c % (1 << 64) * r
+        # weights are non-negative: partial sums stay below max(w1) sum(w2), then max(t) sum(w3)
+        b = max(weights[e1]) * sum(weights[e2])
+        if b < _RESIDUE_SAFE:
+            b = int(t.max()) * sum(weights[e3])
+        residues.append((r, b))
+    s = s.view(np.int64)
     if all(b < _RESIDUE_SAFE for _, b in residues) and sum(
-            abs(c) * b for (c, _), (_, b) in zip(classes, residues)) < _TWO_PASS_SAFE:
+            abs(c) * b for (_, c), (_, b) in zip(classes, residues)) < _TWO_PASS_SAFE:
         return p.denom, s.astype(object)
     estimate, magnitude = np.zeros(n_max + 1), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for (c, w), (r, b) in zip(classes, residues):
+        for (key, c), (r, b) in zip(classes, residues):
             x = r.astype(np.float64) if b < _RESIDUE_SAFE else _class_sums(
-                [[_to_float(v) for v in a] for a in w], n_max, np.float64)[1]
+                [[_to_float(v) for v in weights[e]] for e in key], n_max, np.float64)[1]
             estimate += _to_float(c) * x
             magnitude += abs(_to_float(c)) * float(x.max())
         rel = (2 * k + 6 + len(classes)) * 2.0**-53
@@ -265,8 +266,8 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
             carry = np.flatnonzero(high)
             totals[carry] += high[carry].astype(object) << 64
             return p.denom, totals
-    return p.denom, sum((c * _class_sums(w, n_max, object)[1] for c, w in classes),
-                        np.zeros(n_max + 1, dtype=object))
+    return p.denom, sum((c * _class_sums([weights[e] for e in key], n_max, object)[1]
+                         for key, c in classes), np.zeros(n_max + 1, dtype=object))
 
 
 def homogeneous_shell_totals(p: Polynomial3, n_max: int, what: str) -> tuple[int, np.ndarray]:
