@@ -377,8 +377,10 @@ def cmd_theta_check(args) -> int:
 
 @_domain_errors_are_usage
 def cmd_gauss(args) -> int:
-    direct = modular.gauss_sum_direct(args.d, args.c)
+    # every domain error, in the direct sum's order, before the O(|c|) sum
+    modular.check_gauss_domain(args.d, args.c)
     closed = modular.gauss_sum_closed(args.d, args.c)
+    direct = modular.gauss_sum_direct(args.d, args.c)
     diff = abs(direct - closed)
     print(f"direct={direct:.12g} closed={closed:.12g} |diff|={diff:.3e}")
     if args.xi is not None:

@@ -266,6 +266,8 @@ BAD_INPUT = {
     # no tail of 256 terms is certified below 1e-30 * 1e-4 near Y_MIN
     "theta-check-tol-uncertifiable": ("theta-check", "--tol", "1e-30", "--n-max", "256"),
     "gauss-c-huge": ("gauss", "--d", "1", "--c", "4000000000"),
+    # the closed form's domain is checked before the O(|c|) direct sum
+    "gauss-c-not-4": ("gauss", "--d", "1", "--c", "999999"),
     "theta-check-sample-0": ("theta-check", "--sample", "0"),
     "theta-check-sample-negative": ("theta-check", "--sample", "-3"),
     "theta-check-sample-huge": ("theta-check", "--sample", "100000000"),
@@ -336,6 +338,12 @@ def test_gauss_pass_and_value(capsys):
     code, out, _ = run(capsys, "gauss", "--d", "1", "--c", "4", "--xi", "2")
     assert code == 0
     assert "direct=2+2j" in out.replace(" ", "") or "2+2j" in out.replace(" ", "")
+
+
+def test_gauss_near_the_cap_passes(capsys):
+    code, out, _ = run(capsys, "gauss", "--d", "1136815", "--c", "999996", "--xi", "7")
+    assert code == 0
+    assert "S(xi=7)=" in out
 
 
 def test_gauss_bad_inputs(capsys):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
 
@@ -413,15 +414,36 @@ def test_quadratic_sum_even_offset_completes_square():
                 assert quadratic_sum_S(2 * half_xi, d, c) == pytest.approx(expected)
 
 
+def test_gauss_direct_matches_closed_near_the_cap():
+    # the sequential sum drifted past 1e-10 here (1.136e-10 for d = 1136815)
+    for c in (999996, -999996, 999992):
+        for d in (1136815, 5, 999983, -1):
+            assert abs(gauss_sum_direct(d, c) - gauss_sum_closed(d, c)) < 1e-10, (d, c)
+
+
+def test_phase_sums_reduce_huge_arguments_first():
+    # d and xi far past 2^63: multiplied before reduction, int64 would wrap
+    # or refuse them; at |c| = 65540, m^2 is above 2^32
+    for c in (999996, -999996, 65540, -65540):
+        for d in (10**30 + 1, -10**25 - 1):
+            closed = gauss_sum_closed(d, c)
+            assert abs(gauss_sum_direct(d, c) - closed) < 1e-10, (d, c)
+            for t in (-10**25 - 1, -10**25 + 1):
+                assert abs(quadratic_sum_S(t, d, c)) < 1e-10, (t, d, c)
+                expected = e_of(float(F(-d * t * t, c) % 1)) * closed
+                assert abs(quadratic_sum_S(2 * t, d, c) - expected) < 1e-10, (t, d, c)
+
+
 def test_quadratic_sum_specific_value():
     # S(2, 1, 4) = e(-1/4) * 2(1+i) = 2 - 2i
     assert quadratic_sum_S(2, 1, 4) == pytest.approx(2 - 2j)
 
 
 def _fraction_phase_sum(d, c, xi):
-    """Reference: every phase reduced mod 1 as a Fraction, then rounded."""
-    return sum((e_of(float(F(d * (m * m + m * xi), c) % 1)) for m in range(abs(c))),
-               0 + 0j)
+    """Reference: every phase reduced mod 1 as a Fraction, then rounded, and
+    the terms summed in the same numpy pass as the library's."""
+    t = np.array([float(F(d * (m * m + m * xi), c) % 1) for m in range(abs(c))])
+    return complex(np.exp(2j * np.pi * t).sum())
 
 
 def test_phase_sums_equal_fraction_reference():

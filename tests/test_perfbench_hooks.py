@@ -7,8 +7,11 @@ they depend on changes, so these tests only read perfbench/ and check it
 against the program.
 """
 
+import functools
 import importlib
+import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +42,26 @@ def test_every_wrapped_name_resolves(bench):
             else:
                 assert callable(getattr(module, qual, None)), f"{layer}.{qual}"
     assert callable(latharm.cli.main)
+
+
+def test_counted_arguments_exist(bench):
+    # the counter hooks read the wrapped call's arguments by name
+    tracer, _ = bench
+    reads = set()
+    for name, hook in tracer.Tracer()._hooks().items():
+        layer, qual = name.split(".", 1)
+        fn = functools.reduce(getattr, qual.split("."), getattr(latharm, layer))
+        params = inspect.signature(fn).parameters
+        for arg in re.findall(r'arguments\["(\w+)"\]', inspect.getsource(hook)):
+            assert arg in params, (name, arg)
+            reads.add((name, arg))
+    assert reads >= {
+        ("modular.gauss_sum_direct", "c"),
+        ("modular.theta_context", "n_max"),
+        ("oscsum.freq_long_sum", "n_trunc"),
+        ("oscsum.bound_check_VNQR", "n_list"),
+        ("poly.Polynomial3.evaluate_arrays", "x"),
+    }
 
 
 def test_fourier_refs_match_stored(bench):
