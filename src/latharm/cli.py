@@ -237,7 +237,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _headline_magnitudes(p: Polynomial3, r_max: int, subtract_main: bool) -> list[float]:
+def _headline_magnitudes(p: Polynomial3, r_max: int, subtract_main: bool) -> np.ndarray:
     """|headline sum| (optionally volume-corrected) at every shell n <= r_max^2."""
     n_max = r_max * r_max
     denom, totals = lattice.homogeneous_shell_totals(p, n_max, "headline sum")
@@ -248,10 +248,10 @@ def _headline_magnitudes(p: Polynomial3, r_max: int, subtract_main: bool) -> lis
         power = (p.degree + 3) / 2
         # Python's pow, not numpy's, which differs in the last bit on some n
         values -= main_coeff * np.array([n**power for n in range(1, n_max + 1)])
-    return np.abs(values).tolist()
+    return np.abs(values)
 
 
-def _headline_fit(mags: list[float]) -> FitResult:
+def _headline_fit(mags: np.ndarray | list[float]) -> FitResult:
     """Growth fit of log |sum| against log R at R = 2, 4, 8, ...
 
     The windows end at n = R^2 = 4^j; the log-n slope is doubled, an exact
@@ -281,8 +281,9 @@ def cmd_fit(args) -> int:
         mags = _headline_magnitudes(p, args.r_max, args.subtract_main)
         if args.csv:
             lines = ["n,R,abs_sum"]
+            # Python floats: a numpy scalar's repr is np.float64(...)
             lines.extend(
-                f"{n},{math.sqrt(n)!r},{m!r}" for n, m in enumerate(mags, start=1)
+                f"{n},{math.sqrt(n)!r},{m!r}" for n, m in enumerate(mags.tolist(), start=1)
             )
             _emit("\n".join(lines) + "\n", args.csv)
     if all(m == 0.0 for m in mags):

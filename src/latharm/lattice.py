@@ -4,6 +4,10 @@ The shell coefficients a_n (sums of a polynomial over all lattice points of
 norm-squared n) are computed exactly as integers T[n] over one denominator D.
 They become Fractions only at the output edge and floats only through
 `shell_floats` or a window weight.
+
+Shell sums are square convolutions: an x, y pair table, then the costly z
+axis, which `_z_stage` runs once per distinct z exponent on the summed pair
+tables, for `shell_totals` and `offset_shell_sums` alike.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ _TWO_PASS_SAFE = 2.0**62
 
 # Largest shell count a series or sum may ask for (see check_n_max).
 N_MAX_CAP = 10**6
-
-_ONE = Polynomial3.constant(1)
 
 
 def representations(n: int) -> list[tuple[int, int, int]]:
@@ -150,11 +152,17 @@ def _to_float(v: int) -> float:
     return float(v) if v.bit_length() < 1024 else math.inf
 
 
-def _class_sums(weights, n_max: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(pair table, shell sums) of one class's monomial, both stages in `dtype`."""
-    t = _pair_table(np.asarray(weights[0], dtype=dtype), np.asarray(weights[1], dtype=dtype),
-                    n_max)
-    return t, _add_square_axis(t, weights[2])
+def _z_stage(pairs, z_weights) -> dict[int, np.ndarray]:
+    """{e: the pair tables t of `pairs` (e, t) sharing z exponent e, summed
+    (in place into the first, which the caller owns), then carried along z by
+    one `_add_square_axis` pass with the weights z_weights(e)}."""
+    folded: dict[int, np.ndarray] = {}
+    for e, t in pairs:
+        if e in folded:
+            folded[e] += t
+        else:
+            folded[e] = t
+    return {e: _add_square_axis(t, z_weights(e)) for e, t in folded.items()}
 
 
 def offset_shell_sums(
@@ -164,12 +172,9 @@ def offset_shell_sums(
 
     Per axis, u^e e(h s u) summed over the signs s of the points +-u is the
     square weight of u times cos(2 pi h u), or times i sin(2 pi h u) for odd
-    e.  So these are the convolution of `_class_sums` with complex
-    weights and the same two stages: each monomial's x, y weights go
-    through `_pair_table` in complex128, the pair tables sharing a z
-    exponent are summed, and each distinct z exponent takes one
-    `_add_square_axis` pass.  h enters mod 1, exactly (by fmod), so a large
-    h loses no precision in the angle.
+    e: the square convolution of `shell_totals` with complex128 weights,
+    folded by `_z_stage` the same way.  h enters mod 1, exactly (by fmod),
+    so a large h loses no precision in the angle.
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
@@ -179,14 +184,10 @@ def offset_shell_sums(
         trig = 1j * np.sin(angles[axis]) if e % 2 else np.cos(angles[axis])
         return np.array(_square_weights(e, k), dtype=np.complex128) * trig
 
-    pairs: dict[int, np.ndarray] = {}
-    for (i, j, e), coeff in p.terms.items():
-        pair = (coeff / p.denom) * _pair_table(weights(0, i), weights(1, j), n_max)
-        pairs[e] = pairs.get(e, 0) + pair
-    shells = np.zeros(n_max + 1, dtype=np.complex128)
-    for e, t in pairs.items():
-        shells += _add_square_axis(t, weights(2, e))
-    return shells
+    pairs = ((e, (coeff / p.denom) * _pair_table(weights(0, i), weights(1, j), n_max))
+             for (i, j, e), coeff in p.terms.items())
+    passes = _z_stage(pairs, lambda e: weights(2, e))
+    return sum(passes.values(), np.zeros(n_max + 1, dtype=np.complex128))
 
 
 def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
@@ -213,23 +214,32 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     p need not be homogeneous.  n_max above N_MAX_CAP is refused.
 
     T = sum over monomial classes of c x (c an integer, x >= 0 the class's
-    sums); s = sum of (c mod 2^64)(x mod 2^64), in uint64 read as int64, is
-    T mod 2^64.  Given T~ with |T~| < 2^113 and |T~ - T| < _TWO_PASS_SAFE =
-    2^62, T~ - fl(s) is within 2^62 + 2^10 + 2^60 < 2^63 (rounding s and the
-    difference) of T - s, so T = s + 2^64 rint((T~ - s) / 2^64).  T~ = 0
-    serves when every class is exact in uint64 and sum |c| b < 2^62.  Else
-    T~ = sum of fl(c) x~ (x~ = fl(x) for an exact class, one float64 pass
-    otherwise), whose terms c w1[a] w2[b] w3[j] each meet at most
-    K = 2k + 6 + C roundings (k = isqrt(n_max), C classes): three weight
-    conversions, two products and k additions per stage (at most k + 1
-    terms share a norm, the first landing on 0 exactly), then fl(c), the
-    product with it and C - 1 additions (the first lands on the zero
-    estimate exactly).  Whatever the signs, |T~ - T| <=
-    gamma_K sum |c| x <= K u / (1 - 2 K u) sum |fl(c)| max(x~), u = 2^-53
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    Lemma 3.1 and section 4.2).  That bound below 2^62 certifies T~ (and
-    with K >= 7 gives |T~| < 2^113); an inf or NaN bound fails, and the
-    classes are then summed on Python integers (`object`).
+    sums).  With g_e the gcd of the c sharing a z exponent e, `_z_stage`
+    adds their pair tables (c / g_e) t and runs one z pass per e, giving H_e,
+    and G_e = g_e H_e; in uint64 (mod 2^64) the sum s of the g_e H_e read as
+    int64 is T mod 2^64.  Given |T~| < 2^113 and |T~ - T| < 2^62
+    (_TWO_PASS_SAFE), T~ - fl(s) is within 2^62 + 2^10 + 2^60 < 2^63 of T - s,
+    so T = s + 2^64 rint((T~ - s) / 2^64).  Weights are non-negative, so
+    t < b1 = max(w1) sum(w2) and x <= b = max(t) sum(w3).  T~ = 0 serves if
+    every b1, b < 2^64 and sum |c| b < 2^62.  Else an e with every b < 2^64
+    and sum |c / g_e| b < 2^63 has H_e exactly in its residue read as int64
+    and enters T~ as fl(g_e) fl(H_e); the other e fold fl(c) t~ in float64
+    (t~ = fl(t) if b1 < 2^64, else a float64 pair stage).  A term c w1 w2 w3
+    meets at most K = 2k + 6 + C roundings (k = isqrt(n_max), C classes):
+    four conversions, three products (pair, fold, z), k additions per stage
+    (the first of at most k + 1 per norm is exact), and (C_e - 1) + (E - 1)
+    <= C - 1 to fold its exponent's C_e classes and add the E exponents.  So
+    |T~ - T| <= gamma_K A, A = sum |c| x, whatever the signs; as |c| <=
+    |fl(c)| / (1 - u) and max(t) <= max(t~) / (1 - gamma_(k+3)), that is at
+    most K u / (1 - 2 K u) (sum of |c| b over the exact e + sum of |fl(c)|
+    max(t~) sum(w3) over the rest), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Lemmas 3.1, 3.3, sec. 4.2).
+    Where that is finite but too large (it can overstate A 15-fold), the
+    fold of |fl(c)| t~ gives A~ >= (1 - gamma_K) A, and max(A~) replaces the
+    second sum.  Either below 2^62 certifies T~ (K >= 7: |T~| < 2^113) before
+    a signed float z pass runs; its own roundings stay far inside 2^63 -
+    2^60 - 2^10.  An inf or NaN bound fails, and the H_e are folded on
+    Python integers (`object`).
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
@@ -238,36 +248,57 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     weights = {e: _square_weights(e, k) for e in {e for key, _ in classes for e in key}}
     residue_weights = {e: np.array(w if max(w) < 1 << 64 else [v % (1 << 64) for v in w],
                                    dtype=np.uint64) for e, w in weights.items()}
-    s = np.zeros(n_max + 1, dtype=np.uint64)
-    residues = []  # (x mod 2^64, b) per class; b >= max(x) when b < _RESIDUE_SAFE
+    g: dict[int, int] = {}  # coefficients' gcd per z exponent: a lone class's H_e is +-x
+    tables = []  # (pair table mod 2^64, whether it is exact, bound b) per class
     for (e1, e2, e3), c in classes:
-        t, r = _class_sums([residue_weights[e] for e in (e1, e2, e3)], n_max, np.uint64)
-        s += c % (1 << 64) * r
-        # weights are non-negative: partial sums stay below max(w1) sum(w2), then max(t) sum(w3)
+        g[e3] = math.gcd(g.get(e3, 0), c)
+        t = _pair_table(residue_weights[e1], residue_weights[e2], n_max)
         b = max(weights[e1]) * sum(weights[e2])
-        if b < _RESIDUE_SAFE:
+        exact = b < _RESIDUE_SAFE
+        if exact:
             b = int(t.max()) * sum(weights[e3])
-        residues.append((r, b))
-    s = s.view(np.int64)
-    if all(b < _RESIDUE_SAFE for _, b in residues) and sum(
-            abs(c) * b for (_, c), (_, b) in zip(classes, residues)) < _TWO_PASS_SAFE:
+        tables.append((t, exact, b))
+    residues = _z_stage(((e3, c // g[e3] % (1 << 64) * t) for ((_, _, e3), c), (t, _, _)
+                         in zip(classes, tables)), residue_weights.__getitem__)
+    s = sum((g[e] % (1 << 64) * r for e, r in residues.items()),
+            np.zeros(n_max + 1, dtype=np.uint64)).view(np.int64)
+    group_bounds: dict[int, int] = {}  # sum |c / g_e| b per z exponent; 2^63 once a b fails
+    for ((_, _, e), c), (_, _, b) in zip(classes, tables):
+        group_bounds[e] = group_bounds.get(e, 0) + (
+            abs(c // g[e]) * b if b < _RESIDUE_SAFE else 1 << 63)
+    if sum(g[e] * bound for e, bound in group_bounds.items()) < _TWO_PASS_SAFE:
         return p.denom, s.astype(object)
-    estimate, magnitude = np.zeros(n_max + 1), 0.0
+    known = [e for e, bound in group_bounds.items() if bound < 1 << 63]
+    float_weights = {e: [_to_float(v) for v in w] for e, w in weights.items()}
+    rel = (2 * k + 6 + len(classes)) * 2.0**-53
+    certified = lambda magnitude: magnitude * rel / (1 - 2 * rel) < _TWO_PASS_SAFE
+    known_bound = _to_float(sum(g[e] * group_bounds[e] for e in known))
+    pairs, magnitude = [], known_bound
     with np.errstate(over="ignore", invalid="ignore"):
-        for (key, c), (r, b) in zip(classes, residues):
-            x = r.astype(np.float64) if b < _RESIDUE_SAFE else _class_sums(
-                [[_to_float(v) for v in weights[e]] for e in key], n_max, np.float64)[1]
-            estimate += _to_float(c) * x
-            magnitude += abs(_to_float(c)) * float(x.max())
-        rel = (2 * k + 6 + len(classes)) * 2.0**-53
-        if magnitude * rel / (1 - 2 * rel) < _TWO_PASS_SAFE:
+        for ((e1, e2, e3), c), (t, exact, _) in zip(classes, tables):
+            if e3 in known:
+                continue
+            t = t.astype(np.float64) if exact else _pair_table(
+                np.array(float_weights[e1]), np.array(float_weights[e2]), n_max)
+            pairs.append((e3, _to_float(c), t))
+            magnitude += abs(_to_float(c)) * float(t.max()) * float(sum(weights[e3]))
+        if math.isfinite(magnitude) and not certified(magnitude):
+            folded = _z_stage(((e, abs(fc) * t) for e, fc, t in pairs), float_weights.__getitem__)
+            magnitude = known_bound + float(sum(folded.values(), np.zeros(n_max + 1)).max())
+        if certified(magnitude):
+            folded = _z_stage(((e, fc * t) for e, fc, t in pairs), float_weights.__getitem__)
+            estimate = sum([_to_float(g[e]) * residues[e].view(np.int64).astype(np.float64)
+                            for e in known] + list(folded.values()), np.zeros(n_max + 1))
             high = np.rint((estimate - s) / 2.0**64).astype(np.int64)
             totals = s.astype(object)
             carry = np.flatnonzero(high)
             totals[carry] += high[carry].astype(object) << 64
             return p.denom, totals
-    return p.denom, sum((c * _class_sums([weights[e] for e in key], n_max, object)[1]
-                         for key, c in classes), np.zeros(n_max + 1, dtype=object))
+    objects = {e: np.array(w, dtype=object) for e, w in weights.items()}
+    pairs = ((e3, c // g[e3] * _pair_table(objects[e1], objects[e2], n_max))
+             for (e1, e2, e3), c in classes)
+    passes = _z_stage(pairs, weights.__getitem__)
+    return p.denom, sum((g[e] * h for e, h in passes.items()), np.zeros(n_max + 1, dtype=object))
 
 
 def homogeneous_shell_totals(p: Polynomial3, n_max: int, what: str) -> tuple[int, np.ndarray]:
@@ -307,9 +338,16 @@ class SumReport:
 
 
 def _point_count(lo: int, hi: int) -> int:
-    """Number of lattice points with lo <= |x|^2 <= hi (0 when lo > hi)."""
-    _, counts = shell_totals(_ONE, hi)
-    return int(counts[lo : hi + 1].sum())
+    """Number of lattice points with lo <= |x|^2 <= hi (0 when lo > hi): the
+    ball |x|^2 <= m holds sum over s <= m of r2(s) (2 isqrt(m - s) + 1), r2 the
+    exponent-0 pair table (a float sqrt floors exactly below 2^52)."""
+    check_n_max(hi)
+    if lo > hi:
+        return 0
+    ones = np.array(_square_weights(0, math.isqrt(hi)), dtype=np.int64)
+    r2 = _pair_table(ones, ones, hi)
+    ball = lambda m: int(r2[: m + 1] @ (2 * np.sqrt(np.arange(m, -1, -1.0)).astype(np.int64) + 1))
+    return ball(hi) - ball(lo - 1)
 
 
 def ball_sum(p: Polynomial3, r_sq: int) -> Fraction:
@@ -467,10 +505,10 @@ def coefficient_bound_report(
     exponent = k_half - (Fraction(5, 16) if use_gcd else Fraction(1, 4))
     mode = "blomer-harcos" if use_gcd else "sarnak"
     exp_f = float(exponent)
-    mags = np.abs(shell_floats(series.denom, series.totals[1:])).tolist()
+    mags = np.abs(shell_floats(series.denom, series.totals[1:]))
     max_ratio = 0.0
     argmax = 0
-    for n, mag in enumerate(mags, start=1):
+    for n, mag in enumerate(mags.tolist(), start=1):
         if not mag:
             continue
         denom = n**exp_f
@@ -495,18 +533,15 @@ def dyadic_growth_fit(magnitudes: Sequence[float], edge_ratio: int = 2) -> FitRe
     """
     if edge_ratio < 2:
         raise ValueError(f"edge_ratio must be at least 2, not {edge_ratio}")
-    n_max = len(magnitudes)
+    # the running maximum from 0, read at each window end; fmax passes over
+    # a NaN as the max() of a loop from 0 does
+    running = np.maximum.accumulate(np.fmax(np.asarray(magnitudes, dtype=np.float64), 0.0))
     xs, ys = [], []
-    running = 0.0
     edge = 4
-    idx = 0
-    while edge <= n_max:
-        while idx < edge:
-            running = max(running, magnitudes[idx])
-            idx += 1
-        if running > 0:
+    while edge <= len(running):
+        if running[edge - 1] > 0:
             xs.append(math.log(edge))
-            ys.append(math.log(running))
+            ys.append(math.log(running[edge - 1]))
         edge *= edge_ratio
     if len(xs) < 3:
         return None

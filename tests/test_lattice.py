@@ -31,6 +31,7 @@ from latharm.lattice import (
 )
 from latharm.oscsum import freq_long_sum
 from latharm.poly import Polynomial3, parse_poly, sphere_average
+from latharm.util import linear_fit
 
 from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
 
@@ -160,7 +161,7 @@ def test_pair_table_matches_double_loop(n_max):
 
 
 def _stage_bounds(exponents, n_max):
-    """The two bounds `_class_residues` compares with _RESIDUE_SAFE: the x, y
+    """The two bounds `shell_totals` compares with _RESIDUE_SAFE: the x, y
     pair stage's max(w1) sum(w2) and the z stage's max(pair table) sum(w3)."""
     k = math.isqrt(n_max)
     w1, w2, w3 = (_square_weights(e, k) for e in exponents)
@@ -178,22 +179,44 @@ def _wide_classes(p, n_max):
             if _certified_bound(key, n_max) >= lattice._RESIDUE_SAFE]
 
 
-def _passes(p, n_max):
-    """((D, T as a list), dtypes): `shell_totals` and the dtype of each class
-    pass it ran: uint64 residues, float64 estimates or object integers."""
-    seen = []
-    inner = lattice._class_sums
+def _z_exponents(p):
+    """The number of distinct z exponents among p's classes: one z pass each."""
+    return len({key[2] for key, _ in _monomial_classes(p)})
 
-    def spy(weights, n, dtype):
-        seen.append(np.dtype(dtype).name)
-        return inner(weights, n, dtype)
+
+def _passes(p, n_max):
+    """((D, T as a list), dtypes): `shell_totals` and the dtype of each z pass
+    it ran: uint64 residues, float64 estimates or object integers."""
+    seen = []
+    inner = lattice._add_square_axis
+
+    def spy(t, w):
+        seen.append(t.dtype.name)
+        return inner(t, w)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(lattice, "_class_sums", spy)
+        m.setattr(lattice, "_add_square_axis", spy)
         denom, totals = shell_totals(p, n_max)
     totals = totals.tolist()
     assert all(type(t) is int for t in totals)
     return (denom, totals), seen
+
+
+def _route(p, n_max):
+    """The route `shell_totals` took: the residue alone, the residue with a
+    float estimate (the only route to convert through `_to_float` that
+    returns before `object`), or `object`."""
+    floats = []
+    inner = lattice._to_float
+
+    def spy(v):
+        floats.append(v)
+        return inner(v)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lattice, "_to_float", spy)
+        _, passes = _passes(p, n_max)
+    return "object" if "object" in passes else "estimate" if floats else "residue"
 
 
 ROUTE_CORPUS = ["1", QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR, "1/3*x^2-1/7*y^2"]
@@ -202,13 +225,15 @@ ROUTE_CORPUS = ["1", QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR, "1/3*x^2-1/7*y^2"]
 @pytest.mark.parametrize("expr", ["x^24*y^24", "x^24*y^24+z^48"])
 def test_big_int_path_matches_brute_force(expr):
     # the float estimate of these classes is past its certificate, so the
-    # polynomial is summed on Python integers
+    # polynomial is summed on Python integers; the finite bound first tries
+    # the fold of |c| t
     p = parse_poly(expr)
     n_max = 120
     classes = _monomial_classes(p)
     assert classes and _wide_classes(p, n_max) == [key for key, _ in classes]
     _, passes = _passes(p, n_max)
-    assert passes.count("float64") == passes.count("object") == len(classes)
+    z = _z_exponents(p)
+    assert passes == ["uint64"] * z + ["float64"] * z + ["object"] * z
     series = coeff_series(p, n_max)
     for n in range(1, n_max + 1):
         assert series.a(n) == brute_shell_sum(p, n), (expr, n)
@@ -222,26 +247,27 @@ def test_forced_float_and_object_passes_agree(monkeypatch):
     for p in polys:
         assert not _wide_classes(p, 3000)
         totals, passes = _passes(p, 3000)
-        assert set(passes) == {"uint64"}
+        assert passes == ["uint64"] * _z_exponents(p)
         default.append(totals)
     for attr, forced in [("_RESIDUE_SAFE", "float64"), ("_TWO_PASS_SAFE", "object")]:
         with monkeypatch.context() as m:
             m.setattr(lattice, attr, 0)
             for p, totals in zip(polys, default):
                 other, passes = _passes(p, 3000)
-                assert passes.count(forced) == len(_monomial_classes(p))
+                assert passes.count(forced) == _z_exponents(p)
                 assert forced == "object" or "object" not in passes
                 assert other == totals
 
 
 def test_two_pass_route_matches_big_int_path_on_the_octic(monkeypatch):
     # at 17867 shells (the benchmark's top octic rung) every class may wrap
-    # in uint64, so each takes the float pass
+    # in uint64, so each takes the float pair stage; all three share z
+    # exponent 0, so one float z pass serves them
     p = parse_poly(OCTIC_EXPR)
     n_max = 17867
     assert len(_wide_classes(p, n_max)) == len(_monomial_classes(p))
     (denom, totals), passes = _passes(p, n_max)
-    assert passes.count("float64") == len(_monomial_classes(p)) and "object" not in passes
+    assert passes == ["uint64", "float64"]
     assert max(abs(t) for t in totals).bit_length() > 64
     monkeypatch.setattr(lattice, "_TWO_PASS_SAFE", 0)
     assert shell_totals(p, n_max)[1].tolist() == totals
@@ -249,17 +275,18 @@ def test_two_pass_route_matches_big_int_path_on_the_octic(monkeypatch):
 
 def test_z_stage_overflow_takes_two_pass_route(sextic, monkeypatch):
     # a bound between one class's two stage bounds passes its pair stage and
-    # fails its z stage, which leaves that class to the float pass
+    # fails its z stage, which leaves the polynomial to the float estimate:
+    # that class's z exponent takes a float pass, the other one is exact in
+    # its residue
     n_max = 3000
     pair_bound, z_bound = _stage_bounds((6, 0, 0), n_max)
     assert pair_bound < z_bound < lattice._RESIDUE_SAFE
     default, passes = _passes(sextic, n_max)
-    assert set(passes) == {"uint64"}
+    assert passes == ["uint64"] * _z_exponents(sextic)
     monkeypatch.setattr(lattice, "_RESIDUE_SAFE", (pair_bound + z_bound) // 2)
     assert (6, 0, 0) in _wide_classes(sextic, n_max)
     totals, passes = _passes(sextic, n_max)
-    assert passes.count("float64") == len(_wide_classes(sextic, n_max))
-    assert "object" not in passes
+    assert passes == ["uint64", "uint64", "float64"]
     assert totals == default
 
 
@@ -269,7 +296,8 @@ def test_z_stage_overflow_takes_two_pass_route(sextic, monkeypatch):
 def test_two_pass_refuses_a_non_finite_estimate(key):
     n_max = 200
     (_, totals), passes = _passes(Polynomial3({key: 1}, 1), n_max)
-    assert passes == ["uint64", "float64", "object"]
+    # the bound is inf or NaN before any float z pass runs
+    assert passes == ["uint64", "object"]
     for n in (1, 2, 101, 200):
         expected = sum(x ** key[0] * y ** key[1] * z ** key[2] for x, y, z in representations(n))
         assert totals[n] == expected
@@ -297,6 +325,51 @@ def test_coefficient_past_the_float_range_falls_back_to_object():
     assert passes == ["uint64", "object"]
     base = shell_totals(parse_poly("x^2"), 3000)
     assert (denom, totals) == (1, [2**1100 * t for t in base[1].tolist()])
+
+
+def _class_by_class(p, n_max):
+    """Reference for the folded z stage: each class's sums by plain loops on
+    Python integers, one z stage per class, times its coefficient."""
+    k = math.isqrt(n_max)
+    totals = [0] * (n_max + 1)
+    for (e1, e2, e3), c in _monomial_classes(p):
+        t = _pair_loop(_square_weights(e1, k), _square_weights(e2, k), n_max)
+        w3 = _square_weights(e3, k)
+        for m in range(n_max + 1):
+            totals[m] += c * sum(w3[j] * t[m - j * j] for j in range(math.isqrt(m) + 1))
+    return totals
+
+
+# z exponents 0, 2 and 4, two classes on each of 0 and 2, and a negative
+# coefficient past 2^64 that wraps in the uint64 fold
+MIXED_Z = "-3*x^6-(2^65+7)*x^4*y^2+11*x^2*y^2*z^2-x^4*y^2*z^2+5*x^4*y^4*z^4"
+
+
+@pytest.mark.parametrize("n_max, route", [(1, "residue"), (300, "estimate"), (3000, "estimate")])
+def test_mixed_z_exponents_fold_to_the_class_sums(n_max, route, monkeypatch):
+    p = parse_poly(MIXED_Z)
+    assert _z_exponents(p) == 3 and len(_monomial_classes(p)) == 5
+    (denom, totals), passes = _passes(p, n_max)
+    assert passes.count("uint64") == 3 and _route(p, n_max) == route
+    assert (denom, totals) == (1, _class_by_class(p, n_max))
+    assert min(totals) < 0
+    monkeypatch.setattr(lattice, "_TWO_PASS_SAFE", 0)
+    (_, forced), passes = _passes(p, n_max)
+    assert passes[-3:] == ["object"] * 3 and forced == totals
+
+
+# the route each corpus polynomial takes at the benchmark's sizes, which
+# folding the z stage must not change
+CORPUS_ROUTES = {
+    4096: ["residue", "residue", "residue", "estimate", "residue"],
+    17867: ["residue", "residue", "residue", "estimate", "residue"],
+    32768: ["residue", "residue", "estimate", "estimate", "residue"],
+}
+
+
+@pytest.mark.parametrize("n_max", list(CORPUS_ROUTES))
+def test_corpus_routes_are_stable(n_max):
+    assert [_route(parse_poly(expr), n_max) for expr in ROUTE_CORPUS] == CORPUS_ROUTES[n_max]
 
 
 @pytest.mark.parametrize("expr", ["1/3*x^2-1/7*y^2", QUARTIC_EXPR, "1/3*x^24*y^24-1/7*z^48"])
@@ -489,6 +562,27 @@ def test_sum_reports_count_points(quartic):
     assert rep.value == pytest.approx(long_sum_physical(parse_poly("1"), 2.0, 0.25))
 
 
+def test_float_sqrt_floors_exactly_up_to_the_cap():
+    # `_point_count` floors np.sqrt; every argument is below 2^52
+    n = np.arange(lattice.N_MAX_CAP + 1, dtype=np.float64)
+    floors = np.sqrt(n).astype(np.int64).tolist()
+    assert floors == [math.isqrt(m) for m in range(lattice.N_MAX_CAP + 1)]
+
+
+def test_point_count_matches_shell_totals_and_enumeration():
+    _, counts = shell_totals(parse_poly("1"), 200)
+    counts = counts.tolist()
+    for lo, hi in [(0, 0), (0, 1), (1, 1), (0, 7), (7, 7), (3, 2), (10, 4), (5, 60),
+                   (0, 200), (17, 200), (200, 200), (1, 0)]:
+        expected = points_in(lo, hi) if hi <= 60 else sum(counts[lo : hi + 1])
+        assert lattice._point_count(lo, hi) == expected == sum(counts[lo : hi + 1])
+    # a larger ball, against the shell totals of 1
+    top = 1 << 17
+    counts = shell_totals(parse_poly("1"), top)[1]
+    for lo in (0, 1, top // 2, top - 5, top):
+        assert lattice._point_count(lo, top) == int(counts[lo:].sum())
+
+
 def test_series_consistency_constant_origin():
     # ball sum includes P(0) on top of the shell coefficients
     p = parse_poly("2")
@@ -568,6 +662,44 @@ def test_dyadic_fit_refuses_window_ends_that_never_grow(edge_ratio):
     # three values reach no window end, so an unguarded fit returns at once
     with pytest.raises(ValueError, match="edge_ratio"):
         dyadic_growth_fit([1.0] * 3, edge_ratio=edge_ratio)
+
+
+def _dyadic_fit_loop(magnitudes, edge_ratio):
+    """Reference for `dyadic_growth_fit`: the running maximum by max() in a loop."""
+    xs, ys = [], []
+    running, edge, idx = 0.0, 4, 0
+    while edge <= len(magnitudes):
+        while idx < edge:
+            running = max(running, magnitudes[idx])
+            idx += 1
+        if running > 0:
+            xs.append(math.log(edge))
+            ys.append(math.log(running))
+        edge *= edge_ratio
+    return linear_fit(xs, ys) if len(xs) >= 3 else None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dyadic_fit_matches_the_running_max_loop(seed):
+    rng = random.Random(seed)
+    n = rng.choice([3, 15, 64, 1000, 32761])
+    mags = [rng.lognormvariate(0, 3) * i ** 2.5 for i in range(1, n + 1)]
+    # leading zeros, interior runs of zeros, a NaN and a negative value
+    for i in range(rng.randrange(min(n, 70))):
+        mags[i] = 0.0
+    for _ in range(n // 10):
+        start = rng.randrange(n)
+        stop = min(n, start + rng.randrange(1, 50))
+        mags[start:stop] = [0.0] * (stop - start)
+    for i in rng.sample(range(n), min(n, 5)):
+        mags[i] = rng.choice([0.0, float("nan"), -1.0])
+    for edge_ratio in (2, 3, 4):
+        expected = _dyadic_fit_loop(mags, edge_ratio)
+        for arg in (mags, np.array(mags)):
+            fit = dyadic_growth_fit(arg, edge_ratio)
+            assert repr(fit) == repr(expected)
+            if fit is not None:
+                assert all(type(v) is float for v in (fit.slope, fit.intercept, fit.r_squared))
 
 
 @pytest.mark.parametrize(
@@ -663,7 +795,10 @@ def test_wide_shell_totals_satisfy_hecke_relations(expr):
     p = parse_poly(expr)
     wide = _wide_classes(p, HECKE_WIDE_N)
     _, passes = _passes(p, HECKE_WIDE_N)
-    assert wide and passes.count("float64") == len(wide) and "object" not in passes
+    # only the z exponents of the wide classes take a float pass here: the
+    # sextic's (2, 2, 2) alone on exponent 2 is exact in its residue
+    assert wide and passes.count("float64") == len({key[2] for key in wide})
+    assert "object" not in passes
     _check_hecke(expr, HECKE_WIDE_N)
 
 
@@ -673,7 +808,7 @@ def test_hecke_series_cover_the_two_pass_route():
     octic = parse_poly(OCTIC_EXPR)
     assert len(_wide_classes(octic, HECKE_N)) == 3
     _, passes = _passes(octic, HECKE_N)
-    assert passes.count("float64") == 3 and "object" not in passes
+    assert passes == ["uint64", "float64"]
 
 
 @pytest.mark.parametrize("p", HECKE_PRIMES)
