@@ -7,7 +7,10 @@ They become Fractions only at the output edge and floats only through
 
 Shell sums are square convolutions: an x, y pair table, then the costly z
 axis, which `_z_stage` runs once per distinct z exponent on the summed pair
-tables, for `shell_totals` and `offset_shell_sums` alike.
+tables, for `shell_totals` and `offset_shell_sums` alike.  `shell_totals`
+runs them on residues only: one uint64 pass mod 2^64, then, as many as an
+exact bound on |T| asks for, int64 passes mod primes below 2^26, joined by
+Garner's method (`_from_residues`).
 """
 
 from __future__ import annotations
@@ -21,14 +24,6 @@ import numpy as np
 
 from .poly import Polynomial3, sphere_average
 from .util import FitResult, linear_fit
-
-# Stage bounds below this keep a class's uint64 pass from wrapping.
-_RESIDUE_SAFE = 1 << 64
-
-# A certified float error below this lets `shell_totals` recover the totals
-# from their residues mod 2^64; 2^62 is half the 2^63 that rounding to the
-# nearest multiple of 2^64 tolerates.
-_TWO_PASS_SAFE = 2.0**62
 
 # Largest shell count a series or sum may ask for (see check_n_max).
 N_MAX_CAP = 10**6
@@ -147,22 +142,19 @@ def _add_square_axis(t: np.ndarray, w) -> np.ndarray:
     return s
 
 
-def _to_float(v: int) -> float:
-    """v rounded once to float64; one past the float range is inf."""
-    return float(v) if v.bit_length() < 1024 else math.inf
-
-
-def _z_stage(pairs, z_weights) -> dict[int, np.ndarray]:
+def _z_stage(pairs, z_weights, mod: int | None = None) -> dict[int, np.ndarray]:
     """{e: the pair tables t of `pairs` (e, t) sharing z exponent e, summed
-    (in place into the first, which the caller owns), then carried along z by
-    one `_add_square_axis` pass with the weights z_weights(e)}."""
+    (in place into the first, which the caller owns) and reduced mod `mod`
+    if given, then carried along z by one `_add_square_axis` pass with the
+    weights z_weights(e)}."""
     folded: dict[int, np.ndarray] = {}
     for e, t in pairs:
         if e in folded:
             folded[e] += t
         else:
             folded[e] = t
-    return {e: _add_square_axis(t, z_weights(e)) for e, t in folded.items()}
+    return {e: _add_square_axis(t if mod is None else t % mod, z_weights(e))
+            for e, t in folded.items()}
 
 
 def offset_shell_sums(
@@ -206,6 +198,59 @@ def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
     return [(key, c) for key, c in sorted(classes.items()) if c != 0]
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which is exact for odd
+    7 < n < 3 215 031 751 (Pomerance, Selfridge and Wagstaff, 1980)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The odd primes below 2^26, largest first.  For each of them
+    (isqrt(N_MAX_CAP) + 1) (q - 1)^2 < 2^63, so no int64 stage on residues
+    mod q wraps."""
+    return (n for n in range((1 << 26) - 1, 7, -2) if _is_prime(n))
+
+
+def _from_residues(s: np.ndarray, primes: list[int], r: np.ndarray) -> np.ndarray:
+    """The integers -M/2 <= T < M/2, M = 2^64 prod primes, with s = T mod
+    2^64 read as int64 and r[i] = T mod primes[i] (r is overwritten with
+    the digits), as an object array.
+
+    Garner's method (Knuth, TAOCP vol. 2, 4.3.2): T = s + 2^64 (d_1 + q_1
+    (d_2 + q_2 (...))), each digit taken from the rows r left after removing
+    the ones before it, and centred, |d_i| <= q_i / 2, so the digits span
+    -M/2 .. M/2 - 1 once.  Rows stay below 2^53 in int64; only the shells
+    with a nonzero digit go to Python integers.
+    """
+    q = np.array(primes, dtype=np.int64)[:, None]
+    digit, radix = s, 1 << 64
+    for i in range(len(primes)):
+        inverses = np.array([pow(radix, -1, v) for v in primes[i:]])[:, None]
+        r[i:] = (r[i:] - digit % q[i:]) * inverses % q[i:]
+        r[i] = digit = np.where(r[i] > q[i] // 2, r[i] - q[i], r[i])
+        radix = primes[i]
+    carry = np.flatnonzero(r.any(axis=0))
+    high = np.zeros(len(carry), dtype=object)
+    for d, v in zip(r[::-1], primes[::-1]):
+        high = d[carry].astype(object) + v * high
+    totals = s.astype(object)
+    totals[carry] += high << 64
+    return totals
+
+
 def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     """Exact shell sums of a polynomial, as integers over one denominator.
 
@@ -215,90 +260,53 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
 
     T = sum over monomial classes of c x (c an integer, x >= 0 the class's
     sums).  With g_e the gcd of the c sharing a z exponent e, `_z_stage`
-    adds their pair tables (c / g_e) t and runs one z pass per e, giving H_e,
-    and G_e = g_e H_e; in uint64 (mod 2^64) the sum s of the g_e H_e read as
-    int64 is T mod 2^64.  Given |T~| < 2^113 and |T~ - T| < 2^62
-    (_TWO_PASS_SAFE), T~ - fl(s) is within 2^62 + 2^10 + 2^60 < 2^63 of T - s,
-    so T = s + 2^64 rint((T~ - s) / 2^64).  Weights are non-negative, so
-    t < b1 = max(w1) sum(w2) and x <= b = max(t) sum(w3).  T~ = 0 serves if
-    every b1, b < 2^64 and sum |c| b < 2^62.  Else an e with every b < 2^64
-    and sum |c / g_e| b < 2^63 has H_e exactly in its residue read as int64
-    and enters T~ as fl(g_e) fl(H_e); the other e fold fl(c) t~ in float64
-    (t~ = fl(t) if b1 < 2^64, else a float64 pair stage).  A term c w1 w2 w3
-    meets at most K = 2k + 6 + C roundings (k = isqrt(n_max), C classes):
-    four conversions, three products (pair, fold, z), k additions per stage
-    (the first of at most k + 1 per norm is exact), and (C_e - 1) + (E - 1)
-    <= C - 1 to fold its exponent's C_e classes and add the E exponents.  So
-    |T~ - T| <= gamma_K A, A = sum |c| x, whatever the signs; as |c| <=
-    |fl(c)| / (1 - u) and max(t) <= max(t~) / (1 - gamma_(k+3)), that is at
-    most K u / (1 - 2 K u) (sum of |c| b over the exact e + sum of |fl(c)|
-    max(t~) sum(w3) over the rest), u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Lemmas 3.1, 3.3, sec. 4.2).
-    Where that is finite but too large (it can overstate A 15-fold), the
-    fold of |fl(c)| t~ gives A~ >= (1 - gamma_K) A, and max(A~) replaces the
-    second sum.  Either below 2^62 certifies T~ (K >= 7: |T~| < 2^113) before
-    a signed float z pass runs; its own roundings stay far inside 2^63 -
-    2^60 - 2^10.  An inf or NaN bound fails, and the H_e are folded on
-    Python integers (`object`).
+    adds their pair tables (c / g_e) t and runs one z pass per e, giving
+    H_e, and T = sum g_e H_e.  Weights are non-negative, so t <= max(w1)
+    sum(w2); below 2^64 that makes the uint64 pair table exact, and its max
+    replaces the bound.  So x <= max(t) sum(w3) = b, |H_e| <= B_e = sum
+    |c / g_e| b and |T| <= B = sum g_e B_e, in exact integers.  One uint64
+    pass gives s = T mod 2^64 read as int64, which is T if B < 2^63.  Else
+    int64 passes give T mod q for primes q < 2^26 (`_primes`) until
+    M = 2^64 prod q > 2B.  The x weights take c / g_e, and every weight,
+    pair table and fold is reduced below q before the next stage, so none
+    passes (k + 1) (q - 1)^2 < 2^63.  An e with B_e < 2^63 takes no prime
+    pass: its uint64 residue read as int64 is H_e.  As |T| <= B < M/2,
+    `_from_residues` recovers T.
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
     classes = _monomial_classes(p)
     # classes share exponents: each axis's weights are built once per call
     weights = {e: _square_weights(e, k) for e in {e for key, _ in classes for e in key}}
-    residue_weights = {e: np.array(w if max(w) < 1 << 64 else [v % (1 << 64) for v in w],
-                                   dtype=np.uint64) for e, w in weights.items()}
     g: dict[int, int] = {}  # coefficients' gcd per z exponent: a lone class's H_e is +-x
-    tables = []  # (pair table mod 2^64, whether it is exact, bound b) per class
-    for (e1, e2, e3), c in classes:
-        g[e3] = math.gcd(g.get(e3, 0), c)
-        t = _pair_table(residue_weights[e1], residue_weights[e2], n_max)
+    for (_, _, e), c in classes:
+        g[e] = math.gcd(g.get(e, 0), c)
+    w64 = {e: np.array([v % (1 << 64) for v in w], dtype=np.uint64) for e, w in weights.items()}
+    tables = [_pair_table(w64[e1], w64[e2], n_max) for (e1, e2, _), _ in classes]
+    bounds: dict[int, int] = {}  # B_e
+    for ((e1, e2, e3), c), t in zip(classes, tables):
         b = max(weights[e1]) * sum(weights[e2])
-        exact = b < _RESIDUE_SAFE
-        if exact:
-            b = int(t.max()) * sum(weights[e3])
-        tables.append((t, exact, b))
-    residues = _z_stage(((e3, c // g[e3] % (1 << 64) * t) for ((_, _, e3), c), (t, _, _)
-                         in zip(classes, tables)), residue_weights.__getitem__)
+        b = int(t.max()) if b < 1 << 64 else b
+        bounds[e3] = bounds.get(e3, 0) + abs(c // g[e3]) * b * sum(weights[e3])
+    residues = _z_stage(((e3, c // g[e3] % (1 << 64) * t) for ((_, _, e3), c), t
+                         in zip(classes, tables)), w64.__getitem__)
     s = sum((g[e] % (1 << 64) * r for e, r in residues.items()),
             np.zeros(n_max + 1, dtype=np.uint64)).view(np.int64)
-    group_bounds: dict[int, int] = {}  # sum |c / g_e| b per z exponent; 2^63 once a b fails
-    for ((_, _, e), c), (_, _, b) in zip(classes, tables):
-        group_bounds[e] = group_bounds.get(e, 0) + (
-            abs(c // g[e]) * b if b < _RESIDUE_SAFE else 1 << 63)
-    if sum(g[e] * bound for e, bound in group_bounds.items()) < _TWO_PASS_SAFE:
+    bound = sum(g[e] * b for e, b in bounds.items())
+    if bound < 1 << 63:
         return p.denom, s.astype(object)
-    known = [e for e, bound in group_bounds.items() if bound < 1 << 63]
-    float_weights = {e: [_to_float(v) for v in w] for e, w in weights.items()}
-    rel = (2 * k + 6 + len(classes)) * 2.0**-53
-    certified = lambda magnitude: magnitude * rel / (1 - 2 * rel) < _TWO_PASS_SAFE
-    known_bound = _to_float(sum(g[e] * group_bounds[e] for e in known))
-    pairs, magnitude = [], known_bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ((e1, e2, e3), c), (t, exact, _) in zip(classes, tables):
-            if e3 in known:
-                continue
-            t = t.astype(np.float64) if exact else _pair_table(
-                np.array(float_weights[e1]), np.array(float_weights[e2]), n_max)
-            pairs.append((e3, _to_float(c), t))
-            magnitude += abs(_to_float(c)) * float(t.max()) * float(sum(weights[e3]))
-        if math.isfinite(magnitude) and not certified(magnitude):
-            folded = _z_stage(((e, abs(fc) * t) for e, fc, t in pairs), float_weights.__getitem__)
-            magnitude = known_bound + float(sum(folded.values(), np.zeros(n_max + 1)).max())
-        if certified(magnitude):
-            folded = _z_stage(((e, fc * t) for e, fc, t in pairs), float_weights.__getitem__)
-            estimate = sum([_to_float(g[e]) * residues[e].view(np.int64).astype(np.float64)
-                            for e in known] + list(folded.values()), np.zeros(n_max + 1))
-            high = np.rint((estimate - s) / 2.0**64).astype(np.int64)
-            totals = s.astype(object)
-            carry = np.flatnonzero(high)
-            totals[carry] += high[carry].astype(object) << 64
-            return p.denom, totals
-    objects = {e: np.array(w, dtype=object) for e, w in weights.items()}
-    pairs = ((e3, c // g[e3] * _pair_table(objects[e1], objects[e2], n_max))
-             for (e1, e2, e3), c in classes)
-    passes = _z_stage(pairs, weights.__getitem__)
-    return p.denom, sum((g[e] * h for e, h in passes.items()), np.zeros(n_max + 1, dtype=object))
+    exact = {e: residues[e].view(np.int64) for e, b in bounds.items() if b < 1 << 63}
+    primes, candidates = [], _primes()
+    while (1 << 64) * math.prod(primes) <= 2 * bound:
+        primes.append(next(candidates))
+    rows = []
+    for q in primes:
+        wq = {e: np.array([v % q for v in w], dtype=np.int64) for e, w in weights.items()}
+        pairs = ((e3, _pair_table(c // g[e3] % q * wq[e1] % q, wq[e2], n_max) % q)
+                 for (e1, e2, e3), c in classes if e3 not in exact)
+        h = _z_stage(pairs, wq.__getitem__, q) | exact
+        rows.append(sum(g[e] % q * (v % q) % q for e, v in h.items()) % q)
+    return p.denom, _from_residues(s, primes, np.array(rows))
 
 
 def homogeneous_shell_totals(p: Polynomial3, n_max: int, what: str) -> tuple[int, np.ndarray]:

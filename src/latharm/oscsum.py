@@ -304,29 +304,6 @@ def exp_sum_lattice(
     return complex(_cumulative_exp_sum(q, n, r, h)[n])
 
 
-# Largest N D accepted by exp_sum_grid, whose D passes over N points do
-# O(N D) work: N D = 10^8 already takes seconds.
-GRID_WORK_CAP = 10**8
-
-
-def exp_sum_grid(n: int, d: int, r: float) -> float:
-    """Sum over the dyadic block D < y <= 2D of |sum over N < x <= 2N of
-    e(R(sqrt(x+y) - sqrt(x)))|.  N D above GRID_WORK_CAP is refused."""
-    if n < 1 or d < 1:
-        raise ValueError("need N, D >= 1")
-    if d > n:
-        raise ValueError("need D <= N")
-    check_n_max(n)
-    if n * d > GRID_WORK_CAP:
-        raise ValueError(f"N D = {n * d} is above the work cap {GRID_WORK_CAP}")
-    xs = np.arange(n + 1, 2 * n + 1, dtype=np.float64)
-    inner = []
-    for y in range(d + 1, 2 * d + 1):
-        phases = r * (np.sqrt(xs + y) - np.sqrt(xs))
-        inner.append(abs(np.exp(2j * np.pi * phases).sum()))
-    return math.fsum(inner)
-
-
 # -- empirical bound reports --------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -160,144 +161,165 @@ def test_pair_table_matches_double_loop(n_max):
     assert np.allclose(table, expected, rtol=1e-14, atol=1e-14)
 
 
-def _stage_bounds(exponents, n_max):
-    """The two bounds `shell_totals` compares with _RESIDUE_SAFE: the x, y
-    pair stage's max(w1) sum(w2) and the z stage's max(pair table) sum(w3)."""
-    k = math.isqrt(n_max)
-    w1, w2, w3 = (_square_weights(e, k) for e in exponents)
-    return max(w1) * sum(w2), max(_pair_loop(w1, w2, n_max)) * sum(w3)
-
-
-def _certified_bound(exponents, n_max):
-    """The larger stage bound: below _RESIDUE_SAFE the class's uint64 pass is exact."""
-    return max(_stage_bounds(exponents, n_max))
-
-
-def _wide_classes(p, n_max):
-    """The classes of p whose uint64 pass may wrap, so they need the float pass."""
-    return [key for key, _ in _monomial_classes(p)
-            if _certified_bound(key, n_max) >= lattice._RESIDUE_SAFE]
-
-
 def _z_exponents(p):
     """The number of distinct z exponents among p's classes: one z pass each."""
     return len({key[2] for key, _ in _monomial_classes(p)})
 
 
 def _passes(p, n_max):
-    """((D, T as a list), dtypes): `shell_totals` and the dtype of each z pass
-    it ran: uint64 residues, float64 estimates or object integers."""
-    seen = []
-    inner = lattice._add_square_axis
+    """((D, T as a list), dtypes, primes): `shell_totals`, the dtype of each
+    z pass it ran and the number of primes it drew.  Every pass is a uint64
+    residue mod 2^64 or an int64 residue mod a prime, never float or object;
+    an int64 pass starts from residues below 2^26, so it cannot wrap."""
+    seen, drawn = [], []
+    inner, primes = lattice._add_square_axis, lattice._primes
 
     def spy(t, w):
         seen.append(t.dtype.name)
+        if t.dtype == np.int64:
+            assert 0 <= min(t.min(), w.min()) and max(t.max(), w.max()) < 1 << 26
         return inner(t, w)
+
+    def counted():
+        for q in primes():
+            drawn.append(q)
+            yield q
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lattice, "_add_square_axis", spy)
+        m.setattr(lattice, "_primes", counted)
         denom, totals = shell_totals(p, n_max)
+    assert set(seen) <= {"uint64", "int64"}
     totals = totals.tolist()
     assert all(type(t) is int for t in totals)
-    return (denom, totals), seen
+    return (denom, totals), seen, len(drawn)
 
 
 def _route(p, n_max):
-    """The route `shell_totals` took: the residue alone, the residue with a
-    float estimate (the only route to convert through `_to_float` that
-    returns before `object`), or `object`."""
-    floats = []
-    inner = lattice._to_float
+    """(primes drawn, int64 z passes run) by `shell_totals`: (0, 0) when the
+    residue mod 2^64 alone holds the totals."""
+    _, passes, primes = _passes(p, n_max)
+    return primes, passes.count("int64")
 
-    def spy(v):
-        floats.append(v)
-        return inner(v)
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(lattice, "_to_float", spy)
-        _, passes = _passes(p, n_max)
-    return "object" if "object" in passes else "estimate" if floats else "residue"
+def _class_by_class(p, n_max):
+    """Reference for `shell_totals`: each class's sums on Python integers, a
+    pair table by plain loops, then its own z stage by shifted adds of an
+    object array, times its coefficient."""
+    k = math.isqrt(n_max)
+    totals = np.zeros(n_max + 1, dtype=object)
+    for (e1, e2, e3), c in _monomial_classes(p):
+        t = np.array(_pair_loop(_square_weights(e1, k), _square_weights(e2, k), n_max),
+                     dtype=object)
+        for j, w in enumerate(_square_weights(e3, k)):
+            totals[j * j :] += c * w * t[: n_max + 1 - j * j]
+    return totals.tolist()
 
 
 ROUTE_CORPUS = ["1", QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR, "1/3*x^2-1/7*y^2"]
 
 
+def test_primes_are_distinct_primes_below_2_26():
+    primes = list(itertools.islice(lattice._primes(), 100))
+    assert len(set(primes)) == 100 and max(primes) < 1 << 26
+    # the oracle: trial division
+    assert all(all(q % d for d in range(2, math.isqrt(q) + 1)) for q in primes)
+    # nothing in an int64 pair or z stage on residues mod q can wrap, even
+    # at the largest shell count: at most isqrt(n) + 1 products per entry
+    assert (math.isqrt(lattice.N_MAX_CAP) + 1) * (max(primes) - 1) ** 2 < 1 << 63
+
+
+def test_is_prime_matches_trial_division():
+    for n in range((1 << 26) - 4001, 1 << 26, 2):
+        assert lattice._is_prime(n) == all(n % d for d in range(3, math.isqrt(n) + 1, 2)), n
+    # strong pseudoprimes to base 2, and 25326001 to bases 2, 3 and 5
+    assert not any(lattice._is_prime(n) for n in (2047, 3277, 4033, 4681, 8321, 25326001))
+
+
+def test_random_wide_polynomials_match_the_class_sums():
+    # coefficients up to 2^300 of both signs take many primes; the centred
+    # digits must give negative totals back as well as positive ones
+    rng = random.Random(17)
+    most, negative = 0, False
+    for _ in range(30):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            key = tuple(2 * rng.randrange(7) for _ in range(3))
+            terms[key] = rng.choice([-1, 1]) * rng.randrange(1 << rng.randint(0, 300))
+        p = Polynomial3(terms, rng.choice([1, 3, 7]))
+        n_max = rng.randint(0, 300)
+        (denom, totals), _, primes = _passes(p, n_max)
+        assert (denom, totals) == (p.denom, _class_by_class(p, n_max))
+        most = max(most, primes)
+        negative |= primes >= 3 and min(totals) < 0
+    assert most >= 3 and negative
+
+
+def test_totals_on_either_side_of_the_int64_range():
+    # at 0 shells the bounds are exact: x^2 (zero there) keeps the gcd of z
+    # exponent 0 at 1, so H_0 = T = c lies just inside or just past 2^63 and
+    # 2^64, of either sign
+    for c in (2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1):
+        for sign in (1, -1):
+            (_, totals), _, _ = _passes(Polynomial3({(0, 0, 0): sign * c, (2, 0, 0): 1}, 1), 0)
+            assert totals == [sign * c]
+
+
 @pytest.mark.parametrize("expr", ["x^24*y^24", "x^24*y^24+z^48"])
 def test_big_int_path_matches_brute_force(expr):
-    # the float estimate of these classes is past its certificate, so the
-    # polynomial is summed on Python integers; the finite bound first tries
-    # the fold of |c| t
+    # these classes' sums pass 2^63 by far, so their z exponent runs one
+    # int64 pass per prime
     p = parse_poly(expr)
     n_max = 120
-    classes = _monomial_classes(p)
-    assert classes and _wide_classes(p, n_max) == [key for key, _ in classes]
-    _, passes = _passes(p, n_max)
+    _, passes, primes = _passes(p, n_max)
     z = _z_exponents(p)
-    assert passes == ["uint64"] * z + ["float64"] * z + ["object"] * z
+    assert primes >= 4 and passes == ["uint64"] * z + ["int64"] * (z * primes)
     series = coeff_series(p, n_max)
     for n in range(1, n_max + 1):
         assert series.a(n) == brute_shell_sum(p, n), (expr, n)
 
 
-def test_forced_float_and_object_passes_agree(monkeypatch):
-    # by default these run the uint64 passes alone; the float pass forced on
-    # every class, then Python integers (the reference) give equal integers
-    polys = [parse_poly(e) for e in ROUTE_CORPUS]
-    default = []
-    for p in polys:
-        assert not _wide_classes(p, 3000)
-        totals, passes = _passes(p, 3000)
-        assert passes == ["uint64"] * _z_exponents(p)
-        default.append(totals)
-    for attr, forced in [("_RESIDUE_SAFE", "float64"), ("_TWO_PASS_SAFE", "object")]:
-        with monkeypatch.context() as m:
-            m.setattr(lattice, attr, 0)
-            for p, totals in zip(polys, default):
-                other, passes = _passes(p, 3000)
-                assert passes.count(forced) == _z_exponents(p)
-                assert forced == "object" or "object" not in passes
-                assert other == totals
+def test_forced_float_and_object_passes_agree():
+    # at 3000 shells the corpus runs its uint64 passes alone, and they agree
+    # with the class sums on Python integers
+    for expr in ROUTE_CORPUS:
+        p = parse_poly(expr)
+        (denom, totals), passes, primes = _passes(p, 3000)
+        assert passes == ["uint64"] * _z_exponents(p) and primes == 0
+        assert (denom, totals) == (p.denom, _class_by_class(p, 3000))
 
 
-def test_two_pass_route_matches_big_int_path_on_the_octic(monkeypatch):
-    # at 17867 shells (the benchmark's top octic rung) every class may wrap
-    # in uint64, so each takes the float pair stage; all three share z
-    # exponent 0, so one float z pass serves them
+def test_two_pass_route_matches_big_int_path_on_the_octic():
+    # at 17867 shells (the benchmark's top octic rung) the octic's totals
+    # pass 2^64; all three classes share z exponent 0, so one prime takes
+    # one int64 pass
     p = parse_poly(OCTIC_EXPR)
     n_max = 17867
-    assert len(_wide_classes(p, n_max)) == len(_monomial_classes(p))
-    (denom, totals), passes = _passes(p, n_max)
-    assert passes == ["uint64", "float64"]
+    (denom, totals), passes, primes = _passes(p, n_max)
+    assert passes == ["uint64", "int64"] and primes == 1
     assert max(abs(t) for t in totals).bit_length() > 64
-    monkeypatch.setattr(lattice, "_TWO_PASS_SAFE", 0)
-    assert shell_totals(p, n_max)[1].tolist() == totals
+    assert (denom, totals) == (1, _class_by_class(p, n_max))
 
 
-def test_z_stage_overflow_takes_two_pass_route(sextic, monkeypatch):
-    # a bound between one class's two stage bounds passes its pair stage and
-    # fails its z stage, which leaves the polynomial to the float estimate:
-    # that class's z exponent takes a float pass, the other one is exact in
-    # its residue
+def test_z_stage_overflow_takes_two_pass_route(sextic):
+    # 2^30 times the sextic at 3000 shells: its total passes 2^63 while
+    # each z exponent's sums H_e (the 2^30 is in their gcd) stay below, so
+    # one prime is drawn and no int64 pass runs
     n_max = 3000
-    pair_bound, z_bound = _stage_bounds((6, 0, 0), n_max)
-    assert pair_bound < z_bound < lattice._RESIDUE_SAFE
-    default, passes = _passes(sextic, n_max)
-    assert passes == ["uint64"] * _z_exponents(sextic)
-    monkeypatch.setattr(lattice, "_RESIDUE_SAFE", (pair_bound + z_bound) // 2)
-    assert (6, 0, 0) in _wide_classes(sextic, n_max)
-    totals, passes = _passes(sextic, n_max)
-    assert passes == ["uint64", "uint64", "float64"]
-    assert totals == default
+    (_, base), passes, primes = _passes(sextic, n_max)
+    assert passes == ["uint64"] * _z_exponents(sextic) and primes == 0
+    (_, totals), passes, primes = _passes(2**30 * sextic, n_max)
+    assert passes == ["uint64"] * _z_exponents(sextic) and primes == 1
+    assert totals == [2**30 * t for t in base]
 
 
-# (600, 2, 0) has weights past the float range, and 0 * inf = NaN in its
-# pair table; (200, 200, 0) has finite weights whose products overflow to inf
+# (600, 2, 0) has weights past the float range, and (200, 200, 0) finite
+# weights whose products would overflow a float64 pair table
 @pytest.mark.parametrize("key", [(600, 2, 0), (200, 200, 0)], ids=["nan", "inf"])
 def test_two_pass_refuses_a_non_finite_estimate(key):
     n_max = 200
-    (_, totals), passes = _passes(Polynomial3({key: 1}, 1), n_max)
-    # the bound is inf or NaN before any float z pass runs
-    assert passes == ["uint64", "object"]
+    (_, totals), passes, primes = _passes(Polynomial3({key: 1}, 1), n_max)
+    assert primes > 50 and passes == ["uint64"] + ["int64"] * primes
     for n in (1, 2, 101, 200):
         expected = sum(x ** key[0] * y ** key[1] * z ** key[2] for x, y, z in representations(n))
         assert totals[n] == expected
@@ -307,37 +329,25 @@ WIDE_COEFFS = "(2^70+1)*x^8-(2^75-3)*y^4*z^4+7*z^8"
 
 
 @pytest.mark.parametrize("n_max", [300, 3000])
-def test_wide_and_negative_coefficients_match_object(n_max, monkeypatch):
-    # coefficients of 2^64 or more and negative ones enter the residue mod
-    # 2^64; at 300 shells the estimate is certified, at 3000 it is not
+def test_wide_and_negative_coefficients_match_object(n_max):
+    # coefficients of 2^64 or more and negative ones: the totals come back
+    # from residues mod 2^64 and mod two primes at 300 shells, three at 3000
     p = parse_poly(WIDE_COEFFS)
-    (denom, totals), passes = _passes(p, n_max)
-    assert ("object" in passes) == (n_max == 3000)
+    (denom, totals), passes, primes = _passes(p, n_max)
+    assert primes == {300: 2, 3000: 3}[n_max] and passes == ["uint64"] + ["int64"] * primes
     assert min(totals) < 0 and max(abs(t) for t in totals).bit_length() > 100
     for n in (1, 2, 3, 50):
         assert F(totals[n], denom) == brute_shell_sum(p, n)
-    monkeypatch.setattr(lattice, "_TWO_PASS_SAFE", 0)
-    assert shell_totals(p, n_max)[1].tolist() == totals
+    assert totals == _class_by_class(p, n_max)
 
 
 def test_coefficient_past_the_float_range_falls_back_to_object():
-    (denom, totals), passes = _passes(parse_poly("2^1100*x^2"), 3000)
-    assert passes == ["uint64", "object"]
+    # the 2^1100 is the gcd of exponent 0, whose sums are exact in their
+    # residue: about 40 primes are drawn and none runs a z pass
+    (denom, totals), passes, primes = _passes(parse_poly("2^1100*x^2"), 3000)
+    assert passes == ["uint64"] and primes > 40
     base = shell_totals(parse_poly("x^2"), 3000)
     assert (denom, totals) == (1, [2**1100 * t for t in base[1].tolist()])
-
-
-def _class_by_class(p, n_max):
-    """Reference for the folded z stage: each class's sums by plain loops on
-    Python integers, one z stage per class, times its coefficient."""
-    k = math.isqrt(n_max)
-    totals = [0] * (n_max + 1)
-    for (e1, e2, e3), c in _monomial_classes(p):
-        t = _pair_loop(_square_weights(e1, k), _square_weights(e2, k), n_max)
-        w3 = _square_weights(e3, k)
-        for m in range(n_max + 1):
-            totals[m] += c * sum(w3[j] * t[m - j * j] for j in range(math.isqrt(m) + 1))
-    return totals
 
 
 # z exponents 0, 2 and 4, two classes on each of 0 and 2, and a negative
@@ -345,25 +355,25 @@ def _class_by_class(p, n_max):
 MIXED_Z = "-3*x^6-(2^65+7)*x^4*y^2+11*x^2*y^2*z^2-x^4*y^2*z^2+5*x^4*y^4*z^4"
 
 
-@pytest.mark.parametrize("n_max, route", [(1, "residue"), (300, "estimate"), (3000, "estimate")])
-def test_mixed_z_exponents_fold_to_the_class_sums(n_max, route, monkeypatch):
+# (primes drawn, int64 passes): exponent 0, with the 2^65 coefficient, is
+# the one whose sums pass 2^63 at 300 shells; at 3000 exponent 2 joins it
+@pytest.mark.parametrize("n_max, route", [(1, (0, 0)), (300, (2, 2)), (3000, (2, 4))],
+                         ids=["1", "300", "3000"])
+def test_mixed_z_exponents_fold_to_the_class_sums(n_max, route):
     p = parse_poly(MIXED_Z)
     assert _z_exponents(p) == 3 and len(_monomial_classes(p)) == 5
-    (denom, totals), passes = _passes(p, n_max)
-    assert passes.count("uint64") == 3 and _route(p, n_max) == route
+    (denom, totals), passes, primes = _passes(p, n_max)
+    assert passes.count("uint64") == 3 and (primes, passes.count("int64")) == route
     assert (denom, totals) == (1, _class_by_class(p, n_max))
     assert min(totals) < 0
-    monkeypatch.setattr(lattice, "_TWO_PASS_SAFE", 0)
-    (_, forced), passes = _passes(p, n_max)
-    assert passes[-3:] == ["object"] * 3 and forced == totals
 
 
-# the route each corpus polynomial takes at the benchmark's sizes, which
-# folding the z stage must not change
+# (primes drawn, int64 passes) for each corpus polynomial at the
+# benchmark's sizes: only the octic past 2^14 shells runs an int64 pass
 CORPUS_ROUTES = {
-    4096: ["residue", "residue", "residue", "estimate", "residue"],
-    17867: ["residue", "residue", "residue", "estimate", "residue"],
-    32768: ["residue", "residue", "estimate", "estimate", "residue"],
+    4096: [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
+    17867: [(0, 0), (0, 0), (0, 0), (1, 1), (0, 0)],
+    32768: [(0, 0), (0, 0), (1, 0), (1, 1), (0, 0)],
 }
 
 
@@ -729,8 +739,8 @@ def test_bound_report_blomer_harcos_mode(quartic):
 # -- Hecke-relation oracle --------------------------------------------------------
 
 HECKE_N = 30000
-# 2^17 shells, where classes of the sextic and the octic need the float
-# pass, far past the reach of brute force
+# 2^17 shells, where the sextic and the octic need prime passes, far past
+# the reach of brute force
 HECKE_WIDE_N = 1 << 17
 # lambda_p for p = 3, 5, 7, 11: the theta series of these harmonics are
 # Hecke eigenforms (their octahedral averages span one dimension).
@@ -790,25 +800,22 @@ def test_shell_totals_satisfy_hecke_relations(expr):
     _check_hecke(expr, HECKE_N)
 
 
-@pytest.mark.parametrize("expr", [SEXTIC_EXPR, OCTIC_EXPR], ids=["sextic", "octic"])
-def test_wide_shell_totals_satisfy_hecke_relations(expr):
-    p = parse_poly(expr)
-    wide = _wide_classes(p, HECKE_WIDE_N)
-    _, passes = _passes(p, HECKE_WIDE_N)
-    # only the z exponents of the wide classes take a float pass here: the
-    # sextic's (2, 2, 2) alone on exponent 2 is exact in its residue
-    assert wide and passes.count("float64") == len({key[2] for key in wide})
-    assert "object" not in passes
+# the sextic's (2, 2, 2), alone on z exponent 2, stays exact in its residue
+# and takes no prime pass; the octic needs two primes
+@pytest.mark.parametrize("expr, route", [(SEXTIC_EXPR, ["uint64", "uint64", "int64"]),
+                                         (OCTIC_EXPR, ["uint64", "int64", "int64"])],
+                         ids=["sextic", "octic"])
+def test_wide_shell_totals_satisfy_hecke_relations(expr, route):
+    _, passes, _ = _passes(parse_poly(expr), HECKE_WIDE_N)
+    assert passes == route
     _check_hecke(expr, HECKE_WIDE_N)
 
 
-def test_hecke_series_cover_the_two_pass_route():
-    # every class of the octic may wrap in uint64 at HECKE_N, so the oracle
-    # checks the float pass at a size brute force cannot reach
-    octic = parse_poly(OCTIC_EXPR)
-    assert len(_wide_classes(octic, HECKE_N)) == 3
-    _, passes = _passes(octic, HECKE_N)
-    assert passes == ["uint64", "float64"]
+def test_hecke_series_cover_the_prime_route():
+    # the octic's totals pass 2^64 at HECKE_N, so the oracle checks an int64
+    # prime pass at a size brute force cannot reach
+    _, passes, primes = _passes(parse_poly(OCTIC_EXPR), HECKE_N)
+    assert passes == ["uint64", "int64"] and primes == 1
 
 
 @pytest.mark.parametrize("p", HECKE_PRIMES)

@@ -21,7 +21,6 @@ from latharm.oscsum import (
     RadialTerm,
     _cumulative_exp_sum,
     bound_check_VNQR,
-    exp_sum_grid,
     exp_sum_lattice,
     freq_long_sum,
     gP_fourier_terms,
@@ -106,57 +105,6 @@ def test_exp_sum_against_pointwise_oracle():
             phase = r * math.sqrt(m) + h[0] * x + h[1] * y + h[2] * z
             expected += float(q.evaluate(x, y, z)) * cmath.exp(2j * math.pi * phase)
     assert exp_sum_lattice(q, n, h, r) == pytest.approx(expected, rel=1e-11, abs=1e-11)
-
-
-def test_grid_sum_zero_phase():
-    assert exp_sum_grid(8, 4, 0.0) == pytest.approx(8 * 4)
-
-
-def test_grid_sum_single_cell():
-    assert exp_sum_grid(1, 1, 57.3) == pytest.approx(1.0)
-
-
-def test_grid_sum_dual_implementation():
-    # second implementation: plain Python loops with Kahan compensation
-    n, d, r = 16, 2, 100.0
-    total = 0.0
-    carry = 0.0
-    for y in range(d + 1, 2 * d + 1):
-        acc_re = acc_im = 0.0
-        for x in range(n + 1, 2 * n + 1):
-            ph = 2 * math.pi * r * (math.sqrt(x + y) - math.sqrt(x))
-            acc_re += math.cos(ph)
-            acc_im += math.sin(ph)
-        value = math.hypot(acc_re, acc_im) + carry
-        new_total = total + value
-        carry = value - (new_total - total)
-        total = new_total
-    assert exp_sum_grid(n, d, r) == pytest.approx(total, rel=1e-9)
-
-
-def test_grid_sum_validates_range():
-    with pytest.raises(ValueError):
-        exp_sum_grid(4, 8, 1.0)
-
-
-def test_grid_sum_refuses_huge_n_before_allocating():
-    with pytest.raises(ValueError, match="shell count"):
-        exp_sum_grid(10**15, 1, 1.0)
-
-
-def test_grid_sum_refuses_work_above_cap_at_once(monkeypatch):
-    # N D = 10^12 would take hours; the refusal comes before any pass
-    assert oscsum.GRID_WORK_CAP == 10**8
-    start = time.perf_counter()
-    for n, d in ((10**6, 10**6), (10**5, 10**3 + 1)):
-        with pytest.raises(ValueError, match="work cap"):
-            exp_sum_grid(n, d, 1.0)
-    assert time.perf_counter() - start < 0.1
-    # N D equal to the cap is admitted
-    monkeypatch.setattr(oscsum, "GRID_WORK_CAP", 32)
-    assert exp_sum_grid(8, 4, 0.0) == pytest.approx(32)
-    with pytest.raises(ValueError, match="work cap"):
-        exp_sum_grid(8, 5, 0.0)
 
 
 # -- symbolic transform terms ------------------------------------------------------
