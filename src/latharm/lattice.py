@@ -10,7 +10,9 @@ axis, which `_z_stage` runs once per distinct z exponent on the summed pair
 tables, for `shell_totals` and `offset_shell_sums` alike.  `shell_totals`
 runs them on residues only: one uint64 pass mod 2^64, then, as many as an
 exact bound on |T| asks for, int64 passes mod primes below 2^26, joined by
-Garner's method (`_from_residues`).
+Garner's method (`_recover`).  Only the per-shell consumers run the z stage:
+the ball sum (`_ball_total`) is one bilinear form per class on the same
+residues, in O(n_max).
 """
 
 from __future__ import annotations
@@ -251,6 +253,31 @@ def _from_residues(s: np.ndarray, primes: list[int], r: np.ndarray) -> np.ndarra
     return totals
 
 
+def _recover(g: int, s: np.ndarray, bound: int, residue) -> np.ndarray:
+    """g U as an object array, for the integers |U| <= bound with s = U mod
+    2^64 read as int64 and residue(q) = U mod q (int64).  The primes q <
+    2^26 (`_primes`) that make M = 2^64 prod q > 2 bound are drawn, none if
+    bound < 2^63, and `_from_residues` recovers U, so |U| < M/2.  When M > 2
+    g bound too, g is folded into the residues instead, and g U comes back
+    with no product of Python integers."""
+    primes, candidates = [], _primes()
+    while (1 << 64) * math.prod(primes) <= 2 * bound:
+        primes.append(next(candidates))
+    f = g if (1 << 64) * math.prod(primes) > 2 * g * bound else 1
+    s = (s.view(np.uint64) * np.uint64(f % (1 << 64))).view(np.int64)
+    u = (_from_residues(s, primes, np.array([f % q * residue(q) % q for q in primes]))
+         if primes else s.astype(object))
+    return u if f == g else g * u
+
+
+def _content(p: Polynomial3) -> tuple[int, list[tuple[tuple[int, int, int], int]]]:
+    """(G, p's monomial classes with their coefficients divided by G), G the
+    gcd of the class coefficients (1 if there is none)."""
+    classes = _monomial_classes(p)
+    g = math.gcd(*(c for _, c in classes)) or 1
+    return g, [(key, c // g) for key, c in classes]
+
+
 def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     """Exact shell sums of a polynomial, as integers over one denominator.
 
@@ -258,24 +285,23 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     (T[0] / D is p at the origin); T is an object array of Python integers.
     p need not be homogeneous.  n_max above N_MAX_CAP is refused.
 
-    T = sum over monomial classes of c x (c an integer, x >= 0 the class's
+    T = G U with G the gcd of the class coefficients (`_content`), and U =
+    sum over the reduced classes of c x (c an integer, x >= 0 the class's
     sums).  With g_e the gcd of the c sharing a z exponent e, `_z_stage`
     adds their pair tables (c / g_e) t and runs one z pass per e, giving
-    H_e, and T = sum g_e H_e.  Weights are non-negative, so t <= max(w1)
+    H_e, and U = sum g_e H_e.  Weights are non-negative, so t <= max(w1)
     sum(w2); below 2^64 that makes the uint64 pair table exact, and its max
     replaces the bound.  So x <= max(t) sum(w3) = b, |H_e| <= B_e = sum
-    |c / g_e| b and |T| <= B = sum g_e B_e, in exact integers.  One uint64
-    pass gives s = T mod 2^64 read as int64, which is T if B < 2^63.  Else
-    int64 passes give T mod q for primes q < 2^26 (`_primes`) until
-    M = 2^64 prod q > 2B.  The x weights take c / g_e, and every weight,
-    pair table and fold is reduced below q before the next stage, so none
-    passes (k + 1) (q - 1)^2 < 2^63.  An e with B_e < 2^63 takes no prime
-    pass: its uint64 residue read as int64 is H_e.  As |T| <= B < M/2,
-    `_from_residues` recovers T.
+    |c / g_e| b and |U| <= B = sum g_e B_e, in exact integers.  One uint64
+    pass gives s = U mod 2^64, and `_recover` adds, if B asks for them,
+    int64 passes for U mod q.  Those take c / g_e on the x weights and
+    reduce every weight, pair table and fold below q before the next stage,
+    so none passes (k + 1) (q - 1)^2 < 2^63.  An e with B_e < 2^63 takes no
+    prime pass: its uint64 residue read as int64 is H_e.
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
-    classes = _monomial_classes(p)
+    content, classes = _content(p)
     # classes share exponents: each axis's weights are built once per call
     weights = {e: _square_weights(e, k) for e in {e for key, _ in classes for e in key}}
     g: dict[int, int] = {}  # coefficients' gcd per z exponent: a lone class's H_e is +-x
@@ -292,21 +318,59 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
                          in zip(classes, tables)), w64.__getitem__)
     s = sum((g[e] % (1 << 64) * r for e, r in residues.items()),
             np.zeros(n_max + 1, dtype=np.uint64)).view(np.int64)
-    bound = sum(g[e] * b for e, b in bounds.items())
-    if bound < 1 << 63:
-        return p.denom, s.astype(object)
     exact = {e: residues[e].view(np.int64) for e, b in bounds.items() if b < 1 << 63}
-    primes, candidates = [], _primes()
-    while (1 << 64) * math.prod(primes) <= 2 * bound:
-        primes.append(next(candidates))
-    rows = []
-    for q in primes:
+
+    def residue(q: int) -> np.ndarray:
         wq = {e: np.array([v % q for v in w], dtype=np.int64) for e, w in weights.items()}
         pairs = ((e3, _pair_table(c // g[e3] % q * wq[e1] % q, wq[e2], n_max) % q)
                  for (e1, e2, e3), c in classes if e3 not in exact)
         h = _z_stage(pairs, wq.__getitem__, q) | exact
-        rows.append(sum(g[e] % q * (v % q) % q for e, v in h.items()) % q)
-    return p.denom, _from_residues(s, primes, np.array(rows))
+        return sum(g[e] % q * (v % q) % q for e, v in h.items()) % q
+
+    bound = sum(g[e] * b for e, b in bounds.items())
+    return p.denom, _recover(content, s, bound, residue)
+
+
+def _ball_total(p: Polynomial3, n_max: int) -> tuple[int, int]:
+    """(D, T) with T / D the sum of p over |x|^2 <= n_max, in O(n_max).
+
+    A class (e1, e2, e3) sums over the ball to w_e1^T Z_e3 w_e2, w_e the
+    square weights and Z_e[a, b] = sum of w_e[j] over j^2 <= n_max - a^2 -
+    b^2 (0 off the disc): a cumsum read through the floored `np.sqrt` table.
+    T = G U as in `shell_totals`, |U| <= sum |c| prod sum(w) as the ball lies
+    in the cube; U mod 2^64 in uint64 (matmul wraps), and mod q on w and Z
+    reduced below q, each product (k + 1 terms) reduced after it.
+    """
+    check_n_max(n_max)
+    k = math.isqrt(n_max)
+    content, classes = _content(p)
+    weights = {e: _square_weights(e, k) for e in {e for key, _ in classes for e in key}}
+    bound = sum(abs(c) * math.prod(sum(weights[e]) for e in key) for key, c in classes)
+    squares = np.arange(k + 1, dtype=np.float64) ** 2
+    rest = np.subtract(n_max, squares[:, None]) - squares
+    rest[rest < 0] = (k + 1) ** 2  # outside the disc: the 0 after the cumsum
+    index = np.sqrt(rest, out=rest).astype(np.intp)
+    del rest
+
+    def residue(q: int | None) -> np.ndarray:
+        dtype, m = (np.uint64, 1 << 64) if q is None else (np.int64, q)
+        w = {e: np.array([v % m for v in ws], dtype=dtype) for e, ws in weights.items()}
+        total = 0
+        for e3 in {key[2] for key, _ in classes}:
+            cum = np.zeros(k + 2, dtype=dtype)
+            np.cumsum(w[e3], out=cum[:-1])
+            z = (cum if q is None else cum % q)[index]
+            for (e1, e2, _), c in (cls for cls in classes if cls[0][2] == e3):
+                total += c * int(_bilinear(w[e1], z, w[e2], q))
+            del z  # one (k + 1)^2 table at a time
+        return np.array([total % m], dtype=dtype).view(np.int64)
+
+    return p.denom, int(_recover(content, residue(None), bound, residue)[0])
+
+
+def _bilinear(u: np.ndarray, z: np.ndarray, v: np.ndarray, q: int | None):
+    """u^T z v mod 2^64 in uint64 (q None), else mod q, reduced after each product."""
+    return (u @ z) @ v if q is None else (u @ z % q) @ v % q
 
 
 def homogeneous_shell_totals(p: Polynomial3, n_max: int, what: str) -> tuple[int, np.ndarray]:
@@ -362,8 +426,10 @@ def ball_sum(p: Polynomial3, r_sq: int) -> Fraction:
     """Exact sum of p over all lattice points with |x|^2 <= r_sq."""
     if r_sq < 0:
         raise ValueError("r_sq must be non-negative")
-    denom, totals = homogeneous_shell_totals(p, r_sq, "ball sum")
-    return Fraction(int(totals.sum()), denom)
+    if not p.is_homogeneous:
+        raise ValueError("ball sum requires a homogeneous polynomial")
+    denom, total = _ball_total(p, r_sq)
+    return Fraction(total, denom)
 
 
 def ball_sum_report(p: Polynomial3, r_sq: int) -> SumReport:

@@ -229,12 +229,18 @@ def gP_fourier_terms(p: Polynomial3) -> FourierTerms:
     return FourierTerms(nu=nu, terms=final, imaginary=nu % 2 == 1)
 
 
-def _radial_factor(t: RadialTerm, norm, r: float, h: float):
+def _radial_factor(t: RadialTerm, norm, r: float, h: float, cache: dict | None = None):
     """t at |xi| = norm without its numerator polynomial: the prefactor, the
-    trig factors and 1/|xi|^denom_pow (norm a float or an array)."""
-    val = t.prefactor(r, h) / norm**t.denom_pow
+    trig factors and 1/|xi|^denom_pow (norm a float or an array), each
+    power and trig factor kept in `cache` for the terms at the same norm."""
+    cache = {} if cache is None else cache
+    if t.denom_pow not in cache:
+        cache[t.denom_pow] = norm**t.denom_pow
+    val = t.prefactor(r, h) / cache[t.denom_pow]
     for f in t.trig:
-        val = val * f.value(norm, r, h)
+        if f not in cache:
+            cache[f] = f.value(norm, r, h)
+        val = val * cache[f]
     return val
 
 
@@ -259,9 +265,10 @@ def freq_long_sum(p: Polynomial3, r: float, h: float, n_trunc: int) -> float:
     main = float(main_term(p, Fraction(r), Fraction(h))) * math.pi
     norm = np.sqrt(np.arange(1, n_trunc + 1, dtype=np.float64))
     contrib = np.zeros(n_trunc)
+    cache: dict = {}  # the chains share few powers and trig factors
     for k, lap in parts:
         denom, totals = shell_totals(lap, n_trunc)
-        factor = sum(c * _radial_factor(t, norm, r, h) for t, c in _radial_chain(nu - k))
+        factor = sum(c * _radial_factor(t, norm, r, h, cache) for t, c in _radial_chain(nu - k))
         contrib += shell_floats(denom, totals[1:]) * factor
     return main + math.pi**-nu * math.fsum(contrib)
 

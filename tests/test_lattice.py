@@ -302,15 +302,22 @@ def test_two_pass_route_matches_big_int_path_on_the_octic():
 
 
 def test_z_stage_overflow_takes_two_pass_route(sextic):
-    # 2^30 times the sextic at 3000 shells: its total passes 2^63 while
-    # each z exponent's sums H_e (the 2^30 is in their gcd) stay below, so
-    # one prime is drawn and no int64 pass runs
+    # 2^30 times the sextic at 3000 shells: the 2^30 is in the gcd G of
+    # every class, which stays out of the residues, so no prime is drawn
     n_max = 3000
     (_, base), passes, primes = _passes(sextic, n_max)
     assert passes == ["uint64"] * _z_exponents(sextic) and primes == 0
     (_, totals), passes, primes = _passes(2**30 * sextic, n_max)
-    assert passes == ["uint64"] * _z_exponents(sextic) and primes == 1
+    assert passes == ["uint64"] * _z_exponents(sextic) and primes == 0
     assert totals == [2**30 * t for t in base]
+    # 2^30 on z exponent 0 and 3^19 on exponent 2 leave G small: the total
+    # passes 2^63 while each exponent's sums H_e (the 2^30 and 3^19 are in
+    # their gcds) stay below, so one prime is drawn and no int64 pass runs
+    p = Polynomial3({key: c * (2**30 if key[2] == 0 else 3**19)
+                     for key, c in _monomial_classes(sextic)}, 1)
+    (_, totals), passes, primes = _passes(p, n_max)
+    assert passes == ["uint64"] * _z_exponents(sextic) and primes == 1
+    assert totals == _class_by_class(p, n_max)
 
 
 # (600, 2, 0) has weights past the float range, and (200, 200, 0) finite
@@ -341,13 +348,21 @@ def test_wide_and_negative_coefficients_match_object(n_max):
     assert totals == _class_by_class(p, n_max)
 
 
-def test_coefficient_past_the_float_range_falls_back_to_object():
-    # the 2^1100 is the gcd of exponent 0, whose sums are exact in their
-    # residue: about 40 primes are drawn and none runs a z pass
-    (denom, totals), passes, primes = _passes(parse_poly("2^1100*x^2"), 3000)
-    assert passes == ["uint64"] and primes > 40
-    base = shell_totals(parse_poly("x^2"), 3000)
-    assert (denom, totals) == (1, [2**1100 * t for t in base[1].tolist()])
+def test_overall_gcd_stays_out_of_the_residues():
+    # the coefficient is the gcd G of every class: T = G U with U the sums
+    # of x^2, exact in their residue mod 2^64, so no prime is drawn
+    base = shell_totals(parse_poly("x^2"), 3000)[1].tolist()
+    for c in (2**1100, 2**11000):
+        (denom, totals), passes, primes = _passes(Polynomial3({(2, 0, 0): c}, 1), 3000)
+        assert passes == ["uint64"] and primes == 0
+        assert (denom, totals) == (1, [c * t for t in base])
+    # past 2^63 U draws its own primes whatever G is: 2^200 times the octic
+    # at 17867 shells draws the octic's one prime, too few moduli for G U
+    # itself, so U comes back and is multiplied by G
+    octic = parse_poly(OCTIC_EXPR)
+    (_, base), _, primes = _passes(octic, 17867)
+    (_, totals), _, wide = _passes(2**200 * octic, 17867)
+    assert primes == wide == 1 and totals == [2**200 * t for t in base]
 
 
 # z exponents 0, 2 and 4, two classes on each of 0 and 2, and a negative
@@ -369,11 +384,12 @@ def test_mixed_z_exponents_fold_to_the_class_sums(n_max, route):
 
 
 # (primes drawn, int64 passes) for each corpus polynomial at the
-# benchmark's sizes: only the octic past 2^14 shells runs an int64 pass
+# benchmark's sizes: only the octic past 2^14 shells draws a prime, and
+# runs an int64 pass; the sextic's gcd 6 keeps it below 2^63 at 2^15
 CORPUS_ROUTES = {
     4096: [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
     17867: [(0, 0), (0, 0), (0, 0), (1, 1), (0, 0)],
-    32768: [(0, 0), (0, 0), (1, 0), (1, 1), (0, 0)],
+    32768: [(0, 0), (0, 0), (0, 0), (1, 1), (0, 0)],
 }
 
 
@@ -469,6 +485,101 @@ def test_ball_sum_counts_unit_ball():
 
 def test_ball_sum_quartic(quartic):
     assert ball_sum(quartic, 3) == F(-108)
+
+
+def brute_ball_sum(p, n):
+    """Independent oracle: p summed over every |x|^2 <= n by a triple loop."""
+    k = math.isqrt(n)
+    return sum((p.evaluate(x, y, z) for x in range(-k, k + 1) for y in range(-k, k + 1)
+                for z in range(-k, k + 1) if x * x + y * y + z * z <= n), F(0))
+
+
+def _ball_passes(p, n_max):
+    """((D, T), dtypes, primes): `_ball_total`, the dtype of each bilinear
+    form it took and the number of primes it drew.  It runs no z stage, and
+    an int64 form's operands lie in 0 .. q - 1 < 2^26, so none wraps; a
+    homogeneous p's `ball_sum` takes the same route."""
+    seen, drawn = [], []
+    form, primes = lattice._bilinear, lattice._primes
+
+    def no_z_stage(t, w):
+        raise AssertionError("the ball route ran a z stage")
+
+    def spy(u, z, v, q):
+        seen.append(z.dtype.name)
+        assert u.dtype == z.dtype == v.dtype
+        if z.dtype == np.int64:
+            assert all(0 <= a.min() and a.max() < q < 1 << 26 for a in (u, z, v))
+        return form(u, z, v, q)
+
+    def counted():
+        for q in primes():
+            drawn.append(q)
+            yield q
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lattice, "_add_square_axis", no_z_stage)
+        m.setattr(lattice, "_bilinear", spy)
+        m.setattr(lattice, "_primes", counted)
+        denom, total = lattice._ball_total(p, n_max)
+        route = seen[:], len(drawn)
+        if p.is_homogeneous:
+            assert ball_sum(p, n_max) == F(total, denom)
+    assert set(seen) <= {"uint64", "int64"} and type(total) is int
+    return (denom, total), *route
+
+
+BALL_CORPUS = ROUTE_CORPUS + [MIXED_Z, "x^64", "2^100*x^2*y^4-3^70*z^6+1/3*x^2"]
+
+
+@pytest.mark.parametrize("expr", BALL_CORPUS)
+def test_ball_route_matches_shell_totals_and_brute_force(expr):
+    # origin, the first shells, perfect squares and the shell before each
+    p = parse_poly(expr)
+    for n_max in (0, 1, 2, 3, 4, 8, 9, 24, 25, 63, 64, 99, 100, 1023, 1024, 4095, 4096):
+        (denom, total), _, _ = _ball_passes(p, n_max)
+        expected = shell_totals(p, n_max)
+        assert (denom, total) == (expected[0], sum(expected[1].tolist())), n_max
+        if n_max <= 25:
+            assert F(total, denom) == brute_ball_sum(p, n_max), n_max
+
+
+def test_ball_route_on_random_wide_polynomials():
+    # coefficients up to 2^300 of both signs draw several primes, and a
+    # negative total must come back through the centred digits too
+    rng = random.Random(18)
+    most, negative = 0, False
+    for _ in range(30):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            key = tuple(2 * rng.randrange(7) for _ in range(3))
+            terms[key] = rng.choice([-1, 1]) * rng.randrange(1 << rng.randint(0, 300))
+        p = Polynomial3(terms, rng.choice([1, 3, 7]))
+        n_max = rng.randint(0, 300)
+        (denom, total), forms, primes = _ball_passes(p, n_max)
+        assert (denom, total) == (p.denom, sum(_class_by_class(p, n_max)))
+        assert forms.count("uint64") == len(_monomial_classes(p))
+        most = max(most, primes)
+        negative |= primes >= 3 and total < 0
+    assert most >= 3 and negative
+
+
+def test_ball_sum_at_the_cap():
+    # the lattice points of the largest ball, counted column by column: the
+    # column over (x, y) holds 2 isqrt(N - x^2 - y^2) + 1 points (the float
+    # floor corrected by integer checks)
+    n = lattice.N_MAX_CAP
+    k = math.isqrt(n)
+    y = np.arange(-k, k + 1)
+    count = 0
+    for x in range(k + 1):
+        rest = n - x * x - y[y * y <= n - x * x] ** 2
+        root = np.sqrt(rest).astype(np.int64)
+        root -= root * root > rest
+        root += (root + 1) ** 2 <= rest
+        count += (1 if x == 0 else 2) * int((2 * root + 1).sum())
+    assert ball_sum(parse_poly("1"), n) == count == lattice._point_count(0, n)
+    assert ball_sum_report(parse_poly("1"), n) == lattice.SumReport(count, count)
 
 
 # -- cutoff and weighted sums --------------------------------------------------------

@@ -427,6 +427,31 @@ def test_freq_sum_matches_per_term_route(expr):
         assert freq_long_sum(p, r, h, n_trunc) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("expr", LAPLACIAN_POLYS)
+def test_freq_sum_takes_each_trig_factor_once(expr, monkeypatch):
+    # the same float as with every radial factor built afresh, term by
+    # term, while each distinct trig factor's array is computed once
+    p = parse_poly(expr)
+    r, h, n_trunc = 7.3, 0.375, 512
+    nu, parts = oscsum._hobson_split(p)
+    norm = np.sqrt(np.arange(1, n_trunc + 1, dtype=np.float64))
+    contrib = np.zeros(n_trunc)
+    for k, lap in parts:
+        denom, totals = shell_totals(lap, n_trunc)
+        factor = sum(c * oscsum._radial_factor(t, norm, r, h)
+                     for t, c in oscsum._radial_chain(nu - k))
+        contrib += shell_floats(denom, totals[1:]) * factor
+    expected = (float(main_term(p, Fraction(r), Fraction(h))) * math.pi
+                + math.pi**-nu * math.fsum(contrib))
+    calls = []
+    value = oscsum.TrigFactor.value
+    monkeypatch.setattr(oscsum.TrigFactor, "value",
+                        lambda f, *args: calls.append(f) or value(f, *args))
+    assert freq_long_sum(p, r, h, n_trunc) == expected
+    distinct = {f for k, _ in parts for t, _ in oscsum._radial_chain(nu - k) for f in t.trig}
+    assert len(calls) == len(set(calls)) == len(distinct)
+
+
 @pytest.mark.parametrize("expr", [*LAPLACIAN_POLYS, "x", "x^2*y-3*z^3"])
 def test_freq_sum_reads_one_series_per_laplacian_power(expr, monkeypatch):
     calls = []
