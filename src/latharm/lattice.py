@@ -12,7 +12,8 @@ runs them on residues only: one uint64 pass mod 2^64, then, as many as an
 exact bound on |T| asks for, int64 passes mod primes below 2^26, joined by
 Garner's method (`_recover`).  Only the per-shell consumers run the z stage:
 the ball sum (`_ball_total`) is one bilinear form per class on the same
-residues, in O(n_max).
+residues, in O(n_max).  A report's lattice-point count is the ball sum of 1
+(a window's, the difference of two), so no second enumeration counts them.
 """
 
 from __future__ import annotations
@@ -270,12 +271,15 @@ def _recover(g: int, s: np.ndarray, bound: int, residue) -> np.ndarray:
     return u if f == g else g * u
 
 
-def _content(p: Polynomial3) -> tuple[int, list[tuple[tuple[int, int, int], int]]]:
-    """(G, p's monomial classes with their coefficients divided by G), G the
-    gcd of the class coefficients (1 if there is none)."""
+def _content(p: Polynomial3, k: int):
+    """(G, p's monomial classes with their coefficients divided by G, {e:
+    `_square_weights(e, k)` for each exponent e of a class}), G the gcd of
+    the class coefficients (1 if there is none).  Classes share exponents,
+    so each axis's weights are built once per call."""
     classes = _monomial_classes(p)
     g = math.gcd(*(c for _, c in classes)) or 1
-    return g, [(key, c // g) for key, c in classes]
+    weights = {e: _square_weights(e, k) for e in {e for key, _ in classes for e in key}}
+    return g, [(key, c // g) for key, c in classes], weights
 
 
 def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
@@ -301,9 +305,7 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
-    content, classes = _content(p)
-    # classes share exponents: each axis's weights are built once per call
-    weights = {e: _square_weights(e, k) for e in {e for key, _ in classes for e in key}}
+    content, classes, weights = _content(p, k)
     g: dict[int, int] = {}  # coefficients' gcd per z exponent: a lone class's H_e is +-x
     for (_, _, e), c in classes:
         g[e] = math.gcd(g.get(e, 0), c)
@@ -343,8 +345,7 @@ def _ball_total(p: Polynomial3, n_max: int) -> tuple[int, int]:
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
-    content, classes = _content(p)
-    weights = {e: _square_weights(e, k) for e in {e for key, _ in classes for e in key}}
+    content, classes, weights = _content(p, k)
     bound = sum(abs(c) * math.prod(sum(weights[e]) for e in key) for key, c in classes)
     squares = np.arange(k + 1, dtype=np.float64) ** 2
     rest = np.subtract(n_max, squares[:, None]) - squares
@@ -409,17 +410,9 @@ class SumReport:
     term_count: int
 
 
-def _point_count(lo: int, hi: int) -> int:
-    """Number of lattice points with lo <= |x|^2 <= hi (0 when lo > hi): the
-    ball |x|^2 <= m holds sum over s <= m of r2(s) (2 isqrt(m - s) + 1), r2 the
-    exponent-0 pair table (a float sqrt floors exactly below 2^52)."""
-    check_n_max(hi)
-    if lo > hi:
-        return 0
-    ones = np.array(_square_weights(0, math.isqrt(hi)), dtype=np.int64)
-    r2 = _pair_table(ones, ones, hi)
-    ball = lambda m: int(r2[: m + 1] @ (2 * np.sqrt(np.arange(m, -1, -1.0)).astype(np.int64) + 1))
-    return ball(hi) - ball(lo - 1)
+def _ball_points(m: int) -> int:
+    """Number of lattice points with |x|^2 <= m: the ball sum of 1."""
+    return _ball_total(Polynomial3.constant(1), m)[1]
 
 
 def ball_sum(p: Polynomial3, r_sq: int) -> Fraction:
@@ -435,14 +428,15 @@ def ball_sum(p: Polynomial3, r_sq: int) -> Fraction:
 def ball_sum_report(p: Polynomial3, r_sq: int) -> SumReport:
     """Exact ball sum with the number of lattice points included."""
     value = ball_sum(p, r_sq)
-    return SumReport(value=value, term_count=_point_count(0, r_sq))
+    return SumReport(value=value, term_count=_ball_points(r_sq))
 
 
 def short_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
     """Weighted boundary-shell sum with the number of points in the window."""
     value = short_sum(p, r, h)
     lo, hi = _window_bounds(r, h)
-    return SumReport(value=value, term_count=_point_count(lo, hi))
+    # lo = ceil(R^2) >= 1 and hi >= floor(R^2) >= lo - 1: an empty window counts 0
+    return SumReport(value=value, term_count=_ball_points(hi) - _ball_points(lo - 1))
 
 
 def long_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
@@ -450,7 +444,7 @@ def long_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
     value = long_sum_physical(p, r, h)
     _, hi = _window_bounds(r, h)
     # the origin always carries weight
-    return SumReport(value=value, term_count=_point_count(0, hi))
+    return SumReport(value=value, term_count=_ball_points(hi))
 
 
 def cutoff_f(x: float, r: float, h: float) -> float:
@@ -578,20 +572,14 @@ def coefficient_bound_report(
     k_half = Fraction(series.nu, 2) + Fraction(3, 4)  # k/2 with k = nu + 3/2
     exponent = k_half - (Fraction(5, 16) if use_gcd else Fraction(1, 4))
     mode = "blomer-harcos" if use_gcd else "sarnak"
-    exp_f = float(exponent)
     mags = np.abs(shell_floats(series.denom, series.totals[1:]))
-    max_ratio = 0.0
-    argmax = 0
-    for n, mag in enumerate(mags.tolist(), start=1):
-        if not mag:
-            continue
-        denom = n**exp_f
-        if use_gcd:
-            denom *= two_adic_part(n) ** 0.625
-        ratio = mag / denom
-        if ratio > max_ratio:
-            max_ratio = ratio
-            argmax = n
+    n = np.arange(1, len(mags) + 1)
+    bound = n ** float(exponent)
+    if use_gcd:
+        bound *= (n & -n) ** 0.625  # the two-adic part of each n
+    ratios = mags / bound
+    argmax = int(np.argmax(ratios)) + 1 if ratios.any() else 0  # the first n at the max
+    max_ratio = float(ratios[argmax - 1]) if argmax else 0.0
     fit = dyadic_growth_fit(mags)
     return CoefficientBoundReport(
         mode=mode, exponent=exponent, max_ratio=max_ratio, argmax_n=argmax, fit=fit

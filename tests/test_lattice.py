@@ -564,11 +564,10 @@ def test_ball_route_on_random_wide_polynomials():
     assert most >= 3 and negative
 
 
-def test_ball_sum_at_the_cap():
-    # the lattice points of the largest ball, counted column by column: the
-    # column over (x, y) holds 2 isqrt(N - x^2 - y^2) + 1 points (the float
-    # floor corrected by integer checks)
-    n = lattice.N_MAX_CAP
+def _column_count(n):
+    """The lattice points of the ball |x|^2 <= n, counted column by column:
+    the column over (x, y) holds 2 isqrt(n - x^2 - y^2) + 1 points (the
+    float floor corrected by integer checks)."""
     k = math.isqrt(n)
     y = np.arange(-k, k + 1)
     count = 0
@@ -578,8 +577,36 @@ def test_ball_sum_at_the_cap():
         root -= root * root > rest
         root += (root + 1) ** 2 <= rest
         count += (1 if x == 0 else 2) * int((2 * root + 1).sum())
-    assert ball_sum(parse_poly("1"), n) == count == lattice._point_count(0, n)
+    return count
+
+
+def test_ball_sum_at_the_cap():
+    n = lattice.N_MAX_CAP
+    count = _column_count(n)
+    assert ball_sum(parse_poly("1"), n) == count
     assert ball_sum_report(parse_poly("1"), n) == lattice.SumReport(count, count)
+
+
+def test_window_counts_at_the_cap():
+    # a window's count is the difference of two balls of 1
+    n = lattice.N_MAX_CAP
+    for lo, hi in ((n - 5, n), (n, n)):
+        expected = _column_count(hi) - _column_count(lo - 1)
+        assert lattice._ball_points(hi) - lattice._ball_points(lo - 1) == expected > 0
+
+
+def test_ball_sum_report_runs_no_shell_convolution(quartic, monkeypatch):
+    # the point count is a ball sum too: no pair table, no z stage
+    def refuse(*args):
+        raise AssertionError("the ball report ran a shell convolution")
+
+    expected = {r_sq: ball_sum(quartic, r_sq) for r_sq in (0, 1, 100, 1 << 15)}
+    _, counts = shell_totals(parse_poly("1"), 1 << 15)
+    monkeypatch.setattr(lattice, "_pair_table", refuse)
+    monkeypatch.setattr(lattice, "_add_square_axis", refuse)
+    for r_sq, value in expected.items():
+        count = int(counts[: r_sq + 1].sum())
+        assert ball_sum_report(quartic, r_sq) == lattice.SumReport(value, count)
 
 
 # -- cutoff and weighted sums --------------------------------------------------------
@@ -684,24 +711,41 @@ def test_sum_reports_count_points(quartic):
 
 
 def test_float_sqrt_floors_exactly_up_to_the_cap():
-    # `_point_count` floors np.sqrt; every argument is below 2^52
+    # the index table of `_ball_total` floors np.sqrt; every argument is below 2^52
     n = np.arange(lattice.N_MAX_CAP + 1, dtype=np.float64)
     floors = np.sqrt(n).astype(np.int64).tolist()
     assert floors == [math.isqrt(m) for m in range(lattice.N_MAX_CAP + 1)]
 
 
+def _window(lo, hi):
+    """(R, H) whose window R^2 <= n <= (R+H)^2 holds the shells lo .. hi."""
+    r = max(1.0, math.sqrt(lo - 0.5))
+    h = math.sqrt(hi + 0.75) - r
+    assert lattice._window_bounds(r, h) == (lo, hi) and 0 < h <= 1
+    return r, h
+
+
 def test_point_count_matches_shell_totals_and_enumeration():
-    _, counts = shell_totals(parse_poly("1"), 200)
+    # every report's term_count against the shell totals of 1 and, up to
+    # shell 75, enumeration; R >= 1 puts every window at lo >= 1
+    one = parse_poly("1")
+    _, counts = shell_totals(one, 200)
     counts = counts.tolist()
-    for lo, hi in [(0, 0), (0, 1), (1, 1), (0, 7), (7, 7), (3, 2), (10, 4), (5, 60),
-                   (0, 200), (17, 200), (200, 200), (1, 0)]:
-        expected = points_in(lo, hi) if hi <= 60 else sum(counts[lo : hi + 1])
-        assert lattice._point_count(lo, hi) == expected == sum(counts[lo : hi + 1])
+    for lo, hi in [(1, 1), (1, 3), (3, 2), (7, 7), (8, 7), (18, 25), (60, 75),
+                   (185, 200), (200, 200)]:
+        expected = sum(counts[lo : hi + 1])
+        assert hi > 75 or expected == points_in(lo, hi)
+        r, h = _window(lo, hi)
+        assert short_sum_report(one, r, h).term_count == expected
+        assert long_sum_report(one, r, h).term_count == sum(counts[: hi + 1])
+    for hi in (0, 1, 7, 60, 200):
+        assert ball_sum_report(one, hi).term_count == sum(counts[: hi + 1])
     # a larger ball, against the shell totals of 1
     top = 1 << 17
-    counts = shell_totals(parse_poly("1"), top)[1]
-    for lo in (0, 1, top // 2, top - 5, top):
-        assert lattice._point_count(lo, top) == int(counts[lo:].sum())
+    counts = shell_totals(one, top)[1]
+    assert ball_sum_report(one, top).term_count == int(counts.sum())
+    for lo in (top - 700, top - 5, top, top + 1):
+        assert short_sum_report(one, *_window(lo, top)).term_count == int(counts[lo:].sum())
 
 
 def test_series_consistency_constant_origin():
@@ -765,7 +809,7 @@ def test_bound_report_rejects_nonharmonic():
 def test_bound_report_odd_degree_zero_series():
     series = coeff_series(parse_poly("x"), 64)
     report = coefficient_bound_report(series)
-    assert report.max_ratio == 0.0
+    assert (report.max_ratio, report.argmax_n) == (0.0, 0)
     assert report.fit is None
 
 
@@ -845,6 +889,33 @@ def test_bound_report_blomer_harcos_mode(quartic):
         if series.a(n)
     )
     assert report.max_ratio == pytest.approx(expected)
+
+
+def _bound_report_loop(series, use_gcd):
+    """Reference for `coefficient_bound_report`'s (max_ratio, argmax_n): one
+    ratio per n in a Python loop, the first n at the maximum kept."""
+    exponent = float(coefficient_bound_report(series, use_gcd).exponent)
+    mags = np.abs(shell_floats(series.denom, series.totals[1:]))
+    max_ratio, argmax = 0.0, 0
+    for n, mag in enumerate(mags.tolist(), start=1):
+        if not mag:
+            continue
+        denom = n**exponent
+        if use_gcd:
+            denom *= two_adic_part(n) ** 0.625
+        if mag / denom > max_ratio:
+            max_ratio, argmax = mag / denom, n
+    return max_ratio, argmax
+
+
+@pytest.mark.parametrize("use_gcd", [False, True])
+def test_bound_report_matches_the_loop(quartic, use_gcd):
+    # numpy's power may differ from ** in the last bit, hence the tolerance
+    series = coeff_series(quartic, 10**4)
+    report = coefficient_bound_report(series, use_gcd)
+    max_ratio, argmax = _bound_report_loop(series, use_gcd)
+    assert report.argmax_n == argmax
+    assert report.max_ratio == pytest.approx(max_ratio, rel=1e-12, abs=0)
 
 
 # -- Hecke-relation oracle --------------------------------------------------------
