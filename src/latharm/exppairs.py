@@ -7,6 +7,7 @@ minimax solver that balances them by choosing the smoothing width H = R^alpha.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -55,31 +56,23 @@ def pair_B(p: ExponentPair) -> ExponentPair:
 # A^10000 already carries denominators of about 10^4 bits.
 WORD_CAP = 10_000
 
+# One run of a process word: a letter with an optional ^ and repeat count,
+# or the first character that is neither.
+_WORD_RUN = re.compile(r"\s*(?:([AaBb])\^?([0-9]*)|(\S))")
+
 
 def pair_apply_word(word: str, p: ExponentPair) -> ExponentPair:
     """Apply a process word, rightmost letter first, so BA2 = B after A, A.
 
-    Accepts e.g. "BA2", "BA^2", "AB"; digits repeat the preceding letter.
+    Accepts e.g. "BA2", "BA^2", "AB"; digits 0-9 repeat the preceding letter.
     A word expanding to more than WORD_CAP letters is refused before any
     letter is applied.
     """
     runs = []
-    i = 0
-    while i < len(word):
-        ch = word[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch not in "AaBb":
-            raise ValueError(f"bad process word {word!r}: unexpected {ch!r}")
-        step = pair_A if ch in "Aa" else pair_B
-        i += 1
-        if i < len(word) and word[i] == "^":
-            i += 1
-        start = i
-        while i < len(word) and word[i].isdigit():
-            i += 1
-        runs.append((step, max(int(word[start:i] or 0), 1)))
+    for letter, digits, bad in _WORD_RUN.findall(word):
+        if bad:
+            raise ValueError(f"bad process word {word!r}: unexpected {bad!r}")
+        runs.append((pair_A if letter in "Aa" else pair_B, max(int(digits or 0), 1)))
     total = sum(count for _, count in runs)
     if total > WORD_CAP:
         raise ValueError(f"process word expands to {total} letters, above {WORD_CAP}")

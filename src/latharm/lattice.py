@@ -31,6 +31,9 @@ from .util import FitResult, linear_fit
 # Largest shell count a series or sum may ask for (see check_n_max).
 N_MAX_CAP = 10**6
 
+# Largest table of int64 prime residues (primes x shells) `_recover` builds.
+RESIDUE_TABLE_BYTES = 1 << 30
+
 
 def representations(n: int) -> list[tuple[int, int, int]]:
     """All (x, y, z) in Z^3 with x^2 + y^2 + z^2 = n, in lexicographic order."""
@@ -260,11 +263,17 @@ def _recover(g: int, s: np.ndarray, bound: int, residue) -> np.ndarray:
     2^26 (`_primes`) that make M = 2^64 prod q > 2 bound are drawn, none if
     bound < 2^63, and `_from_residues` recovers U, so |U| < M/2.  When M > 2
     g bound too, g is folded into the residues instead, and g U comes back
-    with no product of Python integers."""
-    primes, candidates = [], _primes()
-    while (1 << 64) * math.prod(primes) <= 2 * bound:
+    with no product of Python integers.  A residue table (primes x shells
+    int64) past RESIDUE_TABLE_BYTES is refused before any prime pass."""
+    primes, candidates, m = [], _primes(), 1 << 64
+    while m <= 2 * bound:
+        if (len(primes) + 1) * len(s) * 8 > RESIDUE_TABLE_BYTES:
+            raise ValueError(f"an exact sum over {len(s)} shells would need more than "
+                             f"{len(primes)} primes, a residue table past "
+                             f"{RESIDUE_TABLE_BYTES >> 20} MiB")
         primes.append(next(candidates))
-    f = g if (1 << 64) * math.prod(primes) > 2 * g * bound else 1
+        m *= primes[-1]
+    f = g if m > 2 * g * bound else 1
     s = (s.view(np.uint64) * np.uint64(f % (1 << 64))).view(np.int64)
     u = (_from_residues(s, primes, np.array([f % q * residue(q) % q for q in primes]))
          if primes else s.astype(object))
@@ -545,17 +554,6 @@ class CoefficientBoundReport:
     max_ratio: float
     argmax_n: int
     fit: FitResult | None
-
-    def summary(self) -> str:
-        fit_part = (
-            f"slope={self.fit.slope:.4f} (r2={self.fit.r_squared:.4f}, {self.fit.points_used} pts)"
-            if self.fit
-            else "slope=n/a (degenerate series)"
-        )
-        return (
-            f"mode={self.mode} exponent={self.exponent} "
-            f"max_ratio={self.max_ratio:.6g} at n={self.argmax_n}; {fit_part}"
-        )
 
 
 def coefficient_bound_report(

@@ -8,14 +8,19 @@ equal polynomials have equal `terms` and `denom`, and the lattice engine
 reads them as its integer form directly.  Parsing, arithmetic,
 differentiation, harmonic decomposition and sphere averages are integer
 operations that never touch floating point; `Fraction`s are built only where
-a coefficient or a value is read out.  A coefficient's read-out
-(`coefficient`, `sorted_terms`) keeps the `GaussianRational` shape, with a
-zero imaginary part, for the callers that read `.re`.
+a coefficient or a value is read out.  `parse_poly` scans its text once,
+with one regular expression, into a token list that a recursive descent
+reads; a bad character is a token that raises only when the descent
+reaches it, so errors come in the order the grammar meets them.  A
+coefficient's read-out (`coefficient`, `sorted_terms`) keeps the
+`GaussianRational` shape, with a zero imaginary part, for the callers that
+read `.re`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
@@ -23,6 +28,8 @@ from typing import Iterator, Mapping, NamedTuple
 Monomial = tuple[int, int, int]
 
 DEFAULT_DEGREE_CAP = 64
+# Largest coefficient numerator or denominator, in bits, that parsing builds.
+COEFF_BIT_CAP = 1 << 16
 
 VARIABLE_NAMES = ("x", "y", "z")
 
@@ -261,99 +268,94 @@ class Polynomial3:
 # -- parsing ---------------------------------------------------------------
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_TOKEN = re.compile(r"\s*(?:(?P<number>[0-9]+)|(?P<symbol>[-+*^()/xyz])|(?P<bad>\S))")
 
-    def peek(self) -> tuple[str, str, int]:
-        pos = self.pos
-        text = self.text
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            return ("end", "", pos)
-        ch = text[pos]
-        if ch.isdigit():
-            end = pos
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            return ("number", text[pos:end], pos)
-        if ch in "xyz":
-            return ("variable", ch, pos)
-        if ch in "+-*^()/":
-            return ("op", ch, pos)
-        raise PolyParseError(f"unexpected character {ch!r}", pos)
 
-    def next(self) -> tuple[str, str, int]:
-        kind, value, pos = self.peek()
-        self.pos = pos + len(value) if kind != "end" else pos
+def _coefficient_bits(p: Polynomial3) -> int:
+    return max(p.denom, max(map(abs, p.terms.values()), default=0)).bit_length()
+
+
+def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
+    """Parse an expression in x, y, z with +, -, *, ^ and parentheses.
+
+    Rational literals are written p/q with ASCII digits; any other
+    character, `i` included, is refused.  Raises PolyParseError with the
+    offending position on bad syntax or a coefficient past COEFF_BIT_CAP
+    bits, DegreeCapError past the degree cap.
+    """
+    tokens = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
+    tokens.append(("end", "", len(text)))
+    at = 0
+
+    def peek(ahead: int = 0) -> tuple[str, str, int]:
+        kind, value, pos = tokens[at + ahead]
+        if kind == "bad":  # raised only when the parser gets there
+            raise PolyParseError(f"unexpected character {value!r}", pos)
         return kind, value, pos
 
+    def take() -> tuple[str, str, int]:
+        nonlocal at
+        token = peek()
+        at += 1
+        return token
 
-class _Parser:
-    def __init__(self, text: str, degree_cap: int):
-        self.tok = _Tokenizer(text)
-        self.degree_cap = degree_cap
+    def sized(p: Polynomial3, pos: int) -> Polynomial3:
+        bits = _coefficient_bits(p)
+        if bits > COEFF_BIT_CAP:
+            raise PolyParseError(f"a {bits}-bit coefficient passes the {COEFF_BIT_CAP}-bit cap", pos)
+        return p
 
-    def parse(self) -> Polynomial3:
-        result = self._expr()
-        kind, value, pos = self.tok.peek()
-        if kind != "end":
-            raise PolyParseError(f"unexpected {value!r}", pos)
+    def expr() -> Polynomial3:
+        result = term()
+        while (op := peek()[1]) in ("+", "-"):
+            take()
+            rhs = term()
+            result = result + rhs if op == "+" else result - rhs
         return result
 
-    def _expr(self) -> Polynomial3:
-        result = self._term()
-        while True:
-            kind, value, _ = self.tok.peek()
-            if kind == "op" and value in "+-":
-                self.tok.next()
-                rhs = self._term()
-                result = result + rhs if value == "+" else result - rhs
-            else:
-                return result
+    def term() -> Polynomial3:
+        result = factor()
+        while peek()[1] == "*":
+            pos = take()[2]
+            result = result * factor()
+            if result.degree > degree_cap:
+                raise DegreeCapError(f"degree {result.degree} exceeds degree cap {degree_cap}")
+            sized(result, pos)
+        return result
 
-    def _term(self) -> Polynomial3:
-        result = self._factor()
-        while True:
-            kind, value, _ = self.tok.peek()
-            if kind == "op" and value == "*":
-                self.tok.next()
-                result = self._check_cap(result * self._factor())
-            else:
-                return result
+    def factor() -> Polynomial3:
+        base = atom()
+        if peek()[1] != "^":
+            return base
+        pos = take()[2]
+        kind, value, at_exponent = take()
+        if kind != "number":
+            raise PolyParseError("expected integer exponent after '^'", at_exponent)
+        exponent = int(value)
+        # degree(b^e) = e degree(b) for b != 0, and a constant's power has
+        # at least e (bits - 1) + 1 bits: both are refused unbuilt.  Past
+        # degree 0 the degree cap bounds e, so the power is built and sized.
+        if (degree := base.degree) * exponent > degree_cap:
+            raise DegreeCapError(f"exponent {exponent} exceeds degree cap {degree_cap}")
+        if not degree and exponent * (_coefficient_bits(base) - 1) >= COEFF_BIT_CAP:
+            raise PolyParseError(f"power {exponent} passes the {COEFF_BIT_CAP}-bit "
+                                 "coefficient cap", pos)
+        return sized(base**exponent, pos)
 
-    def _factor(self) -> Polynomial3:
-        base = self._atom()
-        kind, value, pos = self.tok.peek()
-        if kind == "op" and value == "^":
-            self.tok.next()
-            kind, value, pos = self.tok.next()
-            if kind != "number":
-                raise PolyParseError("expected integer exponent after '^'", pos)
-            exponent = int(value)
-            if base.degree * exponent > self.degree_cap:
-                raise DegreeCapError(
-                    f"exponent {exponent} exceeds degree cap {self.degree_cap}"
-                )
-            return self._check_cap(base**exponent)
-        return base
-
-    def _atom(self) -> Polynomial3:
-        kind, value, pos = self.tok.next()
-        if kind == "op" and value == "-":
-            return -self._factor()
-        if kind == "op" and value == "+":
-            return self._factor()
+    def atom() -> Polynomial3:
+        kind, value, pos = take()
+        if value == "-":
+            return -factor()
+        if value == "+":
+            return factor()
         if kind == "number":
-            return Polynomial3.constant(self._rational_tail(int(value)))
-        if kind == "variable":
+            return Polynomial3.constant(rational(int(value)))
+        if value in ("x", "y", "z"):
             return Polynomial3.variable("xyz".index(value))
-        if kind == "op" and value == "(":
-            inner = self._expr()
-            kind, value, pos = self.tok.next()
-            if not (kind == "op" and value == ")"):
+        if value == "(":
+            inner = expr()
+            kind, value, pos = take()
+            if value != ")":
                 raise PolyParseError("expected ')'", pos)
             return inner
         raise PolyParseError(
@@ -361,36 +363,22 @@ class _Parser:
             pos,
         )
 
-    def _rational_tail(self, numerator: int) -> Fraction:
-        kind, value, _ = self.tok.peek()
-        if kind == "op" and value == "/":
-            save = self.tok.pos
-            self.tok.next()
-            kind, value, pos = self.tok.peek()
+    def rational(numerator: int) -> Fraction:
+        nonlocal at
+        if peek()[1] == "/":  # a '/' not before a number is left to the caller
+            kind, value, pos = peek(1)
             if kind == "number":
-                self.tok.next()
-                if int(value) == 0:
+                at += 2
+                if (denominator := int(value)) == 0:
                     raise PolyParseError("zero denominator", pos)
-                return Fraction(numerator, int(value))
-            self.tok.pos = save  # '/' not part of a rational literal
+                return Fraction(numerator, denominator)
         return Fraction(numerator)
 
-    def _check_cap(self, p: Polynomial3) -> Polynomial3:
-        if p.degree > self.degree_cap:
-            raise DegreeCapError(
-                f"degree {p.degree} exceeds degree cap {self.degree_cap}"
-            )
-        return p
-
-
-def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
-    """Parse an expression in x, y, z with +, -, *, ^ and parentheses.
-
-    Rational literals are written p/q; any other character, `i` included,
-    is refused.  Raises PolyParseError with the offending position on bad
-    syntax, DegreeCapError past the degree cap.
-    """
-    return _Parser(text, degree_cap).parse()
+    result = expr()
+    kind, value, pos = peek()
+    if kind != "end":
+        raise PolyParseError(f"unexpected {value!r}", pos)
+    return result
 
 
 # -- sphere averages and harmonic decomposition ------------------------------

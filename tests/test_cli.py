@@ -271,6 +271,12 @@ BAD_INPUT = {
     "theta-check-sample-0": ("theta-check", "--sample", "0"),
     "theta-check-sample-negative": ("theta-check", "--sample", "-3"),
     "theta-check-sample-huge": ("theta-check", "--sample", "100000000"),
+    # digits are ASCII: str.isdigit would accept a superscript two
+    "theta-check-non-ascii-digit": ("theta-check", "--poly", "x^\u00b2"),
+    "sum-non-ascii-digit": ("sum", "--poly", "\u00b2", "--r-sq", "2"),
+    "pair-word-non-ascii-digit": ("pair", "--pair", "0,1", "--word", "A\u00b2"),
+    # a 3.2-Gbit constant power is refused before it is built
+    "sum-coefficient-power-huge": ("sum", "--poly", "9^1000000000*x^2", "--r-sq", "2"),
     # coefficients are rational: the parser refuses `i`
     "sum-complex": ("sum", "--poly", "(x+i*y)^4", "--r-sq", "10"),
     "freqsum-complex": ("freqsum", "--poly", "(x+i*y)^4", "--r", "10", "--h", "0.5",
@@ -297,6 +303,16 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert peak < 1 << 20  # refused before any large allocation
+
+@pytest.mark.parametrize("argv, message", [
+    (("theta-check", "--poly", "x^\u00b2"), "unexpected character '\u00b2' (at position 2)"),
+    (("sum", "--poly", "\u00b2", "--r-sq", "2"), "unexpected character '\u00b2' (at position 0)"),
+    (("pair", "--pair", "0,1", "--word", "A\u00b2"), "unexpected '\u00b2'"),
+], ids=["theta-check", "sum", "pair"])
+def test_non_ascii_digit_is_an_unexpected_character(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.rstrip().endswith(message)
+
 
 def test_freqsum_phase_refusal_prints_no_warning(capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -80,6 +80,21 @@ def test_word_AB_on_trivial():
     assert pair_apply_word("AB", pair(0, 1)) == pair(F(1, 6), F(2, 3))
 
 
+def test_word_runs_and_refusals():
+    # spaces between runs, a lone ^ or a 0 count as one letter; a space
+    # inside a run, or a non-ASCII digit, is refused at that character
+    huxley = KNOWN_PAIRS["huxley"]
+    a, b = pair_A(huxley), pair_B(huxley)
+    assert pair_apply_word(" a^ b0 ", huxley) == pair_A(b)
+    assert pair_apply_word("A\tA2", huxley) == pair_A(pair_A(pair_A(huxley)))
+    assert pair_apply_word("B^1", huxley) == b
+    assert pair_apply_word("Ab", huxley) == pair_A(b) != pair_B(a)
+    for word, bad in (("A ^2", "^"), ("A^ 2", "2"), ("A\u00b2", "\u00b2"), ("2A", "2")):
+        with pytest.raises(ValueError) as err:
+            pair_apply_word(word, huxley)
+        assert str(err.value) == f"bad process word {word!r}: unexpected {bad!r}"
+
+
 def test_huge_word_refused_before_expansion():
     # "A" * 99999999999 would be a 100 GB string
     tracemalloc.start()

@@ -266,7 +266,7 @@ def test_totals_on_either_side_of_the_int64_range():
 
 
 @pytest.mark.parametrize("expr", ["x^24*y^24", "x^24*y^24+z^48"])
-def test_big_int_path_matches_brute_force(expr):
+def test_prime_route_matches_brute_force(expr):
     # these classes' sums pass 2^63 by far, so their z exponent runs one
     # int64 pass per prime
     p = parse_poly(expr)
@@ -279,7 +279,7 @@ def test_big_int_path_matches_brute_force(expr):
         assert series.a(n) == brute_shell_sum(p, n), (expr, n)
 
 
-def test_forced_float_and_object_passes_agree():
+def test_uint64_only_route_matches_class_sums():
     # at 3000 shells the corpus runs its uint64 passes alone, and they agree
     # with the class sums on Python integers
     for expr in ROUTE_CORPUS:
@@ -289,7 +289,7 @@ def test_forced_float_and_object_passes_agree():
         assert (denom, totals) == (p.denom, _class_by_class(p, 3000))
 
 
-def test_two_pass_route_matches_big_int_path_on_the_octic():
+def test_octic_top_rung_takes_one_prime_pass():
     # at 17867 shells (the benchmark's top octic rung) the octic's totals
     # pass 2^64; all three classes share z exponent 0, so one prime takes
     # one int64 pass
@@ -301,7 +301,7 @@ def test_two_pass_route_matches_big_int_path_on_the_octic():
     assert (denom, totals) == (1, _class_by_class(p, n_max))
 
 
-def test_z_stage_overflow_takes_two_pass_route(sextic):
+def test_gcds_keep_a_scaled_sextic_off_the_prime_passes(sextic):
     # 2^30 times the sextic at 3000 shells: the 2^30 is in the gcd G of
     # every class, which stays out of the residues, so no prime is drawn
     n_max = 3000
@@ -323,7 +323,7 @@ def test_z_stage_overflow_takes_two_pass_route(sextic):
 # (600, 2, 0) has weights past the float range, and (200, 200, 0) finite
 # weights whose products would overflow a float64 pair table
 @pytest.mark.parametrize("key", [(600, 2, 0), (200, 200, 0)], ids=["nan", "inf"])
-def test_two_pass_refuses_a_non_finite_estimate(key):
+def test_weights_past_float_range_take_the_prime_route(key):
     n_max = 200
     (_, totals), passes, primes = _passes(Polynomial3({key: 1}, 1), n_max)
     assert primes > 50 and passes == ["uint64"] + ["int64"] * primes
@@ -336,7 +336,7 @@ WIDE_COEFFS = "(2^70+1)*x^8-(2^75-3)*y^4*z^4+7*z^8"
 
 
 @pytest.mark.parametrize("n_max", [300, 3000])
-def test_wide_and_negative_coefficients_match_object(n_max):
+def test_wide_and_negative_coefficients_match_class_sums(n_max):
     # coefficients of 2^64 or more and negative ones: the totals come back
     # from residues mod 2^64 and mod two primes at 300 shells, three at 3000
     p = parse_poly(WIDE_COEFFS)
@@ -363,6 +363,23 @@ def test_overall_gcd_stays_out_of_the_residues():
     (_, base), _, primes = _passes(octic, 17867)
     (_, totals), _, wide = _passes(2**200 * octic, 17867)
     assert primes == wide == 1 and totals == [2**200 * t for t in base]
+
+
+def test_residue_table_past_the_budget_is_refused_before_a_prime_pass(monkeypatch):
+    # 3^5000 x^4 + x^2 y^2 has gcd 1, so at 100 shells U asks for about 300
+    # primes; a budget one byte below their int64 table is refused after
+    # the uint64 passes and before any int64 pass
+    p = Polynomial3({(4, 0, 0): 3**5000, (2, 2, 0): 1}, 1)
+    (_, totals), _, primes = _passes(p, 100)
+    assert primes > 250 and totals == _class_by_class(p, 100)
+    monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", primes * 101 * 8)
+    assert _passes(p, 100)[0][1] == totals
+    monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", primes * 101 * 8 - 1)
+    seen, inner = [], lattice._add_square_axis
+    monkeypatch.setattr(lattice, "_add_square_axis", lambda t, w: seen.append(t.dtype) or inner(t, w))
+    with pytest.raises(ValueError, match="residue table past"):
+        shell_totals(p, 100)
+    assert seen and set(seen) == {np.dtype(np.uint64)}
 
 
 # z exponents 0, 2 and 4, two classes on each of 0 and 2, and a negative

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from latharm.poly import (
+    COEFF_BIT_CAP,
     DegreeCapError,
     GaussianRational,
     Polynomial3,
@@ -94,6 +95,105 @@ def test_parse_degree_cap():
     with pytest.raises(DegreeCapError):
         parse_poly("x^65")
     assert parse_poly("x^65", degree_cap=70).degree == 65
+
+
+# The grammar's results, error classes, messages and positions: the token
+# after '/' is read before a '/' that starts no literal is handed back, a
+# bad character raises only once the parser reaches it, and the degree cap
+# is checked before a power and after each product.
+PARSE_TABLE = [
+    ('x^2 + @', (PolyParseError, "unexpected character '@'", 6)),
+    ('3/@', (PolyParseError, "unexpected character '@'", 2)),
+    ('3/x', (PolyParseError, "unexpected '/'", 1)),
+    ('x )$', (PolyParseError, "unexpected ')'", 2)),
+    ('(x+y', (PolyParseError, "expected ')'", 4)),
+    ('x^', (PolyParseError, "expected integer exponent after '^'", 2)),
+    ('x^y', (PolyParseError, "expected integer exponent after '^'", 2)),
+    ('', (PolyParseError, 'unexpected end of input', 0)),
+    ('3/0', (PolyParseError, 'zero denominator', 2)),
+    ('x^65', (DegreeCapError, 'exponent 65 exceeds degree cap 64')),
+    ('x^40*y^40', (DegreeCapError, 'degree 80 exceeds degree cap 64')),
+    ('--x', 'x'),
+    ('2/4*x', '1/2*x'),
+    ('  x\t', 'x'),
+    ('\n', (PolyParseError, 'unexpected end of input', 1)),
+    ('1/3*x-2*i*y', (PolyParseError, "unexpected character 'i'", 8)),
+    ('(x+i*y)^4', (PolyParseError, "unexpected character 'i'", 3)),
+    ('x^0', '1'),
+    ('0^0', '1'),
+    ('(x-x)^3', '0'),
+    ('(x+y)^2', 'y^2+2*x*y+x^2'),
+    ('-x^2', '-x^2'),
+    ('+-+x', '-x'),
+    ('3/4/5', (PolyParseError, "unexpected '/'", 3)),
+    ('1/2^2', '1/4'),
+    ('2^3*x', '8*x'),
+    ('x y', (PolyParseError, "unexpected 'y'", 2)),
+    ('x^2^2', (PolyParseError, "unexpected '^'", 3)),
+    ('()', (PolyParseError, "expected number, variable or '('", 1)),
+    ('x*', (PolyParseError, 'unexpected end of input', 2)),
+    ('*x', (PolyParseError, "expected number, variable or '('", 0)),
+    ('12 34', (PolyParseError, "unexpected '34'", 3)),
+    ('x+(', (PolyParseError, 'unexpected end of input', 3)),
+    ('x^01', 'x'),
+    ('1 2', (PolyParseError, "unexpected '2'", 2)),
+    ('3 / 4', '3/4'),
+    ('3/ x', (PolyParseError, "unexpected '/'", 1)),
+    ('-(x-y)*(x+y)', 'y^2-x^2'),
+    ('x^64', 'x^64'),
+    ('(x^32)^2', 'x^64'),
+    ('(x^8)^9', (DegreeCapError, 'exponent 9 exceeds degree cap 64')),
+    ('7/21*z', '1/3*z'),
+    ('0*x^65', (DegreeCapError, 'exponent 65 exceeds degree cap 64')),
+    ('x^2/3', (PolyParseError, "unexpected '/'", 3)),
+    ('x+', (PolyParseError, 'unexpected end of input', 2)),
+    ('))', (PolyParseError, "expected number, variable or '('", 0)),
+    ('x^-1', (PolyParseError, "expected integer exponent after '^'", 2)),
+    ('@x', (PolyParseError, "unexpected character '@'", 0)),
+    ('x^64*1', 'x^64'),
+    ('x^64*x', (DegreeCapError, 'degree 65 exceeds degree cap 64')),
+]
+
+
+@pytest.mark.parametrize("text, expected", PARSE_TABLE, ids=[repr(t) for t, _ in PARSE_TABLE])
+def test_parse_table(text, expected):
+    if isinstance(expected, str):
+        assert parse_poly(text).to_string() == expected
+        return
+    cls, message, *position = expected
+    with pytest.raises(ValueError) as err:
+        parse_poly(text)
+    assert type(err.value) is cls
+    if position:
+        assert str(err.value) == f"{message} (at position {position[0]})"
+        assert err.value.position == position[0]
+    else:
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("\u0663*x", 0), ("x+\u00b9", 2)])
+def test_parse_refuses_non_ascii_digits(text, position):
+    # str.isdigit accepts superscripts and other scripts' digits; the
+    # grammar's digits are 0-9 only
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text)
+    assert str(err.value) == f"unexpected character {text[position]!r} (at position {position})"
+
+
+def test_parse_refuses_oversize_coefficients():
+    # a power whose coefficient would pass COEFF_BIT_CAP bits is refused
+    # before it is built: 9^(10^8) would take minutes
+    for text, position in (("9^100000000", 1), ("(1/3)^100000", 5), ("x+2^70000", 3)):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert err.value.position == position and "cap" in str(err.value)
+    # and so is a product past the cap, at its '*'
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("2^40000*2^40000")
+    assert err.value.position == 7
+    assert parse_poly("2^11000*x^2").terms == {(2, 0, 0): 2**11000}
+    assert parse_poly(f"2^{COEFF_BIT_CAP - 1}").terms == {(0, 0, 0): 2 ** (COEFF_BIT_CAP - 1)}
+    assert parse_poly("1^1000000000*(-1)^1000000001") == Polynomial3.constant(-1)
 
 
 @pytest.mark.parametrize(
