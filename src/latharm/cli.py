@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exppairs, lattice, modular, oscsum
-from .poly import DegreeCapError, Polynomial3, PolyParseError, parse_poly, sphere_average
+from .poly import DegreeCapError, Polynomial3, PolyParseError, parse_poly
 from .util import FitResult
 
 SCHEMA = 1
@@ -36,6 +36,22 @@ def _poly_arg(text: str) -> Polynomial3:
         return parse_poly(text)
     except (PolyParseError, DegreeCapError) as exc:
         raise UsageError(f"bad polynomial: {exc}")
+
+
+def _ascii(cast):
+    """`cast` (int or float) on ASCII text only, as an argparse type and for
+    split lists: both casts also read other scripts' digits as 0-9."""
+
+    def read(text: str):
+        if not text.isascii():
+            raise UsageError(f"numbers take ASCII digits only, got {text!r}")
+        return cast(text)
+
+    read.__name__ = cast.__name__  # argparse names the type in its messages
+    return read
+
+
+_int, _float = _ascii(int), _ascii(float)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -156,7 +172,7 @@ def cmd_expsum(args) -> int:
     h = _parse_h(args.h) if args.h else (0.0, 0.0, 0.0)
     if args.n_list:
         try:
-            n_list = sorted({int(s) for s in args.n_list.split(",")})
+            n_list = sorted({_int(s) for s in args.n_list.split(",")})
         except ValueError:
             raise UsageError("--n-list wants comma-separated integers")
         report = oscsum.bound_check_VNQR(q, n_list, args.r, h)
@@ -204,11 +220,8 @@ def cmd_pair(args) -> int:
 
 @_domain_errors_are_usage
 def cmd_balance(args) -> int:
-    if args.long in exppairs.LONG_SUM_MODELS:
-        long_terms = list(exppairs.LONG_SUM_MODELS[args.long])
-    else:
-        long_terms = exppairs.parse_terms(args.long)
-    short_terms = exppairs.parse_terms(args.short)
+    long_terms = exppairs.parse_terms(args.long, exppairs.LONG_SUM_MODELS)
+    short_terms = exppairs.parse_terms(args.short, exppairs.SHORT_SUM_MODELS)
     if args.alpha_range:
         lo, hi = exppairs.parse_rationals(args.alpha_range, 2)
     else:
@@ -237,14 +250,15 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _headline_magnitudes(p: Polynomial3, r_max: int, subtract_main: bool) -> np.ndarray:
-    """|headline sum| (optionally volume-corrected) at every shell n <= r_max^2."""
+def _headline_magnitudes(p: Polynomial3, r_max: int) -> np.ndarray:
+    """|headline sum| at every shell n <= r_max^2, less the volume term
+    pi main_term(p, sqrt(n), 0) of a P with nonzero sphere mean."""
     n_max = r_max * r_max
     denom, totals = lattice.homogeneous_shell_totals(p, n_max, "headline sum")
     # exact running sums from the origin (p(0), nonzero only in degree 0)
     values = lattice.shell_floats(denom, np.cumsum(totals)[1:])
-    if subtract_main:
-        main_coeff = (4 * math.pi / 3) * float(sphere_average(p))
+    if main_coeff := math.pi * float(lattice.main_term(p, 1, 0)):
+        # main_term(p, R, 0) is main_term(p, 1, 0) R^(nu+3), and R^2 = n
         power = (p.degree + 3) / 2
         # Python's pow, not numpy's, which differs in the last bit on some n
         values -= main_coeff * np.array([n**power for n in range(1, n_max + 1)])
@@ -273,12 +287,7 @@ def cmd_fit(args) -> int:
         p = _poly_arg(args.poly)
         if args.r_max < 16:
             raise UsageError("need --r-max >= 16")
-        if not args.subtract_main and sphere_average(p) != 0:
-            raise UsageError(
-                "fit requires a polynomial with zero mean on the sphere "
-                "(or --subtract-main to remove the volume term)"
-            )
-        mags = _headline_magnitudes(p, args.r_max, args.subtract_main)
+        mags = _headline_magnitudes(p, args.r_max)
         if args.csv:
             lines = ["n,R,abs_sum"]
             # Python floats: a numpy scalar's repr is np.float64(...)
@@ -315,7 +324,8 @@ def _read_fit_csv(path: str) -> list[float]:
             lattice.check_n_max(n)
             fields = line.strip().split(",")
             try:
-                ok = len(fields) == 3 and int(fields[0]) == n and 0 <= float(fields[2]) < math.inf
+                ok = (line.isascii() and len(fields) == 3 and int(fields[0]) == n
+                      and 0 <= float(fields[2]) < math.inf)
             except ValueError:
                 ok = False
             if not ok:
@@ -336,8 +346,8 @@ def cmd_theta_check(args) -> int:
     p = _poly_arg(args.poly)
     if args.gamma:
         try:
-            a, b, c, d = (int(s) for s in args.gamma.split(","))
-            zr, zi = (float(s) for s in args.z.split(","))
+            a, b, c, d = (_int(s) for s in args.gamma.split(","))
+            zr, zi = (_float(s) for s in args.z.split(","))
         except (ValueError, AttributeError):
             raise UsageError("--gamma wants a,b,c,d and --z wants re,im")
         if not (math.isfinite(zr) and math.isfinite(zi)):
@@ -412,12 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sum", cmd_sum, "exact sum of a polynomial over |x|^2 <= R^2")
     p.add_argument("--poly", required=True)
-    p.add_argument("--r-sq", type=int, required=True)
+    p.add_argument("--r-sq", type=_int, required=True)
     p.add_argument("--json", action="store_true")
 
     p = add("coeffs", cmd_coeffs, "exact shell coefficients a_n as CSV or JSON")
     p.add_argument("--poly", required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int, required=True)
     p.add_argument("--csv", default=None, help="output path ('-' = stdout)")
     p.add_argument("--json", action="store_true")
 
@@ -428,17 +438,17 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = add(name, fn, help_)
         p.add_argument("--poly", required=True)
-        p.add_argument("--r", type=float, required=True)
-        p.add_argument("--h", type=float, required=True)
+        p.add_argument("--r", type=_float, required=True)
+        p.add_argument("--h", type=_float, required=True)
         if name == "freqsum":
-            p.add_argument("--n-trunc", type=int, required=True)
+            p.add_argument("--n-trunc", type=_int, required=True)
         p.add_argument("--json", action="store_true")
 
     p = add("expsum", cmd_expsum, "oscillatory lattice exponential sum / bound sweep")
     p.add_argument("--poly", default="1")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_float, required=True)
     p.add_argument("--h", default=None, help="offset h1,h2,h3 (rationals)")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int, default=None)
     p.add_argument("--n-list", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", action="store_true")
@@ -452,9 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("balance", cmd_balance, "exact minimax balance of error terms")
     p.add_argument("--long", required=True,
-                   help="'a,b;a,b;...' or a named list (classic, huxley-ba2, ...)")
+                   help="'a,b;a,b;...' or a long-sum model (vdc, classic, huxley, "
+                   "huxley-ba2, lindelof)")
     p.add_argument("--short", required=True,
-                   help="'a,b;...' or a model name (trivial, CI, HB, cusp, GLH, RC)")
+                   help="'a,b;...' or a short-sum model (trivial, CI, HB, cusp, GLH, RC)")
     p.add_argument("--alpha-range", default=None, help="lo,hi rationals")
     p.add_argument("--json", action="store_true")
 
@@ -464,9 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fit", cmd_fit, "fit the growth exponent of the headline sum")
     p.add_argument("--poly", default=None)
-    p.add_argument("--r-max", type=int, default=64)
+    p.add_argument("--r-max", type=_int, default=64)
     p.add_argument("--subtract-main", action="store_true",
-                   help="subtract the volume main term (for non-mean-zero P)")
+                   help="accepted and ignored: the volume term of a P with nonzero "
+                   "sphere mean is always subtracted")
     p.add_argument("--csv", default=None, help="emit the (n, R, |sum|) series")
     p.add_argument("--from-csv", default=None, help="re-fit a previously emitted series")
     p.add_argument("--json", action="store_true")
@@ -475,29 +487,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", default="5*(x^4+y^4+z^4)-3*(x^2+y^2+z^2)^2")
     p.add_argument("--gamma", default=None, help="a,b,c,d")
     p.add_argument("--z", default=None, help="re,im")
-    p.add_argument("--sample", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--n-max", type=int, default=modular.DEFAULT_N_MAX)
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p.add_argument("--sample", type=_int, default=50)
+    p.add_argument("--tol", type=_float, default=1e-6)
+    p.add_argument("--n-max", type=_int, default=modular.DEFAULT_N_MAX)
+    p.add_argument("--seed", type=_int, default=0, help="seed for sampled checks")
     p.add_argument("--json", action="store_true")
 
     p = add("gauss", cmd_gauss, "quadratic Gauss sum, direct vs closed form")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--xi", type=int, default=None)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--c", type=_int, required=True)
+    p.add_argument("--xi", type=_int, default=None)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)  # a non-ASCII number raises UsageError
+        return args.fn(args)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others
         return 2 if exc.code not in (0,) else 0
-    try:
-        return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

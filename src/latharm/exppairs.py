@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -317,7 +317,10 @@ RATIONAL_EXP_CAP = 1000
 
 def parse_rational(text: str) -> Fraction:
     """'p/q' or a decimal such as '-1.5e-3' as a Fraction; ValueError for a
-    zero denominator, an exponent past RATIONAL_EXP_CAP or other bad text."""
+    zero denominator, an exponent past RATIONAL_EXP_CAP or other bad text.
+    Digits are ASCII: Fraction and int would also read other scripts' digits."""
+    if not text.isascii():
+        raise ValueError(f"bad rational {text!r}: digits must be ASCII 0-9")
     _, e, exponent = text.lower().partition("e")
     try:
         if e and abs(int(exponent)) > RATIONAL_EXP_CAP:
@@ -345,16 +348,18 @@ def parse_pair(text: str, eps: bool | None = None) -> ExponentPair:
     return ExponentPair(k, l, eps=eps)
 
 
-def parse_terms(text: str) -> list[ErrorTerm]:
-    """Parse 'a,b;a,b;...' exponent pairs, or a named short-sum model."""
-    if text in SHORT_SUM_MODELS:
-        return short_sum_terms(text)
+def parse_terms(text: str, models: Mapping[str, Sequence[ErrorTerm]]) -> list[ErrorTerm]:
+    """A model name from `models`, or 'a,b;a,b;...' exponent pairs."""
+    if text in models:
+        return list(models[text])
     out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        out.append(term(*parse_rationals(chunk, 2)))
+    try:
+        for chunk in text.split(";"):
+            chunk = chunk.strip()
+            if chunk:
+                out.append(term(*parse_rationals(chunk, 2)))
+    except ValueError as exc:
+        raise ValueError(f"{exc}; or name a model: {', '.join(models)}") from None
     if not out:
         raise ValueError("empty term list")
     return out

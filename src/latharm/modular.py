@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .lattice import N_MAX_CAP, homogeneous_shell_totals, shell_floats
+from .lattice import N_MAX_CAP, shell_floats, shell_totals
 from .poly import Polynomial3
 
 Y_MIN = 0.05  # theta is evaluated only at Im z >= Y_MIN
@@ -177,7 +177,7 @@ def theta_context(p: Polynomial3, n_max: int = DEFAULT_N_MAX) -> ThetaContext:
         raise ValueError("theta context requires a harmonic homogeneous polynomial")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    denom, totals = homogeneous_shell_totals(p, n_max, "theta context")
+    denom, totals = shell_totals(p, n_max)
     # |a_n| <= r3(n) max|P| <= 18 n * (sum |coeffs|) n^(nu/2)
     coeff_c = 18.0 * float(p.coeff_l1())
     return ThetaContext(

@@ -30,6 +30,9 @@ Monomial = tuple[int, int, int]
 DEFAULT_DEGREE_CAP = 64
 # Largest coefficient numerator or denominator, in bits, that parsing builds.
 COEFF_BIT_CAP = 1 << 16
+# Deepest parenthesis nesting that parsing accepts: each level takes four
+# Python frames, so a deeper one would meet the interpreter's recursion limit.
+PAREN_DEPTH_CAP = 100
 
 VARIABLE_NAMES = ("x", "y", "z")
 
@@ -280,12 +283,13 @@ def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
 
     Rational literals are written p/q with ASCII digits; any other
     character, `i` included, is refused.  Raises PolyParseError with the
-    offending position on bad syntax or a coefficient past COEFF_BIT_CAP
-    bits, DegreeCapError past the degree cap.
+    offending position on bad syntax, a coefficient past COEFF_BIT_CAP bits
+    or parentheses nested past PAREN_DEPTH_CAP, DegreeCapError past the
+    degree cap.
     """
     tokens = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
     tokens.append(("end", "", len(text)))
-    at = 0
+    at = depth = 0
 
     def peek(ahead: int = 0) -> tuple[str, str, int]:
         kind, value, pos = tokens[at + ahead]
@@ -324,36 +328,41 @@ def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
         return result
 
     def factor() -> Polynomial3:
+        negate = False  # a run of unary signs is read in one loop
+        while (sign := peek()[1]) in ("+", "-"):
+            take()
+            negate ^= sign == "-"
         base = atom()
-        if peek()[1] != "^":
-            return base
-        pos = take()[2]
-        kind, value, at_exponent = take()
-        if kind != "number":
-            raise PolyParseError("expected integer exponent after '^'", at_exponent)
-        exponent = int(value)
-        # degree(b^e) = e degree(b) for b != 0, and a constant's power has
-        # at least e (bits - 1) + 1 bits: both are refused unbuilt.  Past
-        # degree 0 the degree cap bounds e, so the power is built and sized.
-        if (degree := base.degree) * exponent > degree_cap:
-            raise DegreeCapError(f"exponent {exponent} exceeds degree cap {degree_cap}")
-        if not degree and exponent * (_coefficient_bits(base) - 1) >= COEFF_BIT_CAP:
-            raise PolyParseError(f"power {exponent} passes the {COEFF_BIT_CAP}-bit "
-                                 "coefficient cap", pos)
-        return sized(base**exponent, pos)
+        if peek()[1] == "^":
+            pos = take()[2]
+            kind, value, at_exponent = take()
+            if kind != "number":
+                raise PolyParseError("expected integer exponent after '^'", at_exponent)
+            exponent = int(value)
+            # degree(b^e) = e degree(b) for b != 0, and a constant's power has
+            # at least e (bits - 1) + 1 bits: both are refused unbuilt.  Past
+            # degree 0 the degree cap bounds e, so the power is built and sized.
+            if (degree := base.degree) * exponent > degree_cap:
+                raise DegreeCapError(f"exponent {exponent} exceeds degree cap {degree_cap}")
+            if not degree and exponent * (_coefficient_bits(base) - 1) >= COEFF_BIT_CAP:
+                raise PolyParseError(f"power {exponent} passes the {COEFF_BIT_CAP}-bit "
+                                     "coefficient cap", pos)
+            base = sized(base**exponent, pos)
+        return -base if negate else base
 
     def atom() -> Polynomial3:
+        nonlocal depth
         kind, value, pos = take()
-        if value == "-":
-            return -factor()
-        if value == "+":
-            return factor()
         if kind == "number":
             return Polynomial3.constant(rational(int(value)))
         if value in ("x", "y", "z"):
             return Polynomial3.variable("xyz".index(value))
         if value == "(":
+            if depth == PAREN_DEPTH_CAP:
+                raise PolyParseError(f"parentheses nested deeper than {PAREN_DEPTH_CAP}", pos)
+            depth += 1
             inner = expr()
+            depth -= 1
             kind, value, pos = take()
             if value != ")":
                 raise PolyParseError("expected ')'", pos)

@@ -224,7 +224,7 @@ def test_criterion_10_poisson_consistency_trend():
 def test_criterion_11_headline_scaling():
     from latharm.cli import _headline_fit, _headline_magnitudes
 
-    fit = _headline_fit(_headline_magnitudes(QUARTIC, 512, False))
+    fit = _headline_fit(_headline_magnitudes(QUARTIC, 512))
     nu = QUARTIC.degree
     assert fit.slope <= nu + 1.55
     # informational: the conjectured exponent is nu + 1

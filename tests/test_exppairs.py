@@ -7,6 +7,7 @@ from latharm.exppairs import (
     KNOWN_PAIRS,
     LONG_SUM_MODELS,
     RATIONAL_EXP_CAP,
+    SHORT_SUM_MODELS,
     WORD_CAP,
     ExponentPair,
     exponent_table,
@@ -318,7 +319,8 @@ def test_parse_rational_refuses_before_building():
     assert parse_rational(f"1e{RATIONAL_EXP_CAP}") == 10**RATIONAL_EXP_CAP
     assert parse_rational(f"1E-{RATIONAL_EXP_CAP}") == F(1, 10**RATIONAL_EXP_CAP)
     assert parse_rationals("1/6,2/3,0", 3) == [F(1, 6), F(2, 3), F(0)]
-    for bad in ["1/0", "0/0", f"1e{RATIONAL_EXP_CAP + 1}", "1e-100000000", "nan", "inf", "1/2e3", ""]:
+    for bad in ["1/0", "0/0", f"1e{RATIONAL_EXP_CAP + 1}", "1e-100000000", "nan", "inf", "1/2e3", "",
+                "\u0663/8", "1e\u0663"]:
         with pytest.raises(ValueError, match="bad rational"):
             parse_rational(bad)
     with pytest.raises(ValueError, match="2 comma-separated"):
@@ -326,8 +328,9 @@ def test_parse_rational_refuses_before_building():
 
 
 def test_parse_terms():
-    terms = parse_terms("1,-1/2;17/14,-1/7")
+    terms = parse_terms("1,-1/2;17/14,-1/7", SHORT_SUM_MODELS)
     assert [(t.r_exp, t.h_exp) for t in terms] == [(F(1), F(-1, 2)), (F(17, 14), F(-1, 7))]
-    assert parse_terms("cusp") == short_sum_terms("cusp")
+    assert parse_terms("cusp", SHORT_SUM_MODELS) == short_sum_terms("cusp")
+    assert parse_terms("classic", LONG_SUM_MODELS) == LONG_SUM_MODELS["classic"]
     with pytest.raises(ValueError):
-        parse_terms("")
+        parse_terms("", SHORT_SUM_MODELS)

@@ -7,6 +7,7 @@ import sympy
 
 from latharm.poly import (
     COEFF_BIT_CAP,
+    PAREN_DEPTH_CAP,
     DegreeCapError,
     GaussianRational,
     Polynomial3,
@@ -169,6 +170,23 @@ def test_parse_table(text, expected):
         assert err.value.position == position[0]
     else:
         assert str(err.value) == message
+
+
+def test_parse_reads_sign_runs_in_a_loop_and_caps_nesting():
+    # neither a unary sign nor a parenthesis level may cost a Python frame
+    # each: 500 of either used to end in RecursionError
+    x = parse_poly("x")
+    assert parse_poly("-" * 500 + "x") == x
+    assert parse_poly("+-" * 250 + "-x") == -x
+    nested = "(" * PAREN_DEPTH_CAP + "x" + ")" * PAREN_DEPTH_CAP
+    assert parse_poly(nested) == x
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("(" + nested + ")")
+    assert err.value.position == PAREN_DEPTH_CAP
+    # a signed factor takes one power, like an unsigned one
+    for text in ("x^2^2", "-x^2^2"):
+        with pytest.raises(PolyParseError, match="unexpected '\\^'"):
+            parse_poly(text)
 
 
 @pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("\u0663*x", 0), ("x+\u00b9", 2)])
