@@ -256,7 +256,7 @@ def _headline_magnitudes(p: Polynomial3, r_max: int) -> np.ndarray:
     n_max = r_max * r_max
     denom, totals = lattice.homogeneous_shell_totals(p, n_max, "headline sum")
     # exact running sums from the origin (p(0), nonzero only in degree 0)
-    values = lattice.shell_floats(denom, np.cumsum(totals)[1:])
+    values = lattice.running_floats(denom, totals)[1:]
     if main_coeff := math.pi * float(lattice.main_term(p, 1, 0)):
         # main_term(p, R, 0) is main_term(p, 1, 0) R^(nu+3), and R^2 = n
         power = (p.degree + 3) / 2

@@ -1,9 +1,12 @@
 """Exact Z^3 shell enumeration and exact/weighted lattice sums.
 
 The shell coefficients a_n (sums of a polynomial over all lattice points of
-norm-squared n) are computed exactly as integers T[n] over one denominator D.
-They become Fractions only at the output edge and floats only through
-`shell_floats` or a window weight.
+norm-squared n) are computed exactly as integers T[n] over one denominator D,
+held in int64 when they fit and no prime was drawn to recover them, else as
+Python integers.  They become Fractions only at the output edge and floats only
+through `shell_floats`, `running_floats` or a window weight.  The edge keeps
+int64 where it can: the CSV digits, the float conversions and the running
+sums are numpy kernels that give the same bytes as the Python-int rows.
 
 Shell sums are square convolutions: an x, y pair table, then the costly z
 axis, which `_z_stage` runs once per distinct z exponent on the summed pair
@@ -18,6 +21,7 @@ residues, in O(n_max).  A report's lattice-point count is the ball sum of 1
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +37,10 @@ N_MAX_CAP = 10**6
 
 # Largest table of int64 prime residues (primes x shells) `_recover` builds.
 RESIDUE_TABLE_BYTES = 1 << 30
+
+# Rows per block of the decimal CSV kernel: its digit matrix stays near
+# 100 KiB, where one matrix for the whole series would raise peak memory.
+CSV_BLOCK_ROWS = 4096
 
 
 def representations(n: int) -> list[tuple[int, int, int]]:
@@ -91,7 +99,12 @@ class CoefficientSeries:
         lines = ["n,a_n"]
         rows = enumerate(self.totals[1:], start=1)
         if self.denom == 1:  # every a_n is an integer: no reduction to do
-            lines += [f"{n},{t}" for n, t in rows]
+            try:
+                values = np.fromiter(self.totals[1:], dtype=np.int64)
+            except OverflowError:  # a value outside int64: Python's digits
+                lines += [f"{n},{t}" for n, t in rows]
+            else:
+                return "n,a_n\n" + _csv_rows(values)
         else:
             for n, t in rows:
                 g = math.gcd(t, self.denom)
@@ -100,10 +113,88 @@ class CoefficientSeries:
         return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """Two tables of 4-digit chunks, each chunk the uint32 whose four bytes
+    in memory are ASCII digits or 0 bytes (blanks, deleted later).  Entry r
+    < 10^4 is "0000".."9999"; entry 10^4 + r is r with its leading zeros
+    blank, for a number's leading chunk.  Entry 10^4 (a leading 0) is all
+    blank in table 0, for the chunks above a number, and "0" in table 1, for
+    the lowest chunk, so that 0 prints as 0.  Built on first use."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()  # row r: r's digits
+    chars = digits + np.uint8(ord("0"))
+    led = np.where(np.maximum.accumulate(digits > 0, axis=1), chars, np.uint8(0))
+    tables = np.stack([np.concatenate([chars, led])] * 2)
+    tables[1, 10_000, -1] = ord("0")
+    return tables.view(np.uint32)[..., 0]
+
+
+def _put_decimal(u: np.ndarray, columns: np.ndarray) -> None:
+    """Write the decimal digits of u (uint64) into the uint32 columns, one
+    4-digit chunk of `_digit_quads` per column, the lowest in the last; the
+    columns must hold every digit of max(u)."""
+    quads = _digit_quads()
+    last = columns.shape[1] - 1
+    for i in range(last, -1, -1):
+        high = u // 10_000
+        chunk = u - high * 10_000
+        chunk += (high == 0) * np.uint64(10_000)  # leading, or above the number
+        # every index is in range; clip only spares take its buffered copy
+        np.take(quads[int(i == last)], chunk, out=columns[:, i], mode="clip")
+        u = high
+
+
+def _csv_rows(values: np.ndarray) -> str:
+    """f"{n},{t}\n" for t in the int64 array values, n from 1, concatenated.
+    Each block of CSV_BLOCK_ROWS rows is a uint32 matrix, per row the chunks
+    of n, a word ",", or ",-", the chunks of |t| and a word "\n", all
+    padded by 0 bytes that bytes.translate deletes."""
+    comma, minus, newline = np.frombuffer(b",\0\0\0\0-\0\0\n\0\0\0", dtype=np.uint32)
+    blocks = []
+    for start in range(0, len(values), CSV_BLOCK_ROWS):
+        t = values[start : start + CSV_BLOCK_ROWS]
+        n = np.arange(start + 1, start + len(t) + 1, dtype=np.uint64)
+        # |INT64_MIN| wraps to itself in int64, and reads as 2^63 in uint64
+        a = np.abs(t).view(np.uint64)
+        nc, tc = ((len(str(int(v))) + 3) // 4 for v in (n[-1], a.max()))
+        row = np.empty((len(t), nc + tc + 2), dtype=np.uint32)
+        _put_decimal(n, row[:, :nc])
+        np.multiply(t < 0, minus, out=row[:, nc])
+        row[:, nc] |= comma
+        _put_decimal(a, row[:, nc + 1 : -1])
+        row[:, -1] = newline
+        blocks.append(row.tobytes().translate(None, b"\0"))
+    return b"".join(blocks).decode("ascii")
+
+
 def shell_floats(denom: int, totals) -> np.ndarray:
     """Float64 array of T[n] / D, each correctly rounded once from the exact
-    integers (Python int / int), so it equals float(Fraction(T[n], D))."""
+    integers, so it equals float(Fraction(T[n], D)).  An int64 array converts
+    in numpy when that is one rounding: D = 1, or D and every |T| at most
+    2^53, exact in float64, so that only the division rounds.  Anything else
+    goes through Python int / int."""
+    if isinstance(totals, np.ndarray) and totals.dtype == np.int64 and (
+        denom == 1
+        or denom <= 1 << 53 and -(1 << 53) <= totals.min(initial=0)
+        and totals.max(initial=0) <= 1 << 53
+    ):
+        floats = totals.astype(np.float64)
+        return floats if denom == 1 else floats / denom
     return (np.asarray(totals, dtype=object) / denom).astype(np.float64)
+
+
+def running_floats(denom: int, totals) -> np.ndarray:
+    """Float64 array of (T[0] + ... + T[n]) / D, each correctly rounded once
+    from the exact running sums.  For int64 T and D = 1, T = 2^32 hi + lo
+    with hi = T >> 32 and 0 <= lo < 2^32: over fewer than 2^21 shells each
+    limb's running sum stays within 2^53, exact in int64 and in float64, so
+    2^32 H + L rounds once, to float(exact sum).  Anything else sums Python
+    integers."""
+    if (isinstance(totals, np.ndarray) and totals.dtype == np.int64 and denom == 1
+            and len(totals) < 1 << 21):
+        hi = np.cumsum(totals >> 32).astype(np.float64)
+        return hi * float(1 << 32) + np.cumsum(totals & 0xFFFF_FFFF)
+    return shell_floats(denom, np.cumsum(totals, dtype=object))
 
 
 def check_n_max(n_max: int) -> None:
@@ -258,13 +349,17 @@ def _from_residues(s: np.ndarray, primes: list[int], r: np.ndarray) -> np.ndarra
 
 
 def _recover(g: int, s: np.ndarray, bound: int, residue) -> np.ndarray:
-    """g U as an object array, for the integers |U| <= bound with s = U mod
-    2^64 read as int64 and residue(q) = U mod q (int64).  The primes q <
-    2^26 (`_primes`) that make M = 2^64 prod q > 2 bound are drawn, none if
-    bound < 2^63, and `_from_residues` recovers U, so |U| < M/2.  When M > 2
-    g bound too, g is folded into the residues instead, and g U comes back
-    with no product of Python integers.  A residue table (primes x shells
-    int64) past RESIDUE_TABLE_BYTES is refused before any prime pass."""
+    """g U for the integers |U| <= bound with s = U mod 2^64 read as int64
+    and residue(q) = U mod q (int64).  The primes q < 2^26 (`_primes`) that
+    make M = 2^64 prod q > 2 bound are drawn, none if bound < 2^63, and
+    `_from_residues` recovers U, so |U| < M/2.  When M > 2 g bound too, g is
+    folded into the residues instead, and g U comes back with no product of
+    Python integers.  With no prime drawn, s is U itself, so its largest |U|
+    replaces the bound: g folds exactly when 2^64 > 2 |g U|, and then the
+    folded residue read as int64 is g U and is returned as it is.  Every
+    other g U is an object array of Python integers.  A residue table
+    (primes x shells int64) past RESIDUE_TABLE_BYTES is refused before any
+    prime pass."""
     primes, candidates, m = [], _primes(), 1 << 64
     while m <= 2 * bound:
         if (len(primes) + 1) * len(s) * 8 > RESIDUE_TABLE_BYTES:
@@ -273,10 +368,13 @@ def _recover(g: int, s: np.ndarray, bound: int, residue) -> np.ndarray:
                              f"{RESIDUE_TABLE_BYTES >> 20} MiB")
         primes.append(next(candidates))
         m *= primes[-1]
+    if not primes:
+        bound = max(-int(s.min(initial=0)), int(s.max(initial=0)))
     f = g if m > 2 * g * bound else 1
     s = (s.view(np.uint64) * np.uint64(f % (1 << 64))).view(np.int64)
-    u = (_from_residues(s, primes, np.array([f % q * residue(q) % q for q in primes]))
-         if primes else s.astype(object))
+    if not primes:
+        return s if f == g else g * s.astype(object)
+    u = _from_residues(s, primes, np.array([f % q * residue(q) % q for q in primes]))
     return u if f == g else g * u
 
 
@@ -295,7 +393,10 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     """Exact shell sums of a polynomial, as integers over one denominator.
 
     Returns (D, T) with T[n] / D = sum of p over |x|^2 = n for 0 <= n <= n_max
-    (T[0] / D is p at the origin); T is an object array of Python integers.
+    (T[0] / D is p at the origin).  T is int64 exactly when no prime is
+    drawn (B < 2^63, B below) and every |T| is below 2^63, and an object
+    array of Python integers otherwise; readers that sum or divide T take
+    its elements as Python integers, as an int64 sum wraps.
     p need not be homogeneous.  n_max above N_MAX_CAP is refused.
 
     T = G U with G the gcd of the class coefficients (`_content`), and U =
@@ -342,15 +443,18 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     return p.denom, _recover(content, s, bound, residue)
 
 
-def _ball_total(p: Polynomial3, n_max: int) -> tuple[int, int]:
-    """(D, T) with T / D the sum of p over |x|^2 <= n_max, in O(n_max).
+def _ball_total(p: Polynomial3, n_max: int, points: bool = False) -> tuple[int, ...]:
+    """(D, T) with T / D the sum of p over |x|^2 <= n_max, in O(n_max); with
+    points, (D, T, the number of lattice points in the ball).
 
     A class (e1, e2, e3) sums over the ball to w_e1^T Z_e3 w_e2, w_e the
     square weights and Z_e[a, b] = sum of w_e[j] over j^2 <= n_max - a^2 -
     b^2 (0 off the disc): a cumsum read through the floored `np.sqrt` table.
     T = G U as in `shell_totals`, |U| <= sum |c| prod sum(w) as the ball lies
     in the cube; U mod 2^64 in uint64 (matmul wraps), and mod q on w and Z
-    reduced below q, each product (k + 1 terms) reduced after it.
+    reduced below q, each product (k + 1 terms) reduced after it.  The point
+    count is w_0^T Z_0 w_0 in int64 on the same index table: it is below 2^33
+    at N_MAX_CAP, so nothing wraps.
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
@@ -375,7 +479,13 @@ def _ball_total(p: Polynomial3, n_max: int) -> tuple[int, int]:
             del z  # one (k + 1)^2 table at a time
         return np.array([total % m], dtype=dtype).view(np.int64)
 
-    return p.denom, int(_recover(content, residue(None), bound, residue)[0])
+    total = int(_recover(content, residue(None), bound, residue)[0])
+    if not points:
+        return p.denom, total
+    w0 = np.array(_square_weights(0, k), dtype=np.int64)
+    cum = np.zeros(k + 2, dtype=np.int64)
+    np.cumsum(w0, out=cum[:-1])
+    return p.denom, total, int(w0 @ cum[index] @ w0)
 
 
 def _bilinear(u: np.ndarray, z: np.ndarray, v: np.ndarray, q: int | None):
@@ -399,7 +509,7 @@ def coeff_series(p: Polynomial3, n_max: int) -> CoefficientSeries:
         nu=p.degree,
         poly_id=p.to_string(),
         denom=denom,
-        totals=tuple(totals),
+        totals=tuple(totals.tolist()),
         n_max=n_max,
         is_harmonic=p.is_harmonic,
     )
@@ -424,20 +534,26 @@ def _ball_points(m: int) -> int:
     return _ball_total(Polynomial3.constant(1), m)[1]
 
 
-def ball_sum(p: Polynomial3, r_sq: int) -> Fraction:
-    """Exact sum of p over all lattice points with |x|^2 <= r_sq."""
+def _homogeneous_ball_total(p: Polynomial3, r_sq: int, points: bool) -> tuple[int, ...]:
+    """`_ball_total` of a homogeneous p over r_sq >= 0."""
     if r_sq < 0:
         raise ValueError("r_sq must be non-negative")
     if not p.is_homogeneous:
         raise ValueError("ball sum requires a homogeneous polynomial")
-    denom, total = _ball_total(p, r_sq)
+    return _ball_total(p, r_sq, points)
+
+
+def ball_sum(p: Polynomial3, r_sq: int) -> Fraction:
+    """Exact sum of p over all lattice points with |x|^2 <= r_sq."""
+    denom, total = _homogeneous_ball_total(p, r_sq, points=False)
     return Fraction(total, denom)
 
 
 def ball_sum_report(p: Polynomial3, r_sq: int) -> SumReport:
-    """Exact ball sum with the number of lattice points included."""
-    value = ball_sum(p, r_sq)
-    return SumReport(value=value, term_count=_ball_points(r_sq))
+    """Exact ball sum with the number of lattice points included, both read
+    through one disc index table."""
+    denom, total, count = _homogeneous_ball_total(p, r_sq, points=True)
+    return SumReport(value=Fraction(total, denom), term_count=count)
 
 
 def short_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
@@ -487,8 +603,7 @@ def _window_totals(p: Polynomial3, r: float, h: float, what: str):
 def _ramp_sum(denom: int, totals: np.ndarray, r: float, h: float, lo: int, hi: int) -> float:
     """Sum of (T[n]/D) f(sqrt n)/sqrt n over lo <= n <= hi."""
     terms = []
-    for n in range(lo, hi + 1):
-        t = totals[n]
+    for n, t in enumerate(totals[lo : hi + 1].tolist(), start=lo):
         if t:
             root = math.sqrt(n)
             terms.append(t / denom * cutoff_f(root, r, h) / root)
@@ -510,9 +625,9 @@ def long_sum_physical(p: Polynomial3, r: float, h: float) -> float:
     """
     denom, totals, _, hi = _window_totals(p, r, h, "long sum")
     inner_top = math.floor(Fraction(r) ** 2)
-    inner = int(totals[1 : inner_top + 1].sum())
+    inner = sum(totals[1 : inner_top + 1].tolist())  # Python ints: no wrap
     ramp = _ramp_sum(denom, totals, r, h, inner_top + 1, hi)
-    return inner / denom + ramp + totals[0] / denom
+    return inner / denom + ramp + int(totals[0]) / denom
 
 
 def main_term(

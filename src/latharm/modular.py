@@ -175,6 +175,8 @@ def theta_context(p: Polynomial3, n_max: int = DEFAULT_N_MAX) -> ThetaContext:
     each rounded once to a float, with the constant of the tail bound."""
     if not p.is_homogeneous or not p.is_harmonic:
         raise ValueError("theta context requires a harmonic homogeneous polynomial")
+    if not p.terms:
+        raise ValueError("theta context requires a nonzero polynomial")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     denom, totals = shell_totals(p, n_max)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from latharm import exppairs, lattice
@@ -130,6 +132,66 @@ def test_shortsum_longsum_freqsum(capsys):
                        "--n-trunc", "64")
     assert code == 0
     assert abs(float(out)) < 1e-9
+
+
+# Every number these print is a Python float or int: a numpy scalar would
+# print as np.float64(...) or np.int64(...).
+NUMPY_FREE = [
+    ("longsum", "--poly", "x*y", "--r", "4", "--h", "0.5"),
+    ("longsum", "--poly", "x*y", "--r", "4", "--h", "0.5", "--json"),
+    ("longsum", "--poly", "1", "--r", "5", "--h", "0.5"),
+    ("longsum", "--poly", "1/3*x^2-1/7*y^2", "--r", "5", "--h", "0.5", "--json"),
+    ("shortsum", "--poly", "x*y", "--r", "4", "--h", "0.5"),
+    ("shortsum", "--poly", QUARTIC, "--r", "5", "--h", "0.5", "--json"),
+    ("freqsum", "--poly", "x*y", "--r", "4", "--h", "0.5", "--n-trunc", "64"),
+    ("freqsum", "--poly", QUARTIC, "--r", "4", "--h", "0.5", "--n-trunc", "64", "--json"),
+    ("expsum", "--poly", "x^2-y^2", "--r", "5", "--n", "16"),
+    ("expsum", "--poly", "1", "--r", "5", "--h=1/3,0,1/5", "--n", "16", "--json"),
+    ("fit", "--poly", QUARTIC, "--r-max", "16"),
+    ("fit", "--poly", "1", "--r-max", "16", "--json"),
+    ("fit", "--poly", "x^2", "--r-max", "16", "--csv", "-"),
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE, ids=[" ".join(a[:1] + a[-2:]) for a in NUMPY_FREE])
+def test_printed_numbers_are_python_numbers(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out and "np." not in out
+
+
+# (2^27 - 1)(x^4+y^4+z^4) at 4096 shells: its shell sums reach 2^61 with
+# every bit significant, inside int64, so they stay int64 to the output
+# edge, while their running sums (the fit, the long sum's inner part) pass
+# 2^69.  Digests of each stdout as printed by the Python-int formatting and
+# float conversion that the int64 kernels replaced.
+WIDE_INT64 = "134217727*(x^4+y^4+z^4)"
+WIDE_INT64_OUTPUT = {
+    ("coeffs", "--n-max", "4096", "--csv", "-"):
+        "df6abfd20e0605ff725cfb877e053beb1fc64ee41cb0436102c023d323fa856c",
+    ("fit", "--r-max", "64"):
+        "7c44958d4b27d98befb8ef85e0bbcfbcd2622bb4ba42d6f37452de968f0e8939",
+    ("fit", "--r-max", "64", "--json"):
+        "e5bbd3888461e974c0bee741a83d93e4817f4a459bed4dcf1381572bd711b826",
+    ("fit", "--r-max", "64", "--csv", "-"):
+        "71c21121090071eef65653b362cdb99d5e3d1b1a49b2fd18524d59c2b3ee71aa",
+    ("longsum", "--r", "63.5", "--h", "0.5"):
+        "db38ff2505348b5a5d8d7d66ae14f178bbefe7afde1f46f4934030c4684f695d",
+    ("longsum", "--r", "63.5", "--h", "0.5", "--json"):
+        "a31f2285f513d99a61c33a16fc5dbaaf4440885e7daa9e579e5a8b40d438170e",
+    ("shortsum", "--r", "63.5", "--h", "0.5"):
+        "af854212a4d186220480328b5085e37b4891cba53b837d68f165968108ee3885",
+    ("shortsum", "--r", "63.5", "--h", "0.5", "--json"):
+        "65d3f41265ac56d82612d70a791148e4a28a9ce812e61f08b05ff02741148b04",
+}
+
+
+@pytest.mark.parametrize("args", WIDE_INT64_OUTPUT, ids=[" ".join(a) for a in WIDE_INT64_OUTPUT])
+def test_int64_series_print_as_python_integers_did(capsys, args):
+    totals = lattice.shell_totals(parse_poly(WIDE_INT64), 4096)[1]
+    assert totals.dtype == np.int64 and int(np.cumsum(totals, dtype=object)[-1]) > 1 << 69
+    code, out, _ = run(capsys, args[0], "--poly", WIDE_INT64, *args[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_INT64_OUTPUT[args]
 
 
 def test_expsum_single(capsys):
@@ -264,6 +326,9 @@ BAD_INPUT = {
     "theta-check-z-re-inf": ("theta-check", "--gamma", "1,0,4,1", "--z", "inf,1"),
     "theta-check-nonharmonic": ("theta-check", "--poly", "x^2"),
     "theta-check-nonhomogeneous": ("theta-check", "--poly", "x^2+y"),
+    # the zero polynomial has no theta series to check: every report would be
+    # inconclusive
+    "theta-check-zero": ("theta-check", "--poly", "0"),
     "theta-check-tol-nan": ("theta-check", "--tol", "nan"),
     "theta-check-tol-0": ("theta-check", "--tol", "0"),
     "theta-check-tol-negative": ("theta-check", "--tol", "-1"),

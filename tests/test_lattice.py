@@ -348,6 +348,31 @@ def test_wide_and_negative_coefficients_match_class_sums(n_max):
     assert totals == _class_by_class(p, n_max)
 
 
+@pytest.mark.parametrize("n_max", [300, 17867, 32768])
+def test_totals_are_int64_exactly_when_no_prime_is_drawn(n_max):
+    # the routes without a prime hand the folded residue back as int64,
+    # content included (the sextic's 6, which at 32768 shells folds by the
+    # largest |U| and not by the bound); a drawn prime gives Python integers
+    for expr in ROUTE_CORPUS + [MIXED_Z, WIDE_COEFFS]:
+        p = parse_poly(expr)
+        (_, expected), _, primes = _passes(p, n_max)
+        totals = shell_totals(p, n_max)[1]
+        assert totals.dtype == (object if primes else np.int64), expr
+        assert totals.tolist() == expected
+
+
+def test_content_that_does_not_fold_gives_python_ints():
+    # no prime is drawn for U, but G U fits int64 only while 2^64 > 2 G
+    # max |U|: 2^27 (x^4+y^4+z^4) does at 4096 shells and not at 17867;
+    # 2^63 times it never does
+    for c, n_max, dtype in ((2**27, 4096, np.int64), (2**27, 17867, object),
+                            (2**63, 300, object), (2**1100, 300, object)):
+        p = Polynomial3({(4, 0, 0): c, (0, 4, 0): c, (0, 0, 4): c}, 1)
+        (_, expected), _, primes = _passes(p, n_max)
+        totals = shell_totals(p, n_max)[1]
+        assert primes == 0 and totals.dtype == dtype and totals.tolist() == expected
+
+
 def test_overall_gcd_stays_out_of_the_residues():
     # the coefficient is the gcd G of every class: T = G U with U the sums
     # of x^2, exact in their residue mod 2^64, so no prime is drawn
@@ -446,6 +471,72 @@ def test_csv_rows_are_reduced_fractions(denom):
         g = math.gcd(t, denom)
         rows.append(f"{n},{t // g}" if denom == g else f"{n},{t // g}/{denom // g}")
     assert series.to_csv() == "\n".join(["n,a_n"] + rows) + "\n"
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+# 0, +-1, +-(10^k - 1) and +-10^k for every k in int64, and its two ends
+INT64_EDGES = sorted({0, INT64_MIN, INT64_MAX} | {
+    s * v for k in range(1, 19) for v in (1, 10**k - 1, 10**k) for s in (1, -1)})
+
+
+def _int64_series(totals):
+    return CoefficientSeries(nu=0, poly_id="p", denom=1, totals=(0, *totals),
+                             n_max=len(totals), is_harmonic=True)
+
+
+@pytest.mark.parametrize("rows", [0, 1, lattice.CSV_BLOCK_ROWS - 1, lattice.CSV_BLOCK_ROWS,
+                                  2 * lattice.CSV_BLOCK_ROWS + 1])
+def test_csv_kernel_matches_python_formatting(rows):
+    # random int64 values of every width, the edge values, and runs of 0,
+    # across the block edges; the reference is Python's own formatting
+    rng = random.Random(rows)
+    totals = [rng.choice(INT64_EDGES) if rng.random() < 0.3
+              else rng.randrange(-(1 << rng.randrange(64)), 1 << rng.randrange(64))
+              for _ in range(rows)]
+    totals[: 3 * rows // 4 : 7] = [0] * len(totals[: 3 * rows // 4 : 7])
+    totals = [min(max(t, INT64_MIN), INT64_MAX) for t in totals]
+    expected = "".join(f"{n},{t}\n" for n, t in enumerate(totals, start=1))
+    assert _int64_series(totals).to_csv() == "n,a_n\n" + expected
+    assert lattice._csv_rows(np.array(totals, dtype=np.int64)) == expected
+
+
+def test_csv_kernel_edge_values():
+    expected = "".join(f"{n},{t}\n" for n, t in enumerate(INT64_EDGES, start=1))
+    assert lattice._csv_rows(np.array(INT64_EDGES, dtype=np.int64)) == expected
+    for t in INT64_EDGES:  # each alone: the block's widths are its own
+        assert _int64_series([t]).to_csv() == f"n,a_n\n1,{t}\n"
+    # one past either end of int64 leaves the kernel for Python's digits
+    for t in (INT64_MAX + 1, INT64_MIN - 1):
+        assert _int64_series([5, t]).to_csv() == f"n,a_n\n1,5\n2,{t}\n"
+
+
+@pytest.mark.parametrize("denom", [1, 3, 1 << 53, (1 << 53) + 1])
+def test_shell_floats_match_fraction_rounding(denom):
+    # |T| on both sides of 2^53, where int64 to float64 starts to round
+    rng = random.Random(denom)
+    edge = [s * ((1 << 53) + d) for d in range(-3, 4) for s in (1, -1)]
+    totals = edge + [INT64_MIN, INT64_MAX, 0] + [
+        rng.randrange(-(1 << 63), 1 << 63) >> rng.randrange(64) for _ in range(500)]
+    for values in (totals, edge[:6] + [0, 1]):  # the second stays within 2^53
+        floats = shell_floats(denom, np.array(values, dtype=np.int64))
+        assert floats.dtype == np.float64
+        assert floats.tolist() == [float(F(t, denom)) for t in values]
+
+
+@pytest.mark.parametrize("denom", [1, 7])
+def test_running_floats_match_python_running_sums(denom):
+    # running sums that pass 2^63 (and fall back) in either sign, from
+    # shells near the int64 ends, each sum rounded once from the exact one
+    rng = random.Random(denom)
+    totals = [rng.choice([1, -1]) * ((1 << 62) + rng.randrange(1 << 61)) for _ in range(64)]
+    totals += [rng.randrange(INT64_MIN, INT64_MAX) for _ in range(3000)] + [INT64_MIN] * 9
+    totals[:64] = sorted(totals[:64], reverse=True)
+    exact = np.cumsum(np.array(totals, dtype=object))
+    assert max(exact) > 1 << 64 and min(exact) < -(1 << 63)
+    floats = lattice.running_floats(denom, np.array(totals, dtype=np.int64))
+    assert floats.tolist() == [float(F(int(t), denom)) for t in exact]
+    as_objects = np.array(totals, dtype=object)
+    assert lattice.running_floats(denom, as_objects).tolist() == floats.tolist()
 
 
 def test_series_consistency_with_ball_sum(quartic):
@@ -613,17 +704,22 @@ def test_window_counts_at_the_cap():
 
 
 def test_ball_sum_report_runs_no_shell_convolution(quartic, monkeypatch):
-    # the point count is a ball sum too: no pair table, no z stage
+    # the point count is read from the value's own disc index table: one
+    # ball pass, no pair table, no z stage
     def refuse(*args):
-        raise AssertionError("the ball report ran a shell convolution")
+        raise AssertionError("the ball report ran a shell convolution or a second ball")
 
     expected = {r_sq: ball_sum(quartic, r_sq) for r_sq in (0, 1, 100, 1 << 15)}
     _, counts = shell_totals(parse_poly("1"), 1 << 15)
+    passes, inner = [], lattice._ball_total
+    monkeypatch.setattr(lattice, "_ball_total", lambda *a, **k: passes.append(a) or inner(*a, **k))
+    monkeypatch.setattr(lattice, "_ball_points", refuse)
     monkeypatch.setattr(lattice, "_pair_table", refuse)
     monkeypatch.setattr(lattice, "_add_square_axis", refuse)
     for r_sq, value in expected.items():
         count = int(counts[: r_sq + 1].sum())
         assert ball_sum_report(quartic, r_sq) == lattice.SumReport(value, count)
+    assert len(passes) == len(expected)
 
 
 # -- cutoff and weighted sums --------------------------------------------------------
@@ -763,6 +859,25 @@ def test_point_count_matches_shell_totals_and_enumeration():
     assert ball_sum_report(one, top).term_count == int(counts.sum())
     for lo in (top - 700, top - 5, top, top + 1):
         assert short_sum_report(one, *_window(lo, top)).term_count == int(counts[lo:].sum())
+
+
+@pytest.mark.parametrize("expr", ["134217727*(x^4+y^4+z^4)", "134217727/3*(x^4+y^4+z^4)",
+                                  "x*y", "2", "1/3*x^2-1/7*y^2"])
+def test_window_sums_read_int64_totals_as_python_ints(expr, monkeypatch):
+    # the int64 totals against the same totals as Python integers: (2^27 -
+    # 1) times the quartic's inner sum passes 2^69 at R = 63.5, where an
+    # int64 sum would wrap, and over D = 3 the one shell of the window at
+    # R = 39, H = 0.01 would round twice as a numpy scalar; every value is
+    # a Python float
+    p = parse_poly(expr)
+    assert shell_totals(p, 4096)[1].dtype == np.int64
+    args = [(63.5, 0.5), (39.0, 0.01), (5.0, 1.0), (1.0, 0.25)]
+    fast = [(long_sum_physical(p, *a), short_sum(p, *a)) for a in args]
+    inner = lattice.shell_totals
+    monkeypatch.setattr(lattice, "shell_totals",
+                        lambda q, n: (lambda d, t: (d, t.astype(object)))(*inner(q, n)))
+    assert fast == [(long_sum_physical(p, *a), short_sum(p, *a)) for a in args]
+    assert all(type(v) is float for pair in fast for v in pair)
 
 
 def test_series_consistency_constant_origin():
