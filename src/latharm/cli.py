@@ -357,15 +357,14 @@ def cmd_theta_check(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
     try:
-        ctx = modular.theta_context(p, n_max=args.n_max)
+        ctx = modular.theta_context(p, modular.context_n_max(p, args.n_max, args.tol))
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.gamma:
         reports = [modular.transformation_check(ctx, gamma, complex(zr, zi), tol=args.tol)]
     else:
         try:
-            reports = list(
-                modular.sample_checks(ctx, args.sample, seed=args.seed, tol=args.tol))
+            reports = modular.sample_checks(ctx, args.sample, seed=args.seed, tol=args.tol)
         except ValueError as exc:  # e.g. a tail that n_max cannot certify below tol
             raise UsageError(str(exc))
     ok = True

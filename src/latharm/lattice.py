@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -76,7 +76,8 @@ def two_adic_part(n: int) -> int:
 @dataclass(frozen=True)
 class CoefficientSeries:
     """Exact shell sums a_n = totals[n] / denom for 1 <= n <= n_max of a
-    homogeneous polynomial; totals[0] / denom is its value at the origin."""
+    homogeneous polynomial; totals[0] / denom is its value at the origin.
+    int64_totals, when given, is the same totals as an int64 array."""
 
     nu: int
     poly_id: str
@@ -84,6 +85,8 @@ class CoefficientSeries:
     totals: tuple[int, ...]
     n_max: int
     is_harmonic: bool
+    int64_totals: np.ndarray | None = field(default=None, compare=False, hash=False,
+                                            repr=False)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -100,7 +103,8 @@ class CoefficientSeries:
         rows = enumerate(self.totals[1:], start=1)
         if self.denom == 1:  # every a_n is an integer: no reduction to do
             try:
-                values = np.fromiter(self.totals[1:], dtype=np.int64)
+                values = (np.fromiter(self.totals[1:], dtype=np.int64)
+                          if self.int64_totals is None else self.int64_totals[1:])
             except OverflowError:  # a value outside int64: Python's digits
                 lines += [f"{n},{t}" for n, t in rows]
             else:
@@ -505,6 +509,7 @@ def coeff_series(p: Polynomial3, n_max: int) -> CoefficientSeries:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     denom, totals = homogeneous_shell_totals(p, n_max, "coefficient series")
+    totals.flags.writeable = False
     return CoefficientSeries(
         nu=p.degree,
         poly_id=p.to_string(),
@@ -512,6 +517,7 @@ def coeff_series(p: Polynomial3, n_max: int) -> CoefficientSeries:
         totals=tuple(totals.tolist()),
         n_max=n_max,
         is_harmonic=p.is_harmonic,
+        int64_totals=totals if totals.dtype == np.int64 else None,
     )
 
 

@@ -13,27 +13,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .lattice import N_MAX_CAP, shell_floats, shell_totals
+from .lattice import N_MAX_CAP, check_n_max, shell_floats, shell_totals
 from .poly import Polynomial3
 
 Y_MIN = 0.05  # theta is evaluated only at Im z >= Y_MIN
 DEFAULT_N_MAX = 1 << 14
 
 # Sampled checks draw c from this pool, gamma from SAMPLE_GAMMA_POOL[c] (see
-# below), and Im z uniformly from this range.
+# below), and z from the region that gamma admits (`_draw_z`): for c = 0, Re z
+# in [-0.5, 0.5] and Im z in SAMPLE_Y_RANGE.
 SAMPLE_C_POOL = (0, 4, -4, 8, -8, 12, -12, 16, -16)
 SAMPLE_Y_RANGE = (0.1, 2.0)
+SAMPLE_SHRINK = 1e-9  # relative shrink of the sampled discs, far above rounding
 SAMPLE_CAP = 10_000  # the largest `theta-check --sample` count
+THETA_BLOCK = 1024  # points per power table: at 2048 terms, two 2 MiB tables
 TRANSFORM_FLOOR = 1e-20  # |theta| below which a transformation check is inconclusive
-
-
-def e_of(t: complex) -> complex:
-    """exp(2 pi i t)."""
-    return cmath.exp(2j * math.pi * t)
 
 
 def epsilon_d(d: int) -> complex:
@@ -144,30 +141,53 @@ def automorphy_j(gamma: GammaElement, z: complex) -> complex:
     return shimura_legendre(c, d) / epsilon_d(d) * cmath.sqrt(c * z + d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaContext:
     """Evaluation context: degree and shell coefficients of a harmonic polynomial.
 
-    floats[n] is a_n as a float for 0 <= n <= n_max (floats[0] is P(0)).
-    coeff_c is C in the crude bound |a_n| <= C n^(nu/2 + 1), used for the
-    certified truncation tail.
+    floats[n] is a_n as a float for 0 <= n <= n_max (floats[0] is P(0)), in
+    a read-only float64 array.  coeff_c is C in the crude bound
+    |a_n| <= C n^(nu/2 + 1), used for the certified truncation tail.
     """
 
     nu: int
-    floats: tuple[float, ...]
+    floats: np.ndarray
     n_max: int
     coeff_c: float
 
-    def tail_bound(self, y: float, n_terms: int) -> float:
-        """Certified bound on sum over n > n_terms of |a_n| e^(-2 pi n y)."""
+    def tail_bound(self, y, n_terms: int):
+        """Certified bound on sum over n > n_terms of |a_n| e^(-2 pi n y), for
+        a float y, or elementwise for an array of them."""
         p = self.nu / 2 + 1
-        q = math.exp(-2 * math.pi * y)
-        growth = (1 + 1 / (n_terms + 1)) ** p
-        t = growth * q
-        if t >= 1:
-            return math.inf
+        q = np.exp(-2 * np.pi * np.asarray(y, dtype=np.float64))
+        t = (1 + 1 / (n_terms + 1)) ** p * q
         lead = self.coeff_c * (n_terms + 1) ** p * q ** (n_terms + 1)
-        return lead / (1 - t)
+        with np.errstate(divide="ignore"):
+            bound = np.where(t < 1, lead / (1 - t), np.inf)
+        return bound if bound.ndim else float(bound)
+
+    def term_counts(self, y: np.ndarray, tol: float) -> np.ndarray:
+        """Per Im z in y, the first of 16, 32, 64, ... terms whose certified
+        tail is below tol, else n_max."""
+        counts = np.full(y.shape, self.n_max)
+        open_ = np.arange(y.size)
+        m = 16
+        while m < self.n_max and open_.size:
+            done = self.tail_bound(y[open_], m) < tol
+            counts[open_[done]] = m
+            open_ = open_[~done]
+            m *= 2
+        return counts
+
+
+def _coeff_c(p: Polynomial3) -> float:
+    # |a_n| <= r3(n) max|P| <= 18 n * (sum |coeffs|) n^(nu/2)
+    return 18.0 * float(p.coeff_l1())
+
+
+def _eval_tol(tol: float) -> float:
+    """The certified tail of each theta value in a check at tolerance tol."""
+    return min(1e-14, tol * 1e-4)
 
 
 def theta_context(p: Polynomial3, n_max: int = DEFAULT_N_MAX) -> ThetaContext:
@@ -179,36 +199,64 @@ def theta_context(p: Polynomial3, n_max: int = DEFAULT_N_MAX) -> ThetaContext:
         raise ValueError("theta context requires a nonzero polynomial")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    denom, totals = shell_totals(p, n_max)
-    # |a_n| <= r3(n) max|P| <= 18 n * (sum |coeffs|) n^(nu/2)
-    coeff_c = 18.0 * float(p.coeff_l1())
-    return ThetaContext(
-        nu=p.degree,
-        floats=tuple(shell_floats(denom, totals).tolist()),
-        n_max=n_max,
-        coeff_c=coeff_c,
-    )
+    floats = shell_floats(*shell_totals(p, n_max))
+    floats.flags.writeable = False
+    return ThetaContext(nu=p.degree, floats=floats, n_max=n_max, coeff_c=_coeff_c(p))
+
+
+def context_n_max(p: Polynomial3, n_max: int, tol: float) -> int:
+    """min(n_max, m) for m the first of 16, 32, 64, ... whose certified tail
+    at Im z = Y_MIN is below the evaluation tolerance of a check at tol:
+    shells enough for every point a check may evaluate."""
+    check_n_max(n_max)
+    probe = ThetaContext(nu=p.degree, floats=np.empty(0), n_max=n_max, coeff_c=_coeff_c(p))
+    return int(probe.term_counts(np.array([Y_MIN]), _eval_tol(tol))[0])
+
+
+def _power_sums(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Sum of a[n] q^n over n < len(a), for every q.  The powers are taken
+    as q^(16 j + r) = (q^16)^j q^r, so each is at most j + r + 16 products."""
+    blocks = -(-len(a) // 16)
+    coeffs = np.zeros((blocks, 16))
+    coeffs.flat[: len(a)] = a
+    low = np.empty((len(q), 16), dtype=np.complex128)  # q^0 .. q^15
+    low[:, 0] = 1
+    low[:, 1:] = q[:, None]
+    np.cumprod(low, axis=1, out=low)
+    high = np.empty((len(q), blocks), dtype=np.complex128)  # (q^16)^j
+    high[:, 0] = 1
+    high[:, 1:] = (low[:, -1] * q)[:, None]
+    np.cumprod(high, axis=1, out=high)
+    # einsum, not matmul: a BLAS product would map its kernels and buffers,
+    # about 0.5 MiB more peak RSS for no gain at these sizes
+    return np.einsum("pj,pj->p", high, np.einsum("pr,jr->pj", low, coeffs))
+
+
+def theta_values(ctx: ThetaContext, z: np.ndarray, tol: float) -> np.ndarray:
+    """Sum of a_n e(n z) at every point of the complex array z, each truncated
+    at its own first certified term count (`ThetaContext.term_counts`); the
+    points that share a count are summed THETA_BLOCK at a time by `_power_sums`."""
+    low = np.flatnonzero(z.imag < Y_MIN)
+    if low.size:
+        raise ValueError(f"Im z = {float(z.imag[low[0]])} below the minimum {Y_MIN}")
+    counts = ctx.term_counts(z.imag, tol)
+    capped = np.flatnonzero(counts == ctx.n_max)
+    bad = capped[~(ctx.tail_bound(z.imag[capped], ctx.n_max) < tol)]
+    if bad.size:
+        raise ValueError(f"cannot certify tail < {tol} with n_max={ctx.n_max} "
+                         f"at Im z = {float(z.imag[bad[0]])}")
+    q = np.exp(2j * np.pi * z)
+    out = np.empty(z.shape, dtype=np.complex128)
+    for n in set(counts.tolist()):  # np.unique would import numpy.ma, 1.7 MiB of RSS
+        at = np.flatnonzero(counts == n)
+        for part in np.split(at, range(THETA_BLOCK, at.size, THETA_BLOCK)):
+            out[part] = _power_sums(q[part], ctx.floats[: n + 1])
+    return out
 
 
 def theta_eval(ctx: ThetaContext, z: complex, tol: float = 1e-12) -> complex:
-    """Sum of a_n e(nz) truncated so the certified tail is below tol, by
-    Horner's rule in q = e(z) from the last term kept down to a_0 = P(0)."""
-    y = z.imag
-    if y < Y_MIN:
-        raise ValueError(f"Im z = {y} below the minimum {Y_MIN}")
-    m = 16  # the first of 16, 32, 64, ... whose tail is certified, else n_max
-    while m < ctx.n_max and not ctx.tail_bound(y, m) < tol:
-        m *= 2
-    n_terms = min(m, ctx.n_max)
-    if not ctx.tail_bound(y, n_terms) < tol:
-        raise ValueError(
-            f"cannot certify tail < {tol} with n_max={ctx.n_max} at Im z = {y}"
-        )
-    q = e_of(z)
-    total = 0j
-    for a_n in reversed(ctx.floats[: n_terms + 1]):
-        total = total * q + a_n
-    return total
+    """Sum of a_n e(nz) truncated so the certified tail is below tol."""
+    return complex(theta_values(ctx, np.array([z], dtype=np.complex128), tol)[0])
 
 
 @dataclass(frozen=True)
@@ -235,37 +283,63 @@ class TransformReport:
         }
 
 
+def _check_batch(
+    ctx: ThetaContext, gammas: list[GammaElement], zs: list[complex], tol: float
+) -> list[TransformReport]:
+    """Compare theta(gamma z) against the automorphy-factor prediction for
+    every pair, with theta at every z and gamma z from one `theta_values` call.
+
+    The error is measured relative to the larger side (with the absolute
+    floor TRANSFORM_FLOOR); a theta(z) below the floor is flagged inconclusive.
+    """
+    a, b, c, d = np.array([g.entries() for g in gammas], dtype=np.float64).reshape(-1, 4).T
+    z = np.array(zs, dtype=np.complex128)
+    below = np.any(z.imag < Y_MIN)  # tested first: cz + d vanishes only on the real axis
+    image = z if below else (a * z + b) / (c * z + d)
+    if below or np.any(image.imag < Y_MIN):
+        raise ValueError(f"both z and gamma z must stay above Im = {Y_MIN}")
+    theta = theta_values(ctx, np.concatenate([image, z]), _eval_tol(tol))
+    lhs, base = theta[: len(z)], theta[len(z):]
+    power = 2 * ctx.nu + 3
+    rhs = np.array([automorphy_j(g, zz) ** power for g, zz in zip(gammas, zs)]) * base
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), TRANSFORM_FLOOR)
+    rel_err = np.abs(lhs - rhs) / scale
+    inconclusive = np.abs(base) < TRANSFORM_FLOOR
+    passed = (rel_err < tol) & ~inconclusive
+    columns = zip(gammas, zs, lhs.tolist(), rhs.tolist(), rel_err.tolist(), passed.tolist(),
+                  inconclusive.tolist())
+    return [TransformReport(g.entries(), *rest) for g, *rest in columns]
+
+
 def transformation_check(
     ctx: ThetaContext,
     gamma: GammaElement,
     z: complex,
     tol: float = 1e-6,
 ) -> TransformReport:
-    """Compare theta(gamma z) against the automorphy-factor prediction.
+    """One check of theta(gamma z) against the automorphy-factor prediction
+    (`_check_batch` on one pair)."""
+    return _check_batch(ctx, [gamma], [z], tol)[0]
 
-    The error is measured relative to the larger side (with the absolute
-    floor TRANSFORM_FLOOR); a theta(z) below the floor is flagged inconclusive.
+
+def _draw_z(gamma: GammaElement, u: float, v: float) -> complex:
+    """The z that two uniforms u, v in [0, 1] pick from the region gamma admits.
+
+    For c = 0: Re z = u - 1/2 and Im z on SAMPLE_Y_RANGE.  For c != 0,
+    Im gamma z = Im z / |cz + d|^2 >= Y_MIN holds exactly on the disc tangent
+    to the real axis at -d/c with diameter 1 / (c^2 Y_MIN).  Im z runs over
+    [Y_MIN, top] by v and Re z over the chord at that height by u, with the
+    disc shrunk by SAMPLE_SHRINK so that rounding cannot take gamma z below
+    Y_MIN, even at the ends of the chord.
     """
-    image = gamma.apply(z)
-    if z.imag < Y_MIN or image.imag < Y_MIN:
-        raise ValueError(f"both z and gamma z must stay above Im = {Y_MIN}")
-    eval_tol = min(1e-14, tol * 1e-4)
-    lhs = theta_eval(ctx, image, tol=eval_tol)
-    base = theta_eval(ctx, z, tol=eval_tol)
-    power = 2 * ctx.nu + 3
-    rhs = automorphy_j(gamma, z) ** power * base
-    scale = max(abs(lhs), abs(rhs), TRANSFORM_FLOOR)
-    rel_err = abs(lhs - rhs) / scale
-    inconclusive = abs(base) < TRANSFORM_FLOOR
-    return TransformReport(
-        gamma=gamma.entries(),
-        z=z,
-        lhs=lhs,
-        rhs=rhs,
-        rel_err=rel_err,
-        passed=(rel_err < tol) and not inconclusive,
-        inconclusive=inconclusive,
-    )
+    c, d = gamma.c, gamma.d
+    if c == 0:
+        lo, hi = SAMPLE_Y_RANGE
+        return complex(u - 0.5, lo + (hi - lo) * v)
+    top = (1 - SAMPLE_SHRINK) / (c * c * Y_MIN)
+    y = Y_MIN + (top - Y_MIN) * v
+    half = math.sqrt(max(y * (top - y), 0.0))
+    return complex(-d / c + half * (2 * u - 1), y)
 
 
 def sample_checks(
@@ -273,26 +347,22 @@ def sample_checks(
     count: int,
     seed: int = 0,
     tol: float = 1e-6,
-) -> Iterator[TransformReport]:
-    """Deterministic stream of `count` transformation checks.
+) -> list[TransformReport]:
+    """`count` transformation checks on a deterministic stream of (gamma, z).
 
-    Each draw takes c from SAMPLE_C_POOL, gamma from SAMPLE_GAMMA_POOL[c],
-    Re z uniform in [-0.5, 0.5] and Im z from SAMPLE_Y_RANGE; a draw whose
-    gamma z lies below Y_MIN is skipped, so the seed fixes the stream.
+    Each draw takes c from SAMPLE_C_POOL, gamma from SAMPLE_GAMMA_POOL[c]
+    and z from the region gamma admits (`_draw_z`), so no draw is rejected
+    and the seed fixes the stream; the checks then run as one batch.
     """
     import random
 
     rng = random.Random(seed)
-    produced = 0
-    while produced < count:
+    gammas, zs = [], []
+    for _ in range(count):
         gamma = rng.choice(SAMPLE_GAMMA_POOL[rng.choice(SAMPLE_C_POOL)])
-        x = rng.uniform(-0.5, 0.5)
-        y = rng.uniform(*SAMPLE_Y_RANGE)
-        z = complex(x, y)
-        if gamma.apply(z).imag < Y_MIN:
-            continue
-        yield transformation_check(ctx, gamma, z, tol=tol)
-        produced += 1
+        gammas.append(gamma)
+        zs.append(_draw_z(gamma, rng.random(), rng.random()))
+    return _check_batch(ctx, gammas, zs, tol)
 
 
 # -- quadratic Gauss sums ----------------------------------------------------

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -492,6 +495,37 @@ def test_theta_check_sampled_json(capsys):
         payload = json.loads(line)
         assert payload["pass"] is True
         assert payload["schema"] == 1
+
+
+def test_theta_check_does_not_import_numpy_random():
+    # importing numpy.random alone adds about 6 MiB to a process's peak RSS
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys; from latharm.cli import main; "
+              "code = main(['theta-check', '--sample', '20', '--json']); "
+              "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stderr.split() == ["0", "False"], done.stderr
+    assert len(done.stdout.splitlines()) == 20
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_theta_ops_pass_its_oracle(capsys, seed):
+    # the benchmark oracle wants exit 0 and one passing JSON line per sample
+    # from every theta-check op of the checks workload
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        del sys.path[0]
+    ops = [op for op in workloads.build("checks", seed) if op.command == "theta-check"]
+    assert ops
+    for op in ops:
+        code, out, _ = run(capsys, *op.argv)
+        assert code == 0, op.argv
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == op.params["sample"], op.argv
+        assert all(rec["pass"] is True for rec in records), op.argv
 
 
 def test_theta_check_impossible_tolerance_fails(capsys):

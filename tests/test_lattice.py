@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -471,6 +472,21 @@ def test_csv_rows_are_reduced_fractions(denom):
         g = math.gcd(t, denom)
         rows.append(f"{n},{t // g}" if denom == g else f"{n},{t // g}/{denom // g}")
     assert series.to_csv() == "\n".join(["n,a_n"] + rows) + "\n"
+
+
+@pytest.mark.parametrize("expr, n_max, int64", [
+    ("1", 4096, True), (QUARTIC_EXPR, 4096, True), ("1/3*x^2-1/7*y^2", 300, True),
+    (OCTIC_EXPR, 17000, False)], ids=["one", "quartic", "denominator", "octic-wide"])
+def test_csv_of_the_kept_int64_array_equals_the_tuple_path(expr, n_max, int64):
+    # coeff_series keeps its int64 totals beside the tuple; to_csv reads them
+    # and prints what the tuple alone prints
+    series = coeff_series(parse_poly(expr), n_max)
+    assert (series.int64_totals is not None) == int64
+    if int64:
+        assert series.int64_totals.tolist() == list(series.totals)
+    bare = dataclasses.replace(series, int64_totals=None)
+    assert bare == series
+    assert series.to_csv() == bare.to_csv()
 
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1

@@ -9,12 +9,13 @@ import sympy
 
 from latharm.modular import (
     SAMPLE_C_POOL,
+    SAMPLE_GAMMA_POOL,
+    SAMPLE_SHRINK,
     SAMPLE_Y_RANGE,
     Y_MIN,
     GammaElement,
     TransformReport,
     automorphy_j,
-    e_of,
     epsilon_d,
     gamma0_4_from_cd,
     gauss_sum_closed,
@@ -25,12 +26,19 @@ from latharm.modular import (
     shimura_legendre,
     theta_context,
     theta_eval,
+    theta_values,
     transformation_check,
 )
+from latharm import modular
 from latharm.lattice import representations
 from latharm.poly import parse_poly
 
 from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR
+
+
+def e_of(t):
+    """exp(2 pi i t)."""
+    return cmath.exp(2j * math.pi * t)
 
 
 # -- symbols ---------------------------------------------------------------------
@@ -157,14 +165,20 @@ def test_theta_context_refuses_empty_series(quartic):
         theta_context(quartic, n_max=0)
 
 
+def _reference_terms(ctx, y, tol):
+    """theta_eval's truncation as first written: the first of 16, 32, ... whose
+    certified tail at Im z = y is below tol, else n_max."""
+    m = 16
+    while m < ctx.n_max and not ctx.tail_bound(y, m) < tol:
+        m *= 2
+    return min(m, ctx.n_max)
+
+
 def _per_term_theta(ctx, z, tol=1e-12):
     """Reference: theta_eval as first written, the same truncation followed by
     a_n e(Re z)^n e^(-2 pi n Im z) term by term; also returns sum |a_n| |q|^n."""
     y = z.imag
-    m = 16
-    while m < ctx.n_max and not ctx.tail_bound(y, m) < tol:
-        m *= 2
-    n_terms = min(m, ctx.n_max)
+    n_terms = _reference_terms(ctx, y, tol)
     q1 = e_of(z.real)
     total, scale = 0 + 0j, 0.0
     for n in range(n_terms, -1, -1):
@@ -176,14 +190,94 @@ def _per_term_theta(ctx, z, tol=1e-12):
     return total, scale
 
 
+THETA_Z_TABLE = [complex(0.3, Y_MIN + 1e-3), complex(-0.41, Y_MIN + 0.02), complex(0.25, 0.12),
+                 complex(0.1, 0.5), complex(-0.45, 1.3), complex(0.0, 2.0)]
+
+
 @pytest.mark.parametrize("expr", ["1", QUARTIC_EXPR, SEXTIC_EXPR],
                          ids=["one", "quartic", "sextic"])
 def test_horner_theta_matches_per_term_sum(expr):
     ctx = theta_context(parse_poly(expr), n_max=2048)
-    for z in (complex(0.3, Y_MIN + 1e-3), complex(-0.41, Y_MIN + 0.02), complex(0.25, 0.12),
-              complex(0.1, 0.5), complex(-0.45, 1.3), complex(0.0, 2.0)):
+    for z in THETA_Z_TABLE:
         expected, scale = _per_term_theta(ctx, z)
         assert abs(theta_eval(ctx, z) - expected) <= 1e-13 * scale, (expr, z)
+
+
+def _horner_theta(ctx, z, tol=1e-12):
+    """Reference: theta_eval as a scalar loop, the same certified truncation
+    followed by Horner's rule in q = e(z) from the last term kept down to a_0;
+    also returns sum |a_n| |q|^n over the terms kept."""
+    n_terms = _reference_terms(ctx, z.imag, tol)
+    assert ctx.tail_bound(z.imag, n_terms) < tol
+    q = e_of(z)
+    total, scale = 0j, 0.0
+    for a_n in reversed(ctx.floats[: n_terms + 1].tolist()):
+        total = total * q + a_n
+        scale = scale * abs(q) + abs(a_n)
+    return total, scale
+
+
+@pytest.mark.parametrize("expr", ["1", QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR],
+                         ids=["one", "quartic", "sextic", "octic"])
+def test_theta_values_match_scalar_horner(expr):
+    # the z table of the per-term test, points on Im z = Y_MIN (far from the
+    # real axis's origin too, as sampled z are), and one batch of all of them
+    ctx = theta_context(parse_poly(expr), n_max=2048)
+    points = THETA_Z_TABLE + [complex(x, Y_MIN) for x in (-6.3, -0.5, 0.0, 0.37, 1.5625)]
+    batch = theta_values(ctx, np.array(points), 1e-12)
+    for z, value in zip(points, batch):
+        expected, scale = _horner_theta(ctx, z)
+        assert abs(theta_eval(ctx, z) - expected) <= 1e-13 * scale, (expr, z)
+        assert abs(value - expected) <= 1e-13 * scale, (expr, z)
+
+
+@pytest.mark.parametrize("expr", [QUARTIC_EXPR, OCTIC_EXPR], ids=["quartic", "octic"])
+def test_theta_values_hold_the_bound_at_2048_terms(expr):
+    ctx = theta_context(parse_poly(expr), n_max=4096)
+    tol = 1e-250
+    assert ctx.term_counts(np.array([Y_MIN]), tol).tolist() == [2048]
+    points = [complex(x, Y_MIN) for x in (-0.5, -0.1, 0.0, 0.23, 0.5, 3.75)]
+    for z, value in zip(points, theta_values(ctx, np.array(points), tol)):
+        expected, scale = _horner_theta(ctx, z, tol)
+        assert abs(value - expected) <= 1e-13 * scale, (expr, z)
+
+
+def test_theta_values_split_into_blocks(quartic, monkeypatch):
+    # more points than THETA_BLOCK share a term count: each block is summed alone
+    ctx = theta_context(quartic, n_max=256)
+    rng = random.Random(3)
+    points = [complex(rng.uniform(-2, 2), rng.uniform(Y_MIN, 0.07)) for _ in range(50)]
+    monkeypatch.setattr(modular, "THETA_BLOCK", 7)
+    for z, value in zip(points, theta_values(ctx, np.array(points), 1e-14)):
+        expected, scale = _horner_theta(ctx, z, 1e-14)
+        assert abs(value - expected) <= 1e-13 * scale, z
+
+
+def test_term_counts_are_the_scalar_loop(quartic):
+    # per point, the first of 16, 32, ... with a certified tail, else n_max
+    ctx = theta_context(quartic, n_max=1000)
+    y = np.array([Y_MIN, 0.051, 0.07, 0.1, 0.3, 1.0, 2.0, 5.0])
+    for tol in (1e-6, 1e-14, 1e-40):
+        counts = ctx.term_counts(y, tol).tolist()
+        for yi, n in zip(y.tolist(), counts):
+            assert n == _reference_terms(ctx, yi, tol), (yi, tol)
+    assert ctx.term_counts(y[:1], 1e-300).tolist() == [ctx.n_max]
+    with pytest.raises(ValueError, match="cannot certify"):
+        theta_values(ctx, y[:1] * 1j, 1e-300)
+
+
+def test_context_n_max_certifies_every_point(quartic):
+    # 256 shells certify Im z = Y_MIN at the default tolerance; --n-max caps it
+    assert modular.context_n_max(quartic, 16384, 1e-6) == 256
+    assert modular.context_n_max(quartic, 100, 1e-6) == 100
+    for tol in (1e-6, 1e-10, 1e-20):
+        n = modular.context_n_max(quartic, 16384, tol)
+        ctx = theta_context(quartic, n_max=n)
+        eval_tol = min(1e-14, tol * 1e-4)
+        assert ctx.term_counts(np.array([Y_MIN]), eval_tol).tolist() == [n]
+        assert n == 16 or not ctx.tail_bound(Y_MIN, n // 2) < eval_tol
+    with pytest.raises(ValueError, match="shell count"):
+        modular.context_n_max(quartic, 2 * 10**6, 1e-6)
 
 
 def test_theta_context_refuses_oversized_n_max(quartic):
@@ -296,20 +390,28 @@ def test_cocycle_consistency(quartic):
 
 
 def _reference_draws(count, seed):
-    """Reference: the (gamma, z) stream of the sampler as first written, which
-    rebuilt the coprime d list on every draw and drew d from [1, -1] at c = 0."""
+    """Reference: the sampler's (gamma, z) stream as a plain loop.  c from
+    the pool, d from the odd d in [-25, 25] prime to c (from 1, -1 at c = 0),
+    then z from two uniforms u, v: at c = 0 Re z = u - 1/2 and Im z on
+    SAMPLE_Y_RANGE; otherwise Im z on [Y_MIN, D] and Re z on the chord at
+    that height of the disc tangent at -d/c with diameter
+    D = (1 - SAMPLE_SHRINK) / (c^2 Y_MIN)."""
     rng = random.Random(seed)
     draws = []
-    while len(draws) < count:
+    for _ in range(count):
         c = rng.choice(SAMPLE_C_POOL)
-        d_candidates = [d for d in range(-25, 26, 2) if c == 0 or math.gcd(c, d) == 1]
-        d = rng.choice(d_candidates) if c != 0 else rng.choice([1, -1])
+        d_candidates = [d for d in range(-25, 26, 2) if math.gcd(c, d) == 1] if c else [1, -1]
+        d = rng.choice(d_candidates)
         gamma = gamma0_4_from_cd(c, d)
-        x = rng.uniform(-0.5, 0.5)
-        y = rng.uniform(*SAMPLE_Y_RANGE)
-        z = complex(x, y)
-        if gamma.apply(z).imag < 0.05:
-            continue
+        u, v = rng.random(), rng.random()
+        if c == 0:
+            lo, hi = SAMPLE_Y_RANGE
+            z = complex(u - 0.5, lo + (hi - lo) * v)
+        else:
+            diameter = (1 - SAMPLE_SHRINK) / (c * c * Y_MIN)
+            y = Y_MIN + (diameter - Y_MIN) * v
+            half_chord = math.sqrt(max(y * (diameter - y), 0.0))
+            z = complex(-d / c + half_chord * (2 * u - 1), y)
         draws.append((gamma.entries(), z))
     return draws
 
@@ -321,6 +423,51 @@ def test_sampler_draws_match_reference(expr):
     for seed in range(10):
         draws = [(r.gamma, r.z) for r in sample_checks(ctx, 300, seed=seed)]
         assert draws == _reference_draws(300, seed), (expr, seed)
+
+
+def test_sampler_covers_the_pool(quartic):
+    # no draw is rejected: 8 of 9 c in the pool are nonzero, and every |c|
+    # appears; every z and gamma z is at or above Y_MIN, and every check passes
+    ctx = theta_context(quartic, n_max=256)
+    reports = [r for seed in range(5) for r in sample_checks(ctx, 300, seed=seed)]
+    assert sum(r.gamma[2] != 0 for r in reports) >= 0.8 * len(reports)
+    assert {abs(r.gamma[2]) for r in reports} == {abs(c) for c in SAMPLE_C_POOL}
+    for r in reports:
+        assert r.z.imag >= Y_MIN and GammaElement(*r.gamma).apply(r.z).imag >= Y_MIN
+        assert r.passed, r
+
+
+def test_region_draw_ends_stay_above_y_min(quartic):
+    # u, v at 0 and 1 put z at the bottom, the top and both ends of a chord,
+    # where the unshrunk disc has Im gamma z = Y_MIN exactly
+    ctx = theta_context(quartic, n_max=256)
+    ends = (0.0, 0.5, 1 - 2**-53, 1.0)
+    gammas, zs = [], []
+    for pool in SAMPLE_GAMMA_POOL.values():
+        for gamma in pool:
+            for u in ends:
+                for v in ends:
+                    z = modular._draw_z(gamma, u, v)
+                    assert z.imag >= Y_MIN and gamma.apply(z).imag >= Y_MIN, (gamma, u, v)
+                    gammas.append(gamma)
+                    zs.append(z)
+    assert all(r.passed for r in modular._check_batch(ctx, gammas, zs, 1e-6))
+
+
+def test_transformation_check_matches_scalar_reference(quartic):
+    # lhs and rhs against the scalar Horner sums and automorphy_j
+    ctx = theta_context(quartic, n_max=4096)
+    cases = [(GammaElement(1, 1, 0, 1), complex(0.1, 0.9)), (gamma0_4_from_cd(4, 1), 0.5j),
+             (GammaElement(3, 2, 4, 3), complex(-0.25, 0.5)),
+             (gamma0_4_from_cd(-4, -3), complex(-0.75, 1.0)),
+             (gamma0_4_from_cd(16, -25), complex(1.5625, 0.07))]
+    for gamma, z in cases:
+        rep = transformation_check(ctx, gamma, z, tol=1e-8)
+        lhs = _horner_theta(ctx, gamma.apply(z), 1e-14)[0]
+        rhs = automorphy_j(gamma, z) ** 11 * _horner_theta(ctx, z, 1e-14)[0]
+        assert abs(rep.lhs - lhs) <= 1e-13 * abs(lhs), (gamma, z)
+        assert abs(rep.rhs - rhs) <= 1e-13 * abs(rhs), (gamma, z)
+        assert rep.passed
 
 
 def test_report_serialization(quartic):
