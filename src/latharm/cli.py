@@ -484,8 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("theta-check", cmd_theta_check, "verify the theta transformation law")
     p.add_argument("--poly", default="5*(x^4+y^4+z^4)-3*(x^2+y^2+z^2)^2")
-    p.add_argument("--gamma", default=None, help="a,b,c,d")
-    p.add_argument("--z", default=None, help="re,im")
+    p.add_argument("--gamma", default=None,
+                   help="a,b,c,d; a negative a needs the = form, --gamma=-1,0,0,-1")
+    p.add_argument("--z", default=None,
+                   help="re,im; a negative re needs the = form, --z=-0.25,0.5")
     p.add_argument("--sample", type=_int, default=50)
     p.add_argument("--tol", type=_float, default=1e-6)
     p.add_argument("--n-max", type=_int, default=modular.DEFAULT_N_MAX)

@@ -9,11 +9,17 @@ int64 where it can: the CSV digits, the float conversions and the running
 sums are numpy kernels that give the same bytes as the Python-int rows.
 
 Shell sums are square convolutions: an x, y pair table, then the costly z
-axis, which `_z_stage` runs once per distinct z exponent on the summed pair
-tables, for `shell_totals` and `offset_shell_sums` alike.  `shell_totals`
-runs them on residues only: one uint64 pass mod 2^64, then, as many as an
-exact bound on |T| asks for, int64 passes mod primes below 2^26, joined by
-Garner's method (`_recover`).  Only the per-shell consumers run the z stage:
+axis, which `_z_stage` runs on the pair tables summed per z exponent, for
+`shell_totals` and `offset_shell_sums` alike.  On shell n the point z = +-j
+reads the pair table at a = n - j^2, and the weight 2 j^2t of z exponent 2t
+is 2 (n - a)^t; by the binomial theorem the run 0, 2, ..., 2 tau of z
+exponents in `shell_totals` takes tau + 1 passes of pure shifted adds
+(`_z_run`), its powers moved onto a and n in O(n_max).  Any exponent above
+the run, and `offset_shell_sums` (real weights on the float64 real and
+imaginary parts), keep one multiply-add pass each.  `shell_totals` runs
+the z axis on residues only: one uint64 stage mod 2^64, then, as many as
+an exact bound on |T| asks for, int64 stages mod primes below 2^26, joined
+by Garner's method (`_recover`).  Only the per-shell consumers run the z stage:
 the ball sum (`_ball_total`) is one bilinear form per class on the same
 residues, in O(n_max).  A report's lattice-point count is the ball sum of 1
 (a window's, the difference of two), so no second enumeration counts them.
@@ -219,17 +225,26 @@ def _square_weights(exponent: int, k_max: int) -> list[int]:
     return [w0 if j == 0 else 2 * j**exponent for j in range(k_max + 1)]
 
 
-def _pair_table(wx, wy, n_max: int) -> np.ndarray:
+def _disc(n_max: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n_max, the mask of the pairs (a, b), 0 <= a, b <= isqrt(n_max), with
+    a^2 + b^2 <= n_max on their square grid, and each such pair's a^2 +
+    b^2): the index of `_pair_table`, built once per shell-sum call."""
+    squares = np.arange(math.isqrt(n_max) + 1) ** 2
+    norms = squares[:, None] + squares[None, :]
+    inside = norms <= n_max
+    return n_max, inside, norms[inside]
+
+
+def _pair_table(wx, wy, disc: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray:
     """t[m] = sum over a^2 + b^2 = m of wx[a] wy[b], for 0 <= m <= n_max.
 
     The pair stage of every square convolution: the outer product of two
-    axes' weights, binned by a^2 + b^2 in the weights' dtype.
+    axes' weights (isqrt(n_max) + 1 each), binned by a^2 + b^2 through the
+    `_disc` index, in the weights' dtype.
     """
-    squares = np.arange(len(wx)) ** 2
-    norms = squares[:, None] + squares[None, :]
-    inside = norms <= n_max
+    n_max, inside, norms = disc
     t = np.zeros(n_max + 1, dtype=np.result_type(wx, wy))
-    np.add.at(t, norms[inside], np.multiply.outer(wx, wy)[inside])
+    np.add.at(t, norms, np.multiply.outer(wx, wy)[inside])
     return t
 
 
@@ -243,19 +258,74 @@ def _add_square_axis(t: np.ndarray, w) -> np.ndarray:
     return s
 
 
-def _z_stage(pairs, z_weights, mod: int | None = None) -> dict[int, np.ndarray]:
+def _add_square_axis0(t: np.ndarray) -> np.ndarray:
+    """`_add_square_axis` with the weights of exponent 0, 1 at j = 0 and 2 at
+    every j >= 1: s[m] = t[m] + 2 sum over j >= 1 of t[m - j^2], by one pure
+    add per j and one doubling at the end.  uint64 sums wrap mod 2^64; int64
+    sums of residues below q stay at most (2 isqrt(m) + 1) (q - 1)."""
+    n_max = len(t) - 1
+    s = np.zeros_like(t)
+    for j in range(1, math.isqrt(n_max) + 1):
+        s[j * j :] += t[: n_max + 1 - j * j]
+    s += s
+    s += t
+    return s
+
+
+def _z_run(folded: list[np.ndarray], mod: int | None) -> np.ndarray:
+    """The sum over t of Z_2t(folded[t]), Z_e the z pass of exponent e, by
+    len(folded) pure passes `_add_square_axis0`: mod 2^64 in uint64 (mod
+    None), else mod `mod` on int64 residues below it.  Overwrites the tables.
+
+    On shell n, Z_2t reads F_t at a = n - j^2 with the weight 2 j^2t =
+    2 (n - a)^t at j >= 1, and at j = 0 with 1 = (n - a)^0 for t = 0 and
+    0 = (n - a)^t for t >= 1, so Z_2t(F_t)[n] = Z_0((n - a)^t F_t)[n].  By
+    the binomial theorem the sum is the sum over i of n^i Z_0(G_i), G_i the
+    sum over t >= i of C(t, i) (-a)^(t - i) F_t: G_i by Horner's rule in -a
+    on the pair-table index a, and the powers of n by Horner's rule over i.
+    Mod q every factor is reduced below q before a product, so none passes
+    (q - 1)^2 < 2^52 (a and n are at most N_MAX_CAP < q).
+    """
+    reduce = (lambda x: x) if mod is None else (lambda x: np.remainder(x, mod, out=x))
+    m = 1 << 64 if mod is None else mod
+    tau = len(folded) - 1
+    a = np.arange(len(folded[0]), dtype=folded[0].dtype) if tau else None
+    total = reduce(_add_square_axis0(folded[tau]))
+    for i in range(tau - 1, -1, -1):
+        # G = C(t, i) F_t - a G from t = tau down to i; G_0, the last, has
+        # every C(t, 0) = 1 and is built in place on the tables
+        g = folded[tau] if i == 0 else reduce(folded[tau] * (math.comb(tau, i) % m))
+        for t in range(tau - 1, i - 1, -1):
+            g *= a
+            c = math.comb(t, i) % m
+            np.subtract(folded[t] if c == 1 else reduce(folded[t] * c), reduce(g), out=g)
+            reduce(g)
+        total *= a
+        total += _add_square_axis0(g)
+        reduce(total)
+    return total
+
+
+def _z_stage(pairs, z_weights, mod: int | None = None, run: int = 0) -> dict[int, np.ndarray]:
     """{e: the pair tables t of `pairs` (e, t) sharing z exponent e, summed
     (in place into the first, which the caller owns) and reduced mod `mod`
     if given, then carried along z by one `_add_square_axis` pass with the
-    weights z_weights(e)}."""
+    weights z_weights(e)}, except that the run of exponents 0, 2, ...,
+    2 (run - 1) is summed as one entry, under 0, by `_z_run`'s pure passes
+    (mod 2^64 in uint64 for mod None)."""
     folded: dict[int, np.ndarray] = {}
     for e, t in pairs:
         if e in folded:
             folded[e] += t
         else:
             folded[e] = t
-    return {e: _add_square_axis(t if mod is None else t % mod, z_weights(e))
-            for e, t in folded.items()}
+    if mod is not None:
+        for t in folded.values():
+            np.remainder(t, mod, out=t)
+    sums = {e: _add_square_axis(t, z_weights(e)) for e, t in folded.items() if e >= 2 * run}
+    if run:
+        sums[0] = _z_run([folded[e] for e in range(0, 2 * run, 2)], mod)
+    return sums
 
 
 def offset_shell_sums(
@@ -265,22 +335,32 @@ def offset_shell_sums(
 
     Per axis, u^e e(h s u) summed over the signs s of the points +-u is the
     square weight of u times cos(2 pi h u), or times i sin(2 pi h u) for odd
-    e: the square convolution of `shell_totals` with complex128 weights,
-    folded by `_z_stage` the same way.  h enters mod 1, exactly (by fmod),
-    so a large h loses no precision in the angle.
+    e: the square convolution of `shell_totals` with complex128 x and y
+    weights, folded by `_z_stage` the same way.  A z weight is real or i
+    times real, so the z pass runs on the real and imaginary parts as
+    float64 with the real weights, and an odd exponent's sums are multiplied
+    by i once after it.  h enters mod 1, exactly (by fmod), so a large h
+    loses no precision in the angle.
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
     angles = [2 * np.pi * math.fmod(v, 1.0) * np.arange(k + 1) for v in h]
 
-    def weights(axis: int, e: int) -> np.ndarray:
-        trig = 1j * np.sin(angles[axis]) if e % 2 else np.cos(angles[axis])
-        return np.array(_square_weights(e, k), dtype=np.complex128) * trig
+    def trig(axis: int, e: int) -> np.ndarray:
+        return np.sin(angles[axis]) if e % 2 else np.cos(angles[axis])
 
-    pairs = ((e, (coeff / p.denom) * _pair_table(weights(0, i), weights(1, j), n_max))
-             for (i, j, e), coeff in p.terms.items())
-    passes = _z_stage(pairs, lambda e: weights(2, e))
-    return sum(passes.values(), np.zeros(n_max + 1, dtype=np.complex128))
+    def weights(axis: int, e: int) -> np.ndarray:
+        factor = 1j * trig(axis, e) if e % 2 else trig(axis, e)
+        return np.array(_square_weights(e, k), dtype=np.complex128) * factor
+
+    disc = _disc(n_max)
+    pairs = ((e, (coeff / p.denom) * _pair_table(weights(0, i), weights(1, j), disc)
+              .view(np.float64).reshape(-1, 2)) for (i, j, e), coeff in p.terms.items())
+    passes = _z_stage(pairs, lambda e: np.array(_square_weights(e, k), dtype=np.float64)
+                      * trig(2, e))
+    sums = (s.view(np.complex128)[:, 0] for s in passes.values())
+    return sum((1j * s if e % 2 else s for e, s in zip(passes, sums)),
+               np.zeros(n_max + 1, dtype=np.complex128))
 
 
 def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
@@ -393,6 +473,35 @@ def _content(p: Polynomial3, k: int):
     return g, [(key, c // g) for key, c in classes], weights
 
 
+def _groups(classes, sizes, key) -> tuple[dict[int, int], dict[int, int]]:
+    """({group: gcd of its coefficients c}, {group: sum of |c / gcd| x}) for
+    the classes grouped by key(z exponent), x the bound on a class's sums."""
+    gcds: dict[int, int] = {}
+    for (_, _, e), c in classes:
+        gcds[key(e)] = math.gcd(gcds.get(key(e), 0), c)
+    bounds: dict[int, int] = {}
+    for ((_, _, e), c), x in zip(classes, sizes):
+        bounds[key(e)] = bounds.get(key(e), 0) + abs(c // gcds[key(e)]) * x
+    return gcds, bounds
+
+
+def _run(classes, sizes) -> int:
+    """The length of the run 0, 2, ..., 2 tau of z exponents that `_z_run`
+    takes as one group, each present among the classes: the longest whose
+    group is exact in its uint64 residue (bound below 2^63), or none of
+    whose exponents would be exact alone.  Each of the run's pure passes then
+    replaces one weighted pass, in the uint64 stage and in every prime
+    stage alike, so no polynomial runs more z passes."""
+    _, alone = _groups(classes, sizes, lambda e: e)
+    run = 0
+    while 2 * run in alone:
+        _, merged = _groups(classes, sizes, lambda e: 0 if e <= 2 * run else e)
+        if merged[0] >= 1 << 63 and any(alone[e] < 1 << 63 for e in range(0, 2 * run + 1, 2)):
+            break
+        run += 1
+    return run
+
+
 def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     """Exact shell sums of a polynomial, as integers over one denominator.
 
@@ -405,42 +514,53 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
 
     T = G U with G the gcd of the class coefficients (`_content`), and U =
     sum over the reduced classes of c x (c an integer, x >= 0 the class's
-    sums).  With g_e the gcd of the c sharing a z exponent e, `_z_stage`
-    adds their pair tables (c / g_e) t and runs one z pass per e, giving
-    H_e, and U = sum g_e H_e.  Weights are non-negative, so t <= max(w1)
-    sum(w2); below 2^64 that makes the uint64 pair table exact, and its max
-    replaces the bound.  So x <= max(t) sum(w3) = b, |H_e| <= B_e = sum
-    |c / g_e| b and |U| <= B = sum g_e B_e, in exact integers.  One uint64
-    pass gives s = U mod 2^64, and `_recover` adds, if B asks for them,
-    int64 passes for U mod q.  Those take c / g_e on the x weights and
-    reduce every weight, pair table and fold below q before the next stage,
-    so none passes (k + 1) (q - 1)^2 < 2^63.  An e with B_e < 2^63 takes no
-    prime pass: its uint64 residue read as int64 is H_e.
+    sums).  Weights are non-negative, so t <= max(w1) sum(w2); below 2^64
+    that makes the uint64 pair table exact, and its max replaces the bound.
+    So x <= max(t) sum(w3), and |U| <= B = sum |c| max(t) sum(w3), in exact
+    integers.  The classes are grouped: the run 0, 2, ..., 2 tau of z
+    exponents (`_run`) is one group, and each exponent above it is one.
+    With g the gcd of a group's c, `_z_stage` adds the pair tables (c / g) t
+    of each exponent and gives the group's sums H: the run's by `_z_run`'s
+    tau + 1 pure passes, any other by one weighted pass.  So U = sum g H,
+    and |H| <= sum |c / g| max(t) sum(w3), whose sum of g times it is B.
+    One uint64 stage gives s = U mod 2^64, and `_recover` adds, if B asks
+    for them, int64 stages for U mod q.  Those take c / g on the x weights
+    and reduce every weight, pair table and fold below q before the next
+    stage, so no weighted pass passes (k + 1) (q - 1)^2 < 2^63, and no
+    pure one (2k + 1) (q - 1) < 2^37.  A group whose bound is below 2^63
+    takes no prime stage: its uint64 residue read as int64 is its H.
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
     content, classes, weights = _content(p, k)
-    g: dict[int, int] = {}  # coefficients' gcd per z exponent: a lone class's H_e is +-x
-    for (_, _, e), c in classes:
-        g[e] = math.gcd(g.get(e, 0), c)
+    disc = _disc(n_max)
     w64 = {e: np.array([v % (1 << 64) for v in w], dtype=np.uint64) for e, w in weights.items()}
-    tables = [_pair_table(w64[e1], w64[e2], n_max) for (e1, e2, _), _ in classes]
-    bounds: dict[int, int] = {}  # B_e
-    for ((e1, e2, e3), c), t in zip(classes, tables):
+    tables = [_pair_table(w64[e1], w64[e2], disc) for (e1, e2, _), _ in classes]
+    sizes = []  # the bound on each class's sums
+    for ((e1, e2, e3), _), t in zip(classes, tables):
         b = max(weights[e1]) * sum(weights[e2])
-        b = int(t.max()) if b < 1 << 64 else b
-        bounds[e3] = bounds.get(e3, 0) + abs(c // g[e3]) * b * sum(weights[e3])
-    residues = _z_stage(((e3, c // g[e3] % (1 << 64) * t) for ((_, _, e3), c), t
-                         in zip(classes, tables)), w64.__getitem__)
+        sizes.append((int(t.max()) if b < 1 << 64 else b) * sum(weights[e3]))
+    run = _run(classes, sizes)
+
+    def group(e: int) -> int:
+        return 0 if e < 2 * run else e
+
+    g, bounds = _groups(classes, sizes, group)
+    for ((_, _, e3), c), t in zip(classes, tables):
+        if c != g[group(e3)]:
+            t *= c // g[group(e3)] % (1 << 64)
+    residues = _z_stage(((e3, t) for ((_, _, e3), _), t in zip(classes, tables)),
+                        w64.__getitem__, run=run)
+    del tables  # overwritten by the z stage: free them before any prime stage
     s = sum((g[e] % (1 << 64) * r for e, r in residues.items()),
             np.zeros(n_max + 1, dtype=np.uint64)).view(np.int64)
     exact = {e: residues[e].view(np.int64) for e, b in bounds.items() if b < 1 << 63}
 
     def residue(q: int) -> np.ndarray:
         wq = {e: np.array([v % q for v in w], dtype=np.int64) for e, w in weights.items()}
-        pairs = ((e3, _pair_table(c // g[e3] % q * wq[e1] % q, wq[e2], n_max) % q)
-                 for (e1, e2, e3), c in classes if e3 not in exact)
-        h = _z_stage(pairs, wq.__getitem__, q) | exact
+        pairs = ((e3, _pair_table(c // g[group(e3)] % q * wq[e1] % q, wq[e2], disc) % q)
+                 for (e1, e2, e3), c in classes if group(e3) not in exact)
+        h = _z_stage(pairs, wq.__getitem__, q, 0 if 0 in exact else run) | exact
         return sum(g[e] % q * (v % q) % q for e, v in h.items()) % q
 
     bound = sum(g[e] * b for e, b in bounds.items())

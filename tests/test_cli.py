@@ -485,6 +485,17 @@ def test_theta_check_single(capsys):
     assert "pass" in out
 
 
+def test_theta_check_negative_first_component_needs_the_equals_form(capsys):
+    # argparse reads "-0.25,0.5" after a space as an option, so a negative
+    # first component of --z or --gamma is given as --z=-0.25,0.5
+    code, out, _ = run(capsys, "theta-check", "--gamma=-1,0,0,-1", "--z=-0.25,0.5")
+    assert code == 0 and "gamma=(-1, 0, 0, -1) z=-0.2500+0.5000i" in out and "pass" in out
+    code, out, _ = run(capsys, "theta-check", "--gamma", "3,2,4,3", "--z=-0.25,0.5")
+    assert code == 0 and "pass" in out
+    code, _, err = run(capsys, "theta-check", "--gamma", "3,2,4,3", "--z", "-0.25,0.5")
+    assert code == 2 and "expected one argument" in err
+
+
 def test_theta_check_sampled_json(capsys):
     code, out, _ = run(capsys, "theta-check", "--sample", "3", "--seed", "5", "--json",
                        "--n-max", "2048")

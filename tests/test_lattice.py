@@ -145,18 +145,20 @@ def test_pair_table_matches_double_loop(n_max):
     for e1, e2 in [(0, 0), (2, 0), (4, 2), (6, 2)]:
         w1, w2 = _square_weights(e1, k), _square_weights(e2, k)
         assert max(w1) * sum(w2) < 1 << 63
-        table = _pair_table(np.array(w1, dtype=np.int64), np.array(w2, dtype=np.int64), n_max)
+        table = _pair_table(np.array(w1, dtype=np.int64), np.array(w2, dtype=np.int64),
+                            lattice._disc(n_max))
         assert table.dtype == np.int64
         assert table.tolist() == _pair_loop(w1, w2, n_max)
     # big integers: no int64 could hold these products
     w1, w2 = _square_weights(48, k), _square_weights(40, k)
-    table = _pair_table(np.array(w1, dtype=object), np.array(w2, dtype=object), n_max)
+    table = _pair_table(np.array(w1, dtype=object), np.array(w2, dtype=object),
+                        lattice._disc(n_max))
     assert table.dtype == object
     assert table.tolist() == _pair_loop(w1, w2, n_max)
     # complex weights, as the offset route passes them
     rng = np.random.default_rng(n_max)
     c1, c2 = (rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1) for _ in range(2))
-    table = _pair_table(c1, c2, n_max)
+    table = _pair_table(c1, c2, lattice._disc(n_max))
     assert table.dtype == np.complex128
     expected = np.array(_pair_loop(c1.tolist(), c2.tolist(), n_max))
     assert np.allclose(table, expected, rtol=1e-14, atol=1e-14)
@@ -168,18 +170,27 @@ def _z_exponents(p):
 
 
 def _passes(p, n_max):
-    """((D, T as a list), dtypes, primes): `shell_totals`, the dtype of each
-    z pass it ran and the number of primes it drew.  Every pass is a uint64
+    """((D, T as a list), passes, primes): `shell_totals`, the dtype of each
+    z pass it ran, with " pure" appended for a pass of exponent 0's weights
+    by pure adds, and the number of primes it drew.  Every pass is a uint64
     residue mod 2^64 or an int64 residue mod a prime, never float or object;
     an int64 pass starts from residues below 2^26, so it cannot wrap."""
     seen, drawn = [], []
-    inner, primes = lattice._add_square_axis, lattice._primes
+    weighted, pure, primes = lattice._add_square_axis, lattice._add_square_axis0, lattice._primes
+
+    def check(*arrays):
+        if arrays[0].dtype == np.int64:
+            assert all(0 <= a.min() and a.max() < 1 << 26 for a in arrays)
 
     def spy(t, w):
         seen.append(t.dtype.name)
-        if t.dtype == np.int64:
-            assert 0 <= min(t.min(), w.min()) and max(t.max(), w.max()) < 1 << 26
-        return inner(t, w)
+        check(t, w)
+        return weighted(t, w)
+
+    def pure_spy(t):
+        seen.append(t.dtype.name + " pure")
+        check(t)
+        return pure(t)
 
     def counted():
         for q in primes():
@@ -188,19 +199,20 @@ def _passes(p, n_max):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lattice, "_add_square_axis", spy)
+        m.setattr(lattice, "_add_square_axis0", pure_spy)
         m.setattr(lattice, "_primes", counted)
         denom, totals = shell_totals(p, n_max)
-    assert set(seen) <= {"uint64", "int64"}
+    assert set(seen) <= {"uint64", "int64", "uint64 pure", "int64 pure"}
     totals = totals.tolist()
     assert all(type(t) is int for t in totals)
     return (denom, totals), seen, len(drawn)
 
 
 def _route(p, n_max):
-    """(primes drawn, int64 z passes run) by `shell_totals`: (0, 0) when the
-    residue mod 2^64 alone holds the totals."""
+    """(primes drawn, int64 z passes run, of either kind) by `shell_totals`:
+    (0, 0) when the residue mod 2^64 alone holds the totals."""
     _, passes, primes = _passes(p, n_max)
-    return primes, passes.count("int64")
+    return primes, sum(kind.startswith("int64") for kind in passes)
 
 
 def _class_by_class(p, n_max):
@@ -268,36 +280,36 @@ def test_totals_on_either_side_of_the_int64_range():
 
 @pytest.mark.parametrize("expr", ["x^24*y^24", "x^24*y^24+z^48"])
 def test_prime_route_matches_brute_force(expr):
-    # these classes' sums pass 2^63 by far, so their z exponent runs one
-    # int64 pass per prime
+    # these classes' sums pass 2^63 by far, so their z exponent 0, a run of
+    # one, runs one pure int64 pass per prime
     p = parse_poly(expr)
     n_max = 120
     _, passes, primes = _passes(p, n_max)
-    z = _z_exponents(p)
-    assert primes >= 4 and passes == ["uint64"] * z + ["int64"] * (z * primes)
+    assert _z_exponents(p) == 1
+    assert primes >= 4 and passes == ["uint64 pure"] + ["int64 pure"] * primes
     series = coeff_series(p, n_max)
     for n in range(1, n_max + 1):
         assert series.a(n) == brute_shell_sum(p, n), (expr, n)
 
 
 def test_uint64_only_route_matches_class_sums():
-    # at 3000 shells the corpus runs its uint64 passes alone, and they agree
-    # with the class sums on Python integers
+    # at 3000 shells the corpus runs its uint64 passes alone, all pure, and
+    # they agree with the class sums on Python integers
     for expr in ROUTE_CORPUS:
         p = parse_poly(expr)
         (denom, totals), passes, primes = _passes(p, 3000)
-        assert passes == ["uint64"] * _z_exponents(p) and primes == 0
+        assert passes == ["uint64 pure"] * _z_exponents(p) and primes == 0
         assert (denom, totals) == (p.denom, _class_by_class(p, 3000))
 
 
 def test_octic_top_rung_takes_one_prime_pass():
     # at 17867 shells (the benchmark's top octic rung) the octic's totals
     # pass 2^64; all three classes share z exponent 0, so one prime takes
-    # one int64 pass
+    # one pure int64 pass
     p = parse_poly(OCTIC_EXPR)
     n_max = 17867
     (denom, totals), passes, primes = _passes(p, n_max)
-    assert passes == ["uint64", "int64"] and primes == 1
+    assert passes == ["uint64 pure", "int64 pure"] and primes == 1
     assert max(abs(t) for t in totals).bit_length() > 64
     assert (denom, totals) == (1, _class_by_class(p, n_max))
 
@@ -307,18 +319,27 @@ def test_gcds_keep_a_scaled_sextic_off_the_prime_passes(sextic):
     # every class, which stays out of the residues, so no prime is drawn
     n_max = 3000
     (_, base), passes, primes = _passes(sextic, n_max)
-    assert passes == ["uint64"] * _z_exponents(sextic) and primes == 0
+    assert passes == ["uint64 pure"] * _z_exponents(sextic) and primes == 0
     (_, totals), passes, primes = _passes(2**30 * sextic, n_max)
-    assert passes == ["uint64"] * _z_exponents(sextic) and primes == 0
+    assert passes == ["uint64 pure"] * _z_exponents(sextic) and primes == 0
     assert totals == [2**30 * t for t in base]
     # 2^30 on z exponent 0 and 3^19 on exponent 2 leave G small: the total
     # passes 2^63 while each exponent's sums H_e (the 2^30 and 3^19 are in
-    # their gcds) stay below, so one prime is drawn and no int64 pass runs
+    # their gcds) stay below, so one prime is drawn and no int64 pass runs;
+    # the run 0, 2 as one group, gcd 1, would pass 2^63, so exponent 2
+    # stays alone, on its weighted pass
     p = Polynomial3({key: c * (2**30 if key[2] == 0 else 3**19)
                      for key, c in _monomial_classes(sextic)}, 1)
     (_, totals), passes, primes = _passes(p, n_max)
-    assert passes == ["uint64"] * _z_exponents(sextic) and primes == 1
+    assert passes == ["uint64", "uint64 pure"] and primes == 1
     assert totals == _class_by_class(p, n_max)
+    # the same at the edge: 2^40 x^2 + 3^25 x^2 y^2 z^2 at 100 shells
+    # bounds the run 0, 2 as one group (gcd 1) by B in [2^63, 2^64), so a
+    # prime is drawn, while each exponent alone stays below 2^63
+    p = Polynomial3({(2, 0, 0): 2**40, (2, 2, 2): 3**25}, 1)
+    (_, totals), passes, primes = _passes(p, 100)
+    assert passes == ["uint64", "uint64 pure"] and primes == 1
+    assert totals == _class_by_class(p, 100)
 
 
 # (600, 2, 0) has weights past the float range, and (200, 200, 0) finite
@@ -327,7 +348,7 @@ def test_gcds_keep_a_scaled_sextic_off_the_prime_passes(sextic):
 def test_weights_past_float_range_take_the_prime_route(key):
     n_max = 200
     (_, totals), passes, primes = _passes(Polynomial3({key: 1}, 1), n_max)
-    assert primes > 50 and passes == ["uint64"] + ["int64"] * primes
+    assert primes > 50 and passes == ["uint64 pure"] + ["int64 pure"] * primes
     for n in (1, 2, 101, 200):
         expected = sum(x ** key[0] * y ** key[1] * z ** key[2] for x, y, z in representations(n))
         assert totals[n] == expected
@@ -342,7 +363,8 @@ def test_wide_and_negative_coefficients_match_class_sums(n_max):
     # from residues mod 2^64 and mod two primes at 300 shells, three at 3000
     p = parse_poly(WIDE_COEFFS)
     (denom, totals), passes, primes = _passes(p, n_max)
-    assert primes == {300: 2, 3000: 3}[n_max] and passes == ["uint64"] + ["int64"] * primes
+    assert primes == {300: 2, 3000: 3}[n_max]
+    assert passes == ["uint64 pure"] + ["int64 pure"] * primes
     assert min(totals) < 0 and max(abs(t) for t in totals).bit_length() > 100
     for n in (1, 2, 3, 50):
         assert F(totals[n], denom) == brute_shell_sum(p, n)
@@ -380,7 +402,7 @@ def test_overall_gcd_stays_out_of_the_residues():
     base = shell_totals(parse_poly("x^2"), 3000)[1].tolist()
     for c in (2**1100, 2**11000):
         (denom, totals), passes, primes = _passes(Polynomial3({(2, 0, 0): c}, 1), 3000)
-        assert passes == ["uint64"] and primes == 0
+        assert passes == ["uint64 pure"] and primes == 0
         assert (denom, totals) == (1, [c * t for t in base])
     # past 2^63 U draws its own primes whatever G is: 2^200 times the octic
     # at 17867 shells draws the octic's one prime, too few moduli for G U
@@ -401,8 +423,10 @@ def test_residue_table_past_the_budget_is_refused_before_a_prime_pass(monkeypatc
     monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", primes * 101 * 8)
     assert _passes(p, 100)[0][1] == totals
     monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", primes * 101 * 8 - 1)
-    seen, inner = [], lattice._add_square_axis
-    monkeypatch.setattr(lattice, "_add_square_axis", lambda t, w: seen.append(t.dtype) or inner(t, w))
+    seen, weighted, pure = [], lattice._add_square_axis, lattice._add_square_axis0
+    monkeypatch.setattr(lattice, "_add_square_axis",
+                        lambda t, w: seen.append(t.dtype) or weighted(t, w))
+    monkeypatch.setattr(lattice, "_add_square_axis0", lambda t: seen.append(t.dtype) or pure(t))
     with pytest.raises(ValueError, match="residue table past"):
         shell_totals(p, 100)
     assert seen and set(seen) == {np.dtype(np.uint64)}
@@ -413,15 +437,25 @@ def test_residue_table_past_the_budget_is_refused_before_a_prime_pass(monkeypatc
 MIXED_Z = "-3*x^6-(2^65+7)*x^4*y^2+11*x^2*y^2*z^2-x^4*y^2*z^2+5*x^4*y^4*z^4"
 
 
-# (primes drawn, int64 passes): exponent 0, with the 2^65 coefficient, is
-# the one whose sums pass 2^63 at 300 shells; at 3000 exponent 2 joins it
-@pytest.mark.parametrize("n_max, route", [(1, (0, 0)), (300, (2, 2)), (3000, (2, 4))],
-                         ids=["1", "300", "3000"])
-def test_mixed_z_exponents_fold_to_the_class_sums(n_max, route):
+# (primes drawn, int64 passes) and the passes: at 1 shell no prime is drawn
+# and the run 0, 2, 4 takes three pure passes.  Exponent 0, with the 2^65
+# coefficient, is the one whose sums pass 2^63 at 300 shells, so 2 and 4,
+# exact alone, stay out of the run; at 3000 exponent 4 joins 0 past 2^63
+# while 2 stays exact, so the run is still 0 alone
+MIXED_Z_ROUTES = {
+    1: ((0, 0), ["uint64 pure"] * 3),
+    300: ((2, 2), ["uint64", "uint64", "uint64 pure"] + ["int64 pure"] * 2),
+    3000: ((2, 4), ["uint64", "uint64", "uint64 pure"] + ["int64", "int64 pure"] * 2),
+}
+
+
+@pytest.mark.parametrize("n_max", list(MIXED_Z_ROUTES))
+def test_mixed_z_exponents_fold_to_the_class_sums(n_max):
     p = parse_poly(MIXED_Z)
     assert _z_exponents(p) == 3 and len(_monomial_classes(p)) == 5
     (denom, totals), passes, primes = _passes(p, n_max)
-    assert passes.count("uint64") == 3 and (primes, passes.count("int64")) == route
+    route, kinds = MIXED_Z_ROUTES[n_max]
+    assert _route(p, n_max) == route and passes == kinds
     assert (denom, totals) == (1, _class_by_class(p, n_max))
     assert min(totals) < 0
 
@@ -439,6 +473,53 @@ CORPUS_ROUTES = {
 @pytest.mark.parametrize("n_max", list(CORPUS_ROUTES))
 def test_corpus_routes_are_stable(n_max):
     assert [_route(parse_poly(expr), n_max) for expr in ROUTE_CORPUS] == CORPUS_ROUTES[n_max]
+
+
+# (the z exponents of the tables, the run): runs of one to four exponents,
+# exponents above a run (MIXED_Z's 2 and 4 at 300 shells, 4 at 3000), and
+# no run at all (x^4*y^4*z^4, x^2*y^2*z^2)
+Z_RUNS = [((0,), 1), ((0, 2), 2), ((0, 2, 4), 3), ((0, 2, 4, 6), 4),
+          ((0, 2, 4), 1), ((0, 2, 4), 2), ((4,), 0), ((2,), 0), ((0, 2, 4, 6, 8), 4)]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 5, 1000, 4096])
+def test_pure_run_equals_the_weighted_passes(n_max):
+    # reference: one weighted `_add_square_axis` pass per exponent, then
+    # the run's sums added; two tables on each exponent, so the fold runs
+    # too.  mod 2^64 on uint64 tables over the whole range (every product
+    # wraps), and mod the largest prime on int64 tables below it
+    rng = random.Random(n_max)
+    k = math.isqrt(n_max)
+    q = next(lattice._primes())
+    for mod, m, dtype in ((None, 1 << 64, np.uint64), (q, q, np.int64)):
+        weights = {e: np.array([v % m for v in _square_weights(e, k)], dtype=dtype)
+                   for e in range(0, 10, 2)}
+        for exponents, run in Z_RUNS:
+            tables = [(e, np.array([rng.randrange(m) for _ in range(n_max + 1)], dtype=dtype))
+                      for e in exponents for _ in range(2)]
+            expected = lattice._z_stage([(e, t.copy()) for e, t in tables], weights.get, mod)
+            found = lattice._z_stage(tables, weights.get, mod, run)
+            ran = [e for e in expected if e < 2 * run]
+            for e in [e for e in expected if e >= 2 * run]:
+                assert found[e].tolist() == expected[e].tolist(), (mod, exponents, run, e)
+            assert set(found) == set(expected) - set(ran) | ({0} if run else set())
+            if run:
+                summed = np.sum([expected[e].astype(object) for e in ran], axis=0) % m
+                assert found[0].dtype == dtype and found[0].tolist() == summed.tolist(), \
+                    (mod, exponents, run)
+
+
+def test_benchmark_polynomials_run_only_pure_passes():
+    # the four benchmark polynomials have z exponent 0 alone, or the run
+    # 0, 2 (the sextic), so every pass, the octic's prime pass at 2^15
+    # included, is pure; x^2*y^2*z^2 (no 0 in its exponents) and
+    # x^4*y^4*z^4 have no run and keep their weighted passes (the latter
+    # past 2^63, on two primes)
+    for expr in ["1", QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR]:
+        _, passes, _ = _passes(parse_poly(expr), 1 << 15)
+        assert passes and all(kind.endswith(" pure") for kind in passes), expr
+    for expr, kinds in (("x^2*y^2*z^2", ["uint64"]), ("x^4*y^4*z^4", ["uint64", "int64", "int64"])):
+        assert _passes(parse_poly(expr), 1 << 15)[1] == kinds, expr
 
 
 @pytest.mark.parametrize("expr", ["1/3*x^2-1/7*y^2", QUARTIC_EXPR, "1/3*x^24*y^24-1/7*z^48"])
@@ -1131,9 +1212,9 @@ def test_shell_totals_satisfy_hecke_relations(expr):
 
 
 # the sextic's (2, 2, 2), alone on z exponent 2, stays exact in its residue
-# and takes no prime pass; the octic needs two primes
-@pytest.mark.parametrize("expr, route", [(SEXTIC_EXPR, ["uint64", "uint64", "int64"]),
-                                         (OCTIC_EXPR, ["uint64", "int64", "int64"])],
+# and takes no prime pass, so the run is 0 alone; the octic needs two primes
+@pytest.mark.parametrize("expr, route", [(SEXTIC_EXPR, ["uint64", "uint64 pure", "int64 pure"]),
+                                         (OCTIC_EXPR, ["uint64 pure"] + ["int64 pure"] * 2)],
                          ids=["sextic", "octic"])
 def test_wide_shell_totals_satisfy_hecke_relations(expr, route):
     _, passes, _ = _passes(parse_poly(expr), HECKE_WIDE_N)
@@ -1145,7 +1226,7 @@ def test_hecke_series_cover_the_prime_route():
     # the octic's totals pass 2^64 at HECKE_N, so the oracle checks an int64
     # prime pass at a size brute force cannot reach
     _, passes, primes = _passes(parse_poly(OCTIC_EXPR), HECKE_N)
-    assert passes == ["uint64", "int64"] and primes == 1
+    assert passes == ["uint64 pure", "int64 pure"] and primes == 1
 
 
 @pytest.mark.parametrize("p", HECKE_PRIMES)
