@@ -67,6 +67,26 @@ def _json_out(payload: dict) -> None:
     print(json.dumps(payload))
 
 
+# theta-check's report lines.  A JSON line has json.dumps's bytes for {"schema": SCHEMA,
+# **report}: numbers by repr (nan, inf respelt NaN, Infinity), booleans true/false.
+_REPORT_JSON = ('{"schema": %d, "gamma": [%%d, %%d, %%d, %%d], "z": [%%r, %%r], "lhs": [%%r, %%r], '
+                '"rhs": [%%r, %%r], "rel_err": %%r, "pass": %%s, "inconclusive": %%s}\n' % SCHEMA)
+_REPORT_TEXT = "gamma=%s z=%+.4f%+.4fi rel_err=%.3e %s\n"
+_JSON_BOOL = ("false", "true")
+
+
+def _report_lines(reports: list[modular.TransformReport], as_json: bool) -> str:
+    """The lines `theta-check` prints for its reports, joined."""
+    if not as_json:
+        return "".join([_REPORT_TEXT % (gamma, z.real, z.imag, err, "pass" if ok else
+                                        "inconclusive" if inc else "FAIL")
+                        for gamma, z, _, _, err, ok, inc in reports])
+    text = "".join([_REPORT_JSON % (a, b, c, d, z.real, z.imag, lhs.real, lhs.imag, rhs.real,
+                                    rhs.imag, err, _JSON_BOOL[ok], _JSON_BOOL[inc])
+                    for (a, b, c, d), z, lhs, rhs, err, ok, inc in reports])
+    return text.replace("nan", "NaN").replace("inf", "Infinity")  # in no key or literal
+
+
 def _require_finite(args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
@@ -367,20 +387,8 @@ def cmd_theta_check(args) -> int:
             reports = modular.sample_checks(ctx, args.sample, seed=args.seed, tol=args.tol)
         except ValueError as exc:  # e.g. a tail that n_max cannot certify below tol
             raise UsageError(str(exc))
-    ok = True
-    for rep in reports:
-        if args.json:
-            _json_out(rep.to_dict())
-        else:
-            status = "pass" if rep.passed else (
-                "inconclusive" if rep.inconclusive else "FAIL"
-            )
-            print(
-                f"gamma={rep.gamma} z={rep.z.real:+.4f}{rep.z.imag:+.4f}i "
-                f"rel_err={rep.rel_err:.3e} {status}"
-            )
-        ok = ok and rep.passed
-    if not ok:
+    sys.stdout.write(_report_lines(reports, args.json))
+    if not all(rep.passed for rep in reports):
         raise CheckFailed("transformation check failed")
     return 0
 

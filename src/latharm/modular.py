@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,9 +95,6 @@ class GammaElement:
         if self.c % 4 != 0:
             raise ValueError("lower-left entry must be divisible by 4")
 
-    def apply(self, z: complex) -> complex:
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
     def __mul__(self, other: "GammaElement") -> "GammaElement":
         return GammaElement(
             self.a * other.a + self.b * other.c,
@@ -133,6 +131,11 @@ SAMPLE_GAMMA_POOL = {
              (range(-25, 26, 2) if c else (1, -1)) if math.gcd(c, d) == 1)
     for c in SAMPLE_C_POOL
 }
+
+
+# (c/d) * epsilon_d^(-1), the constant of automorphy_j, of every pooled gamma
+SAMPLE_J_CONST = {g: shimura_legendre(g.c, g.d) / epsilon_d(g.d)
+                  for pool in SAMPLE_GAMMA_POOL.values() for g in pool}
 
 
 def automorphy_j(gamma: GammaElement, z: complex) -> complex:
@@ -259,8 +262,7 @@ def theta_eval(ctx: ThetaContext, z: complex, tol: float = 1e-12) -> complex:
     return complex(theta_values(ctx, np.array([z], dtype=np.complex128), tol)[0])
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(NamedTuple):
     """Numerical check of theta(gamma z) = j(gamma, z)^(2 nu + 3) theta(z)."""
 
     gamma: tuple[int, int, int, int]
@@ -270,17 +272,6 @@ class TransformReport:
     rel_err: float
     passed: bool
     inconclusive: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": list(self.gamma),
-            "z": [self.z.real, self.z.imag],
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "rel_err": self.rel_err,
-            "pass": self.passed,
-            "inconclusive": self.inconclusive,
-        }
 
 
 def _check_batch(
@@ -292,7 +283,8 @@ def _check_batch(
     The error is measured relative to the larger side (with the absolute
     floor TRANSFORM_FLOOR); a theta(z) below the floor is flagged inconclusive.
     """
-    a, b, c, d = np.array([g.entries() for g in gammas], dtype=np.float64).reshape(-1, 4).T
+    entries = [g.entries() for g in gammas]
+    a, b, c, d = np.array(entries, dtype=np.float64).reshape(-1, 4).T
     z = np.array(zs, dtype=np.complex128)
     below = np.any(z.imag < Y_MIN)  # tested first: cz + d vanishes only on the real axis
     image = z if below else (a * z + b) / (c * z + d)
@@ -301,22 +293,19 @@ def _check_batch(
     theta = theta_values(ctx, np.concatenate([image, z]), _eval_tol(tol))
     lhs, base = theta[: len(z)], theta[len(z):]
     power = 2 * ctx.nu + 3
-    rhs = np.array([automorphy_j(g, zz) ** power for g, zz in zip(gammas, zs)]) * base
+    # automorphy_j per pair, its constant (+-1 or +-i) from SAMPLE_J_CONST if pooled
+    rhs = np.array([((SAMPLE_J_CONST.get(g) or shimura_legendre(g.c, g.d) / epsilon_d(g.d))
+                     * cmath.sqrt(g.c * zz + g.d)) ** power for g, zz in zip(gammas, zs)]) * base
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), TRANSFORM_FLOOR)
     rel_err = np.abs(lhs - rhs) / scale
     inconclusive = np.abs(base) < TRANSFORM_FLOOR
     passed = (rel_err < tol) & ~inconclusive
-    columns = zip(gammas, zs, lhs.tolist(), rhs.tolist(), rel_err.tolist(), passed.tolist(),
-                  inconclusive.tolist())
-    return [TransformReport(g.entries(), *rest) for g, *rest in columns]
+    return list(map(TransformReport, entries, zs, lhs.tolist(), rhs.tolist(), rel_err.tolist(),
+                    passed.tolist(), inconclusive.tolist()))
 
 
-def transformation_check(
-    ctx: ThetaContext,
-    gamma: GammaElement,
-    z: complex,
-    tol: float = 1e-6,
-) -> TransformReport:
+def transformation_check(ctx: ThetaContext, gamma: GammaElement, z: complex,
+                         tol: float = 1e-6) -> TransformReport:
     """One check of theta(gamma z) against the automorphy-factor prediction
     (`_check_batch` on one pair)."""
     return _check_batch(ctx, [gamma], [z], tol)[0]

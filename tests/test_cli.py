@@ -14,9 +14,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from latharm import exppairs, lattice
+from latharm import exppairs, lattice, modular
 from latharm.cli import _headline_magnitudes, build_parser, main
 from latharm.poly import parse_poly, sphere_average
+
+from test_modular import report_json_lines, report_text_lines
 
 GOLDEN = Path(__file__).parent / "golden"
 QUARTIC = "5*(x^4+y^4+z^4)-3*(x^2+y^2+z^2)^2"
@@ -416,6 +418,7 @@ FUZZ_BASES = [
     ["table", "--csv"],
     ["fit", "--poly", QUARTIC, "--r-max", "16", "--json"],
     ["theta-check", "--poly", QUARTIC, "--sample", "3", "--n-max", "256"],
+    ["theta-check", "--poly", QUARTIC, "--sample", "3", "--n-max", "256", "--json"],
     ["gauss", "--d", "3", "--c", "4", "--xi", "2"],
 ]
 # Whole-field replacements; none asks for more work than the field it replaces.
@@ -506,6 +509,53 @@ def test_theta_check_sampled_json(capsys):
         payload = json.loads(line)
         assert payload["pass"] is True
         assert payload["schema"] == 1
+
+
+def _theta_reports(seed=None, sample=40, tol=1e-6, gamma=None, z=None):
+    """What theta-check reports for the default polynomial and --n-max."""
+    p = parse_poly(QUARTIC)
+    ctx = modular.theta_context(p, modular.context_n_max(p, modular.DEFAULT_N_MAX, tol))
+    if gamma is not None:
+        return [modular.transformation_check(ctx, gamma, z, tol=tol)]
+    return modular.sample_checks(ctx, sample, seed=seed, tol=tol)
+
+
+def test_theta_check_prints_the_json_dumps_of_each_report(capsys):
+    reports = _theta_reports(seed=7)
+    code, out, err = run(capsys, "theta-check", "--sample", "40", "--seed", "7", "--json")
+    assert (code, err) == (0, "")
+    assert out == report_json_lines(reports)
+    assert len(out.splitlines()) == 40
+    code, out, err = run(capsys, "theta-check", "--sample", "40", "--seed", "7")
+    assert (code, err) == (0, "")
+    assert out == report_text_lines(reports)
+
+
+def test_theta_check_gamma_prints_its_report(capsys):
+    gamma, z = modular.GammaElement(3, 2, 4, 3), complex(-0.25, 0.5)
+    reports = _theta_reports(gamma=gamma, z=z, tol=1e-8)
+    code, out, _ = run(capsys, "theta-check", "--gamma", "3,2,4,3", "--z=-0.25,0.5",
+                       "--tol", "1e-8", "--json")
+    assert code == 0 and out == report_json_lines(reports)
+    code, out, _ = run(capsys, "theta-check", "--gamma", "3,2,4,3", "--z=-0.25,0.5",
+                       "--tol", "1e-8")
+    assert code == 0 and out == report_text_lines(reports)
+
+
+def test_theta_check_prints_every_line_before_it_fails(capsys):
+    # at --tol 1e-300 only an exact match passes: every report is printed,
+    # then exit 1
+    reports = _theta_reports(seed=3, sample=30, tol=1e-300)
+    assert sum(r.passed for r in reports) < 30
+    code, out, err = run(capsys, "theta-check", "--sample", "30", "--seed", "3",
+                         "--tol", "1e-300", "--json")
+    assert code == 1 and "check failed" in err
+    assert out == report_json_lines(reports)
+    assert [json.loads(line)["pass"] for line in out.splitlines()] == [r.passed for r in reports]
+    code, out, err = run(capsys, "theta-check", "--sample", "30", "--seed", "3",
+                         "--tol", "1e-300")
+    assert code == 1 and "check failed" in err
+    assert out == report_text_lines(reports) and out.count("\n") == 30
 
 
 def test_theta_check_does_not_import_numpy_random():

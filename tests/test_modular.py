@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ import sympy
 from latharm.modular import (
     SAMPLE_C_POOL,
     SAMPLE_GAMMA_POOL,
+    SAMPLE_J_CONST,
     SAMPLE_SHRINK,
     SAMPLE_Y_RANGE,
     Y_MIN,
@@ -30,10 +32,44 @@ from latharm.modular import (
     transformation_check,
 )
 from latharm import modular
+from latharm.cli import SCHEMA, _report_lines
 from latharm.lattice import representations
 from latharm.poly import parse_poly
 
 from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR
+
+
+def apply(gamma, z):
+    """Reference action of gamma on z, the Mobius map (az + b) / (cz + d)."""
+    return (gamma.a * z + gamma.b) / (gamma.c * z + gamma.d)
+
+
+def report_dict(rep):
+    """Reference serialisation of a TransformReport: the record that
+    `theta-check --json` prints as json.dumps({"schema": SCHEMA, **record})."""
+    return {
+        "gamma": list(rep.gamma),
+        "z": [rep.z.real, rep.z.imag],
+        "lhs": [rep.lhs.real, rep.lhs.imag],
+        "rhs": [rep.rhs.real, rep.rhs.imag],
+        "rel_err": rep.rel_err,
+        "pass": rep.passed,
+        "inconclusive": rep.inconclusive,
+    }
+
+
+def report_json_lines(reports):
+    return "".join(json.dumps({"schema": SCHEMA, **report_dict(r)}) + "\n" for r in reports)
+
+
+def report_text_lines(reports):
+    """The text lines as first written, one f-string per report."""
+    lines = []
+    for rep in reports:
+        status = "pass" if rep.passed else ("inconclusive" if rep.inconclusive else "FAIL")
+        lines.append(f"gamma={rep.gamma} z={rep.z.real:+.4f}{rep.z.imag:+.4f}i "
+                     f"rel_err={rep.rel_err:.3e} {status}\n")
+    return "".join(lines)
 
 
 def e_of(t):
@@ -336,7 +372,12 @@ def test_transformation_wrong_symbol_convention_fails(quartic, monkeypatch):
     import latharm.modular as modular_mod
 
     ctx = theta_context(quartic, n_max=4096)
-    gamma = gamma0_4_from_cd(-4, -3)  # negative c and d: the sign rule bites
+    # negative c and d: the sign rule bites.  The pooled gamma of this bottom
+    # row, (1, 1, -4, -3), reads its symbol from SAMPLE_J_CONST, built before
+    # any patch; this one maps z to 1 + that gamma's image and lies outside
+    # the pool, so the check calls shimura_legendre
+    gamma = GammaElement(-3, -2, -4, -3)
+    assert gamma not in SAMPLE_J_CONST
     z = complex(-0.75, 1.0)
     good = transformation_check(ctx, gamma, z, tol=1e-6)
     assert good.passed
@@ -433,7 +474,7 @@ def test_sampler_covers_the_pool(quartic):
     assert sum(r.gamma[2] != 0 for r in reports) >= 0.8 * len(reports)
     assert {abs(r.gamma[2]) for r in reports} == {abs(c) for c in SAMPLE_C_POOL}
     for r in reports:
-        assert r.z.imag >= Y_MIN and GammaElement(*r.gamma).apply(r.z).imag >= Y_MIN
+        assert r.z.imag >= Y_MIN and apply(GammaElement(*r.gamma), r.z).imag >= Y_MIN
         assert r.passed, r
 
 
@@ -448,7 +489,7 @@ def test_region_draw_ends_stay_above_y_min(quartic):
             for u in ends:
                 for v in ends:
                     z = modular._draw_z(gamma, u, v)
-                    assert z.imag >= Y_MIN and gamma.apply(z).imag >= Y_MIN, (gamma, u, v)
+                    assert z.imag >= Y_MIN and apply(gamma, z).imag >= Y_MIN, (gamma, u, v)
                     gammas.append(gamma)
                     zs.append(z)
     assert all(r.passed for r in modular._check_batch(ctx, gammas, zs, 1e-6))
@@ -463,7 +504,7 @@ def test_transformation_check_matches_scalar_reference(quartic):
              (gamma0_4_from_cd(16, -25), complex(1.5625, 0.07))]
     for gamma, z in cases:
         rep = transformation_check(ctx, gamma, z, tol=1e-8)
-        lhs = _horner_theta(ctx, gamma.apply(z), 1e-14)[0]
+        lhs = _horner_theta(ctx, apply(gamma, z), 1e-14)[0]
         rhs = automorphy_j(gamma, z) ** 11 * _horner_theta(ctx, z, 1e-14)[0]
         assert abs(rep.lhs - lhs) <= 1e-13 * abs(lhs), (gamma, z)
         assert abs(rep.rhs - rhs) <= 1e-13 * abs(rhs), (gamma, z)
@@ -473,10 +514,82 @@ def test_transformation_check_matches_scalar_reference(quartic):
 def test_report_serialization(quartic):
     ctx = theta_context(quartic, n_max=2048)
     rep = transformation_check(ctx, gamma0_4_from_cd(4, 1), complex(0, 0.5))
-    payload = rep.to_dict()
+    line = _report_lines([rep], as_json=True)
+    assert line == report_json_lines([rep])
+    payload = json.loads(line)
     assert payload["gamma"] == [1, 0, 4, 1]
     assert payload["pass"] is True
-    assert set(payload) == {"gamma", "z", "lhs", "rhs", "rel_err", "pass", "inconclusive"}
+    assert list(payload) == ["schema", "gamma", "z", "lhs", "rhs", "rel_err", "pass",
+                             "inconclusive"]
+    assert _report_lines([], as_json=True) == _report_lines([], as_json=False) == ""
+
+
+# floats where json.dumps and repr part ways (nan, inf) or repr changes form
+# (exponent below 1e-4 and from 1e16, subnormals, signed zero)
+CRAFTED_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5,
+                  1e-4, 9999999999999998.0, 0.1, -1 / 3, 1.7976931348623157e308, 123.0]
+
+
+def _crafted_reports():
+    rng = random.Random(4)
+    gammas = [(1, 0, 4, 1), (-1, 0, 0, -1), (-7, -12, -4, -7),
+              (10**30 + 1, -(10**40), 4 * 10**25, -(3**80))]
+    reports = []
+    for i in range(120):
+        picks = [rng.choice(CRAFTED_FLOATS) if rng.random() < 0.7 else rng.uniform(-1e3, 1e3)
+                 for _ in range(7)]
+        reports.append(TransformReport(
+            rng.choice(gammas), complex(picks[0], picks[1]), complex(picks[2], picks[3]),
+            complex(picks[4], picks[5]), picks[6], bool(i & 1), bool(i & 2)))
+    return reports
+
+
+def test_report_lines_equal_json_dumps_on_crafted_reports():
+    reports = _crafted_reports()
+    assert {(r.passed, r.inconclusive) for r in reports} == {
+        (False, False), (False, True), (True, False), (True, True)}
+    floats = {repr(x) for r in reports for x in (r.z.real, r.lhs.imag, r.rel_err)}
+    assert {"nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "1e-05"} <= floats
+    text = _report_lines(reports, as_json=True)
+    assert text == report_json_lines(reports)
+    for r, line in zip(reports, text.splitlines(keepends=True)):
+        assert line == json.dumps({"schema": SCHEMA, **report_dict(r)}) + "\n", r
+    assert _report_lines(reports, as_json=False) == report_text_lines(reports)
+
+
+def test_pooled_constants_give_automorphy_j_bit_for_bit():
+    # the constant the sampled checks read, times the per-pair root, is
+    # automorphy_j to the last bit, signed zeros included
+    def bits(w):
+        return w.real.hex(), w.imag.hex()
+
+    zs = [complex(0.3, 0.8), complex(-1.25, 0.05), complex(2.0, 0.1), complex(-0.0, 1.5),
+          complex(0.0625, 3.0), complex(-6.75, 0.6)]
+    pooled = [g for pool in SAMPLE_GAMMA_POOL.values() for g in pool]
+    assert len(SAMPLE_J_CONST) == len(pooled) and set(SAMPLE_J_CONST) == set(pooled)
+    for g in pooled:
+        for z in zs:
+            ours = SAMPLE_J_CONST[g] * cmath.sqrt(g.c * z + g.d)
+            assert bits(ours) == bits(automorphy_j(g, z)), (g, z)
+
+
+def test_check_batch_reads_automorphy_j_in_and_out_of_the_pool(quartic, monkeypatch):
+    # with theta stubbed to 1, rhs is j(gamma, z)^11 itself: it must equal
+    # automorphy_j ** 11 bit for bit, from the pooled table or, for gammas
+    # outside the pool (other b, |d| > 25, c = 20), computed per pair
+    ctx = theta_context(quartic, n_max=256)
+    outside = [GammaElement(1, 1, 0, 1), GammaElement(-3, -2, -4, -3), gamma0_4_from_cd(4, 27),
+               gamma0_4_from_cd(-20, -3)]
+    assert not any(g in SAMPLE_J_CONST for g in outside)
+    rng = random.Random(11)
+    gammas = [rng.choice(SAMPLE_GAMMA_POOL[rng.choice(SAMPLE_C_POOL)]) for _ in range(200)]
+    gammas += outside * 5
+    zs = [complex(rng.uniform(-2, 2), rng.uniform(0.05, 2)) for _ in gammas]
+    monkeypatch.setattr(modular, "theta_values", lambda ctx, z, tol: np.ones(z.shape, complex))
+    monkeypatch.setattr(modular, "Y_MIN", -1.0)  # every draw, wherever gamma z falls
+    for rep, g, z in zip(modular._check_batch(ctx, gammas, zs, 1e-6), gammas, zs):
+        want = automorphy_j(g, z) ** 11
+        assert (rep.rhs.real.hex(), rep.rhs.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 # -- Gauss sums ---------------------------------------------------------------------------
