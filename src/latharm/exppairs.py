@@ -1,8 +1,8 @@
 """Exact exponent-pair calculus and minimax balancing of error exponents.
 
-Everything here is exact rational arithmetic: the A/B processes on exponent
-pairs, the long- and short-sum error-term templates, and the piecewise-linear
-minimax solver that balances them by choosing the smoothing width H = R^alpha.
+Everything here is exact: the A/B processes on exponent pairs, the long- and
+short-sum error-term templates, and the minimax solver that balances them by
+choosing the smoothing width H = R^alpha: an integer upper envelope, O(T log T).
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 
@@ -169,6 +171,12 @@ class BalanceResult:
         return f"theta={self.theta} at alpha={self.alpha} (active: {active})"
 
 
+def _turn(s: tuple[int, int, int], t: tuple[int, int, int], u: tuple[int, int, int]) -> int:
+    """Orientation of the points (B/L, A/L) of lines (A + B*alpha)/L: t is on top if < 0."""
+    return (s[1] * (t[0] * u[2] - u[0] * t[2]) - s[0] * (t[1] * u[2] - u[1] * t[2])
+            + s[2] * (t[1] * u[0] - u[1] * t[0]))
+
+
 def balance(
     long_terms: Sequence[ErrorTerm],
     short_terms: Sequence[ErrorTerm],
@@ -176,9 +184,10 @@ def balance(
 ) -> BalanceResult:
     """Minimize max over terms of (a + b*alpha) exactly on a closed range.
 
-    The objective is convex piecewise linear with rational breakpoints, so the
-    minimum is attained at a range endpoint or a pairwise intersection; all
-    candidates are evaluated exactly and ties break toward the largest alpha.
+    Ties break toward the largest alpha: where the terms' upper envelope turns
+    from slope <= 0 to > 0, clamped to the range. Each term is held as integers
+    (A + B*alpha)/L over its own denominator; a sort by slope and one
+    monotone-stack pass build the envelope of T terms in O(T log T).
     """
     terms = list(long_terms) + list(short_terms)
     if not long_terms or not short_terms:
@@ -186,24 +195,30 @@ def balance(
     lo, hi = Fraction(alpha_range[0]), Fraction(alpha_range[1])
     if lo > hi:
         raise ValueError("empty alpha range")
-
-    def objective(alpha: Fraction) -> Fraction:
-        return max(t.at(alpha) for t in terms)
-
-    candidates = {lo, hi}
-    for i, t1 in enumerate(terms):
-        for t2 in terms[i + 1 :]:
-            if t1.h_exp != t2.h_exp:
-                cross = (t2.r_exp - t1.r_exp) / (t1.h_exp - t2.h_exp)
-                if lo <= cross <= hi:
-                    candidates.add(cross)
-
-    best_alpha = max(
-        candidates, key=lambda a: (-objective(a), a)
-    )  # min objective, then largest alpha
-    theta = objective(best_alpha)
-    active = tuple(str(t) for t in terms if t.at(best_alpha) == theta)
-    return BalanceResult(alpha=best_alpha, theta=theta, active_terms=active)
+    lines = []
+    for t in terms:
+        (na, da), (nb, db) = t.r_exp.as_integer_ratio(), t.h_exp.as_integer_ratio()
+        den = lcm(da, db)
+        lines.append((na * (den // da), nb * (den // db), den))
+    # by slope, then intercept, so the last of equal slopes is the highest
+    by_slope = cmp_to_key(lambda s, t: s[1] * t[2] - t[1] * s[2] or s[0] * t[2] - t[0] * s[2])
+    hull: list[tuple[int, int, int]] = []
+    for line in sorted(lines, key=by_slope):
+        if hull and hull[-1][1] * line[2] == line[1] * hull[-1][2]:
+            hull.pop()
+        while len(hull) > 1 and _turn(hull[-2], hull[-1], line) >= 0:
+            hull.pop()
+        hull.append(line)
+    rising = next((i for i, line in enumerate(hull) if line[1] > 0), len(hull))
+    alpha = lo if rising == 0 else hi
+    if 0 < rising < len(hull):
+        (a1, b1, d1), (a2, b2, d2) = hull[rising - 1 : rising + 1]
+        alpha = min(max(Fraction(a1 * d2 - a2 * d1, b2 * d1 - b1 * d2), lo), hi)
+    q = alpha.denominator
+    values = [(a * q + b * alpha.numerator, den) for a, b, den in lines]
+    top, top_den = max(values, key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
+    active = tuple(str(t) for t, (n, d) in zip(terms, values) if n * top_den == top * d)
+    return BalanceResult(alpha=alpha, theta=Fraction(top, top_den * q), active_terms=active)
 
 
 def theta_formula(p: ExponentPair) -> Fraction:

@@ -1,9 +1,16 @@
+import os
+import random
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from latharm.exppairs import (
+    BalanceResult,
     KNOWN_PAIRS,
     LONG_SUM_MODELS,
     RATIONAL_EXP_CAP,
@@ -24,6 +31,8 @@ from latharm.exppairs import (
     term,
     theta_formula,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def pair(k, l, eps=False):
@@ -232,6 +241,119 @@ def test_balance_optimum_certified_by_probes():
         )
         assert objective(result.alpha + delta) >= result.theta
         assert objective(result.alpha - delta) >= result.theta
+
+
+def reference_balance(long_terms, short_terms, alpha_range=(F(-1), F(0))):
+    """Candidate enumeration: every crossing inside the range and both ends,
+    each evaluated exactly; the least maximum wins, ties to the largest alpha.
+    O(T^3) for T terms."""
+    terms = list(long_terms) + list(short_terms)
+    lo, hi = F(alpha_range[0]), F(alpha_range[1])
+
+    def objective(alpha):
+        return max(t.at(alpha) for t in terms)
+
+    candidates = {lo, hi}
+    for i, t1 in enumerate(terms):
+        for t2 in terms[i + 1 :]:
+            if t1.h_exp != t2.h_exp:
+                cross = (t2.r_exp - t1.r_exp) / (t1.h_exp - t2.h_exp)
+                if lo <= cross <= hi:
+                    candidates.add(cross)
+    best = max(candidates, key=lambda a: (-objective(a), a))
+    theta = objective(best)
+    active = tuple(str(t) for t in terms if t.at(best) == theta)
+    return BalanceResult(alpha=best, theta=theta, active_terms=active)
+
+
+def assert_balance_matches_reference(long_terms, short_terms, alpha_range=(F(-1), F(0))):
+    got = balance(long_terms, short_terms, alpha_range)
+    want = reference_balance(long_terms, short_terms, alpha_range)
+    assert (got.alpha, got.theta, got.active_terms) == (want.alpha, want.theta, want.active_terms)
+    return got
+
+
+def test_balance_equals_candidate_enumeration_on_random_lists():
+    # repeated terms, parallel lines and zero slopes are drawn on purpose, and
+    # about one range in ten is a single point
+    rng = random.Random(26)
+
+    def rational():
+        return F(rng.randint(-12, 12), rng.randint(1, 12))
+
+    where = {"lo": 0, "hi": 0, "inside": 0}
+    for _ in range(2500):
+        pool = [term(rational(), rational()) for _ in range(3)]
+
+        def draw():
+            kind = rng.random()
+            if kind < 0.2:
+                return rng.choice(pool)
+            if kind < 0.35:
+                return term(rational(), rng.choice(pool).h_exp)
+            if kind < 0.45:
+                return term(rational(), 0)
+            return term(rational(), rational())
+
+        long_terms = [draw() for _ in range(rng.randint(1, 8))]
+        short_terms = [draw() for _ in range(rng.randint(1, 3))]
+        a, b = rational(), rational()
+        lo, hi = (a, a) if rng.random() < 0.1 else (min(a, b), max(a, b))
+        alpha = assert_balance_matches_reference(long_terms, short_terms, (lo, hi)).alpha
+        if lo < hi:
+            where["lo" if alpha == lo else "hi" if alpha == hi else "inside"] += 1
+    assert min(where.values()) > 300, where
+
+
+def test_balance_interior_optimum_on_tangent_family():
+    # tangents to alpha^2 at -k/T, -x^2 + 2x*alpha, against the short term
+    # 1/4 + alpha: the optimum lies inside the range, near (1 - sqrt 2)/2
+    # where alpha^2 = 1/4 + alpha; a constant short term below both is idle
+    for size in (1, 2, 3, 5, 8, 13, 21, 40):
+        long_terms = [term(-F(k, size) ** 2, F(-2 * k, size)) for k in range(size + 1)]
+        for short_terms in ([term(F(1, 4), 1)], [term(F(1, 4), 1), term(F(-1, 2), 0)]):
+            result = assert_balance_matches_reference(long_terms, short_terms)
+            assert F(-1, 2) < result.alpha < 0
+
+
+def test_balance_on_coprime_denominators_stays_fast():
+    # 200 distinct prime denominators: a common denominator would be a
+    # 2000-bit integer, but each term keeps its own
+    primes = [n for n in range(2, 1300) if all(n % d for d in range(2, int(n**0.5) + 1))][:200]
+    long_terms = [term(F(1, p), F(-1, p)) for p in primes]
+    start = time.perf_counter()
+    result = balance(long_terms, [term(1, 1)])
+    assert time.perf_counter() - start < 0.5
+    # (1 - alpha)/2 is the largest long term on [-1, 0]; it meets 1 + alpha at -1/3
+    assert result == BalanceResult(F(-1, 3), F(2, 3), ("R^1/2H^-1/2", "RH"))
+
+
+def test_balance_tangent_cliff_runs_in_a_subprocess():
+    # every pairwise crossing of the 2000 tangents is distinct and inside
+    # [-1, 0], so a cubic balance would take hours; the timeout fails it
+    size = 2000
+    long = ";".join(f"-{k**4}/{size**4},-{2 * k * k}/{size * size}" for k in range(1, size + 1))
+    script = ("import sys; from latharm.cli import main; "
+              "sys.exit(main(['balance', '--long=' + sys.argv[1], '--short', '0,0']))")
+    done = subprocess.run([sys.executable, "-c", script, long], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["alpha=0", "theta=0", "active=1"]
+
+
+def test_exppairs_loads_without_numpy():
+    # pair, balance and table need only the standard library
+    script = ("import importlib.util, sys; "
+              "spec = importlib.util.spec_from_file_location('exppairs', sys.argv[1]); "
+              "module = importlib.util.module_from_spec(spec); "
+              "sys.modules['exppairs'] = module; spec.loader.exec_module(module); "
+              "print(module.balance(module.LONG_SUM_MODELS['classic'], "
+              "module.short_sum_terms('cusp')), 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script, str(SRC / "latharm" / "exppairs.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"
+    assert done.stdout.startswith("theta=83/64 at alpha=-37/64")
 
 
 # -- closed-form exponent -----------------------------------------------------------
