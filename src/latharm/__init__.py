@@ -4,119 +4,3 @@ Exact shell coefficients and ball sums, oscillatory exponential sums with a
 symbolic radial Fourier term algebra, theta-series modularity checks, and an
 exact rational exponent-pair/balancing calculus.
 """
-
-from .exppairs import (
-    BalanceResult,
-    ErrorTerm,
-    ExponentPair,
-    KNOWN_PAIRS,
-    exponent_table,
-    balance,
-    long_sum_terms,
-    pair_A,
-    pair_B,
-    pair_apply_word,
-    short_sum_terms,
-    theta_formula,
-)
-from .lattice import (
-    CoefficientSeries,
-    SumReport,
-    ball_sum,
-    ball_sum_report,
-    coeff_series,
-    coefficient_bound_report,
-    cutoff_f,
-    long_sum_physical,
-    long_sum_report,
-    main_term,
-    representations,
-    short_sum,
-    short_sum_report,
-    two_adic_part,
-)
-from .modular import (
-    GammaElement,
-    ThetaContext,
-    automorphy_j,
-    epsilon_d,
-    gamma0_4_from_cd,
-    gauss_sum_closed,
-    gauss_sum_direct,
-    quadratic_sum_S,
-    shimura_legendre,
-    theta_context,
-    theta_eval,
-    transformation_check,
-)
-from .oscsum import (
-    FourierTerms,
-    RadialTerm,
-    bound_check_VNQR,
-    exp_sum_lattice,
-    freq_long_sum,
-    gP_fourier_terms,
-)
-from .poly import (
-    GaussianRational,
-    HarmonicDecomposition,
-    Polynomial3,
-    harmonic_decompose,
-    parse_poly,
-    sphere_average,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BalanceResult",
-    "CoefficientSeries",
-    "ErrorTerm",
-    "ExponentPair",
-    "FourierTerms",
-    "GammaElement",
-    "GaussianRational",
-    "HarmonicDecomposition",
-    "KNOWN_PAIRS",
-    "Polynomial3",
-    "RadialTerm",
-    "SumReport",
-    "ThetaContext",
-    "exponent_table",
-    "automorphy_j",
-    "balance",
-    "ball_sum",
-    "ball_sum_report",
-    "bound_check_VNQR",
-    "coeff_series",
-    "coefficient_bound_report",
-    "cutoff_f",
-    "epsilon_d",
-    "exp_sum_lattice",
-    "freq_long_sum",
-    "gP_fourier_terms",
-    "gamma0_4_from_cd",
-    "gauss_sum_closed",
-    "gauss_sum_direct",
-    "harmonic_decompose",
-    "long_sum_physical",
-    "long_sum_report",
-    "long_sum_terms",
-    "main_term",
-    "pair_A",
-    "pair_B",
-    "pair_apply_word",
-    "parse_poly",
-    "quadratic_sum_S",
-    "representations",
-    "shimura_legendre",
-    "short_sum",
-    "short_sum_report",
-    "short_sum_terms",
-    "sphere_average",
-    "theta_context",
-    "theta_eval",
-    "theta_formula",
-    "transformation_check",
-    "two_adic_part",
-]

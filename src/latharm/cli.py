@@ -129,6 +129,8 @@ def cmd_sum(args) -> int:
 
 @_domain_errors_are_usage
 def cmd_coeffs(args) -> int:
+    if args.json and args.csv is not None:
+        raise UsageError("--csv and --json exclude each other")
     p = _poly_arg(args.poly)
     series = lattice.coeff_series(p, args.n_max)
     if args.json:
@@ -187,6 +189,10 @@ def _parse_h(text: str) -> tuple[float, float, float]:
 
 @_domain_errors_are_usage
 def cmd_expsum(args) -> int:
+    if args.n is not None and args.n_list is not None:
+        raise UsageError("--n and --n-list exclude each other")
+    if args.csv is not None and (args.n_list is None or args.json):
+        raise UsageError("--csv writes the --n-list sweep and excludes --json")
     _require_finite(args, "r")
     q = _poly_arg(args.poly)
     h = _parse_h(args.h) if args.h else (0.0, 0.0, 0.0)
@@ -299,6 +305,8 @@ def _headline_fit(mags: np.ndarray | list[float]) -> FitResult:
 
 @_domain_errors_are_usage
 def cmd_fit(args) -> int:
+    if args.from_csv and (args.poly is not None or args.csv is not None):
+        raise UsageError("--from-csv re-fits a stored series: it takes no --poly or --csv")
     if args.from_csv:
         mags = _read_fit_csv(args.from_csv)
     else:
@@ -363,6 +371,8 @@ def cmd_theta_check(args) -> int:
         raise UsageError(f"--tol must be positive, got {args.tol!r}")
     if not 1 <= args.sample <= modular.SAMPLE_CAP:
         raise UsageError(f"--sample must be between 1 and {modular.SAMPLE_CAP}")
+    if args.z is not None and not args.gamma:
+        raise UsageError("--z needs --gamma")
     p = _poly_arg(args.poly)
     if args.gamma:
         try:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -72,51 +72,42 @@ def representations(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def two_adic_part(n: int) -> int:
-    """Largest power of two dividing n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return n & -n
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSeries:
     """Exact shell sums a_n = totals[n] / denom for 1 <= n <= n_max of a
     homogeneous polynomial; totals[0] / denom is its value at the origin.
-    int64_totals, when given, is the same totals as an int64 array."""
+    totals is the read-only array `shell_totals` returns: int64, or Python
+    ints in an object array."""
 
     nu: int
     poly_id: str
     denom: int
-    totals: tuple[int, ...]
+    totals: np.ndarray
     n_max: int
     is_harmonic: bool
-    int64_totals: np.ndarray | None = field(default=None, compare=False, hash=False,
-                                            repr=False)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """a_1 .. a_n_max as Fractions."""
-        return tuple(Fraction(t, self.denom) for t in self.totals[1:])
+        return tuple(Fraction(t, self.denom) for t in self.totals[1:].tolist())
 
     def a(self, n: int) -> Fraction:
         if not 1 <= n <= self.n_max:
             raise IndexError(f"n={n} outside 1..{self.n_max}")
-        return Fraction(self.totals[n], self.denom)
+        return Fraction(int(self.totals[n]), self.denom)
 
     def to_csv(self) -> str:
         lines = ["n,a_n"]
-        rows = enumerate(self.totals[1:], start=1)
+        tail = self.totals[1:]
         if self.denom == 1:  # every a_n is an integer: no reduction to do
             try:
-                values = (np.fromiter(self.totals[1:], dtype=np.int64)
-                          if self.int64_totals is None else self.int64_totals[1:])
+                values = tail.astype(np.int64, copy=False)
             except OverflowError:  # a value outside int64: Python's digits
-                lines += [f"{n},{t}" for n, t in rows]
+                lines += [f"{n},{t}" for n, t in enumerate(tail.tolist(), start=1)]
             else:
                 return "n,a_n\n" + _csv_rows(values)
         else:
-            for n, t in rows:
+            for n, t in enumerate(tail.tolist(), start=1):
                 g = math.gcd(t, self.denom)
                 num, den = t // g, self.denom // g
                 lines.append(f"{n},{num}" if den == 1 else f"{n},{num}/{den}")
@@ -634,10 +625,9 @@ def coeff_series(p: Polynomial3, n_max: int) -> CoefficientSeries:
         nu=p.degree,
         poly_id=p.to_string(),
         denom=denom,
-        totals=tuple(totals.tolist()),
+        totals=totals,
         n_max=n_max,
         is_harmonic=p.is_harmonic,
-        int64_totals=totals if totals.dtype == np.int64 else None,
     )
 
 

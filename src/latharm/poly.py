@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 Monomial = tuple[int, int, int]
 
@@ -255,12 +255,6 @@ class Polynomial3:
                 pieces.append(piece)
         return "".join(pieces)
 
-    def canonical_lines(self) -> str:
-        """Serialized form: one `coef i j k` line per monomial, lex-sorted."""
-        lines = [f"{Fraction(n, self.denom)} {i} {j} {k}"
-                 for (i, j, k), n in sorted(self.terms.items())]
-        return "\n".join(lines)
-
     def __str__(self) -> str:
         return self.to_string()
 
@@ -428,22 +422,6 @@ class HarmonicDecomposition:
 
     degree: int
     parts: tuple[tuple[int, Polynomial3], ...]
-
-    def reconstruct(self) -> Polynomial3:
-        r2 = Polynomial3.norm_squared()
-        total = Polynomial3.zero()
-        for d, component in self.parts:
-            total = total + (r2**d) * component
-        return total
-
-    def component(self, d: int) -> Polynomial3:
-        for dd, comp in self.parts:
-            if dd == d:
-                return comp
-        return Polynomial3.zero()
-
-    def __iter__(self) -> Iterator[tuple[int, Polynomial3]]:
-        return iter(self.parts)
 
 
 def harmonic_decompose(p: Polynomial3) -> HarmonicDecomposition:

@@ -368,6 +368,19 @@ BAD_INPUT = {
     "expsum-n-non-ascii-digit": ("expsum", "--poly", "1", "--r", "10", "--n", "\u06630"),
     "shortsum-r-non-ascii-digit": ("shortsum", "--poly", "1", "--r", "\u0665", "--h", "0.5"),
     "fit-from-csv-non-ascii-digit": ("fit", "--from-csv", "{tmp}/non-ascii.csv"),
+    # a flag the command would silently ignore
+    "coeffs-json-and-csv": ("coeffs", "--poly", "1", "--n-max", "4", "--json",
+                            "--csv", "{tmp}/a.csv"),
+    "expsum-n-and-n-list": ("expsum", "--poly", "1", "--r", "10", "--n", "16",
+                            "--n-list", "4,16"),
+    "expsum-csv-without-n-list": ("expsum", "--poly", "1", "--r", "10", "--n", "16",
+                                  "--csv", "{tmp}/v.csv"),
+    "expsum-csv-and-json": ("expsum", "--poly", "1", "--r", "10", "--n-list", "4,16",
+                            "--json", "--csv", "{tmp}/v.csv"),
+    "theta-check-z-without-gamma": ("theta-check", "--z", "0,0.5", "--sample", "1",
+                                    "--n-max", "256"),
+    "fit-from-csv-and-poly": ("fit", "--from-csv", "{tmp}/series.csv", "--poly", QUARTIC),
+    "fit-from-csv-and-csv": ("fit", "--from-csv", "{tmp}/series.csv", "--csv", "{tmp}/f.csv"),
 }
 
 
@@ -380,6 +393,8 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "abs-sum-inf.csv").write_text("n,R,abs_sum\n1,1.0,12.0\n2,1.4142135623730951,inf\n")
     (tmp_path / "abs-sum-nan.csv").write_text("n,R,abs_sum\n1,1.0,nan\n")
     (tmp_path / "non-ascii.csv").write_text("n,R,abs_sum\n1,1.0,\u0661\u0662.0\n")
+    (tmp_path / "series.csv").write_text("n,R,abs_sum\n" + "".join(
+        f"{n},{math.sqrt(n)!r},{float(n)!r}\n" for n in range(1, 65)))  # a valid series
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

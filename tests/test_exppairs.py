@@ -341,19 +341,28 @@ def test_balance_tangent_cliff_runs_in_a_subprocess():
     assert done.stdout.splitlines() == ["alpha=0", "theta=0", "active=1"]
 
 
+def _fresh_import(script: str) -> str:
+    """stdout of `script` run in a fresh interpreter that imports from src/."""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_package_import_loads_no_module():
+    # the package exposes its modules, and importing it loads none of them
+    out = _fresh_import("import sys, latharm; print(sorted(m for m in sys.modules "
+                        "if m.startswith('latharm.') or m == 'numpy'))")
+    assert out.strip() == "[]"
+
+
 def test_exppairs_loads_without_numpy():
     # pair, balance and table need only the standard library
-    script = ("import importlib.util, sys; "
-              "spec = importlib.util.spec_from_file_location('exppairs', sys.argv[1]); "
-              "module = importlib.util.module_from_spec(spec); "
-              "sys.modules['exppairs'] = module; spec.loader.exec_module(module); "
-              "print(module.balance(module.LONG_SUM_MODELS['classic'], "
-              "module.short_sum_terms('cusp')), 'numpy' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", script, str(SRC / "latharm" / "exppairs.py")],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-1] == "False"
-    assert done.stdout.startswith("theta=83/64 at alpha=-37/64")
+    out = _fresh_import("import sys, latharm.exppairs as m; "
+                        "print(m.balance(m.LONG_SUM_MODELS['classic'], m.short_sum_terms('cusp')), "
+                        "'numpy' in sys.modules)")
+    assert out.split()[-1] == "False"
+    assert out.startswith("theta=83/64 at alpha=-37/64")
 
 
 # -- closed-form exponent -----------------------------------------------------------

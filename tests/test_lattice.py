@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -29,7 +28,6 @@ from latharm.lattice import (
     shell_totals,
     short_sum,
     short_sum_report,
-    two_adic_part,
 )
 from latharm.oscsum import freq_long_sum
 from latharm.poly import Polynomial3, parse_poly, sphere_average
@@ -532,8 +530,8 @@ def test_integer_series_edge_values(expr):
     assert [series.a(n) for n in range(1, n_max + 1)] == expected
     assert series.to_csv() == "n,a_n\n" + "".join(
         f"{n},{v}\n" for n, v in enumerate(expected, start=1))
-    assert series == coeff_series(p, n_max)
-    assert hash(series) == hash(coeff_series(p, n_max))
+    again = coeff_series(p, n_max)
+    assert (again.totals.tolist(), again.values) == (series.totals.tolist(), series.values)
     # one float conversion, each value rounded once from the exact integers
     denom, totals = shell_totals(p, n_max)
     floats = shell_floats(denom, totals)
@@ -546,7 +544,8 @@ def test_integer_series_edge_values(expr):
 def test_csv_rows_are_reduced_fractions(denom):
     # reference: each row reduced by its own gcd with the denominator
     totals = (0, 3, -4, 0, 9, 1 << 70, -(1 << 70) - 3)
-    series = CoefficientSeries(nu=0, poly_id="p", denom=denom, totals=totals,
+    series = CoefficientSeries(nu=0, poly_id="p", denom=denom,
+                               totals=np.array(totals, dtype=object),
                                n_max=len(totals) - 1, is_harmonic=True)
     rows = []
     for n, t in enumerate(totals[1:], start=1):
@@ -555,19 +554,23 @@ def test_csv_rows_are_reduced_fractions(denom):
     assert series.to_csv() == "\n".join(["n,a_n"] + rows) + "\n"
 
 
-@pytest.mark.parametrize("expr, n_max, int64", [
-    ("1", 4096, True), (QUARTIC_EXPR, 4096, True), ("1/3*x^2-1/7*y^2", 300, True),
-    (OCTIC_EXPR, 17000, False)], ids=["one", "quartic", "denominator", "octic-wide"])
-def test_csv_of_the_kept_int64_array_equals_the_tuple_path(expr, n_max, int64):
-    # coeff_series keeps its int64 totals beside the tuple; to_csv reads them
-    # and prints what the tuple alone prints
-    series = coeff_series(parse_poly(expr), n_max)
-    assert (series.int64_totals is not None) == int64
-    if int64:
-        assert series.int64_totals.tolist() == list(series.totals)
-    bare = dataclasses.replace(series, int64_totals=None)
-    assert bare == series
-    assert series.to_csv() == bare.to_csv()
+@pytest.mark.parametrize("expr, n_max, dtype, bits", [
+    ("1", 4096, np.int64, 0), (QUARTIC_EXPR, 4096, np.int64, 0),
+    ("1/3*x^2-1/7*y^2", 300, np.int64, 0), (OCTIC_EXPR, 8192, object, 59),
+    (OCTIC_EXPR, 17000, object, 64)],
+    ids=["one", "quartic", "denominator", "octic-prime-in-int64", "octic-past-int64"])
+def test_csv_of_each_series_array_equals_python_rows(expr, n_max, dtype, bits):
+    # the series holds the array shell_totals returns; its CSV is Python's
+    # rows of those totals, reduced by the denominator, on every dtype
+    p = parse_poly(expr)
+    denom, totals = shell_totals(p, n_max)
+    series = coeff_series(p, n_max)
+    assert series.totals.dtype == totals.dtype == dtype
+    assert series.totals.tolist() == totals.tolist()
+    if bits:  # a prime was drawn: one series fits int64, the other does not
+        assert max(abs(t) for t in totals.tolist()).bit_length() == bits
+    rows = [f"{n},{F(t, denom)}" for n, t in enumerate(totals[1:].tolist(), start=1)]
+    assert series.to_csv() == "\n".join(["n,a_n"] + rows) + "\n"
 
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -576,8 +579,14 @@ INT64_EDGES = sorted({0, INT64_MIN, INT64_MAX} | {
     s * v for k in range(1, 19) for v in (1, 10**k - 1, 10**k) for s in (1, -1)})
 
 
-def _int64_series(totals):
-    return CoefficientSeries(nu=0, poly_id="p", denom=1, totals=(0, *totals),
+def _series(totals):
+    """A series of the totals as shell_totals holds them: int64 when each
+    fits, else Python ints in an object array."""
+    try:
+        array = np.array([0, *totals], dtype=np.int64)
+    except OverflowError:
+        array = np.array([0, *totals], dtype=object)
+    return CoefficientSeries(nu=0, poly_id="p", denom=1, totals=array,
                              n_max=len(totals), is_harmonic=True)
 
 
@@ -593,7 +602,7 @@ def test_csv_kernel_matches_python_formatting(rows):
     totals[: 3 * rows // 4 : 7] = [0] * len(totals[: 3 * rows // 4 : 7])
     totals = [min(max(t, INT64_MIN), INT64_MAX) for t in totals]
     expected = "".join(f"{n},{t}\n" for n, t in enumerate(totals, start=1))
-    assert _int64_series(totals).to_csv() == "n,a_n\n" + expected
+    assert _series(totals).to_csv() == "n,a_n\n" + expected
     assert lattice._csv_rows(np.array(totals, dtype=np.int64)) == expected
 
 
@@ -601,10 +610,10 @@ def test_csv_kernel_edge_values():
     expected = "".join(f"{n},{t}\n" for n, t in enumerate(INT64_EDGES, start=1))
     assert lattice._csv_rows(np.array(INT64_EDGES, dtype=np.int64)) == expected
     for t in INT64_EDGES:  # each alone: the block's widths are its own
-        assert _int64_series([t]).to_csv() == f"n,a_n\n1,{t}\n"
+        assert _series([t]).to_csv() == f"n,a_n\n1,{t}\n"
     # one past either end of int64 leaves the kernel for Python's digits
     for t in (INT64_MAX + 1, INT64_MIN - 1):
-        assert _int64_series([5, t]).to_csv() == f"n,a_n\n1,5\n2,{t}\n"
+        assert _series([5, t]).to_csv() == f"n,a_n\n1,5\n2,{t}\n"
 
 
 @pytest.mark.parametrize("denom", [1, 3, 1 << 53, (1 << 53) + 1])
@@ -1018,12 +1027,18 @@ def test_main_term_against_quadrature(expr):
 # -- two-adic part and coefficient bounds ------------------------------------------------
 
 
+def two_adic_part(n: int) -> int:
+    """Largest power of two dividing n > 0, by repeated doubling."""
+    part = 1
+    while n % (2 * part) == 0:
+        part *= 2
+    return part
+
+
 def test_two_adic_part():
     assert two_adic_part(12) == 4
     assert two_adic_part(7) == 1
     assert two_adic_part(96) == 32  # 96 = 2^5 * 3
-    with pytest.raises(ValueError):
-        two_adic_part(0)
 
 
 def test_bound_report_rejects_nonharmonic():

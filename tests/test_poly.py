@@ -23,6 +23,25 @@ from conftest import QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
 X, Y, Z = sympy.symbols("x y z")
 
 
+def canonical_lines(p: Polynomial3) -> str:
+    """Serialized form: one `coef i j k` line per monomial, lex-sorted."""
+    return "\n".join(f"{Fraction(n, p.denom)} {i} {j} {k}"
+                     for (i, j, k), n in sorted(p.terms.items()))
+
+
+def reconstruct(d) -> Polynomial3:
+    """The sum of |x|^(2d) h_d over the parts of a harmonic decomposition."""
+    total = Polynomial3.zero()
+    for dd, component in d.parts:
+        total = total + Polynomial3.norm_squared() ** dd * component
+    return total
+
+
+def component(d, dd: int) -> Polynomial3:
+    """The harmonic part h_dd of a decomposition, zero when it has none."""
+    return dict(d.parts).get(dd, Polynomial3.zero())
+
+
 def to_sympy(p: Polynomial3):
     expr = sympy.Integer(0)
     for (i, j, k), c in p.sorted_terms():
@@ -233,7 +252,7 @@ def test_roundtrip_random_corpus():
 
 def test_canonical_lines_sorted():
     p = parse_poly("x^2-y^2")
-    assert p.canonical_lines() == "-1 0 2 0\n1 2 0 0"
+    assert canonical_lines(p) == "-1 0 2 0\n1 2 0 0"
 
 
 # -- representation: integer numerators over one reduced denominator ----------
@@ -369,20 +388,20 @@ def test_isotropic_powers_random_vectors():
 
 def test_decompose_norm_squared():
     d = harmonic_decompose(Polynomial3.norm_squared())
-    assert [(dd, c.to_string()) for dd, c in d] == [(1, "1")]
+    assert [(dd, c.to_string()) for dd, c in d.parts] == [(1, "1")]
 
 
 def test_decompose_x_squared():
     d = harmonic_decompose(parse_poly("x^2"))
-    parts = dict(d)
+    parts = dict(d.parts)
     assert parts[1] == parse_poly("1/3")
     assert parts[0] == parse_poly("x^2-1/3*(x^2+y^2+z^2)")
-    assert d.reconstruct() == parse_poly("x^2")
+    assert reconstruct(d) == parse_poly("x^2")
 
 
 def test_decompose_harmonic_is_identity(quartic):
     d = harmonic_decompose(quartic)
-    assert list(d) == [(0, quartic)]
+    assert d.parts == ((0, quartic),)
 
 
 def test_decompose_rejects_inhomogeneous():
@@ -396,11 +415,11 @@ def test_decompose_properties_on_corpus():
         for _ in range(4):
             p = random_homogeneous(rng, degree)
             d = harmonic_decompose(p)
-            assert d.reconstruct() == p
-            for dd, component in d:
-                assert not component.laplacian()
-                assert component.is_homogeneous
-                assert component.degree == degree - 2 * dd or not component
+            assert reconstruct(d) == p
+            for dd, part in d.parts:
+                assert not part.laplacian()
+                assert part.is_homogeneous
+                assert part.degree == degree - 2 * dd or not part
 
 
 # -- sphere averages ------------------------------------------------------------
@@ -440,5 +459,5 @@ def test_zero_mean_iff_no_constant_component():
     for degree in (2, 4, 6):
         for _ in range(6):
             p = random_homogeneous(rng, degree)
-            constant_part = harmonic_decompose(p).component(degree // 2)
+            constant_part = component(harmonic_decompose(p), degree // 2)
             assert (sphere_average(p) == 0) == (not constant_part)
