@@ -305,17 +305,18 @@ def _headline_fit(mags: np.ndarray | list[float]) -> FitResult:
 
 @_domain_errors_are_usage
 def cmd_fit(args) -> int:
-    if args.from_csv and (args.poly is not None or args.csv is not None):
-        raise UsageError("--from-csv re-fits a stored series: it takes no --poly or --csv")
+    if args.from_csv and any(v is not None for v in (args.poly, args.csv, args.r_max)):
+        raise UsageError("--from-csv re-fits a stored series: it takes no --poly, --csv or --r-max")
     if args.from_csv:
         mags = _read_fit_csv(args.from_csv)
     else:
         if args.poly is None:
             raise UsageError("fit needs --poly or --from-csv")
         p = _poly_arg(args.poly)
-        if args.r_max < 16:
+        r_max = 64 if args.r_max is None else args.r_max
+        if r_max < 16:
             raise UsageError("need --r-max >= 16")
-        mags = _headline_magnitudes(p, args.r_max)
+        mags = _headline_magnitudes(p, r_max)
         if args.csv:
             lines = ["n,R,abs_sum"]
             # Python floats: a numpy scalar's repr is np.float64(...)
@@ -369,10 +370,13 @@ def cmd_theta_check(args) -> int:
     _require_finite(args, "tol")
     if not args.tol > 0:
         raise UsageError(f"--tol must be positive, got {args.tol!r}")
-    if not 1 <= args.sample <= modular.SAMPLE_CAP:
+    sample = 50 if args.sample is None else args.sample
+    if not 1 <= sample <= modular.SAMPLE_CAP:
         raise UsageError(f"--sample must be between 1 and {modular.SAMPLE_CAP}")
     if args.z is not None and not args.gamma:
         raise UsageError("--z needs --gamma")
+    if args.gamma and (args.sample is not None or args.seed is not None):
+        raise UsageError("--gamma checks one point: it takes no --sample or --seed")
     p = _poly_arg(args.poly)
     if args.gamma:
         try:
@@ -394,7 +398,7 @@ def cmd_theta_check(args) -> int:
         reports = [modular.transformation_check(ctx, gamma, complex(zr, zi), tol=args.tol)]
     else:
         try:
-            reports = modular.sample_checks(ctx, args.sample, seed=args.seed, tol=args.tol)
+            reports = modular.sample_checks(ctx, sample, seed=args.seed or 0, tol=args.tol)
         except ValueError as exc:  # e.g. a tail that n_max cannot certify below tol
             raise UsageError(str(exc))
     sys.stdout.write(_report_lines(reports, args.json))
@@ -407,13 +411,13 @@ def cmd_theta_check(args) -> int:
 def cmd_gauss(args) -> int:
     # every domain error, in the direct sum's order, before the O(|c|) sum
     modular.check_gauss_domain(args.d, args.c)
-    closed = modular.gauss_sum_closed(args.d, args.c)
-    direct = modular.gauss_sum_direct(args.d, args.c)
+    closed = modular.gauss_sum_closed(args.d, args.c)  # 4 | c, as S(xi) needs
+    xis = (0,) if args.xi is None else (0, args.xi)  # one root table for both sums
+    direct, *s_val = modular.quadratic_phase_sums(args.d, args.c, xis)
     diff = abs(direct - closed)
     print(f"direct={direct:.12g} closed={closed:.12g} |diff|={diff:.3e}")
-    if args.xi is not None:
-        s_val = modular.quadratic_sum_S(args.xi, args.d, args.c)
-        print(f"S(xi={args.xi})={s_val:.12g}")
+    if s_val:
+        print(f"S(xi={args.xi})={s_val[0]:.12g}")
     if diff > 1e-10:
         raise CheckFailed("closed form disagrees with direct sum")
     return 0
@@ -422,15 +426,22 @@ def cmd_gauss(args) -> int:
 # -- parser wiring -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals are usage errors: one `error:` line."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latharm",
         description="Lattice sums of polynomials over spheres: exact series, "
         "oscillatory sums, theta modularity checks, exponent balancing.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
@@ -492,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fit", cmd_fit, "fit the growth exponent of the headline sum")
     p.add_argument("--poly", default=None)
-    p.add_argument("--r-max", type=_int, default=64)
+    p.add_argument("--r-max", type=_int, default=None, help="default 64")
     p.add_argument("--subtract-main", action="store_true",
                    help="accepted and ignored: the volume term of a P with nonzero "
                    "sphere mean is always subtracted")
@@ -506,10 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a,b,c,d; a negative a needs the = form, --gamma=-1,0,0,-1")
     p.add_argument("--z", default=None,
                    help="re,im; a negative re needs the = form, --z=-0.25,0.5")
-    p.add_argument("--sample", type=_int, default=50)
+    p.add_argument("--sample", type=_int, default=None, help="default 50")
     p.add_argument("--tol", type=_float, default=1e-6)
     p.add_argument("--n-max", type=_int, default=modular.DEFAULT_N_MAX)
-    p.add_argument("--seed", type=_int, default=0, help="seed for sampled checks")
+    p.add_argument("--seed", type=_int, default=None, help="seed for sampled checks, default 0")
     p.add_argument("--json", action="store_true")
 
     p = add("gauss", cmd_gauss, "quadratic Gauss sum, direct vs closed form")
@@ -524,8 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)  # a non-ASCII number raises UsageError
         return args.fn(args)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already; normalize others
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0,) else 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,20 +97,13 @@ class CoefficientSeries:
         return Fraction(int(self.totals[n]), self.denom)
 
     def to_csv(self) -> str:
-        lines = ["n,a_n"]
-        tail = self.totals[1:]
         if self.denom == 1:  # every a_n is an integer: no reduction to do
-            try:
-                values = tail.astype(np.int64, copy=False)
-            except OverflowError:  # a value outside int64: Python's digits
-                lines += [f"{n},{t}" for n, t in enumerate(tail.tolist(), start=1)]
-            else:
-                return "n,a_n\n" + _csv_rows(values)
-        else:
-            for n, t in enumerate(tail.tolist(), start=1):
-                g = math.gcd(t, self.denom)
-                num, den = t // g, self.denom // g
-                lines.append(f"{n},{num}" if den == 1 else f"{n},{num}/{den}")
+            return "n,a_n\n" + _csv_rows(self.totals[1:])
+        lines = ["n,a_n"]
+        for n, t in enumerate(self.totals[1:].tolist(), start=1):
+            g = math.gcd(t, self.denom)
+            num, den = t // g, self.denom // g
+            lines.append(f"{n},{num}" if den == 1 else f"{n},{num}/{den}")
         return "\n".join(lines) + "\n"
 
 
@@ -146,14 +139,20 @@ def _put_decimal(u: np.ndarray, columns: np.ndarray) -> None:
 
 
 def _csv_rows(values: np.ndarray) -> str:
-    """f"{n},{t}\n" for t in the int64 array values, n from 1, concatenated.
-    Each block of CSV_BLOCK_ROWS rows is a uint32 matrix, per row the chunks
-    of n, a word ",", or ",-", the chunks of |t| and a word "\n", all
-    padded by 0 bytes that bytes.translate deletes."""
+    """f"{n},{t}\n" for t in the integer array values, n from 1, concatenated.
+    Each block of CSV_BLOCK_ROWS rows that fits int64 is a uint32 matrix, per
+    row the chunks of n, a word ",", or ",-", the chunks of |t| and a word
+    "\n", all padded by 0 bytes that bytes.translate deletes; a block with a
+    value outside int64 (an object array's) takes Python's digits."""
     comma, minus, newline = np.frombuffer(b",\0\0\0\0-\0\0\n\0\0\0", dtype=np.uint32)
     blocks = []
     for start in range(0, len(values), CSV_BLOCK_ROWS):
-        t = values[start : start + CSV_BLOCK_ROWS]
+        try:
+            t = values[start : start + CSV_BLOCK_ROWS].astype(np.int64, copy=False)
+        except OverflowError:
+            rows = enumerate(values[start : start + CSV_BLOCK_ROWS].tolist(), start=start + 1)
+            blocks.append("".join([f"{n},{v}\n" for n, v in rows]).encode())
+            continue
         n = np.arange(start + 1, start + len(t) + 1, dtype=np.uint64)
         # |INT64_MIN| wraps to itself in int64, and reads as 2^63 in uint64
         a = np.abs(t).view(np.uint64)

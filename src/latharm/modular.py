@@ -357,17 +357,19 @@ def sample_checks(
 # -- quadratic Gauss sums ----------------------------------------------------
 
 
-def _quadratic_phase_sum(d: int, c: int, xi: int) -> complex:
-    """Sum of e(d (m^2 + m xi) / c) over m mod c, in one numpy pass.
+def quadratic_phase_sums(d: int, c: int, xis: tuple[int, ...]) -> list[complex]:
+    """Sum of e(d (m^2 + m xi) / c) over m mod c for each xi, in m order
+    (numpy's pairwise sum), the callers having checked the domain.
 
-    Each phase r / c is reduced exactly in integers: d and xi are reduced mod
-    c as Python ints first, so with |c| <= N_MAX_CAP (checked by the callers)
-    every int64 product stays below 2 |c|^2 <= 2e12.  r / c is then the
-    correctly rounded float of the phase, and numpy sums the terms pairwise.
+    The phase of m is r / c, r = d (m^2 + m xi) mod c = s k for s the sign
+    of c and k = s d (m^2 + m xi) mod |c|, so entry k of the one table is
+    e of the correctly rounded float s k / c, -0.0 included.  The index is
+    reduced in integers: every int64 product is below 2 |c|^2 <= 2e12.
     """
-    m = np.arange(abs(c), dtype=np.int64)
-    r = d % c * ((m * m + m * (xi % c)) % c) % c
-    return complex(np.exp(2j * np.pi * (r / c)).sum())
+    n, s = abs(c), 1 if c > 0 else -1
+    m = np.arange(n, dtype=np.int64)
+    roots = np.exp(2j * np.pi * (s * m / c))
+    return [complex(roots[s * d % n * ((m * m + m * (xi % n)) % n) % n].sum()) for xi in xis]
 
 
 def check_gauss_domain(d: int, c: int) -> None:
@@ -384,7 +386,7 @@ def check_gauss_domain(d: int, c: int) -> None:
 def gauss_sum_direct(d: int, c: int) -> complex:
     """Sum of e(d m^2 / c) over m mod c, by direct summation."""
     check_gauss_domain(d, c)
-    return _quadratic_phase_sum(d, c, 0)
+    return quadratic_phase_sums(d, c, (0,))[0]
 
 
 def gauss_sum_closed(d: int, c: int) -> complex:
@@ -405,4 +407,4 @@ def quadratic_sum_S(xi: int, d: int, c: int) -> complex:
     if c == 0 or c % 4 != 0:
         raise ValueError("requires 4 | c, c != 0")
     check_gauss_domain(d, c)
-    return _quadratic_phase_sum(d, c, xi)
+    return quadratic_phase_sums(d, c, (xi,))[0]

@@ -8,13 +8,12 @@ equal polynomials have equal `terms` and `denom`, and the lattice engine
 reads them as its integer form directly.  Parsing, arithmetic,
 differentiation, harmonic decomposition and sphere averages are integer
 operations that never touch floating point; `Fraction`s are built only where
-a coefficient or a value is read out.  `parse_poly` scans its text once,
-with one regular expression, into a token list that a recursive descent
-reads; a bad character is a token that raises only when the descent
-reaches it, so errors come in the order the grammar meets them.  A
-coefficient's read-out (`coefficient`, `sorted_terms`) keeps the
-`GaussianRational` shape, with a zero imaginary part, for the callers that
-read `.re`.
+a coefficient or a value is read out (`coefficient` and `sorted_terms` keep
+the `GaussianRational` shape, with a zero imaginary part).  The operators
+and `parse_poly` share one set of helpers on (numerator dict, denominator)
+pairs; the parser's descent is one loop over a regex token list that builds
+one Polynomial3 at the end, and a bad character raises only when the descent
+reaches it, so errors come in the order the grammar meets them.
 """
 
 from __future__ import annotations
@@ -23,15 +22,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, NoReturn
 
 Monomial = tuple[int, int, int]
 
 DEFAULT_DEGREE_CAP = 64
 # Largest coefficient numerator or denominator, in bits, that parsing builds.
 COEFF_BIT_CAP = 1 << 16
-# Deepest parenthesis nesting that parsing accepts: each level takes four
-# Python frames, so a deeper one would meet the interpreter's recursion limit.
+# Deepest parenthesis nesting that parsing accepts.
 PAREN_DEPTH_CAP = 100
 
 VARIABLE_NAMES = ("x", "y", "z")
@@ -56,6 +54,67 @@ class GaussianRational(NamedTuple):
     im: Fraction
 
 
+# -- integer-form arithmetic ---------------------------------------------------
+# On numerator dicts over a denominator.  `_mul` and `_pow` store no zero
+# numerator when their inputs store none, and a power of a reduced form is
+# reduced: the content of a product is the product of the contents.
+
+
+def _reduced(terms: Mapping[Monomial, int], denom: int) -> tuple[dict[Monomial, int], int]:
+    """terms / denom in the canonical form: no zero numerator, lowest terms."""
+    terms = {m: c for m, c in terms.items() if c}
+    if denom > 1 and (g := math.gcd(denom, *terms.values())) > 1:
+        return {m: c // g for m, c in terms.items()}, denom // g
+    return terms, denom
+
+
+def _add(a: Mapping[Monomial, int], da: int, b: Mapping[Monomial, int], db: int,
+         sign: int = 1) -> tuple[dict[Monomial, int], int]:
+    """a / da + sign b / db as numerators over lcm(da, db)."""
+    d = da if da == db else math.lcm(da, db)
+    sa, sb = d // da, d // db * sign
+    out = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
+    get = out.get
+    for m, c in b.items():
+        out[m] = get(m, 0) + c * sb
+    return out, d
+
+
+def _neg(a: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    return {m: -c for m, c in a.items()}
+
+
+def _mul(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """The numerators of a b."""
+    if len(a) == 1:  # one term times b: the monomials stay distinct
+        a, b = b, a
+    if len(b) == 1:
+        ((p, q, r), e), = b.items()
+        return {(i + p, j + q, k + r): c * e for (i, j, k), c in a.items()}
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for (i, j, k), c in a.items():
+        for (p, q, r), e in b.items():
+            mono = (i + p, j + q, k + r)
+            out[mono] = get(mono, 0) + c * e
+    return {m: c for m, c in out.items() if c}
+
+
+def _pow(a: Mapping[Monomial, int], d: int, n: int) -> tuple[dict[Monomial, int], int]:
+    """(a / d)^n for n >= 0, by repeated squaring; one term is c^n at n times its exponents."""
+    if len(a) == 1:
+        ((i, j, k), c), = a.items()
+        return {(i * n, j * n, k * n): c**n}, d**n
+    result, k = None, n
+    while k:
+        if k & 1:
+            result = a if result is None else _mul(result, a)
+        k >>= 1
+        if k:
+            a = _mul(a, a)
+    return (dict(result), d**n) if n else ({(0, 0, 0): 1}, 1)
+
+
 class Polynomial3:
     """Sparse polynomial in x, y, z: integer numerators over `denom`.
 
@@ -70,17 +129,7 @@ class Polynomial3:
     def __init__(self, terms: Mapping[Monomial, int], denom: int):
         if denom < 1:
             raise ValueError("the denominator must be a positive integer")
-        cleaned: dict[Monomial, int] = {}
-        g = denom
-        for mono, c in terms.items():
-            if c:
-                cleaned[mono] = c
-                if g != 1:
-                    g = math.gcd(g, c)
-        if g != 1:
-            cleaned = {m: c // g for m, c in cleaned.items()}
-        self.terms = cleaned
-        self.denom = denom // g
+        self.terms, self.denom = _reduced(terms, denom)
 
     # -- constructors ------------------------------------------------------
 
@@ -92,11 +141,6 @@ class Polynomial3:
     def constant(value: int | Fraction) -> "Polynomial3":
         value = Fraction(value)
         return Polynomial3({(0, 0, 0): value.numerator}, value.denominator)
-
-    @staticmethod
-    def variable(axis: int) -> "Polynomial3":
-        mono = tuple(1 if a == axis else 0 for a in range(3))
-        return Polynomial3({mono: 1}, 1)  # type: ignore[dict-item]
 
     @staticmethod
     def norm_squared() -> "Polynomial3":
@@ -139,43 +183,25 @@ class Polynomial3:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial3") -> "Polynomial3":
-        denom = math.lcm(self.denom, other.denom)
-        a, b = denom // self.denom, denom // other.denom
-        out = {m: c * a for m, c in self.terms.items()}
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c * b
-        return Polynomial3(out, denom)
+        return Polynomial3(*_add(self.terms, self.denom, other.terms, other.denom))
 
     def __sub__(self, other: "Polynomial3") -> "Polynomial3":
-        return self + -other
+        return Polynomial3(*_add(self.terms, self.denom, other.terms, other.denom, -1))
 
     def __neg__(self) -> "Polynomial3":
-        return Polynomial3({m: -c for m, c in self.terms.items()}, self.denom)
+        return Polynomial3(_neg(self.terms), self.denom)
 
     def __mul__(self, other: "Polynomial3 | int | Fraction") -> "Polynomial3":
         if not isinstance(other, Polynomial3):
             other = Polynomial3.constant(other)
-        out: dict[Monomial, int] = {}
-        for m1, a in self.terms.items():
-            for m2, c in other.terms.items():
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out[mono] = out.get(mono, 0) + a * c
-        return Polynomial3(out, self.denom * other.denom)
+        return Polynomial3(_mul(self.terms, other.terms), self.denom * other.denom)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial3":
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Polynomial3.constant(1)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return Polynomial3(*_pow(self.terms, self.denom, n))
 
     # -- calculus ----------------------------------------------------------
 
@@ -230,29 +256,20 @@ class Polynomial3:
         """Canonical expression string; parse_poly round-trips it exactly."""
         if not self.terms:
             return "0"
+        denom = self.denom
         pieces: list[str] = []
         for mono, n in sorted(self.terms.items()):
-            factors = [
-                f"{name}^{e}" if e > 1 else name
-                for name, e in zip(VARIABLE_NAMES, mono)
-                if e > 0
-            ]
-            body = "*".join(factors)
-            c = Fraction(n, self.denom)
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            if pieces:
-                pieces.append(sign + piece)
-            elif sign == "-":
-                pieces.append("-" + piece)
-            else:
-                pieces.append(piece)
+            body = "*".join([name if e == 1 else f"{name}^{e}"
+                             for name, e in zip(VARIABLE_NAMES, mono) if e])
+            mag = -n if n < 0 else n
+            if denom == 1:
+                text = str(mag)
+            else:  # n / denom in lowest terms, as str(Fraction(n, denom)) spells it
+                g = math.gcd(mag, denom)
+                text = f"{mag // g}/{denom // g}" if g != denom else str(mag // g)
+            if body:
+                text = body if mag == denom else f"{text}*{body}"
+            pieces.append(("-" if n < 0 else "+" if pieces else "") + text)
         return "".join(pieces)
 
     def __str__(self) -> str:
@@ -265,11 +282,16 @@ class Polynomial3:
 # -- parsing ---------------------------------------------------------------
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<number>[0-9]+)|(?P<symbol>[-+*^()/xyz])|(?P<bad>\S))")
+# Before the first character outside the grammar, every token is a number or
+# a symbol; that character, found by a search of its own, ends the token list.
+_TOKEN = re.compile(r"[0-9]+|[-+*^()/xyz]")
+_BAD_CHARACTER = re.compile(r"[^\s0-9*^()/xyz+-]")
+_DIGITS = frozenset("0123456789")
+_VARIABLES = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 
 
-def _coefficient_bits(p: Polynomial3) -> int:
-    return max(p.denom, max(map(abs, p.terms.values()), default=0)).bit_length()
+def _coefficient_bits(terms: Mapping[Monomial, int], denom: int) -> int:
+    return max(denom, max(map(abs, terms.values()), default=0)).bit_length()
 
 
 def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
@@ -281,107 +303,114 @@ def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
     or parentheses nested past PAREN_DEPTH_CAP, DegreeCapError past the
     degree cap.
     """
-    tokens = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
-    tokens.append(("end", "", len(text)))
-    at = depth = 0
+    bad = _BAD_CHARACTER.search(text)
+    cut = bad.start() if bad else len(text)
+    tokens = _TOKEN.findall(text, 0, cut)
+    bad_at = len(tokens) if bad else -1  # reading the bad character raises
+    tokens.append(text[cut] if bad else "")  # "" is the end
 
-    def peek(ahead: int = 0) -> tuple[str, str, int]:
-        kind, value, pos = tokens[at + ahead]
-        if kind == "bad":  # raised only when the parser gets there
-            raise PolyParseError(f"unexpected character {value!r}", pos)
-        return kind, value, pos
+    def fail(message: str, i: int) -> NoReturn:
+        """Raise at token i, the bad character's message there; positions are found only here."""
+        if i == bad_at:
+            message = f"unexpected character {text[cut]!r}"
+        starts = [m.start() for m in _TOKEN.finditer(text, 0, cut)] + [cut]
+        raise PolyParseError(message, starts[i])
 
-    def take() -> tuple[str, str, int]:
-        nonlocal at
-        token = peek()
-        at += 1
-        return token
+    def sized(terms: dict, denom: int, bound: int, i: int) -> int:
+        """`bound` when it is within the cap, else the exact coefficient bits, refused past it."""
+        if bound <= COEFF_BIT_CAP:
+            return bound
+        if (bits := _coefficient_bits(terms, denom)) > COEFF_BIT_CAP:
+            fail(f"a {bits}-bit coefficient passes the {COEFF_BIT_CAP}-bit cap", i)
+        return bits
 
-    def sized(p: Polynomial3, pos: int) -> Polynomial3:
-        bits = _coefficient_bits(p)
-        if bits > COEFF_BIT_CAP:
-            raise PolyParseError(f"a {bits}-bit coefficient passes the {COEFF_BIT_CAP}-bit cap", pos)
-        return p
-
-    def expr() -> Polynomial3:
-        result = term()
-        while (op := peek()[1]) in ("+", "-"):
-            take()
-            rhs = term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
-
-    def term() -> Polynomial3:
-        result = factor()
-        while peek()[1] == "*":
-            pos = take()[2]
-            result = result * factor()
-            if result.degree > degree_cap:
-                raise DegreeCapError(f"degree {result.degree} exceeds degree cap {degree_cap}")
-            sized(result, pos)
-        return result
-
-    def factor() -> Polynomial3:
+    # The grammar's descent as one loop: expr = term (('+' | '-') term)*,
+    # term = factor ('*' factor)*, factor = ('+' | '-')* atom ('^' number)?.
+    # A factor is a reduced (terms, denom) with its degree and a bound on its
+    # coefficient bits, exact for an atom; an open '(' saves the outer state.
+    frames: list[tuple] = []
+    total = product = None  # the expression's sum so far, the term's product so far
+    at = sign = star = 0  # the token read, the sign before the term, the pending '*'
+    while True:
         negate = False  # a run of unary signs is read in one loop
-        while (sign := peek()[1]) in ("+", "-"):
-            take()
-            negate ^= sign == "-"
-        base = atom()
-        if peek()[1] == "^":
-            pos = take()[2]
-            kind, value, at_exponent = take()
-            if kind != "number":
-                raise PolyParseError("expected integer exponent after '^'", at_exponent)
-            exponent = int(value)
-            # degree(b^e) = e degree(b) for b != 0, and a constant's power has
-            # at least e (bits - 1) + 1 bits: both are refused unbuilt.  Past
-            # degree 0 the degree cap bounds e, so the power is built and sized.
-            if (degree := base.degree) * exponent > degree_cap:
-                raise DegreeCapError(f"exponent {exponent} exceeds degree cap {degree_cap}")
-            if not degree and exponent * (_coefficient_bits(base) - 1) >= COEFF_BIT_CAP:
-                raise PolyParseError(f"power {exponent} passes the {COEFF_BIT_CAP}-bit "
-                                     "coefficient cap", pos)
-            base = sized(base**exponent, pos)
-        return -base if negate else base
-
-    def atom() -> Polynomial3:
-        nonlocal depth
-        kind, value, pos = take()
-        if kind == "number":
-            return Polynomial3.constant(rational(int(value)))
-        if value in ("x", "y", "z"):
-            return Polynomial3.variable("xyz".index(value))
-        if value == "(":
-            if depth == PAREN_DEPTH_CAP:
-                raise PolyParseError(f"parentheses nested deeper than {PAREN_DEPTH_CAP}", pos)
-            depth += 1
-            inner = expr()
-            depth -= 1
-            kind, value, pos = take()
+        while (value := tokens[at]) in ("+", "-"):
+            negate ^= value == "-"
+            at += 1
+        at += 1
+        if value[:1] in _DIGITS:
+            p, q = int(value), 1
+            if tokens[at] == "/":  # a '/' not before a number is left to the caller
+                if at + 1 == bad_at:
+                    fail("", at + 1)
+                if tokens[at + 1][:1] in _DIGITS:
+                    if not (q := int(tokens[at + 1])):
+                        fail("zero denominator", at + 1)
+                    g = math.gcd(p, q)
+                    p, q = p // g, q // g
+                    at += 2
+            terms, denom, degree, bits = {(0, 0, 0): p} if p else {}, q, 0, max(p, q).bit_length()
+        elif value in _VARIABLES:
+            terms, denom, degree, bits = {_VARIABLES[value]: 1}, 1, 1, 1
+        elif value == "(":
+            if len(frames) == PAREN_DEPTH_CAP:
+                fail(f"parentheses nested deeper than {PAREN_DEPTH_CAP}", at - 1)
+            frames.append((total, sign, product, star, negate))
+            total = product = None
+            continue
+        else:
+            fail("expected number, variable or '('" if value else "unexpected end of input", at - 1)
+        while True:  # an atom is read; a ')' loops back here
+            if tokens[at] == "^":
+                caret = at
+                at += 1
+                if tokens[at][:1] not in _DIGITS:
+                    fail("expected integer exponent after '^'", at)
+                exponent = int(tokens[at])
+                at += 1
+                # degree(b^e) = e degree(b) for b != 0, and a constant's power has
+                # at least e (bits - 1) + 1 bits: both are refused unbuilt.  Past
+                # degree 0 the degree cap bounds e, so the power is built and sized:
+                # its coefficients are at most (len(b) max|c|)^e.
+                if degree * exponent > degree_cap:
+                    raise DegreeCapError(f"exponent {exponent} exceeds degree cap {degree_cap}")
+                if not degree and exponent * (bits - 1) >= COEFF_BIT_CAP:
+                    fail(f"power {exponent} passes the {COEFF_BIT_CAP}-bit coefficient cap", caret)
+                bound = exponent * (bits + len(terms).bit_length()) or 1
+                terms, denom = _pow(terms, denom, exponent)
+                degree *= exponent
+                bits = sized(terms, denom, bound, caret)
+            elif at == bad_at:
+                fail("", at)
+            terms = _neg(terms) if negate else terms
+            if product is not None:
+                # a product's coefficient sums at most min(len) products of two
+                a, a_denom, a_degree, a_bits = product
+                bound = a_bits + bits + min(len(a), len(terms)).bit_length()
+                terms, denom = _reduced(_mul(a, terms), a_denom * denom)
+                # the degree of a product of nonzero polynomials is the sum
+                if (degree := a_degree + degree if terms else 0) > degree_cap:
+                    raise DegreeCapError(f"degree {degree} exceeds degree cap {degree_cap}")
+                bits = sized(terms, denom, bound, star)
+            product = terms, denom, degree, bits
+            if (value := tokens[at]) == "*":
+                star = at
+                at += 1
+                break
+            total = (terms, denom) if total is None else _reduced(*_add(*total, terms, denom, sign))
+            if value in ("+", "-"):
+                sign = 1 if value == "+" else -1
+                product = None
+                at += 1
+                break
+            if not frames:
+                if value:
+                    fail(f"unexpected {value!r}", at)
+                return Polynomial3(*total)
             if value != ")":
-                raise PolyParseError("expected ')'", pos)
-            return inner
-        raise PolyParseError(
-            "expected number, variable or '('" if kind != "end" else "unexpected end of input",
-            pos,
-        )
-
-    def rational(numerator: int) -> Fraction:
-        nonlocal at
-        if peek()[1] == "/":  # a '/' not before a number is left to the caller
-            kind, value, pos = peek(1)
-            if kind == "number":
-                at += 2
-                if (denominator := int(value)) == 0:
-                    raise PolyParseError("zero denominator", pos)
-                return Fraction(numerator, denominator)
-        return Fraction(numerator)
-
-    result = expr()
-    kind, value, pos = peek()
-    if kind != "end":
-        raise PolyParseError(f"unexpected {value!r}", pos)
-    return result
+                fail("expected ')'", at)
+            at += 1
+            (terms, denom), (total, sign, product, star, negate) = total, frames.pop()
+            degree, bits = max(map(sum, terms), default=0), _coefficient_bits(terms, denom)
 
 
 # -- sphere averages and harmonic decomposition ------------------------------

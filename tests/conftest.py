@@ -23,6 +23,11 @@ def sextic() -> Polynomial3:
     return parse_poly(SEXTIC_EXPR)
 
 
+def variable(axis: int) -> Polynomial3:
+    """x, y or z (axis 0, 1, 2)."""
+    return Polynomial3({tuple(int(a == axis) for a in range(3)): 1}, 1)
+
+
 def random_homogeneous(rng: random.Random, degree: int, n_terms: int = 4) -> Polynomial3:
     """Random homogeneous polynomial with small rational coefficients."""
     terms = {}
@@ -33,7 +38,7 @@ def random_homogeneous(rng: random.Random, degree: int, n_terms: int = 4) -> Pol
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         if coeff:
             terms[(i, j, k)] = terms.get((i, j, k), Fraction(0)) + coeff
-    x, y, z = (Polynomial3.variable(axis) for axis in range(3))
+    x, y, z = (variable(axis) for axis in range(3))
     p = Polynomial3.zero()
     for (i, j, k), c in terms.items():
         p = p + c * x**i * y**j * z**k

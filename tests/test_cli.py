@@ -356,7 +356,7 @@ BAD_INPUT = {
     "freqsum-complex": ("freqsum", "--poly", "(x+i*y)^4", "--r", "10", "--h", "0.5",
                         "--n-trunc", "64"),
     "theta-check-complex": ("theta-check", "--poly", "(x+i*y)^4"),
-    # each level of nesting costs the parser four Python frames
+    # parentheses nest at most poly.PAREN_DEPTH_CAP (100) deep
     "sum-nested-250": ("sum", "--poly", "(" * 250 + "x" + ")" * 250, "--r-sq", "4"),
     # a model name resolves only in its own table
     "balance-long-takes-a-short-model": ("balance", "--long", "CI", "--short", "cusp"),
@@ -381,6 +381,18 @@ BAD_INPUT = {
                                     "--n-max", "256"),
     "fit-from-csv-and-poly": ("fit", "--from-csv", "{tmp}/series.csv", "--poly", QUARTIC),
     "fit-from-csv-and-csv": ("fit", "--from-csv", "{tmp}/series.csv", "--csv", "{tmp}/f.csv"),
+    "fit-from-csv-and-r-max": ("fit", "--from-csv", "{tmp}/series.csv", "--r-max", "16"),
+    "theta-check-gamma-and-sample": ("theta-check", "--gamma", "1,0,4,1", "--z", "0,0.5",
+                                     "--sample", "7", "--seed", "3", "--n-max", "256"),
+    "theta-check-gamma-and-seed": ("theta-check", "--gamma", "1,0,4,1", "--z", "0,0.5",
+                                   "--seed", "0", "--n-max", "256"),
+    # argparse's own refusals print one error line too
+    "pair-eps-and-no-eps": ("pair", "--pair", "0,1", "--eps", "--no-eps"),
+    "sum-missing-poly": ("sum", "--r-sq", "4"),
+    "unknown-command": ("bogus",),
+    "no-command": (),
+    "sum-r-sq-not-a-number": ("sum", "--poly", "1", "--r-sq", "abc"),
+    "sum-unknown-flag": ("sum", "--poly", "1", "--r-sq", "4", "--bogus"),
 }
 
 
@@ -405,6 +417,13 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert peak < 1 << 20  # refused before any large allocation
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("sum", "--help"), ("theta-check", "-h")])
+def test_help_exits_0_with_its_text(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: latharm") and err == ""
+
 
 @pytest.mark.parametrize("argv, message", [
     (("theta-check", "--poly", "x^\u00b2"), "unexpected character '\u00b2' (at position 2)"),

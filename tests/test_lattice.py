@@ -557,14 +557,23 @@ def test_csv_rows_are_reduced_fractions(denom):
 @pytest.mark.parametrize("expr, n_max, dtype, bits", [
     ("1", 4096, np.int64, 0), (QUARTIC_EXPR, 4096, np.int64, 0),
     ("1/3*x^2-1/7*y^2", 300, np.int64, 0), (OCTIC_EXPR, 8192, object, 59),
-    (OCTIC_EXPR, 17000, object, 64)],
-    ids=["one", "quartic", "denominator", "octic-prime-in-int64", "octic-past-int64"])
+    (OCTIC_EXPR, 17000, object, 64), (None, 3 * lattice.CSV_BLOCK_ROWS - 2, object, 65)],
+    ids=["one", "quartic", "denominator", "octic-prime-in-int64", "octic-past-int64",
+         "by-hand-past-int64-in-a-middle-block"])
 def test_csv_of_each_series_array_equals_python_rows(expr, n_max, dtype, bits):
     # the series holds the array shell_totals returns; its CSV is Python's
     # rows of those totals, reduced by the denominator, on every dtype
-    p = parse_poly(expr)
-    denom, totals = shell_totals(p, n_max)
-    series = coeff_series(p, n_max)
+    if expr is None:  # int64 values in the outer blocks, one past int64 in between
+        rng = random.Random(n_max)
+        denom, totals = 1, [0] + [rng.randrange(-(1 << 62), 1 << 62) for _ in range(n_max)]
+        totals[lattice.CSV_BLOCK_ROWS + 7] = -(1 << 64) - 7
+        totals = np.array(totals, dtype=object)
+        series = CoefficientSeries(nu=0, poly_id="p", denom=1, totals=totals, n_max=n_max,
+                                   is_harmonic=True)
+    else:
+        p = parse_poly(expr)
+        denom, totals = shell_totals(p, n_max)
+        series = coeff_series(p, n_max)
     assert series.totals.dtype == totals.dtype == dtype
     assert series.totals.tolist() == totals.tolist()
     if bits:  # a prime was drawn: one series fits int64, the other does not

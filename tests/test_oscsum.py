@@ -29,7 +29,7 @@ from latharm.oscsum import (
 )
 from latharm.poly import Polynomial3, parse_poly
 
-from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
+from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous, variable
 
 mp.mp.dps = 40
 
@@ -146,7 +146,7 @@ def test_terms_stay_in_convergent_shape():
 def _partial_term(t, axis):
     """d/dxi_axis of one term, computed in three dimensions."""
     out = []
-    xi_j = Polynomial3.variable(axis)
+    xi_j = variable(axis)
     dpoly = t.poly.partial(axis)
     if dpoly:
         out.append(RadialTerm(t.pi_pow, t.r_pow, t.h_pow, t.mix_pow, dpoly,

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import sympy
 
 from latharm.poly import (
     COEFF_BIT_CAP,
+    DEFAULT_DEGREE_CAP,
     PAREN_DEPTH_CAP,
     DegreeCapError,
     GaussianRational,
@@ -18,7 +20,7 @@ from latharm.poly import (
     sphere_average,
 )
 
-from conftest import QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
+from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous, variable
 
 X, Y, Z = sympy.symbols("x y z")
 
@@ -233,6 +235,307 @@ def test_parse_refuses_oversize_coefficients():
     assert parse_poly("1^1000000000*(-1)^1000000001") == Polynomial3.constant(-1)
 
 
+# -- the parser and printer they replaced, kept as references -----------------
+# A recursive descent over Polynomial3 operators, one Polynomial3 per step, and
+# a printer that reads each coefficient as a Fraction.
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(?P<number>[0-9]+)|(?P<symbol>[-+*^()/xyz])|(?P<bad>\S))")
+
+
+def _reference_bits(p: Polynomial3) -> int:
+    return max(p.denom, max(map(abs, p.terms.values()), default=0)).bit_length()
+
+
+def reference_parse(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
+    tokens = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex))
+              for m in _REFERENCE_TOKEN.finditer(text)]
+    tokens.append(("end", "", len(text)))
+    at = depth = 0
+
+    def peek(ahead=0):
+        kind, value, pos = tokens[at + ahead]
+        if kind == "bad":
+            raise PolyParseError(f"unexpected character {value!r}", pos)
+        return kind, value, pos
+
+    def take():
+        nonlocal at
+        token = peek()
+        at += 1
+        return token
+
+    def sized(p, pos):
+        bits = _reference_bits(p)
+        if bits > COEFF_BIT_CAP:
+            raise PolyParseError(f"a {bits}-bit coefficient passes the {COEFF_BIT_CAP}-bit cap",
+                                 pos)
+        return p
+
+    def expr():
+        result = term()
+        while (op := peek()[1]) in ("+", "-"):
+            take()
+            rhs = term()
+            result = result + rhs if op == "+" else result - rhs
+        return result
+
+    def term():
+        result = factor()
+        while peek()[1] == "*":
+            pos = take()[2]
+            result = result * factor()
+            if result.degree > degree_cap:
+                raise DegreeCapError(f"degree {result.degree} exceeds degree cap {degree_cap}")
+            sized(result, pos)
+        return result
+
+    def factor():
+        negate = False
+        while (sign := peek()[1]) in ("+", "-"):
+            take()
+            negate ^= sign == "-"
+        base = atom()
+        if peek()[1] == "^":
+            pos = take()[2]
+            kind, value, at_exponent = take()
+            if kind != "number":
+                raise PolyParseError("expected integer exponent after '^'", at_exponent)
+            exponent = int(value)
+            if (degree := base.degree) * exponent > degree_cap:
+                raise DegreeCapError(f"exponent {exponent} exceeds degree cap {degree_cap}")
+            if not degree and exponent * (_reference_bits(base) - 1) >= COEFF_BIT_CAP:
+                raise PolyParseError(f"power {exponent} passes the {COEFF_BIT_CAP}-bit "
+                                     "coefficient cap", pos)
+            base = sized(base**exponent, pos)
+        return -base if negate else base
+
+    def atom():
+        nonlocal depth
+        kind, value, pos = take()
+        if kind == "number":
+            return Polynomial3.constant(rational(int(value)))
+        if value in ("x", "y", "z"):
+            return variable("xyz".index(value))
+        if value == "(":
+            if depth == PAREN_DEPTH_CAP:
+                raise PolyParseError(f"parentheses nested deeper than {PAREN_DEPTH_CAP}", pos)
+            depth += 1
+            inner = expr()
+            depth -= 1
+            kind, value, pos = take()
+            if value != ")":
+                raise PolyParseError("expected ')'", pos)
+            return inner
+        raise PolyParseError(
+            "expected number, variable or '('" if kind != "end" else "unexpected end of input",
+            pos,
+        )
+
+    def rational(numerator):
+        nonlocal at
+        if peek()[1] == "/":
+            kind, value, pos = peek(1)
+            if kind == "number":
+                at += 2
+                if (denominator := int(value)) == 0:
+                    raise PolyParseError("zero denominator", pos)
+                return Fraction(numerator, denominator)
+        return Fraction(numerator)
+
+    result = expr()
+    kind, value, pos = peek()
+    if kind != "end":
+        raise PolyParseError(f"unexpected {value!r}", pos)
+    return result
+
+
+def reference_to_string(p: Polynomial3) -> str:
+    if not p.terms:
+        return "0"
+    pieces = []
+    for mono, n in sorted(p.terms.items()):
+        factors = [f"{name}^{e}" if e > 1 else name for name, e in zip("xyz", mono) if e > 0]
+        body = "*".join(factors)
+        c = Fraction(n, p.denom)
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if not body:
+            piece = str(mag)
+        elif mag == 1:
+            piece = body
+        else:
+            piece = f"{mag}*{body}"
+        if pieces:
+            pieces.append(sign + piece)
+        elif sign == "-":
+            pieces.append("-" + piece)
+        else:
+            pieces.append(piece)
+    return "".join(pieces)
+
+
+# -- a seeded differential test of parse_poly against the reference ------------
+
+
+def _draw_number(rng: random.Random) -> str:
+    r = rng.random()
+    if r < 0.55:
+        return str(rng.randrange(12))
+    if r < 0.8:  # a p/q literal, a zero denominator included
+        return f"{rng.randrange(30)}{rng.choice(['/', ' / ', '/ '])}{rng.randrange(12)}"
+    if r < 0.9:
+        return "0" * rng.randrange(1, 3) + str(rng.randrange(10))
+    return str(rng.getrandbits(rng.choice([64, 300])))
+
+
+def _draw_atom(rng: random.Random, depth: int) -> str:
+    r = rng.random()
+    if depth and r < 0.3:
+        return "(" + _draw_expr(rng, depth - 1) + ")"
+    return rng.choice("xyz") if r < 0.65 else _draw_number(rng)
+
+
+def _draw_factor(rng: random.Random, depth: int) -> str:
+    signs = "".join(rng.choice("+-") for _ in range(rng.choice([0, 0, 0, 1, 2, 3])))
+    atom = _draw_atom(rng, depth)
+    if rng.random() < 0.4:  # a parenthesised base takes a small power only
+        exponents = [0, 1, 2, 3] if atom[0] == "(" else [0, 1, 2, 3, 5, 13, 32, 40, 64, 65]
+        atom += rng.choice(["^", " ^ "]) + str(rng.choice(exponents))
+    return signs + atom
+
+
+def _draw_expr(rng: random.Random, depth: int) -> str:
+    text = ""
+    for i in range(rng.choice([1, 1, 2, 3])):
+        term = "*".join(_draw_factor(rng, depth) for _ in range(rng.choice([1, 1, 2])))
+        text += (rng.choice(["+", "-", " - "]) if i else "") + term
+    return text
+
+
+MUTATION_CHARACTERS = " \t+-*^()/xyz0123456789@i\u00b2\u0663"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    kind = rng.randrange(20)
+    at = rng.randrange(len(text) + 1)
+    if kind == 0:  # deep nesting
+        depth = rng.choice([99, 100, 101])
+        return "(" * depth + text + ")" * depth
+    if kind == 1:  # a run of unary signs
+        return rng.choice(["-", "+-", "+"]) * rng.choice([1, 2, 250, 501]) + text
+    if kind == 2 and not text.endswith(")"):  # a huge exponent, not on a parenthesis
+        return text + rng.choice(["^99999999", "^64", "^65"])
+    kind %= 5
+    if kind == 0:  # cut short
+        return text[:at]
+    if kind == 1:  # a character inserted
+        return text[:at] + rng.choice(MUTATION_CHARACTERS) + text[at:]
+    if kind == 2:  # a character deleted
+        return text[:at] + text[at + 1:]
+    if kind == 3:  # a character replaced
+        return text[:at] + rng.choice(MUTATION_CHARACTERS) + text[at + 1:]
+    return text + rng.choice(["*", "+", "/", "^", ")", "(", "/0", "/7"])
+
+
+def _cap_cases(rng: random.Random) -> list[str]:
+    """Powers and products at the degree cap and at COEFF_BIT_CAP, and
+    cancellations whose reduced form is what the checks read."""
+    cases = ["(x^40-x^40)*x^40", "(x^40-x^40)^2*x^64", "(x-x)^64*x^64", "(x^32-x^32+y)^64",
+             "(2*x-2*x)^3*x^64", "x^64*(y-y)", "(1/2*x-1/2*x+1)*x^64", "0*x^64*y^64",
+             "(x^2+y^2)^16-(y^2+x^2)^16", "2^65535", "2^65536", "-2^65535", "(1/2)^65535",
+             "(1/2)^65536", "(2/3)^41349", "3^41350", "2^65535-2^65535",
+             "(2^65535-2^65535)*2^65535", "2^40000*2^25535", "2^40000*2^25536",
+             "2^32768*x*2^32767", "(2^30000*x+y)^2", "(2^20000*x+y+z)^3", "(2^16383*x+y)^4",
+             "(2^16384*x+y)^4", "1/2^65535*2^65535", "(x+y)^64", "(1/2*x+1/3*y)^64",
+             "(x+y+1)^0", "0^0", "0^65536", "1^99999999", "(-1)^99999999", "x^0^0",
+             "0^99999999", "(x-x)^99999999*x^64", "(x-x+2)^65535", "(x-x+2)^65536",
+             # a bad character right after a factor is refused before the product
+             "x^64*x@", "2^40000*2^30000i", "x^64*3/@", "(x^64)*(x)\u00b2",
+             # 6 * 10923 bits, just past the cap; a product sized only once reduced
+             f"({2**10923 - 1}*x)^6", f"({2**10923 - 1}*x)^5", "(1/2)^60000*2^60000*2^10000"]
+    for _ in range(300):
+        base = rng.choice([2, 3, 5, 7, 10, 255, 256])
+        over = rng.choice(["", f"/{rng.choice([3, 7, 1024])}"])
+        exponent = COEFF_BIT_CAP // (base.bit_length() - 1) + rng.randrange(-2, 3)
+        power = f"({base}{over})^{exponent}"
+        cases.append(rng.choice([power, f"{power}*x^{rng.randrange(60, 66)}",
+                                 f"x^{rng.randrange(30, 36)}*{power}*y^{rng.randrange(30, 36)}",
+                                 f"2^{rng.randrange(30000, 40000)}*2^{rng.randrange(25000, 36000)}",
+                                 f"(2^{rng.randrange(16000, 16600)}*x+y)^4"]))
+    return cases
+
+
+def _outcome(parse, text: str, degree_cap: int):
+    try:
+        p = parse(text, degree_cap)
+    except (PolyParseError, DegreeCapError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return p.terms, p.denom
+
+
+def _printed(to_string, p: Polynomial3):
+    """The string, or the error of a coefficient past Python's digit limit."""
+    try:
+        return to_string(p)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_LITERAL = re.compile(r"\^\s*(?P<exponent>[0-9]+)|(?P<num>[0-9]+)(?:\s*/\s*(?P<den>[0-9]+))?")
+
+
+def _fraction_value(text: str, point: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+    """The text evaluated by Python on Fractions: a p/q literal binds before
+    '^', as the grammar reads it, and '^' is '**'."""
+    def spell(m):
+        if m["exponent"]:
+            return "**" + str(int(m["exponent"]))
+        return f"F({int(m['num'])}, {int(m['den'] or 1)})"
+
+    code = " ".join(_LITERAL.sub(spell, text).split())
+    return eval(code, {"F": Fraction, "x": point[0], "y": point[1], "z": point[2]})
+
+
+def test_parser_matches_the_reference_on_20000_seeded_strings():
+    rng = random.Random(28)
+    texts = [_draw_expr(rng, rng.choice([0, 1, 1, 2])) for _ in range(10_000)]
+    texts += [_mutate(rng, rng.choice(texts)) for _ in range(10_000)]
+    texts += _cap_cases(rng)
+    texts += ["-" * 500 + "x", "+-" * 250 + "-x", "(" * 100 + "x" + ")" * 100,
+              "(" * 101 + "x" + ")" * 101, "-(" * 100 + "-x" + ")" * 100,
+              QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR, "-7/2*x^2*y+1/3*z-1/6",
+              "-1/2*x+1/3+3/4*y^3*z"]
+    valid = failed = 0
+    for text in texts:
+        degree_cap = rng.choice([DEFAULT_DEGREE_CAP] * 3 + [8])
+        ours = _outcome(parse_poly, text, degree_cap)
+        assert ours == _outcome(reference_parse, text, degree_cap), text
+        if isinstance(ours[0], type):
+            failed += 1
+            continue
+        valid += 1
+        p = Polynomial3(*ours)
+        assert _printed(Polynomial3.to_string, p) == _printed(reference_to_string, p), text
+        point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        assert p.evaluate(*point) == _fraction_value(text, point), text
+    assert valid > 8000 and failed > 8000  # both sides of the grammar are drawn
+
+
+def test_parsing_the_sextic_constructs_one_polynomial(monkeypatch):
+    built = []
+    init = Polynomial3.__init__
+
+    def counting_init(self, terms, denom):
+        built.append(self)
+        init(self, terms, denom)
+
+    monkeypatch.setattr(Polynomial3, "__init__", counting_init)
+    p = parse_poly(SEXTIC_EXPR)
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert p == reference_parse(SEXTIC_EXPR)
+
+
 @pytest.mark.parametrize(
     "expr",
     ["x^2-y^2", QUARTIC_EXPR, "x^2+y", "1/3*x-2*y", "-x*y*z+7/2", "(1/2+3/2*z)*x*y"],
@@ -269,7 +572,7 @@ def test_equal_values_have_one_representation():
 
 
 def test_difference_with_itself_is_zero():
-    for p in (Polynomial3.variable(0), parse_poly("1/3*x-2/5*y")):
+    for p in (variable(0), parse_poly("1/3*x-2/5*y")):
         zero = p - p
         assert zero == Polynomial3.zero() and not zero
         assert zero.terms == {} and zero.denom == 1
