@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exppairs, lattice, modular, oscsum
-from .poly import DegreeCapError, Polynomial3, PolyParseError, parse_poly
+from .poly import Polynomial3, parse_poly
 from .util import FitResult
 
 SCHEMA = 1
@@ -34,7 +34,7 @@ class UsageError(Exception):
 def _poly_arg(text: str) -> Polynomial3:
     try:
         return parse_poly(text)
-    except (PolyParseError, DegreeCapError) as exc:
+    except ValueError as exc:  # PolyParseError, DegreeCapError, the int digit limit
         raise UsageError(f"bad polynomial: {exc}")
 
 
@@ -394,6 +394,8 @@ def cmd_theta_check(args) -> int:
         ctx = modular.theta_context(p, modular.context_n_max(p, args.n_max, args.tol))
     except ValueError as exc:
         raise UsageError(str(exc))
+    except OverflowError as exc:
+        raise UsageError(f"a value is out of float range: {exc}") from None
     if args.gamma:
         reports = [modular.transformation_check(ctx, gamma, complex(zr, zi), tol=args.tol)]
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -91,10 +91,6 @@ class ErrorTerm:
 
     r_exp: Fraction
     h_exp: Fraction
-
-    def at(self, alpha: Fraction) -> Fraction:
-        """Exponent of R when H = R^alpha."""
-        return self.r_exp + self.h_exp * alpha
 
     def __str__(self) -> str:
         return format_term(self.r_exp, self.h_exp)
@@ -272,8 +268,11 @@ def _row_definitions() -> list[tuple[str, list[ErrorTerm], str, str, int]]:
     ]
 
 
-def exponent_table() -> list[TableRow]:
-    """Regenerate the twelve summary rows through the balancing engine."""
+@cache
+def exponent_table() -> tuple[TableRow, ...]:
+    """The twelve summary rows, balanced through the engine on the first
+    call and shared after it (a tuple of frozen rows, so no caller can
+    change them)."""
     rows = []
     for long_label, long_terms_, short_model, applicability, marks in _row_definitions():
         short_terms_ = short_sum_terms(short_model)
@@ -288,7 +287,7 @@ def exponent_table() -> list[TableRow]:
                 marks=marks,
             )
         )
-    return rows
+    return tuple(rows)
 
 
 def table_csv(rows: Sequence[TableRow]) -> str:

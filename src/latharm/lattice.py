@@ -12,14 +12,15 @@ Shell sums are square convolutions: an x, y pair table, then the costly z
 axis, which `_z_stage` runs on the pair tables summed per z exponent, for
 `shell_totals` and `offset_shell_sums` alike.  On shell n the point z = +-j
 reads the pair table at a = n - j^2, and the weight 2 j^2t of z exponent 2t
-is 2 (n - a)^t; by the binomial theorem the run 0, 2, ..., 2 tau of z
-exponents in `shell_totals` takes tau + 1 passes of pure shifted adds
-(`_z_run`), its powers moved onto a and n in O(n_max).  Any exponent above
-the run, and `offset_shell_sums` (real weights on the float64 real and
-imaginary parts), keep one multiply-add pass each.  `shell_totals` runs
-the z axis on residues only: one uint64 stage mod 2^64, then, as many as
-an exact bound on |T| asks for, int64 stages mod primes below 2^26, joined
-by Garner's method (`_recover`).  Only the per-shell consumers run the z stage:
+is 2 (n - a)^t; by the binomial theorem the longest run 0, 2, ..., 2 tau
+of z exponents present in `shell_totals` takes tau + 1 passes of pure
+shifted adds (`_z_run`), its powers moved onto a and n in O(n_max).  Any
+exponent above the run, and `offset_shell_sums` (real weights on the
+float64 real and imaginary parts), keep one multiply-add pass each.
+`shell_totals` runs the z axis on residues only: one uint64 stage mod
+2^64, then, as many as an exact bound on |T| asks for, int64 stages mod
+primes below 2^26, each the same passes on every class, joined by
+Garner's method (`_recover`).  Only the per-shell consumers run the z stage:
 the ball sum (`_ball_total`) is one bilinear form per class on the same
 residues, in O(n_max).  A report's lattice-point count is the ball sum of 1
 (a window's, the difference of two), so no second enumeration counts them.
@@ -463,31 +464,15 @@ def _content(p: Polynomial3, k: int):
     return g, [(key, c // g) for key, c in classes], weights
 
 
-def _groups(classes, sizes, key) -> tuple[dict[int, int], dict[int, int]]:
-    """({group: gcd of its coefficients c}, {group: sum of |c / gcd| x}) for
-    the classes grouped by key(z exponent), x the bound on a class's sums."""
-    gcds: dict[int, int] = {}
-    for (_, _, e), c in classes:
-        gcds[key(e)] = math.gcd(gcds.get(key(e), 0), c)
-    bounds: dict[int, int] = {}
-    for ((_, _, e), c), x in zip(classes, sizes):
-        bounds[key(e)] = bounds.get(key(e), 0) + abs(c // gcds[key(e)]) * x
-    return gcds, bounds
-
-
-def _run(classes, sizes) -> int:
+def _run(classes) -> int:
     """The length of the run 0, 2, ..., 2 tau of z exponents that `_z_run`
-    takes as one group, each present among the classes: the longest whose
-    group is exact in its uint64 residue (bound below 2^63), or none of
-    whose exponents would be exact alone.  Each of the run's pure passes then
-    replaces one weighted pass, in the uint64 stage and in every prime
-    stage alike, so no polynomial runs more z passes."""
-    _, alone = _groups(classes, sizes, lambda e: e)
+    takes by tau + 1 pure passes: the longest whose exponents are all
+    present among the classes.  Each pure pass replaces one weighted pass,
+    in the uint64 stage and in every prime stage alike, so no stage runs
+    more z passes than one per exponent."""
+    present = {e for (_, _, e), _ in classes}
     run = 0
-    while 2 * run in alone:
-        _, merged = _groups(classes, sizes, lambda e: 0 if e <= 2 * run else e)
-        if merged[0] >= 1 << 63 and any(alone[e] < 1 << 63 for e in range(0, 2 * run + 1, 2)):
-            break
+    while 2 * run in present:
         run += 1
     return run
 
@@ -507,18 +492,15 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     sums).  Weights are non-negative, so t <= max(w1) sum(w2); below 2^64
     that makes the uint64 pair table exact, and its max replaces the bound.
     So x <= max(t) sum(w3), and |U| <= B = sum |c| max(t) sum(w3), in exact
-    integers.  The classes are grouped: the run 0, 2, ..., 2 tau of z
-    exponents (`_run`) is one group, and each exponent above it is one.
-    With g the gcd of a group's c, `_z_stage` adds the pair tables (c / g) t
-    of each exponent and gives the group's sums H: the run's by `_z_run`'s
-    tau + 1 pure passes, any other by one weighted pass.  So U = sum g H,
-    and |H| <= sum |c / g| max(t) sum(w3), whose sum of g times it is B.
-    One uint64 stage gives s = U mod 2^64, and `_recover` adds, if B asks
-    for them, int64 stages for U mod q.  Those take c / g on the x weights
-    and reduce every weight, pair table and fold below q before the next
-    stage, so no weighted pass passes (k + 1) (q - 1)^2 < 2^63, and no
-    pure one (2k + 1) (q - 1) < 2^37.  A group whose bound is below 2^63
-    takes no prime stage: its uint64 residue read as int64 is its H.
+    integers.  Each class's pair table is scaled by its c, and `_z_stage`
+    adds the scaled tables of each z exponent and carries them along z: the
+    run 0, 2, ..., 2 tau (`_run`) by `_z_run`'s tau + 1 pure passes, each
+    exponent above it by one weighted pass.  One uint64 stage gives s = U
+    mod 2^64, and `_recover` adds, if B >= 2^63, int64 stages for U mod q,
+    each the same passes on every class.  Those take c on the x weights and
+    reduce every weight, pair table and fold below q before the next stage,
+    so no weighted pass passes (k + 1) (q - 1)^2 < 2^63, and no pure one
+    (2k + 1) (q - 1) < 2^37.
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
@@ -526,34 +508,24 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     disc = _disc(n_max)
     w64 = {e: np.array([v % (1 << 64) for v in w], dtype=np.uint64) for e, w in weights.items()}
     tables = [_pair_table(w64[e1], w64[e2], disc) for (e1, e2, _), _ in classes]
-    sizes = []  # the bound on each class's sums
-    for ((e1, e2, e3), _), t in zip(classes, tables):
+    bound = 0
+    for ((e1, e2, e3), c), t in zip(classes, tables):
         b = max(weights[e1]) * sum(weights[e2])
-        sizes.append((int(t.max()) if b < 1 << 64 else b) * sum(weights[e3]))
-    run = _run(classes, sizes)
-
-    def group(e: int) -> int:
-        return 0 if e < 2 * run else e
-
-    g, bounds = _groups(classes, sizes, group)
-    for ((_, _, e3), c), t in zip(classes, tables):
-        if c != g[group(e3)]:
-            t *= c // g[group(e3)] % (1 << 64)
+        bound += abs(c) * (int(t.max()) if b < 1 << 64 else b) * sum(weights[e3])
+        if c != 1:
+            t *= c % (1 << 64)
+    run = _run(classes)
     residues = _z_stage(((e3, t) for ((_, _, e3), _), t in zip(classes, tables)),
-                        w64.__getitem__, run=run)
-    del tables  # overwritten by the z stage: free them before any prime stage
-    s = sum((g[e] % (1 << 64) * r for e, r in residues.items()),
-            np.zeros(n_max + 1, dtype=np.uint64)).view(np.int64)
-    exact = {e: residues[e].view(np.int64) for e, b in bounds.items() if b < 1 << 63}
+                        w64.__getitem__, run=run).values()
+    s = sum(residues, np.zeros(n_max + 1, dtype=np.uint64)).view(np.int64)
+    del tables, residues  # overwritten by the z stage: free them before any prime stage
 
     def residue(q: int) -> np.ndarray:
         wq = {e: np.array([v % q for v in w], dtype=np.int64) for e, w in weights.items()}
-        pairs = ((e3, _pair_table(c // g[group(e3)] % q * wq[e1] % q, wq[e2], disc) % q)
-                 for (e1, e2, e3), c in classes if group(e3) not in exact)
-        h = _z_stage(pairs, wq.__getitem__, q, 0 if 0 in exact else run) | exact
-        return sum(g[e] % q * (v % q) % q for e, v in h.items()) % q
+        pairs = ((e3, _pair_table(c % q * wq[e1] % q, wq[e2], disc) % q)
+                 for (e1, e2, e3), c in classes)
+        return sum(v % q for v in _z_stage(pairs, wq.__getitem__, q, run).values()) % q
 
-    bound = sum(g[e] * b for e, b in bounds.items())
     return p.denom, _recover(content, s, bound, residue)
 
 

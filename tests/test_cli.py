@@ -328,6 +328,12 @@ BAD_INPUT = {
     "theta-check-z-im-nan": ("theta-check", "--gamma", "1,0,4,1", "--z", "0,nan"),
     "theta-check-z-im-inf": ("theta-check", "--gamma", "1,0,4,1", "--z", "0,inf"),
     "theta-check-z-re-nan": ("theta-check", "--gamma", "1,0,4,1", "--z", "nan,1"),
+    # a literal past Python's 4300-digit limit on int(str), and a
+    # coefficient whose theta constant leaves the float range
+    "theta-check-literal-digits-huge": ("theta-check", "--poly", "1" * 5000 + "*x^2",
+                                        "--sample", "2"),
+    "theta-check-coeff-overflow": ("theta-check", "--poly", "2^20000*(x^2-y^2)",
+                                   "--sample", "2"),
     "theta-check-z-re-inf": ("theta-check", "--gamma", "1,0,4,1", "--z", "inf,1"),
     "theta-check-nonharmonic": ("theta-check", "--poly", "x^2"),
     "theta-check-nonhomogeneous": ("theta-check", "--poly", "x^2+y"),

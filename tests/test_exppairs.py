@@ -225,6 +225,11 @@ def test_balance_requires_terms():
         balance([], [term(2, 1)])
 
 
+def _exponent_at(t, alpha):
+    """The exponent of R in the term t when H = R^alpha."""
+    return t.r_exp + t.h_exp * alpha
+
+
 def test_balance_optimum_certified_by_probes():
     delta = F(1, 10**6)
     for long_spec, short_model in [
@@ -237,7 +242,7 @@ def test_balance_optimum_certified_by_probes():
         )
         result = balance(long_terms, short_sum_terms(short_model))
         objective = lambda a: max(
-            t.at(a) for t in long_terms + short_sum_terms(short_model)
+            _exponent_at(t, a) for t in long_terms + short_sum_terms(short_model)
         )
         assert objective(result.alpha + delta) >= result.theta
         assert objective(result.alpha - delta) >= result.theta
@@ -251,7 +256,7 @@ def reference_balance(long_terms, short_terms, alpha_range=(F(-1), F(0))):
     lo, hi = F(alpha_range[0]), F(alpha_range[1])
 
     def objective(alpha):
-        return max(t.at(alpha) for t in terms)
+        return max(_exponent_at(t, alpha) for t in terms)
 
     candidates = {lo, hi}
     for i, t1 in enumerate(terms):
@@ -262,7 +267,7 @@ def reference_balance(long_terms, short_terms, alpha_range=(F(-1), F(0))):
                     candidates.add(cross)
     best = max(candidates, key=lambda a: (-objective(a), a))
     theta = objective(best)
-    active = tuple(str(t) for t in terms if t.at(best) == theta)
+    active = tuple(str(t) for t in terms if _exponent_at(t, best) == theta)
     return BalanceResult(alpha=best, theta=theta, active_terms=active)
 
 

@@ -213,6 +213,14 @@ def _route(p, n_max):
     return primes, sum(kind.startswith("int64") for kind in passes)
 
 
+def _stages_repeat(passes, primes):
+    """True when the z passes are the uint64 stage's, then, for each drawn
+    prime, the same passes in int64: every class goes through every stage."""
+    stage = passes[: len(passes) // (primes + 1)]
+    return (all(kind.startswith("uint64") for kind in stage)
+            and passes == stage + [kind[1:] for kind in stage] * primes)
+
+
 def _class_by_class(p, n_max):
     """Reference for `shell_totals`: each class's sums on Python integers, a
     pair table by plain loops, then its own z stage by shifted adds of an
@@ -267,9 +275,9 @@ def test_random_wide_polynomials_match_the_class_sums():
 
 
 def test_totals_on_either_side_of_the_int64_range():
-    # at 0 shells the bounds are exact: x^2 (zero there) keeps the gcd of z
-    # exponent 0 at 1, so H_0 = T = c lies just inside or just past 2^63 and
-    # 2^64, of either sign
+    # at 0 shells the bounds are exact: x^2 (zero there) keeps the gcd G at
+    # 1, so U = T = c lies just inside or just past 2^63 and 2^64, of either
+    # sign
     for c in (2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1):
         for sign in (1, -1):
             (_, totals), _, _ = _passes(Polynomial3({(0, 0, 0): sign * c, (2, 0, 0): 1}, 1), 0)
@@ -322,22 +330,43 @@ def test_gcds_keep_a_scaled_sextic_off_the_prime_passes(sextic):
     assert passes == ["uint64 pure"] * _z_exponents(sextic) and primes == 0
     assert totals == [2**30 * t for t in base]
     # 2^30 on z exponent 0 and 3^19 on exponent 2 leave G small: the total
-    # passes 2^63 while each exponent's sums H_e (the 2^30 and 3^19 are in
-    # their gcds) stay below, so one prime is drawn and no int64 pass runs;
-    # the run 0, 2 as one group, gcd 1, would pass 2^63, so exponent 2
-    # stays alone, on its weighted pass
+    # passes 2^63, so one prime is drawn, and its int64 stage repeats the
+    # uint64 one, the run 0, 2 by two pure passes on every class
     p = Polynomial3({key: c * (2**30 if key[2] == 0 else 3**19)
                      for key, c in _monomial_classes(sextic)}, 1)
     (_, totals), passes, primes = _passes(p, n_max)
-    assert passes == ["uint64", "uint64 pure"] and primes == 1
+    assert passes == ["uint64 pure"] * 2 + ["int64 pure"] * 2 and primes == 1
     assert totals == _class_by_class(p, n_max)
-    # the same at the edge: 2^40 x^2 + 3^25 x^2 y^2 z^2 at 100 shells
-    # bounds the run 0, 2 as one group (gcd 1) by B in [2^63, 2^64), so a
-    # prime is drawn, while each exponent alone stays below 2^63
+    # the same at the edge: 2^40 x^2 + 3^25 x^2 y^2 z^2 at 100 shells has
+    # B in [2^63, 2^64), so a prime is drawn
     p = Polynomial3({(2, 0, 0): 2**40, (2, 2, 2): 3**25}, 1)
     (_, totals), passes, primes = _passes(p, 100)
-    assert passes == ["uint64", "uint64 pure"] and primes == 1
+    assert passes == ["uint64 pure"] * 2 + ["int64 pure"] * 2 and primes == 1
     assert totals == _class_by_class(p, 100)
+
+
+def test_random_polynomials_scaled_per_z_exponent_match_the_class_sums():
+    # each z exponent's classes share a random factor, up to 2^80, on top of
+    # their own coefficients: whatever the factors, every drawn prime repeats
+    # the uint64 stage's passes in int64, and the totals are the class sums
+    rng = random.Random(29)
+    drawn = none = 0
+    for _ in range(200):
+        factor = {e: rng.choice([1, 2**rng.randint(0, 80), 3**rng.randint(0, 50),
+                                 rng.randrange(1, 1 << 80)]) for e in range(0, 14, 2)}
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            key = tuple(2 * rng.randrange(7) for _ in range(3))
+            terms[key] = (rng.choice([-1, 1]) * rng.randrange(1, 1 << rng.randint(1, 40))
+                          * factor[min(key)])
+        p = Polynomial3(terms, rng.choice([1, 3, 7]))
+        n_max = rng.choice([0, 1, 2, 5, 30, 100, 300, 1000, 3000])
+        (denom, totals), passes, primes = _passes(p, n_max)
+        assert _stages_repeat(passes, primes), (terms, n_max, passes)
+        assert (denom, totals) == (p.denom, _class_by_class(p, n_max)), (terms, n_max)
+        drawn += primes > 0
+        none += primes == 0
+    assert drawn >= 50 and none >= 50
 
 
 # (600, 2, 0) has weights past the float range, and (200, 200, 0) finite
@@ -435,15 +464,13 @@ def test_residue_table_past_the_budget_is_refused_before_a_prime_pass(monkeypatc
 MIXED_Z = "-3*x^6-(2^65+7)*x^4*y^2+11*x^2*y^2*z^2-x^4*y^2*z^2+5*x^4*y^4*z^4"
 
 
-# (primes drawn, int64 passes) and the passes: at 1 shell no prime is drawn
-# and the run 0, 2, 4 takes three pure passes.  Exponent 0, with the 2^65
-# coefficient, is the one whose sums pass 2^63 at 300 shells, so 2 and 4,
-# exact alone, stay out of the run; at 3000 exponent 4 joins 0 past 2^63
-# while 2 stays exact, so the run is still 0 alone
+# (primes drawn, int64 passes) and the passes: the run 0, 2, 4 takes three
+# pure passes in every stage.  At 1 shell no prime is drawn; at 300 and
+# 3000 the 2^65 coefficient draws two, each repeating the three passes
 MIXED_Z_ROUTES = {
     1: ((0, 0), ["uint64 pure"] * 3),
-    300: ((2, 2), ["uint64", "uint64", "uint64 pure"] + ["int64 pure"] * 2),
-    3000: ((2, 4), ["uint64", "uint64", "uint64 pure"] + ["int64", "int64 pure"] * 2),
+    300: ((2, 6), ["uint64 pure"] * 3 + ["int64 pure"] * 6),
+    3000: ((2, 6), ["uint64 pure"] * 3 + ["int64 pure"] * 6),
 }
 
 
@@ -454,6 +481,7 @@ def test_mixed_z_exponents_fold_to_the_class_sums(n_max):
     (denom, totals), passes, primes = _passes(p, n_max)
     route, kinds = MIXED_Z_ROUTES[n_max]
     assert _route(p, n_max) == route and passes == kinds
+    assert _stages_repeat(passes, primes)
     assert (denom, totals) == (1, _class_by_class(p, n_max))
     assert min(totals) < 0
 
@@ -474,8 +502,8 @@ def test_corpus_routes_are_stable(n_max):
 
 
 # (the z exponents of the tables, the run): runs of one to four exponents,
-# exponents above a run (MIXED_Z's 2 and 4 at 300 shells, 4 at 3000), and
-# no run at all (x^4*y^4*z^4, x^2*y^2*z^2)
+# exponents above a run (the 4 of x^4*y^4*z^4+x^2*y^2), and no run at all
+# (x^4*y^4*z^4, x^2*y^2*z^2)
 Z_RUNS = [((0,), 1), ((0, 2), 2), ((0, 2, 4), 3), ((0, 2, 4, 6), 4),
           ((0, 2, 4), 1), ((0, 2, 4), 2), ((4,), 0), ((2,), 0), ((0, 2, 4, 6, 8), 4)]
 
@@ -1235,14 +1263,14 @@ def test_shell_totals_satisfy_hecke_relations(expr):
     _check_hecke(expr, HECKE_N)
 
 
-# the sextic's (2, 2, 2), alone on z exponent 2, stays exact in its residue
-# and takes no prime pass, so the run is 0 alone; the octic needs two primes
-@pytest.mark.parametrize("expr, route", [(SEXTIC_EXPR, ["uint64", "uint64 pure", "int64 pure"]),
+# the sextic needs one prime, which repeats its run 0, 2 of two pure
+# passes; the octic needs two primes
+@pytest.mark.parametrize("expr, route", [(SEXTIC_EXPR, ["uint64 pure"] * 2 + ["int64 pure"] * 2),
                                          (OCTIC_EXPR, ["uint64 pure"] + ["int64 pure"] * 2)],
                          ids=["sextic", "octic"])
 def test_wide_shell_totals_satisfy_hecke_relations(expr, route):
-    _, passes, _ = _passes(parse_poly(expr), HECKE_WIDE_N)
-    assert passes == route
+    _, passes, primes = _passes(parse_poly(expr), HECKE_WIDE_N)
+    assert passes == route and _stages_repeat(passes, primes)
     _check_hecke(expr, HECKE_WIDE_N)
 
 
