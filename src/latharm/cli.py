@@ -87,13 +87,6 @@ def _report_lines(reports: list[modular.TransformReport], as_json: bool) -> str:
     return text.replace("nan", "NaN").replace("inf", "Infinity")  # in no key or literal
 
 
-def _require_finite(args, *names: str) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            raise UsageError(f"--{name} must be a finite number, got {value!r}")
-
-
 def _domain_errors_are_usage(fn):
     """Report the library's domain errors (ValueError), float-range errors
     (OverflowError) and file errors (OSError) as usage errors."""
@@ -150,7 +143,6 @@ def cmd_coeffs(args) -> int:
 @_domain_errors_are_usage
 def cmd_window_sum(args) -> int:
     """`shortsum` and `longsum`: a weighted sum over the window of R, H."""
-    _require_finite(args, "r", "h")
     p = _poly_arg(args.poly)
     short = args.command == "shortsum"
     if args.json:
@@ -168,7 +160,6 @@ def cmd_window_sum(args) -> int:
 
 @_domain_errors_are_usage
 def cmd_freqsum(args) -> int:
-    _require_finite(args, "r", "h")
     p = _poly_arg(args.poly)
     value = oscsum.freq_long_sum(p, args.r, args.h, args.n_trunc)
     if args.json:
@@ -193,7 +184,6 @@ def cmd_expsum(args) -> int:
         raise UsageError("--n and --n-list exclude each other")
     if args.csv is not None and (args.n_list is None or args.json):
         raise UsageError("--csv writes the --n-list sweep and excludes --json")
-    _require_finite(args, "r")
     q = _poly_arg(args.poly)
     h = _parse_h(args.h) if args.h else (0.0, 0.0, 0.0)
     if args.n_list:
@@ -367,9 +357,8 @@ def _read_fit_csv(path: str) -> list[float]:
 
 
 def cmd_theta_check(args) -> int:
-    _require_finite(args, "tol")
-    if not args.tol > 0:
-        raise UsageError(f"--tol must be positive, got {args.tol!r}")
+    if not 0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     sample = 50 if args.sample is None else args.sample
     if not 1 <= sample <= modular.SAMPLE_CAP:
         raise UsageError(f"--sample must be between 1 and {modular.SAMPLE_CAP}")

@@ -9,21 +9,21 @@ int64 where it can: the CSV digits, the float conversions and the running
 sums are numpy kernels that give the same bytes as the Python-int rows.
 
 Shell sums are square convolutions: an x, y pair table, then the costly z
-axis, which `_z_stage` runs on the pair tables summed per z exponent, for
-`shell_totals` and `offset_shell_sums` alike.  On shell n the point z = +-j
-reads the pair table at a = n - j^2, and the weight 2 j^2t of z exponent 2t
-is 2 (n - a)^t; by the binomial theorem the longest run 0, 2, ..., 2 tau
-of z exponents present in `shell_totals` takes tau + 1 passes of pure
-shifted adds (`_z_run`), its powers moved onto a and n in O(n_max).  Any
-exponent above the run, and `offset_shell_sums` (real weights on the
-float64 real and imaginary parts), keep one multiply-add pass each.
-`shell_totals` runs the z axis on residues only: one uint64 stage mod
-2^64, then, as many as an exact bound on |T| asks for, int64 stages mod
-primes below 2^26, each the same passes on every class, joined by
-Garner's method (`_recover`).  Only the per-shell consumers run the z stage:
-the ball sum (`_ball_total`) is one bilinear form per class on the same
-residues, in O(n_max).  A report's lattice-point count is the ball sum of 1
-(a window's, the difference of two), so no second enumeration counts them.
+axis, run on the pair tables summed per z exponent (`_fold`).  On shell n
+the point z = +-j reads the pair table at a = n - j^2, and the weight
+2 j^2t of z exponent 2t is 2 (n - a)^t; by the binomial theorem the
+exponents 0, 2, ..., 2 tau of `shell_totals` take tau + 1 passes of pure
+shifted adds (`_z_run`), its powers moved onto a and n in O(n_max), an
+exponent with no class reading a zero table.  Only `offset_shell_sums`
+(real weights on the float64 real and imaginary parts) keeps one
+multiply-add pass per exponent.  `shell_totals` runs the z axis on
+residues only: one uint64 stage mod 2^64, then, as many as an exact bound
+on |T| asks for, int64 stages mod primes below 2^26, each the same passes
+on every class, joined by Garner's method (`_recover`).  Only the
+per-shell consumers run the z axis: the ball sum (`_ball_total`) is one
+bilinear form per class on the same residues, in O(n_max).  A report's
+lattice-point count is the ball sum of 1 (a window's, the difference of
+two), so no second enumeration counts them.
 """
 
 from __future__ import annotations
@@ -263,10 +263,25 @@ def _add_square_axis0(t: np.ndarray) -> np.ndarray:
     return s
 
 
-def _z_run(folded: list[np.ndarray], mod: int | None) -> np.ndarray:
-    """The sum over t of Z_2t(folded[t]), Z_e the z pass of exponent e, by
-    len(folded) pure passes `_add_square_axis0`: mod 2^64 in uint64 (mod
-    None), else mod `mod` on int64 residues below it.  Overwrites the tables.
+def _fold(pairs) -> dict[int, np.ndarray]:
+    """{e: the tables t of `pairs` (e, t) with z exponent e, summed in place
+    into the first, which the caller owns}: the z pass is linear, so the
+    classes that share a z exponent share its pass."""
+    folded: dict[int, np.ndarray] = {}
+    for e, t in pairs:
+        if e in folded:
+            folded[e] += t
+        else:
+            folded[e] = t
+    return folded
+
+
+def _z_run(folded: dict[int, np.ndarray], mod: int | None) -> np.ndarray:
+    """The sum over the even z exponents e of Z_e(folded[e]), Z_e the z pass
+    of exponent e, by tau + 1 pure passes `_add_square_axis0`, 2 tau the
+    largest e: mod 2^64 in uint64 (mod None), else mod `mod` on int64
+    tables, reduced below it first.  F_t is folded[2t], zeros for an
+    exponent with no table.  Overwrites the tables.
 
     On shell n, Z_2t reads F_t at a = n - j^2 with the weight 2 j^2t =
     2 (n - a)^t at j >= 1, and at j = 0 with 1 = (n - a)^0 for t = 0 and
@@ -277,46 +292,28 @@ def _z_run(folded: list[np.ndarray], mod: int | None) -> np.ndarray:
     Mod q every factor is reduced below q before a product, so none passes
     (q - 1)^2 < 2^52 (a and n are at most N_MAX_CAP < q).
     """
+    tau = max(folded) // 2
+    top = folded[2 * tau]
+    tables = [folded[2 * t] if 2 * t in folded else np.zeros_like(top) for t in range(tau + 1)]
     reduce = (lambda x: x) if mod is None else (lambda x: np.remainder(x, mod, out=x))
+    for t in tables:
+        reduce(t)
     m = 1 << 64 if mod is None else mod
-    tau = len(folded) - 1
-    a = np.arange(len(folded[0]), dtype=folded[0].dtype) if tau else None
-    total = reduce(_add_square_axis0(folded[tau]))
+    a = np.arange(len(top), dtype=top.dtype) if tau else None
+    total = reduce(_add_square_axis0(top))
     for i in range(tau - 1, -1, -1):
         # G = C(t, i) F_t - a G from t = tau down to i; G_0, the last, has
         # every C(t, 0) = 1 and is built in place on the tables
-        g = folded[tau] if i == 0 else reduce(folded[tau] * (math.comb(tau, i) % m))
+        g = top if i == 0 else reduce(top * (math.comb(tau, i) % m))
         for t in range(tau - 1, i - 1, -1):
             g *= a
             c = math.comb(t, i) % m
-            np.subtract(folded[t] if c == 1 else reduce(folded[t] * c), reduce(g), out=g)
+            np.subtract(tables[t] if c == 1 else reduce(tables[t] * c), reduce(g), out=g)
             reduce(g)
         total *= a
         total += _add_square_axis0(g)
         reduce(total)
     return total
-
-
-def _z_stage(pairs, z_weights, mod: int | None = None, run: int = 0) -> dict[int, np.ndarray]:
-    """{e: the pair tables t of `pairs` (e, t) sharing z exponent e, summed
-    (in place into the first, which the caller owns) and reduced mod `mod`
-    if given, then carried along z by one `_add_square_axis` pass with the
-    weights z_weights(e)}, except that the run of exponents 0, 2, ...,
-    2 (run - 1) is summed as one entry, under 0, by `_z_run`'s pure passes
-    (mod 2^64 in uint64 for mod None)."""
-    folded: dict[int, np.ndarray] = {}
-    for e, t in pairs:
-        if e in folded:
-            folded[e] += t
-        else:
-            folded[e] = t
-    if mod is not None:
-        for t in folded.values():
-            np.remainder(t, mod, out=t)
-    sums = {e: _add_square_axis(t, z_weights(e)) for e, t in folded.items() if e >= 2 * run}
-    if run:
-        sums[0] = _z_run([folded[e] for e in range(0, 2 * run, 2)], mod)
-    return sums
 
 
 def offset_shell_sums(
@@ -327,11 +324,11 @@ def offset_shell_sums(
     Per axis, u^e e(h s u) summed over the signs s of the points +-u is the
     square weight of u times cos(2 pi h u), or times i sin(2 pi h u) for odd
     e: the square convolution of `shell_totals` with complex128 x and y
-    weights, folded by `_z_stage` the same way.  A z weight is real or i
-    times real, so the z pass runs on the real and imaginary parts as
-    float64 with the real weights, and an odd exponent's sums are multiplied
-    by i once after it.  h enters mod 1, exactly (by fmod), so a large h
-    loses no precision in the angle.
+    weights, folded by `_fold` the same way.  A z weight is real or i times
+    real, so each exponent's z pass, one multiply-add `_add_square_axis`,
+    runs on the real and imaginary parts as float64 with the real weights,
+    and an odd exponent's sums are multiplied by i once after it.  h enters
+    mod 1, exactly (by fmod), so a large h loses no precision in the angle.
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
@@ -345,13 +342,14 @@ def offset_shell_sums(
         return np.array(_square_weights(e, k), dtype=np.complex128) * factor
 
     disc = _disc(n_max)
-    pairs = ((e, (coeff / p.denom) * _pair_table(weights(0, i), weights(1, j), disc)
-              .view(np.float64).reshape(-1, 2)) for (i, j, e), coeff in p.terms.items())
-    passes = _z_stage(pairs, lambda e: np.array(_square_weights(e, k), dtype=np.float64)
-                      * trig(2, e))
-    sums = (s.view(np.complex128)[:, 0] for s in passes.values())
-    return sum((1j * s if e % 2 else s for e, s in zip(passes, sums)),
-               np.zeros(n_max + 1, dtype=np.complex128))
+    folded = _fold((e, (coeff / p.denom) * _pair_table(weights(0, i), weights(1, j), disc)
+                    .view(np.float64).reshape(-1, 2)) for (i, j, e), coeff in p.terms.items())
+    total = np.zeros(n_max + 1, dtype=np.complex128)
+    for e, t in folded.items():
+        w = np.array(_square_weights(e, k), dtype=np.float64) * trig(2, e)
+        s = _add_square_axis(t, w).view(np.complex128)[:, 0]
+        total += 1j * s if e % 2 else s
+    return total
 
 
 def _monomial_classes(p: Polynomial3) -> list[tuple[tuple[int, int, int], int]]:
@@ -464,19 +462,6 @@ def _content(p: Polynomial3, k: int):
     return g, [(key, c // g) for key, c in classes], weights
 
 
-def _run(classes) -> int:
-    """The length of the run 0, 2, ..., 2 tau of z exponents that `_z_run`
-    takes by tau + 1 pure passes: the longest whose exponents are all
-    present among the classes.  Each pure pass replaces one weighted pass,
-    in the uint64 stage and in every prime stage alike, so no stage runs
-    more z passes than one per exponent."""
-    present = {e for (_, _, e), _ in classes}
-    run = 0
-    while 2 * run in present:
-        run += 1
-    return run
-
-
 def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     """Exact shell sums of a polynomial, as integers over one denominator.
 
@@ -492,19 +477,22 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     sums).  Weights are non-negative, so t <= max(w1) sum(w2); below 2^64
     that makes the uint64 pair table exact, and its max replaces the bound.
     So x <= max(t) sum(w3), and |U| <= B = sum |c| max(t) sum(w3), in exact
-    integers.  Each class's pair table is scaled by its c, and `_z_stage`
-    adds the scaled tables of each z exponent and carries them along z: the
-    run 0, 2, ..., 2 tau (`_run`) by `_z_run`'s tau + 1 pure passes, each
-    exponent above it by one weighted pass.  One uint64 stage gives s = U
-    mod 2^64, and `_recover` adds, if B >= 2^63, int64 stages for U mod q,
-    each the same passes on every class.  Those take c on the x weights and
-    reduce every weight, pair table and fold below q before the next stage,
-    so no weighted pass passes (k + 1) (q - 1)^2 < 2^63, and no pure one
-    (2k + 1) (q - 1) < 2^37.
+    integers.  Each class's pair table is scaled by its c, `_fold` adds
+    the scaled tables of each z exponent into F_0, ..., F_tau (2 tau the
+    largest exponent), and `_z_run` carries them along z by tau + 1 pure
+    passes.  One uint64 stage gives s = U mod 2^64, and `_recover` adds, if
+    B >= 2^63, int64 stages for U mod q, each the same passes on every
+    class.  Those take c on the x weights and reduce every weight, pair
+    table and fold below q before the next stage, so no pair table passes
+    (k + 1) (q - 1)^2 < 2^63, and no pure pass (2k + 1) (q - 1) < 2^37.
+    A harmonic p has no gap in its z exponents; one with a gap, or none at
+    0, still runs tau + 1 passes, a zero table for each exponent it lacks.
     """
     check_n_max(n_max)
     k = math.isqrt(n_max)
     content, classes, weights = _content(p, k)
+    if not classes:
+        return p.denom, np.zeros(n_max + 1, dtype=np.int64)
     disc = _disc(n_max)
     w64 = {e: np.array([v % (1 << 64) for v in w], dtype=np.uint64) for e, w in weights.items()}
     tables = [_pair_table(w64[e1], w64[e2], disc) for (e1, e2, _), _ in classes]
@@ -514,19 +502,15 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
         bound += abs(c) * (int(t.max()) if b < 1 << 64 else b) * sum(weights[e3])
         if c != 1:
             t *= c % (1 << 64)
-    run = _run(classes)
-    residues = _z_stage(((e3, t) for ((_, _, e3), _), t in zip(classes, tables)),
-                        w64.__getitem__, run=run).values()
-    s = sum(residues, np.zeros(n_max + 1, dtype=np.uint64)).view(np.int64)
-    del tables, residues  # overwritten by the z stage: free them before any prime stage
+    s = _z_run(_fold((e3, t) for ((_, _, e3), _), t in zip(classes, tables)), None)
+    del tables  # overwritten by the z passes: free them before any prime stage
 
     def residue(q: int) -> np.ndarray:
         wq = {e: np.array([v % q for v in w], dtype=np.int64) for e, w in weights.items()}
-        pairs = ((e3, _pair_table(c % q * wq[e1] % q, wq[e2], disc) % q)
-                 for (e1, e2, e3), c in classes)
-        return sum(v % q for v in _z_stage(pairs, wq.__getitem__, q, run).values()) % q
+        return _z_run(_fold((e3, _pair_table(c % q * wq[e1] % q, wq[e2], disc) % q)
+                            for (e1, e2, e3), c in classes), q)
 
-    return p.denom, _recover(content, s, bound, residue)
+    return p.denom, _recover(content, s.view(np.int64), bound, residue)
 
 
 def _ball_total(p: Polynomial3, n_max: int, points: bool = False) -> tuple[int, ...]:

@@ -139,9 +139,11 @@ SAMPLE_J_CONST = {g: shimura_legendre(g.c, g.d) / epsilon_d(g.d)
 
 
 def automorphy_j(gamma: GammaElement, z: complex) -> complex:
-    """(c/d) * epsilon_d^(-1) * (cz + d)^(1/2), principal square root."""
+    """(c/d) * epsilon_d^(-1) * (cz + d)^(1/2), principal square root; the
+    constant (+-1 or +-i) of a pooled gamma is read from SAMPLE_J_CONST."""
     c, d = gamma.c, gamma.d
-    return shimura_legendre(c, d) / epsilon_d(d) * cmath.sqrt(c * z + d)
+    const = SAMPLE_J_CONST.get(gamma) or shimura_legendre(c, d) / epsilon_d(d)
+    return const * cmath.sqrt(c * z + d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,9 +295,7 @@ def _check_batch(
     theta = theta_values(ctx, np.concatenate([image, z]), _eval_tol(tol))
     lhs, base = theta[: len(z)], theta[len(z):]
     power = 2 * ctx.nu + 3
-    # automorphy_j per pair, its constant (+-1 or +-i) from SAMPLE_J_CONST if pooled
-    rhs = np.array([((SAMPLE_J_CONST.get(g) or shimura_legendre(g.c, g.d) / epsilon_d(g.d))
-                     * cmath.sqrt(g.c * zz + g.d)) ** power for g, zz in zip(gammas, zs)]) * base
+    rhs = np.array([automorphy_j(g, zz) ** power for g, zz in zip(gammas, zs)]) * base
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), TRANSFORM_FLOOR)
     rel_err = np.abs(lhs - rhs) / scale
     inconclusive = np.abs(base) < TRANSFORM_FLOOR

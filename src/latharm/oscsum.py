@@ -46,8 +46,8 @@ def _check_phase(radius: float, n: int, what: str) -> None:
     the product in the message."""
     if not radius * math.sqrt(n) <= PHASE_CAP:
         raise ValueError(
-            f"{what} = {radius * math.sqrt(n):.3g} is above 2^32, where a float64 "
-            "phase carries more than 1e-6 turns of error"
+            f"{what} = {radius * math.sqrt(n):.3g} is not a number at most 2^32; past "
+            "2^32 a float64 phase carries more than 1e-6 turns of error"
         )
 
 

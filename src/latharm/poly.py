@@ -27,8 +27,13 @@ from typing import Mapping, NamedTuple, NoReturn
 Monomial = tuple[int, int, int]
 
 DEFAULT_DEGREE_CAP = 64
-# Largest coefficient numerator or denominator, in bits, that parsing builds.
-COEFF_BIT_CAP = 1 << 16
+# Largest coefficient numerator or denominator, in bits, that parsing builds,
+# so that every exact output prints within Python's 4300-digit limit on int
+# to str: a homogeneous P of degree <= 64 has at most C(66, 2) = 2145
+# monomials, each at most |x|^64 <= 10^192 in the ball of radius^2 10^6 (the
+# shell cap), which holds about 4.2 * 10^9 points, so a sum's numerator is
+# below 2^13000 * 2145 * 10^192 * 4.2 * 10^9 < 10^3914 * 10^205, 4119 digits.
+COEFF_BIT_CAP = 13_000
 # Deepest parenthesis nesting that parsing accepts.
 PAREN_DEPTH_CAP = 100
 

@@ -16,7 +16,7 @@ import pytest
 
 from latharm import exppairs, lattice, modular
 from latharm.cli import _headline_magnitudes, build_parser, main
-from latharm.poly import parse_poly, sphere_average
+from latharm.poly import COEFF_BIT_CAP, parse_poly, sphere_average
 
 from test_modular import report_json_lines, report_text_lines
 
@@ -332,7 +332,7 @@ BAD_INPUT = {
     # coefficient whose theta constant leaves the float range
     "theta-check-literal-digits-huge": ("theta-check", "--poly", "1" * 5000 + "*x^2",
                                         "--sample", "2"),
-    "theta-check-coeff-overflow": ("theta-check", "--poly", "2^20000*(x^2-y^2)",
+    "theta-check-coeff-overflow": ("theta-check", "--poly", "2^2000*(x^2-y^2)",
                                    "--sample", "2"),
     "theta-check-z-re-inf": ("theta-check", "--gamma", "1,0,4,1", "--z", "inf,1"),
     "theta-check-nonharmonic": ("theta-check", "--poly", "x^2"),
@@ -398,8 +398,38 @@ BAD_INPUT = {
     "unknown-command": ("bogus",),
     "no-command": (),
     "sum-r-sq-not-a-number": ("sum", "--poly", "1", "--r-sq", "abc"),
+    # a coefficient past the cap, whose sums would pass the 4300-digit limit
+    "sum-coeff-past-cap": ("sum", "--poly", "2^20000*x^2", "--r-sq", "2", "--json"),
     "sum-unknown-flag": ("sum", "--poly", "1", "--r-sq", "4", "--bogus"),
 }
+
+
+def test_outputs_match_the_golden_digests(capsys):
+    # exit code and sha256 of stdout and stderr of each argv of
+    # tests/golden/regenerate.py, which writes the digests
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    rows = json.loads((GOLDEN / "cli_digests.json").read_text())
+    assert len(rows) > 40
+    changed = []
+    for row in rows:
+        code, out, err = run(capsys, *row["argv"])
+        if {"argv": row["argv"], "code": code, "stdout": sha(out), "stderr": sha(err)} != row:
+            changed.append(row["argv"])
+    assert not changed
+
+
+def test_the_widest_coefficient_prints_its_exact_sum(capsys):
+    # 2^(COEFF_BIT_CAP - 1) x^64 over the largest ball: its 4112-digit sum
+    # still passes Python's 4300-digit limit on int to str
+    code, out, _ = run(capsys, "sum", "--poly", f"2^{COEFF_BIT_CAP - 1}*x^64",
+                       "--r-sq", str(lattice.N_MAX_CAP), "--json")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert len(value) > 4000
+    assert int(value) == 2 ** (COEFF_BIT_CAP - 1) * lattice.ball_sum(parse_poly("x^64"),
+                                                                     lattice.N_MAX_CAP)
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT)

@@ -30,7 +30,7 @@ from latharm.lattice import (
     short_sum_report,
 )
 from latharm.oscsum import freq_long_sum
-from latharm.poly import Polynomial3, parse_poly, sphere_average
+from latharm.poly import Polynomial3, harmonic_decompose, parse_poly, sphere_average
 from latharm.util import linear_fit
 
 from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
@@ -162,17 +162,20 @@ def test_pair_table_matches_double_loop(n_max):
     assert np.allclose(table, expected, rtol=1e-14, atol=1e-14)
 
 
-def _z_exponents(p):
-    """The number of distinct z exponents among p's classes: one z pass each."""
-    return len({key[2] for key, _ in _monomial_classes(p)})
+def _z_passes(p):
+    """tau + 1, 2 tau the largest z exponent among p's classes (0 if none):
+    the pure z passes of each stage, one per exponent 0, 2, ..., 2 tau."""
+    return max((key[2] for key, _ in _monomial_classes(p)), default=0) // 2 + 1
 
 
 def _passes(p, n_max):
     """((D, T as a list), passes, primes): `shell_totals`, the dtype of each
     z pass it ran, with " pure" appended for a pass of exponent 0's weights
-    by pure adds, and the number of primes it drew.  Every pass is a uint64
-    residue mod 2^64 or an int64 residue mod a prime, never float or object;
-    an int64 pass starts from residues below 2^26, so it cannot wrap."""
+    by pure adds, and the number of primes it drew.  Every pass is pure
+    (the weighted `_add_square_axis` is spied on, and never called) and a
+    uint64 residue mod 2^64 or an int64 residue mod a prime, never float or
+    object; an int64 pass starts from residues below 2^26, so it cannot
+    wrap."""
     seen, drawn = [], []
     weighted, pure, primes = lattice._add_square_axis, lattice._add_square_axis0, lattice._primes
 
@@ -200,7 +203,7 @@ def _passes(p, n_max):
         m.setattr(lattice, "_add_square_axis0", pure_spy)
         m.setattr(lattice, "_primes", counted)
         denom, totals = shell_totals(p, n_max)
-    assert set(seen) <= {"uint64", "int64", "uint64 pure", "int64 pure"}
+    assert set(seen) <= {"uint64 pure", "int64 pure"}  # no weighted pass ran
     totals = totals.tolist()
     assert all(type(t) is int for t in totals)
     return (denom, totals), seen, len(drawn)
@@ -291,7 +294,7 @@ def test_prime_route_matches_brute_force(expr):
     p = parse_poly(expr)
     n_max = 120
     _, passes, primes = _passes(p, n_max)
-    assert _z_exponents(p) == 1
+    assert _z_passes(p) == 1
     assert primes >= 4 and passes == ["uint64 pure"] + ["int64 pure"] * primes
     series = coeff_series(p, n_max)
     for n in range(1, n_max + 1):
@@ -304,7 +307,7 @@ def test_uint64_only_route_matches_class_sums():
     for expr in ROUTE_CORPUS:
         p = parse_poly(expr)
         (denom, totals), passes, primes = _passes(p, 3000)
-        assert passes == ["uint64 pure"] * _z_exponents(p) and primes == 0
+        assert passes == ["uint64 pure"] * _z_passes(p) and primes == 0
         assert (denom, totals) == (p.denom, _class_by_class(p, 3000))
 
 
@@ -325,9 +328,9 @@ def test_gcds_keep_a_scaled_sextic_off_the_prime_passes(sextic):
     # every class, which stays out of the residues, so no prime is drawn
     n_max = 3000
     (_, base), passes, primes = _passes(sextic, n_max)
-    assert passes == ["uint64 pure"] * _z_exponents(sextic) and primes == 0
+    assert passes == ["uint64 pure"] * _z_passes(sextic) and primes == 0
     (_, totals), passes, primes = _passes(2**30 * sextic, n_max)
-    assert passes == ["uint64 pure"] * _z_exponents(sextic) and primes == 0
+    assert passes == ["uint64 pure"] * _z_passes(sextic) and primes == 0
     assert totals == [2**30 * t for t in base]
     # 2^30 on z exponent 0 and 3^19 on exponent 2 leave G small: the total
     # passes 2^63, so one prime is drawn, and its int64 stage repeats the
@@ -477,7 +480,7 @@ MIXED_Z_ROUTES = {
 @pytest.mark.parametrize("n_max", list(MIXED_Z_ROUTES))
 def test_mixed_z_exponents_fold_to_the_class_sums(n_max):
     p = parse_poly(MIXED_Z)
-    assert _z_exponents(p) == 3 and len(_monomial_classes(p)) == 5
+    assert _z_passes(p) == 3 and len(_monomial_classes(p)) == 5
     (denom, totals), passes, primes = _passes(p, n_max)
     route, kinds = MIXED_Z_ROUTES[n_max]
     assert _route(p, n_max) == route and passes == kinds
@@ -501,51 +504,110 @@ def test_corpus_routes_are_stable(n_max):
     assert [_route(parse_poly(expr), n_max) for expr in ROUTE_CORPUS] == CORPUS_ROUTES[n_max]
 
 
-# (the z exponents of the tables, the run): runs of one to four exponents,
-# exponents above a run (the 4 of x^4*y^4*z^4+x^2*y^2), and no run at all
-# (x^4*y^4*z^4, x^2*y^2*z^2)
-Z_RUNS = [((0,), 1), ((0, 2), 2), ((0, 2, 4), 3), ((0, 2, 4, 6), 4),
-          ((0, 2, 4), 1), ((0, 2, 4), 2), ((4,), 0), ((2,), 0), ((0, 2, 4, 6, 8), 4)]
+# the z exponents of the tables: runs 0, 2, ..., 2 tau of one to five
+# exponents, and sets with a gap or without 0, whose missing exponents
+# `_z_run` reads as zero tables
+Z_EXPONENTS = [(0,), (0, 2), (0, 2, 4), (0, 2, 4, 6), (0, 2, 4, 6, 8),
+               (0, 4), (4,), (2,), (2, 6)]
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 5, 1000, 4096])
 def test_pure_run_equals_the_weighted_passes(n_max):
-    # reference: one weighted `_add_square_axis` pass per exponent, then
-    # the run's sums added; two tables on each exponent, so the fold runs
-    # too.  mod 2^64 on uint64 tables over the whole range (every product
-    # wraps), and mod the largest prime on int64 tables below it
+    # reference: one weighted `_add_square_axis` pass per exponent on Python
+    # integers, the passes summed; two tables on each exponent, so the fold
+    # runs too.  mod 2^64 on uint64 tables over the whole range (every
+    # product wraps), and mod the largest prime on int64 tables below it
     rng = random.Random(n_max)
     k = math.isqrt(n_max)
     q = next(lattice._primes())
     for mod, m, dtype in ((None, 1 << 64, np.uint64), (q, q, np.int64)):
-        weights = {e: np.array([v % m for v in _square_weights(e, k)], dtype=dtype)
-                   for e in range(0, 10, 2)}
-        for exponents, run in Z_RUNS:
+        for exponents in Z_EXPONENTS:
             tables = [(e, np.array([rng.randrange(m) for _ in range(n_max + 1)], dtype=dtype))
                       for e in exponents for _ in range(2)]
-            expected = lattice._z_stage([(e, t.copy()) for e, t in tables], weights.get, mod)
-            found = lattice._z_stage(tables, weights.get, mod, run)
-            ran = [e for e in expected if e < 2 * run]
-            for e in [e for e in expected if e >= 2 * run]:
-                assert found[e].tolist() == expected[e].tolist(), (mod, exponents, run, e)
-            assert set(found) == set(expected) - set(ran) | ({0} if run else set())
-            if run:
-                summed = np.sum([expected[e].astype(object) for e in ran], axis=0) % m
-                assert found[0].dtype == dtype and found[0].tolist() == summed.tolist(), \
-                    (mod, exponents, run)
+            expected = np.zeros(n_max + 1, dtype=object)
+            for e in exponents:
+                folded = sum(t.astype(object) for f, t in tables if f == e)
+                expected += lattice._add_square_axis(folded, _square_weights(e, k))
+            found = lattice._z_run(lattice._fold(tables), mod)
+            assert found.dtype == dtype and found.tolist() == (expected % m).tolist(), \
+                (mod, exponents)
 
 
 def test_benchmark_polynomials_run_only_pure_passes():
-    # the four benchmark polynomials have z exponent 0 alone, or the run
-    # 0, 2 (the sextic), so every pass, the octic's prime pass at 2^15
-    # included, is pure; x^2*y^2*z^2 (no 0 in its exponents) and
-    # x^4*y^4*z^4 have no run and keep their weighted passes (the latter
-    # past 2^63, on two primes)
+    # every polynomial runs tau + 1 pure passes per stage, 2 tau its largest
+    # z exponent: the four benchmark polynomials one (the sextic, exponents
+    # 0 and 2, two), the octic's prime pass at 2^15 included; x^2*y^2*z^2
+    # (no 0 among its exponents) two, and x^4*y^4*z^4 three, past 2^63, on
+    # two primes
     for expr in ["1", QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR]:
-        _, passes, _ = _passes(parse_poly(expr), 1 << 15)
-        assert passes and all(kind.endswith(" pure") for kind in passes), expr
-    for expr, kinds in (("x^2*y^2*z^2", ["uint64"]), ("x^4*y^4*z^4", ["uint64", "int64", "int64"])):
+        p = parse_poly(expr)
+        _, passes, primes = _passes(p, 1 << 15)
+        n = _z_passes(p)
+        assert passes == ["uint64 pure"] * n + ["int64 pure"] * n * primes, expr
+    for expr, kinds in (("x^2*y^2*z^2", ["uint64 pure"] * 2),
+                        ("x^4*y^4*z^4", ["uint64 pure"] * 3 + ["int64 pure"] * 6)):
         assert _passes(parse_poly(expr), 1 << 15)[1] == kinds, expr
+
+
+# z exponents with a gap or without 0, as no benchmark polynomial has them:
+# 2 alone, 4 alone, 0 and 4, and 12 alone
+GAP_POLYS = ["x^2*y^2*z^2", "x^4*y^4*z^4", "x^4*y^4*z^4+x^2*y^2", "x^12*y^12*z^12"]
+
+
+@pytest.mark.parametrize("expr", GAP_POLYS)
+@pytest.mark.parametrize("n_max", [300, 3000])
+def test_shell_totals_runs_tau_plus_one_pure_passes_per_stage(expr, n_max):
+    # `_passes` spies on the weighted pass and finds it never called, here
+    # and on every polynomial the tests above run; each stage runs one pure
+    # pass per exponent 0, 2, ..., 2 tau, the missing ones included
+    p = parse_poly(expr)
+    (denom, totals), passes, primes = _passes(p, n_max)
+    assert _stages_repeat(passes, primes)
+    assert len(passes) == _z_passes(p) * (primes + 1), (expr, passes)
+    assert (denom, totals) == (p.denom, _class_by_class(p, n_max))
+
+
+def test_harmonic_parts_have_no_gap_in_their_z_exponents():
+    # the Laplacian of a gap's lowest monomial x^a y^b z^2s (s >= 1) has a
+    # term in z^(2s - 2) that only a class of z exponent 2s - 2 could cancel,
+    # so every harmonic part's class z exponents are 0, 2, ..., 2 tau
+    rng = random.Random(30)
+    seen = 0
+    for _ in range(200):
+        p = random_homogeneous(rng, rng.randint(2, 16), rng.randint(1, 8))
+        for _, part in harmonic_decompose(p).parts:
+            assert part.is_harmonic
+            exponents = {key[2] for key, _ in _monomial_classes(part)}
+            assert exponents == set(range(0, max(exponents, default=-2) + 1, 2)), part.to_string()
+            seen += len(exponents) > 1
+    assert seen >= 100
+
+
+def test_random_polynomials_with_z_gaps_match_the_class_sums():
+    # z exponents drawn with a gap, or without 0: the missing exponents run
+    # on zero tables, in the uint64 stage and in each prime stage alike
+    rng = random.Random(31)
+    drawn = 0
+    for _ in range(200):
+        run = range(0, 2 * rng.randint(2, 7), 2)
+        present = [0]
+        while set(present) == set(range(0, max(present) + 1, 2)):
+            present = rng.sample(run, rng.randint(1, len(run) - 1))
+        # distinct sorted exponent triples, so no two monomials share a class
+        classes = {tuple(sorted((low, low + 2 * rng.randrange(4), low + 2 * rng.randrange(4)),
+                                reverse=True)): rng.choice([-1, 1])
+                   * rng.randrange(1, 1 << rng.randint(1, 70))
+                   for low in present for _ in range(rng.randint(1, 2))}
+        p = Polynomial3({tuple(rng.sample(key, 3)): c for key, c in classes.items()},
+                        rng.choice([1, 3]))
+        assert {key[2] for key, _ in _monomial_classes(p)} == set(present)
+        n_max = rng.choice([0, 1, 5, 30, 300, 3000])
+        (denom, totals), passes, primes = _passes(p, n_max)
+        assert _stages_repeat(passes, primes)
+        assert len(passes) == _z_passes(p) * (primes + 1), (classes, n_max, passes)
+        assert (denom, totals) == (p.denom, _class_by_class(p, n_max)), (classes, n_max)
+        drawn += primes > 0
+    assert drawn >= 20
 
 
 @pytest.mark.parametrize("expr", ["1/3*x^2-1/7*y^2", QUARTIC_EXPR, "1/3*x^24*y^24-1/7*z^48"])

@@ -557,9 +557,15 @@ def test_report_lines_equal_json_dumps_on_crafted_reports():
     assert _report_lines(reports, as_json=False) == report_text_lines(reports)
 
 
+def _j_formula(g, z):
+    """(c/d) epsilon_d^(-1) (cz + d)^(1/2), spelled out: the reference for
+    `automorphy_j`, which reads a pooled gamma's constant from a table."""
+    return shimura_legendre(g.c, g.d) / epsilon_d(g.d) * cmath.sqrt(g.c * z + g.d)
+
+
 def test_pooled_constants_give_automorphy_j_bit_for_bit():
-    # the constant the sampled checks read, times the per-pair root, is
-    # automorphy_j to the last bit, signed zeros included
+    # automorphy_j, its constant read from SAMPLE_J_CONST, is the formula to
+    # the last bit, signed zeros included
     def bits(w):
         return w.real.hex(), w.imag.hex()
 
@@ -569,13 +575,12 @@ def test_pooled_constants_give_automorphy_j_bit_for_bit():
     assert len(SAMPLE_J_CONST) == len(pooled) and set(SAMPLE_J_CONST) == set(pooled)
     for g in pooled:
         for z in zs:
-            ours = SAMPLE_J_CONST[g] * cmath.sqrt(g.c * z + g.d)
-            assert bits(ours) == bits(automorphy_j(g, z)), (g, z)
+            assert bits(automorphy_j(g, z)) == bits(_j_formula(g, z)), (g, z)
 
 
 def test_check_batch_reads_automorphy_j_in_and_out_of_the_pool(quartic, monkeypatch):
     # with theta stubbed to 1, rhs is j(gamma, z)^11 itself: it must equal
-    # automorphy_j ** 11 bit for bit, from the pooled table or, for gammas
+    # the formula's ** 11 bit for bit, from the pooled table or, for gammas
     # outside the pool (other b, |d| > 25, c = 20), computed per pair
     ctx = theta_context(quartic, n_max=256)
     outside = [GammaElement(1, 1, 0, 1), GammaElement(-3, -2, -4, -3), gamma0_4_from_cd(4, 27),
@@ -588,7 +593,7 @@ def test_check_batch_reads_automorphy_j_in_and_out_of_the_pool(quartic, monkeypa
     monkeypatch.setattr(modular, "theta_values", lambda ctx, z, tol: np.ones(z.shape, complex))
     monkeypatch.setattr(modular, "Y_MIN", -1.0)  # every draw, wherever gamma z falls
     for rep, g, z in zip(modular._check_batch(ctx, gammas, zs, 1e-6), gammas, zs):
-        want = automorphy_j(g, z) ** 11
+        want = _j_formula(g, z) ** 11
         assert (rep.rhs.real.hex(), rep.rhs.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -228,7 +229,7 @@ def test_parse_refuses_oversize_coefficients():
         assert err.value.position == position and "cap" in str(err.value)
     # and so is a product past the cap, at its '*'
     with pytest.raises(PolyParseError) as err:
-        parse_poly("2^40000*2^40000")
+        parse_poly("2^10000*2^10000")
     assert err.value.position == 7
     assert parse_poly("2^11000*x^2").terms == {(2, 0, 0): 2**11000}
     assert parse_poly(f"2^{COEFF_BIT_CAP - 1}").terms == {(0, 0, 0): 2 ** (COEFF_BIT_CAP - 1)}
@@ -440,19 +441,26 @@ def _mutate(rng: random.Random, text: str) -> str:
 def _cap_cases(rng: random.Random) -> list[str]:
     """Powers and products at the degree cap and at COEFF_BIT_CAP, and
     cancellations whose reduced form is what the checks read."""
+    cap = COEFF_BIT_CAP
+    e3 = next(e for e in itertools.count(cap * 2 // 3, -1) if (3**e).bit_length() <= cap)
+    half, sixth = cap // 2, cap // 6 + 1  # sixth * 6 passes the cap
     cases = ["(x^40-x^40)*x^40", "(x^40-x^40)^2*x^64", "(x-x)^64*x^64", "(x^32-x^32+y)^64",
              "(2*x-2*x)^3*x^64", "x^64*(y-y)", "(1/2*x-1/2*x+1)*x^64", "0*x^64*y^64",
-             "(x^2+y^2)^16-(y^2+x^2)^16", "2^65535", "2^65536", "-2^65535", "(1/2)^65535",
-             "(1/2)^65536", "(2/3)^41349", "3^41350", "2^65535-2^65535",
-             "(2^65535-2^65535)*2^65535", "2^40000*2^25535", "2^40000*2^25536",
-             "2^32768*x*2^32767", "(2^30000*x+y)^2", "(2^20000*x+y+z)^3", "(2^16383*x+y)^4",
-             "(2^16384*x+y)^4", "1/2^65535*2^65535", "(x+y)^64", "(1/2*x+1/3*y)^64",
-             "(x+y+1)^0", "0^0", "0^65536", "1^99999999", "(-1)^99999999", "x^0^0",
-             "0^99999999", "(x-x)^99999999*x^64", "(x-x+2)^65535", "(x-x+2)^65536",
+             "(x^2+y^2)^16-(y^2+x^2)^16", f"2^{cap - 1}", f"2^{cap}", f"-2^{cap - 1}",
+             f"(1/2)^{cap - 1}", f"(1/2)^{cap}", f"(2/3)^{e3}", f"3^{e3 + 1}",
+             f"2^{cap - 1}-2^{cap - 1}", f"(2^{cap - 1}-2^{cap - 1})*2^{cap - 1}",
+             f"2^{half}*2^{cap - 1 - half}", f"2^{half}*2^{cap - half}",
+             f"2^{half}*x*2^{cap - 1 - half}", f"(2^{half - 1000}*x+y)^2",
+             f"(2^{cap // 3 - 1000}*x+y+z)^3", f"(2^{cap // 4 - 1}*x+y)^4",
+             f"(2^{cap // 4}*x+y)^4", f"1/2^{cap - 1}*2^{cap - 1}", "(x+y)^64",
+             "(1/2*x+1/3*y)^64", "(x+y+1)^0", "0^0", f"0^{cap}", "1^99999999", "(-1)^99999999",
+             "x^0^0", "0^99999999", "(x-x)^99999999*x^64", f"(x-x+2)^{cap - 1}",
+             f"(x-x+2)^{cap}",
              # a bad character right after a factor is refused before the product
-             "x^64*x@", "2^40000*2^30000i", "x^64*3/@", "(x^64)*(x)\u00b2",
-             # 6 * 10923 bits, just past the cap; a product sized only once reduced
-             f"({2**10923 - 1}*x)^6", f"({2**10923 - 1}*x)^5", "(1/2)^60000*2^60000*2^10000"]
+             "x^64*x@", f"2^{half}*2^{half + 1}i", "x^64*3/@", "(x^64)*(x)\u00b2",
+             # 6 * sixth bits, just past the cap; a product sized only once reduced
+             f"({2**sixth - 1}*x)^6", f"({2**sixth - 1}*x)^5",
+             f"(1/2)^{cap - 1000}*2^{cap - 1000}*2^{half}"]
     for _ in range(300):
         base = rng.choice([2, 3, 5, 7, 10, 255, 256])
         over = rng.choice(["", f"/{rng.choice([3, 7, 1024])}"])
@@ -460,8 +468,9 @@ def _cap_cases(rng: random.Random) -> list[str]:
         power = f"({base}{over})^{exponent}"
         cases.append(rng.choice([power, f"{power}*x^{rng.randrange(60, 66)}",
                                  f"x^{rng.randrange(30, 36)}*{power}*y^{rng.randrange(30, 36)}",
-                                 f"2^{rng.randrange(30000, 40000)}*2^{rng.randrange(25000, 36000)}",
-                                 f"(2^{rng.randrange(16000, 16600)}*x+y)^4"]))
+                                 f"2^{rng.randrange(cap * 3 // 8, cap * 5 // 8)}"
+                                 f"*2^{rng.randrange(cap * 3 // 8, cap * 5 // 8)}",
+                                 f"(2^{rng.randrange(cap // 4 - 400, cap // 4 + 200)}*x+y)^4"]))
     return cases
 
 
