@@ -1,7 +1,8 @@
 """Command-line front end: exact sums, sweeps, fits and check reports.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage or
-parse errors.  Exact quantities are printed as rationals p/q, never decimals.
+parse errors, which `build_parser` maps for every command (see its `add`).
+Exact quantities are printed as rationals p/q, never decimals.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,8 +63,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _json_out(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload))
+    print(json.dumps({"schema": SCHEMA, **payload}))
 
 
 # theta-check's report lines.  A JSON line has json.dumps's bytes for {"schema": SCHEMA,
@@ -106,7 +105,6 @@ def _domain_errors_are_usage(fn):
 # -- subcommands -------------------------------------------------------------
 
 
-@_domain_errors_are_usage
 def cmd_sum(args) -> int:
     p = _poly_arg(args.poly)
     if args.json:
@@ -120,7 +118,6 @@ def cmd_sum(args) -> int:
     return 0
 
 
-@_domain_errors_are_usage
 def cmd_coeffs(args) -> int:
     if args.json and args.csv is not None:
         raise UsageError("--csv and --json exclude each other")
@@ -140,7 +137,6 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-@_domain_errors_are_usage
 def cmd_window_sum(args) -> int:
     """`shortsum` and `longsum`: a weighted sum over the window of R, H."""
     p = _poly_arg(args.poly)
@@ -158,7 +154,6 @@ def cmd_window_sum(args) -> int:
     return 0
 
 
-@_domain_errors_are_usage
 def cmd_freqsum(args) -> int:
     p = _poly_arg(args.poly)
     value = oscsum.freq_long_sum(p, args.r, args.h, args.n_trunc)
@@ -178,7 +173,6 @@ def _parse_h(text: str) -> tuple[float, float, float]:
     return tuple(float(v % 1) for v in exppairs.parse_rationals(text, 3))  # type: ignore[return-value]
 
 
-@_domain_errors_are_usage
 def cmd_expsum(args) -> int:
     if args.n is not None and args.n_list is not None:
         raise UsageError("--n and --n-list exclude each other")
@@ -227,22 +221,18 @@ def cmd_expsum(args) -> int:
     return 0
 
 
-@_domain_errors_are_usage
 def cmd_pair(args) -> int:
     pair = exppairs.parse_pair(args.pair, eps=args.eps)
     print(exppairs.pair_apply_word(args.word, pair) if args.word else pair)
     return 0
 
 
-@_domain_errors_are_usage
 def cmd_balance(args) -> int:
     long_terms = exppairs.parse_terms(args.long, exppairs.LONG_SUM_MODELS)
     short_terms = exppairs.parse_terms(args.short, exppairs.SHORT_SUM_MODELS)
-    if args.alpha_range:
-        lo, hi = exppairs.parse_rationals(args.alpha_range, 2)
-    else:
-        lo, hi = Fraction(-1), Fraction(0)
-    result = exppairs.balance(long_terms, short_terms, (lo, hi))
+    # with no --alpha-range, balance's own default range
+    alpha_range = (exppairs.parse_rationals(args.alpha_range, 2),) if args.alpha_range else ()
+    result = exppairs.balance(long_terms, short_terms, *alpha_range)
     if args.json:
         _json_out(
             {
@@ -258,7 +248,6 @@ def cmd_balance(args) -> int:
     return 0
 
 
-@_domain_errors_are_usage
 def cmd_table(args) -> int:
     rows = exppairs.exponent_table()
     _emit(exppairs.table_csv(rows) if args.csv_format else exppairs.table_text(rows),
@@ -293,7 +282,6 @@ def _headline_fit(mags: np.ndarray | list[float]) -> FitResult:
     return dataclasses.replace(fit, slope=2 * fit.slope)
 
 
-@_domain_errors_are_usage
 def cmd_fit(args) -> int:
     if args.from_csv and any(v is not None for v in (args.poly, args.csv, args.r_max)):
         raise UsageError("--from-csv re-fits a stored series: it takes no --poly, --csv or --r-max")
@@ -356,7 +344,10 @@ def _read_fit_csv(path: str) -> list[float]:
     return mags
 
 
-def cmd_theta_check(args) -> int:
+@_domain_errors_are_usage
+def _theta_setup(args):
+    """theta-check's checked inputs and context: (ctx, (gamma, z), None)
+    with --gamma, else (ctx, None, the sampled reports)."""
     if not 0 < args.tol < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     sample = 50 if args.sample is None else args.sample
@@ -375,30 +366,23 @@ def cmd_theta_check(args) -> int:
             raise UsageError("--gamma wants a,b,c,d and --z wants re,im")
         if not (math.isfinite(zr) and math.isfinite(zi)):
             raise UsageError(f"--z must be finite, got {args.z!r}")
-        try:
-            gamma = modular.GammaElement(a, b, c, d)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    try:
-        ctx = modular.theta_context(p, modular.context_n_max(p, args.n_max, args.tol))
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    except OverflowError as exc:
-        raise UsageError(f"a value is out of float range: {exc}") from None
+        point = modular.GammaElement(a, b, c, d), complex(zr, zi)
+    ctx = modular.theta_context(p, modular.context_n_max(p, args.n_max, args.tol))
     if args.gamma:
-        reports = [modular.transformation_check(ctx, gamma, complex(zr, zi), tol=args.tol)]
-    else:
-        try:
-            reports = modular.sample_checks(ctx, sample, seed=args.seed or 0, tol=args.tol)
-        except ValueError as exc:  # e.g. a tail that n_max cannot certify below tol
-            raise UsageError(str(exc))
+        return ctx, point, None
+    return ctx, None, modular.sample_checks(ctx, sample, seed=args.seed or 0, tol=args.tol)
+
+
+def cmd_theta_check(args) -> int:
+    ctx, point, reports = _theta_setup(args)
+    if reports is None:  # a ValueError here escapes (ROADMAP item 5)
+        reports = [modular.transformation_check(ctx, *point, tol=args.tol)]
     sys.stdout.write(_report_lines(reports, args.json))
     if not all(rep.passed for rep in reports):
         raise CheckFailed("transformation check failed")
     return 0
 
 
-@_domain_errors_are_usage
 def cmd_gauss(args) -> int:
     # every domain error, in the direct sum's order, before the O(|c|) sum
     modular.check_gauss_domain(args.d, args.c)
@@ -435,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, fn, help_):
+        """A subcommand whose domain errors exit 2 (theta-check maps its own)."""
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_domain_errors_are_usage(fn))
         return p
 
     p = add("sum", cmd_sum, "exact sum of a polynomial over |x|^2 <= R^2")
@@ -502,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-csv", default=None, help="re-fit a previously emitted series")
     p.add_argument("--json", action="store_true")
 
-    p = add("theta-check", cmd_theta_check, "verify the theta transformation law")
+    # theta-check maps them in `_theta_setup`, so its --gamma check may raise
+    p = sub.add_parser("theta-check", help="verify the theta transformation law")
+    p.set_defaults(fn=cmd_theta_check)
     p.add_argument("--poly", default="5*(x^4+y^4+z^4)-3*(x^2+y^2+z^2)^2")
     p.add_argument("--gamma", default=None,
                    help="a,b,c,d; a negative a needs the = form, --gamma=-1,0,0,-1")

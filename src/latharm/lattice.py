@@ -21,9 +21,10 @@ residues only: one uint64 stage mod 2^64, then, as many as an exact bound
 on |T| asks for, int64 stages mod primes below 2^26, each the same passes
 on every class, joined by Garner's method (`_recover`).  Only the
 per-shell consumers run the z axis: the ball sum (`_ball_total`) is one
-bilinear form per class on the same residues, in O(n_max).  A report's
-lattice-point count is the ball sum of 1 (a window's, the difference of
-two), so no second enumeration counts them.
+bilinear form per class on the same residues, in O(n_max), read through
+the ball's index table (`_ball_index`).  Every lattice-point count is one
+int64 form on such a table (`_ball_points`): a ball report's on the value's
+own table, a window's the difference of two balls.
 """
 
 from __future__ import annotations
@@ -513,28 +514,37 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     return p.denom, _recover(content, s.view(np.int64), bound, residue)
 
 
-def _ball_total(p: Polynomial3, n_max: int, points: bool = False) -> tuple[int, ...]:
-    """(D, T) with T / D the sum of p over |x|^2 <= n_max, in O(n_max); with
-    points, (D, T, the number of lattice points in the ball).
+def _ball_index(n_max: int) -> np.ndarray:
+    """Entry (a, b), 0 <= a, b <= k = isqrt(n_max), is the largest j with j^2 <=
+    n_max - a^2 - b^2 by the floored `np.sqrt`, and k + 1 off the disc."""
+    check_n_max(n_max)
+    k = math.isqrt(n_max)
+    squares = np.arange(k + 1, dtype=np.float64) ** 2
+    rest = np.subtract(n_max, squares[:, None]) - squares
+    rest[rest < 0] = (k + 1) ** 2
+    return np.sqrt(rest, out=rest).astype(np.intp)
+
+
+def _ball_points(index: np.ndarray) -> int:
+    """The number of lattice points in the ball of `index`, w_0^T Z_0 w_0 in
+    int64 (see `_ball_total`): below 2^33 at N_MAX_CAP, so nothing wraps."""
+    w0 = np.array(_square_weights(0, len(index) - 1), dtype=np.int64)
+    return int(w0 @ np.append(np.cumsum(w0), 0)[index] @ w0)  # k + 1 reads the 0
+
+
+def _ball_total(p: Polynomial3, index: np.ndarray) -> tuple[int, int]:
+    """(D, T) with T / D the sum of p over the ball of `_ball_index`, in O(n_max).
 
     A class (e1, e2, e3) sums over the ball to w_e1^T Z_e3 w_e2, w_e the
     square weights and Z_e[a, b] = sum of w_e[j] over j^2 <= n_max - a^2 -
-    b^2 (0 off the disc): a cumsum read through the floored `np.sqrt` table.
-    T = G U as in `shell_totals`, |U| <= sum |c| prod sum(w) as the ball lies
-    in the cube; U mod 2^64 in uint64 (matmul wraps), and mod q on w and Z
-    reduced below q, each product (k + 1 terms) reduced after it.  The point
-    count is w_0^T Z_0 w_0 in int64 on the same index table: it is below 2^33
-    at N_MAX_CAP, so nothing wraps.
+    b^2 (0 off the disc): a cumsum read through the index table.  T = G U
+    as in `shell_totals`, |U| <= sum |c| prod sum(w) as the ball lies in the
+    cube; U mod 2^64 in uint64 (matmul wraps), and mod q on w and Z reduced
+    below q, each product (k + 1 terms) reduced after it.
     """
-    check_n_max(n_max)
-    k = math.isqrt(n_max)
+    k = len(index) - 1
     content, classes, weights = _content(p, k)
     bound = sum(abs(c) * math.prod(sum(weights[e]) for e in key) for key, c in classes)
-    squares = np.arange(k + 1, dtype=np.float64) ** 2
-    rest = np.subtract(n_max, squares[:, None]) - squares
-    rest[rest < 0] = (k + 1) ** 2  # outside the disc: the 0 after the cumsum
-    index = np.sqrt(rest, out=rest).astype(np.intp)
-    del rest
 
     def residue(q: int | None) -> np.ndarray:
         dtype, m = (np.uint64, 1 << 64) if q is None else (np.int64, q)
@@ -549,13 +559,7 @@ def _ball_total(p: Polynomial3, n_max: int, points: bool = False) -> tuple[int, 
             del z  # one (k + 1)^2 table at a time
         return np.array([total % m], dtype=dtype).view(np.int64)
 
-    total = int(_recover(content, residue(None), bound, residue)[0])
-    if not points:
-        return p.denom, total
-    w0 = np.array(_square_weights(0, k), dtype=np.int64)
-    cum = np.zeros(k + 2, dtype=np.int64)
-    np.cumsum(w0, out=cum[:-1])
-    return p.denom, total, int(w0 @ cum[index] @ w0)
+    return p.denom, int(_recover(content, residue(None), bound, residue)[0])
 
 
 def _bilinear(u: np.ndarray, z: np.ndarray, v: np.ndarray, q: int | None):
@@ -600,31 +604,27 @@ class SumReport:
     term_count: int
 
 
-def _ball_points(m: int) -> int:
-    """Number of lattice points with |x|^2 <= m: the ball sum of 1."""
-    return _ball_total(Polynomial3.constant(1), m)[1]
-
-
-def _homogeneous_ball_total(p: Polynomial3, r_sq: int, points: bool) -> tuple[int, ...]:
-    """`_ball_total` of a homogeneous p over r_sq >= 0."""
+def _homogeneous_ball_index(p: Polynomial3, r_sq: int) -> np.ndarray:
+    """`_ball_index` of r_sq >= 0 for a homogeneous p."""
     if r_sq < 0:
         raise ValueError("r_sq must be non-negative")
     if not p.is_homogeneous:
         raise ValueError("ball sum requires a homogeneous polynomial")
-    return _ball_total(p, r_sq, points)
+    return _ball_index(r_sq)
 
 
 def ball_sum(p: Polynomial3, r_sq: int) -> Fraction:
     """Exact sum of p over all lattice points with |x|^2 <= r_sq."""
-    denom, total = _homogeneous_ball_total(p, r_sq, points=False)
+    denom, total = _ball_total(p, _homogeneous_ball_index(p, r_sq))
     return Fraction(total, denom)
 
 
 def ball_sum_report(p: Polynomial3, r_sq: int) -> SumReport:
     """Exact ball sum with the number of lattice points included, both read
-    through one disc index table."""
-    denom, total, count = _homogeneous_ball_total(p, r_sq, points=True)
-    return SumReport(value=Fraction(total, denom), term_count=count)
+    through one ball index table."""
+    index = _homogeneous_ball_index(p, r_sq)
+    denom, total = _ball_total(p, index)
+    return SumReport(value=Fraction(total, denom), term_count=_ball_points(index))
 
 
 def short_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
@@ -632,7 +632,7 @@ def short_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
     value = short_sum(p, r, h)
     lo, hi = _window_bounds(r, h)
     # lo = ceil(R^2) >= 1 and hi >= floor(R^2) >= lo - 1: an empty window counts 0
-    return SumReport(value=value, term_count=_ball_points(hi) - _ball_points(lo - 1))
+    return SumReport(value, _ball_points(_ball_index(hi)) - _ball_points(_ball_index(lo - 1)))
 
 
 def long_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
@@ -640,7 +640,7 @@ def long_sum_report(p: Polynomial3, r: float, h: float) -> SumReport:
     value = long_sum_physical(p, r, h)
     _, hi = _window_bounds(r, h)
     # the origin always carries weight
-    return SumReport(value=value, term_count=_ball_points(hi))
+    return SumReport(value=value, term_count=_ball_points(_ball_index(hi)))
 
 
 def cutoff_f(x: float, r: float, h: float) -> float:

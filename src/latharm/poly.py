@@ -26,7 +26,10 @@ from typing import Mapping, NamedTuple, NoReturn
 
 Monomial = tuple[int, int, int]
 
-DEFAULT_DEGREE_CAP = 64
+DEGREE_CAP = 64
+# Most terms a power or product may build, bounded before it is built:
+# (x+y+z+1)^31 has 5984 (0.3 s to parse), (x+y+z+1)^64 47 905 (14-18 s).
+TERM_CAP = 6000
 # Largest coefficient numerator or denominator, in bits, that parsing builds,
 # so that every exact output prints within Python's 4300-digit limit on int
 # to str: a homogeneous P of degree <= 64 has at most C(66, 2) = 2145
@@ -299,14 +302,14 @@ def _coefficient_bits(terms: Mapping[Monomial, int], denom: int) -> int:
     return max(denom, max(map(abs, terms.values()), default=0)).bit_length()
 
 
-def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
+def parse_poly(text: str) -> Polynomial3:
     """Parse an expression in x, y, z with +, -, *, ^ and parentheses.
 
     Rational literals are written p/q with ASCII digits; any other
     character, `i` included, is refused.  Raises PolyParseError with the
-    offending position on bad syntax, a coefficient past COEFF_BIT_CAP bits
-    or parentheses nested past PAREN_DEPTH_CAP, DegreeCapError past the
-    degree cap.
+    offending position on bad syntax, a coefficient past COEFF_BIT_CAP bits,
+    an expansion past TERM_CAP terms or parentheses nested past
+    PAREN_DEPTH_CAP, DegreeCapError past DEGREE_CAP.
     """
     bad = _BAD_CHARACTER.search(text)
     cut = bad.start() if bad else len(text)
@@ -329,10 +332,15 @@ def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
             fail(f"a {bits}-bit coefficient passes the {COEFF_BIT_CAP}-bit cap", i)
         return bits
 
+    def capped(count: int, low: int, high: int, i: int) -> None:
+        """Refuse at token i an expansion of count terms of degrees low .. high."""
+        if (n := min(count, math.comb(high + 3, 3) - math.comb(low + 2, 3))) > TERM_CAP:
+            fail(f"an expansion of up to {n} terms passes the {TERM_CAP}-term cap", i)
+
     # The grammar's descent as one loop: expr = term (('+' | '-') term)*,
     # term = factor ('*' factor)*, factor = ('+' | '-')* atom ('^' number)?.
-    # A factor is a reduced (terms, denom) with its degree and a bound on its
-    # coefficient bits, exact for an atom; an open '(' saves the outer state.
+    # A factor is a reduced (terms, denom) with its top and lowest degrees and a
+    # bound on its coefficient bits, exact for an atom; '(' saves the outer state.
     frames: list[tuple] = []
     total = product = None  # the expression's sum so far, the term's product so far
     at = sign = star = 0  # the token read, the sign before the term, the pending '*'
@@ -353,9 +361,10 @@ def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
                     g = math.gcd(p, q)
                     p, q = p // g, q // g
                     at += 2
-            terms, denom, degree, bits = {(0, 0, 0): p} if p else {}, q, 0, max(p, q).bit_length()
+            terms, denom, degree, low = {(0, 0, 0): p} if p else {}, q, 0, 0
+            bits = max(p, q).bit_length()
         elif value in _VARIABLES:
-            terms, denom, degree, bits = {_VARIABLES[value]: 1}, 1, 1, 1
+            terms, denom, degree, low, bits = {_VARIABLES[value]: 1}, 1, 1, 1, 1
         elif value == "(":
             if len(frames) == PAREN_DEPTH_CAP:
                 fail(f"parentheses nested deeper than {PAREN_DEPTH_CAP}", at - 1)
@@ -373,30 +382,33 @@ def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
                 exponent = int(tokens[at])
                 at += 1
                 # degree(b^e) = e degree(b) for b != 0, and a constant's power has
-                # at least e (bits - 1) + 1 bits: both are refused unbuilt.  Past
-                # degree 0 the degree cap bounds e, so the power is built and sized:
-                # its coefficients are at most (len(b) max|c|)^e.
-                if degree * exponent > degree_cap:
-                    raise DegreeCapError(f"exponent {exponent} exceeds degree cap {degree_cap}")
+                # at least e (bits - 1) + 1 bits: both are refused unbuilt.  Past degree
+                # 0 the degree cap bounds e, b^e has at most C(n + e - 1, e) terms, and
+                # it is built and sized: its coefficients are at most (len(b) max|c|)^e.
+                if degree * exponent > DEGREE_CAP:
+                    raise DegreeCapError(f"exponent {exponent} exceeds degree cap {DEGREE_CAP}")
                 if not degree and exponent * (bits - 1) >= COEFF_BIT_CAP:
                     fail(f"power {exponent} passes the {COEFF_BIT_CAP}-bit coefficient cap", caret)
+                degree, low = degree * exponent, low * exponent
+                capped(math.comb(max(len(terms), 1) + exponent - 1, exponent), low, degree, caret)
                 bound = exponent * (bits + len(terms).bit_length()) or 1
                 terms, denom = _pow(terms, denom, exponent)
-                degree *= exponent
                 bits = sized(terms, denom, bound, caret)
             elif at == bad_at:
                 fail("", at)
             terms = _neg(terms) if negate else terms
             if product is not None:
-                # a product's coefficient sums at most min(len) products of two
-                a, a_denom, a_degree, a_bits = product
+                # the degrees of a product of nonzero polynomials are the sums,
+                # and its coefficient sums at most min(len) products of two
+                a, a_denom, a_degree, a_low, a_bits = product
+                degree, low = (a_degree + degree, a_low + low) if a and terms else (0, 0)
+                if degree > DEGREE_CAP:
+                    raise DegreeCapError(f"degree {degree} exceeds degree cap {DEGREE_CAP}")
+                capped(len(a) * len(terms), low, degree, star)
                 bound = a_bits + bits + min(len(a), len(terms)).bit_length()
                 terms, denom = _reduced(_mul(a, terms), a_denom * denom)
-                # the degree of a product of nonzero polynomials is the sum
-                if (degree := a_degree + degree if terms else 0) > degree_cap:
-                    raise DegreeCapError(f"degree {degree} exceeds degree cap {degree_cap}")
                 bits = sized(terms, denom, bound, star)
-            product = terms, denom, degree, bits
+            product = terms, denom, degree, low, bits
             if (value := tokens[at]) == "*":
                 star = at
                 at += 1
@@ -415,7 +427,8 @@ def parse_poly(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
                 fail("expected ')'", at)
             at += 1
             (terms, denom), (total, sign, product, star, negate) = total, frames.pop()
-            degree, bits = max(map(sum, terms), default=0), _coefficient_bits(terms, denom)
+            degrees = [sum(m) for m in terms] or [0]
+            degree, low, bits = max(degrees), min(degrees), _coefficient_bits(terms, denom)
 
 
 # -- sphere averages and harmonic decomposition ------------------------------

@@ -5,9 +5,10 @@ of stderr of `latharm.cli.main` on a fixed argv list.
 
 The tests compare each argv's output against the stored digests, so a
 change that alters an output on purpose reruns this script and commits the
-new file.  The list leaves out `freqsum`, `expsum`, `theta-check` and
-`gauss`: their numpy trig and exp kernels may round differently on another
-CPU, so their bytes are not pinned.
+new file.  `freqsum`, `expsum`, `theta-check` and `gauss` appear only with
+refusals that exit 2 before any numpy trig or exp kernel runs: those
+kernels may round differently on another CPU, so their other bytes are not
+pinned.
 """
 
 import contextlib
@@ -77,6 +78,31 @@ ARGVS = [
     ["pair", "--pair", "1/2,1/2", "--word", "AB", "--no-eps"],
     ["pair", "--pair", "0,1", "--word", "BAB"],
     ["pair", "--pair", "2,1", "--word", "A"],
+    # theta-check refuses, one argv per input check (--n-max 16 and 1 keep
+    # context_n_max from running its exp kernel)
+    ["theta-check", "--tol", "0"],
+    ["theta-check", "--sample", "0"],
+    ["theta-check", "--z", "0,0.5"],
+    ["theta-check", "--gamma", "1,0,4,1", "--z", "0,0.5", "--seed", "1"],
+    ["theta-check", "--gamma", "1,0,4,1", "--z", "0,0.5", "--sample", "3"],
+    ["theta-check", "--gamma", "1,0,4", "--z", "0,0.5"],
+    ["theta-check", "--gamma", "1,0,4,1"],
+    ["theta-check", "--gamma", "1,0,4,1", "--z", "0,inf"],
+    ["theta-check", "--gamma", "2,0,4,1", "--z", "0,0.5"],
+    ["theta-check", "--gamma", "1,0,1,1", "--z", "0,0.5"],
+    ["theta-check", "--n-max", "0"],
+    ["theta-check", "--n-max", "1000001"],
+    # the first draw of seed 2 has c = 0, so its Im z takes no complex division
+    ["theta-check", "--n-max", "1", "--sample", "1", "--seed", "2"],
+    ["theta-check", "--poly", "2^2000*(x^2-y^2)"],
+    ["theta-check", "--poly", "x^2", "--n-max", "16"],
+    ["theta-check", "--poly", "x^2+y", "--n-max", "16"],
+    ["freqsum", "--poly", "1", "--r", "10", "--h", "0.5", "--n-trunc", "0"],
+    ["freqsum", "--poly", "x^2+y", "--r", "10", "--h", "0.5", "--n-trunc", "64"],
+    ["expsum", "--poly", "1", "--r", "10", "--n", "0"],
+    ["expsum", "--poly", "1", "--r", "10"],
+    ["gauss", "--d", "1", "--c", "999999"],
+    ["gauss", "--d", "2", "--c", "8"],
 ]
 
 

@@ -362,6 +362,9 @@ BAD_INPUT = {
     "freqsum-complex": ("freqsum", "--poly", "(x+i*y)^4", "--r", "10", "--h", "0.5",
                         "--n-trunc", "64"),
     "theta-check-complex": ("theta-check", "--poly", "(x+i*y)^4"),
+    # a power or product that may pass poly.TERM_CAP terms is refused unbuilt
+    "sum-power-terms-huge": ("sum", "--poly", "(x+y+z+1)^64", "--r-sq", "4"),
+    "sum-product-terms-huge": ("sum", "--poly", "(x+y+z+1)^32*(x+y+z+1)^32", "--r-sq", "4"),
     # parentheses nest at most poly.PAREN_DEPTH_CAP (100) deep
     "sum-nested-250": ("sum", "--poly", "(" * 250 + "x" + ")" * 250, "--r-sq", "4"),
     # a model name resolves only in its own table
@@ -418,6 +421,36 @@ def test_outputs_match_the_golden_digests(capsys):
         if {"argv": row["argv"], "code": code, "stdout": sha(out), "stderr": sha(err)} != row:
             changed.append(row["argv"])
     assert not changed
+
+
+# theta-check's two --gamma cases that still raise, with their messages
+# (ROADMAP item 5); perfbench/selftest.py asserts the first as an escaped
+# ValueError, so both change with it
+GAMMA_RAISES = {
+    ("theta-check", "--gamma", "1,0,4,1", "--z", "0,2"):
+        "both z and gamma z must stay above Im = 0.05",
+    ("theta-check", "--gamma", "1,0,0,1", "--z", "0,0.06", "--n-max", "16"):
+        "cannot certify tail < 1e-14 with n_max=16 at Im z = 0.06",
+}
+
+
+def test_only_the_two_gamma_cases_raise(capsys):
+    # every theta-check argv of the golden digests, two passing runs and the
+    # two cases above: exactly those two raise, every other argv returns
+    rows = json.loads((GOLDEN / "cli_digests.json").read_text())
+    argvs = [tuple(row["argv"]) for row in rows if row["argv"][0] == "theta-check"]
+    argvs += [("theta-check", "--sample", "2", "--n-max", "256"),
+              ("theta-check", "--gamma", "1,0,4,1", "--z", "0,0.5", "--n-max", "256")]
+    assert len(argvs) > 15
+    raised = {}
+    for argv in argvs + list(GAMMA_RAISES):
+        try:
+            code, _, _ = run(capsys, *argv)
+        except ValueError as exc:
+            raised[argv] = str(exc)
+            continue
+        assert code in (0, 1, 2), argv
+    assert raised == GAMMA_RAISES
 
 
 def test_the_widest_coefficient_prints_its_exact_sum(capsys):

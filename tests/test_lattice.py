@@ -834,7 +834,7 @@ def _ball_passes(p, n_max):
         m.setattr(lattice, "_add_square_axis", no_z_stage)
         m.setattr(lattice, "_bilinear", spy)
         m.setattr(lattice, "_primes", counted)
-        denom, total = lattice._ball_total(p, n_max)
+        denom, total = lattice._ball_total(p, lattice._ball_index(n_max))
         route = seen[:], len(drawn)
         if p.is_homogeneous:
             assert ball_sum(p, n_max) == F(total, denom)
@@ -901,30 +901,46 @@ def test_ball_sum_at_the_cap():
 
 
 def test_window_counts_at_the_cap():
-    # a window's count is the difference of two balls of 1
+    # a window's count is the difference of two balls' counts
     n = lattice.N_MAX_CAP
     for lo, hi in ((n - 5, n), (n, n)):
         expected = _column_count(hi) - _column_count(lo - 1)
-        assert lattice._ball_points(hi) - lattice._ball_points(lo - 1) == expected > 0
+        count = lattice._ball_points(lattice._ball_index(hi))
+        assert count - lattice._ball_points(lattice._ball_index(lo - 1)) == expected > 0
+
+
+def test_ball_points_match_the_ball_sum_of_one_and_brute_force():
+    # the count kernel against the exact route on P = 1, which it replaced,
+    # and against enumeration: the origin, squares and the shell before each
+    one = Polynomial3.constant(1)
+    rng = random.Random(31)
+    sizes = [0, 1, 2, 3, 4, 8, 9, 24, 25, 99, 100, 1023, 1024, 4095, 4096]
+    sizes += [rng.randrange(200_000) for _ in range(5)] + [lattice.N_MAX_CAP]
+    for m in sizes:
+        index = lattice._ball_index(m)
+        count = lattice._ball_points(index)
+        assert count == lattice._ball_total(one, index)[1], m
+        if m <= 100:
+            assert count == points_in(0, m), m
+    assert count == _column_count(lattice.N_MAX_CAP)
 
 
 def test_ball_sum_report_runs_no_shell_convolution(quartic, monkeypatch):
-    # the point count is read from the value's own disc index table: one
-    # ball pass, no pair table, no z stage
+    # the value and the point count read one ball index table: no shell
+    # sums, no pair table, no z stage
     def refuse(*args):
-        raise AssertionError("the ball report ran a shell convolution or a second ball")
+        raise AssertionError("the ball report ran a shell convolution")
 
     expected = {r_sq: ball_sum(quartic, r_sq) for r_sq in (0, 1, 100, 1 << 15)}
     _, counts = shell_totals(parse_poly("1"), 1 << 15)
-    passes, inner = [], lattice._ball_total
-    monkeypatch.setattr(lattice, "_ball_total", lambda *a, **k: passes.append(a) or inner(*a, **k))
-    monkeypatch.setattr(lattice, "_ball_points", refuse)
-    monkeypatch.setattr(lattice, "_pair_table", refuse)
-    monkeypatch.setattr(lattice, "_add_square_axis", refuse)
+    tables, inner = [], lattice._ball_index
+    monkeypatch.setattr(lattice, "_ball_index", lambda n: tables.append(n) or inner(n))
+    for name in ("shell_totals", "_pair_table", "_add_square_axis", "_add_square_axis0"):
+        monkeypatch.setattr(lattice, name, refuse)
     for r_sq, value in expected.items():
         count = int(counts[: r_sq + 1].sum())
         assert ball_sum_report(quartic, r_sq) == lattice.SumReport(value, count)
-    assert len(passes) == len(expected)
+    assert tables == list(expected)
 
 
 # -- cutoff and weighted sums --------------------------------------------------------

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from latharm import poly
 from latharm.poly import (
     COEFF_BIT_CAP,
-    DEFAULT_DEGREE_CAP,
+    DEGREE_CAP,
     PAREN_DEPTH_CAP,
+    TERM_CAP,
     DegreeCapError,
     GaussianRational,
     Polynomial3,
@@ -114,10 +116,37 @@ def test_parse_unbalanced_parenthesis():
         parse_poly("(x+y")
 
 
-def test_parse_degree_cap():
+def test_parse_degree_cap(monkeypatch):
     with pytest.raises(DegreeCapError):
         parse_poly("x^65")
-    assert parse_poly("x^65", degree_cap=70).degree == 65
+    monkeypatch.setattr(poly, "DEGREE_CAP", 70)
+    assert parse_poly("x^65").degree == 65
+
+
+@pytest.mark.parametrize("text, position, terms", [
+    ("(x+y+z+1)^64", 9, 47905),
+    ("(x+y+z+1)^32*(x+y+z+1)^32", 9, 6545),
+    ("(x+y+z+1)^16*(x+y+z+1)^16", 12, 6545),
+])
+def test_expansions_past_the_term_cap_are_refused_unbuilt(text, position, terms):
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(text)
+    assert str(info.value) == (f"an expansion of up to {terms} terms passes the {TERM_CAP}-term "
+                               f"cap (at position {position})")
+
+
+def test_term_bounds(monkeypatch):
+    # C(n + e - 1, e) for a power of n terms, n_a n_b for a product, and the
+    # monomials of the degrees d .. D, C(D + 3, 3) - C(d + 2, 3): each is
+    # exact on one of these, so a cap of 35 admits them and no more
+    assert len(parse_poly("(x+y+z)^64").terms) == 2145 <= TERM_CAP
+    monkeypatch.setattr(poly, "TERM_CAP", 35)
+    assert len(parse_poly("(x+y+z+1)^4").terms) == 35
+    assert len(parse_poly("(x+y+z+1)^2*(x+y+z+1)^2").terms) == 35
+    assert len(parse_poly("(x+y+z)^3*(x+y+z)^3").terms) == 28
+    for text in ("(x+y+z+1)^5", "(x+y+z+1)^2*(x+y+z+1)^3", "(x+y+z)^4*(x+y+z)^4"):
+        with pytest.raises(PolyParseError, match="passes the 35-term cap"):
+            parse_poly(text)
 
 
 # The grammar's results, error classes, messages and positions: the token
@@ -247,7 +276,7 @@ def _reference_bits(p: Polynomial3) -> int:
     return max(p.denom, max(map(abs, p.terms.values()), default=0)).bit_length()
 
 
-def reference_parse(text: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polynomial3:
+def reference_parse(text: str, degree_cap: int = DEGREE_CAP) -> Polynomial3:
     tokens = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex))
               for m in _REFERENCE_TOKEN.finditer(text)]
     tokens.append(("end", "", len(text)))
@@ -474,9 +503,9 @@ def _cap_cases(rng: random.Random) -> list[str]:
     return cases
 
 
-def _outcome(parse, text: str, degree_cap: int):
+def _outcome(parse, text: str):
     try:
-        p = parse(text, degree_cap)
+        p = parse(text)
     except (PolyParseError, DegreeCapError) as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
     return p.terms, p.denom
@@ -505,7 +534,7 @@ def _fraction_value(text: str, point: tuple[Fraction, Fraction, Fraction]) -> Fr
     return eval(code, {"F": Fraction, "x": point[0], "y": point[1], "z": point[2]})
 
 
-def test_parser_matches_the_reference_on_20000_seeded_strings():
+def test_parser_matches_the_reference_on_20000_seeded_strings(monkeypatch):
     rng = random.Random(28)
     texts = [_draw_expr(rng, rng.choice([0, 1, 1, 2])) for _ in range(10_000)]
     texts += [_mutate(rng, rng.choice(texts)) for _ in range(10_000)]
@@ -516,9 +545,10 @@ def test_parser_matches_the_reference_on_20000_seeded_strings():
               "-1/2*x+1/3+3/4*y^3*z"]
     valid = failed = 0
     for text in texts:
-        degree_cap = rng.choice([DEFAULT_DEGREE_CAP] * 3 + [8])
-        ours = _outcome(parse_poly, text, degree_cap)
-        assert ours == _outcome(reference_parse, text, degree_cap), text
+        degree_cap = rng.choice([DEGREE_CAP] * 3 + [8])
+        monkeypatch.setattr(poly, "DEGREE_CAP", degree_cap)
+        ours = _outcome(parse_poly, text)
+        assert ours == _outcome(lambda t: reference_parse(t, degree_cap), text), text
         if isinstance(ours[0], type):
             failed += 1
             continue
