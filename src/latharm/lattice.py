@@ -529,7 +529,9 @@ def _ball_points(index: np.ndarray) -> int:
     """The number of lattice points in the ball of `index`, w_0^T Z_0 w_0 in
     int64 (see `_ball_total`): below 2^33 at N_MAX_CAP, so nothing wraps."""
     w0 = np.array(_square_weights(0, len(index) - 1), dtype=np.int64)
-    return int(w0 @ np.append(np.cumsum(w0), 0)[index] @ w0)  # k + 1 reads the 0
+    cum = np.zeros(len(index) + 1, dtype=np.int64)  # k + 1, off the disc, reads 0
+    np.cumsum(w0, out=cum[:-1])
+    return int(w0 @ cum[index] @ w0)
 
 
 def _ball_total(p: Polynomial3, index: np.ndarray) -> tuple[int, int]:

@@ -27,9 +27,7 @@ from typing import Mapping, NamedTuple, NoReturn
 Monomial = tuple[int, int, int]
 
 DEGREE_CAP = 64
-# Most terms a power or product may build, bounded before it is built:
-# (x+y+z+1)^31 has 5984 (0.3 s to parse), (x+y+z+1)^64 47 905 (14-18 s).
-TERM_CAP = 6000
+TERM_CAP = 6000  # most terms a power or product may build, bounded before it is built
 # Largest coefficient numerator or denominator, in bits, that parsing builds,
 # so that every exact output prints within Python's 4300-digit limit on int
 # to str: a homogeneous P of degree <= 64 has at most C(66, 2) = 2145
@@ -334,7 +332,7 @@ def parse_poly(text: str) -> Polynomial3:
 
     def capped(count: int, low: int, high: int, i: int) -> None:
         """Refuse at token i an expansion of count terms of degrees low .. high."""
-        if (n := min(count, math.comb(high + 3, 3) - math.comb(low + 2, 3))) > TERM_CAP:
+        if count > TERM_CAP < (n := min(count, math.comb(high + 3, 3) - math.comb(low + 2, 3))):
             fail(f"an expansion of up to {n} terms passes the {TERM_CAP}-term cap", i)
 
     # The grammar's descent as one loop: expr = term (('+' | '-') term)*,
