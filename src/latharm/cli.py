@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-csv", default=None, help="re-fit a previously emitted series")
     p.add_argument("--json", action="store_true")
 
-    # theta-check maps them in `_theta_setup`, so its --gamma check may raise
+    # theta-check maps its domain errors in `_theta_setup`; its --gamma check may raise
     p = sub.add_parser("theta-check", help="verify the theta transformation law")
     p.set_defaults(fn=cmd_theta_check)
     p.add_argument("--poly", default="5*(x^4+y^4+z^4)-3*(x^2+y^2+z^2)^2")

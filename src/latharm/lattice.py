@@ -515,8 +515,8 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
 
 
 def _ball_index(n_max: int) -> np.ndarray:
-    """Entry (a, b), 0 <= a, b <= k = isqrt(n_max), is the largest j with j^2 <=
-    n_max - a^2 - b^2 by the floored `np.sqrt`, and k + 1 off the disc."""
+    """Index table of the ball: (a, b) -> max j with j^2 <= n_max - a^2 - b^2 (floored
+    `np.sqrt`) for 0 <= a, b <= k = isqrt(n_max), and k + 1 off the disc."""
     check_n_max(n_max)
     k = math.isqrt(n_max)
     squares = np.arange(k + 1, dtype=np.float64) ** 2
