@@ -375,7 +375,7 @@ def _theta_setup(args):
 
 def cmd_theta_check(args) -> int:
     ctx, point, reports = _theta_setup(args)
-    if reports is None:  # a ValueError here escapes (ROADMAP item 5)
+    if reports is None:  # a ValueError here escapes, as perfbench/selftest.py expects
         reports = [modular.transformation_check(ctx, *point, tol=args.tol)]
     sys.stdout.write(_report_lines(reports, args.json))
     if not all(rep.passed for rep in reports):

@@ -423,9 +423,9 @@ def test_outputs_match_the_golden_digests(capsys):
     assert not changed
 
 
-# theta-check's two --gamma cases that still raise, with their messages
-# (ROADMAP item 5); perfbench/selftest.py asserts the first as an escaped
-# ValueError, so both change with it
+# theta-check's two --gamma cases that still raise, with their messages;
+# perfbench/selftest.py asserts the first as an escaped ValueError, so both
+# change with it
 GAMMA_RAISES = {
     ("theta-check", "--gamma", "1,0,4,1", "--z", "0,2"):
         "both z and gamma z must stay above Im = 0.05",
