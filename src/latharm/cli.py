@@ -263,11 +263,13 @@ def _headline_magnitudes(p: Polynomial3, r_max: int) -> np.ndarray:
     # exact running sums from the origin (p(0), nonzero only in degree 0)
     values = lattice.running_floats(denom, totals)[1:]
     if main_coeff := math.pi * float(lattice.main_term(p, 1, 0)):
-        # main_term(p, R, 0) is main_term(p, 1, 0) R^(nu+3), and R^2 = n
-        power = (p.degree + 3) / 2
-        # Python's pow, not numpy's, which differs in the last bit on some n
-        values -= main_coeff * np.array([n**power for n in range(1, n_max + 1)])
-    return np.abs(values)
+        # main_term(p, R, 0) is main_term(p, 1, 0) R^(nu+3), and R^2 = n.
+        # float_power calls the C library's pow, as Python's n**power does;
+        # np.power differs from it in the last bit on some n
+        volume = np.float_power(np.arange(1, n_max + 1, dtype=np.float64), (p.degree + 3) / 2)
+        volume *= main_coeff
+        values -= volume
+    return np.abs(values, out=values)
 
 
 def _headline_fit(mags: np.ndarray | list[float]) -> FitResult:
@@ -509,7 +511,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _hold_freed_memory() -> None:
+    """Keep freed arrays in glibc's heap for the next command: blocks up to
+    32 MiB (the ceiling of glibc's own sliding mmap threshold) come from
+    the heap, whose free top goes back only past 64 MiB.  By default a
+    freed block of a few hundred KiB is unmapped or trimmed, and the next
+    command faults its pages in again.  Set once per process, by the CLI
+    and not the library; a no-op off Linux or without mallopt."""
+    if sys.platform != "linux":
+        return
+    import ctypes  # here, not at module level: importing the CLI stays as cheap
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _hold_freed_memory()
     try:
         args = build_parser().parse_args(argv)  # a non-ASCII number raises UsageError
         return args.fn(args)

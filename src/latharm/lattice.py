@@ -46,6 +46,11 @@ N_MAX_CAP = 10**6
 # Largest table of int64 prime residues (primes x shells) `_recover` builds.
 RESIDUE_TABLE_BYTES = 1 << 30
 
+# Products per block of rows of a pair table's outer product (`_pair_table`):
+# 64 KiB of uint64, where the whole product would be a transient array of
+# up to 8 MB.
+PAIR_BLOCK = 1 << 13
+
 # Rows per block of the decimal CSV kernel: its digit matrix stays near
 # 100 KiB, where one matrix for the whole series would raise peak memory.
 CSV_BLOCK_ROWS = 4096
@@ -100,7 +105,7 @@ class CoefficientSeries:
 
     def to_csv(self) -> str:
         if self.denom == 1:  # every a_n is an integer: no reduction to do
-            return "n,a_n\n" + _csv_rows(self.totals[1:])
+            return _csv_text(self.totals[1:])
         lines = ["n,a_n"]
         for n, t in enumerate(self.totals[1:].tolist(), start=1):
             g = math.gcd(t, self.denom)
@@ -140,33 +145,43 @@ def _put_decimal(u: np.ndarray, columns: np.ndarray) -> None:
         u = high
 
 
-def _csv_rows(values: np.ndarray) -> str:
-    """f"{n},{t}\n" for t in the integer array values, n from 1, concatenated.
-    Each block of CSV_BLOCK_ROWS rows that fits int64 is a uint32 matrix, per
-    row the chunks of n, a word ",", or ",-", the chunks of |t| and a word
-    "\n", all padded by 0 bytes that bytes.translate deletes; a block with a
+def _csv_text(values: np.ndarray) -> str:
+    """The CSV of the integer array values: the header n,a_n, then
+    f"{n},{t}\n" for each t, n from 1.  Each block of CSV_BLOCK_ROWS rows that
+    fits int64 is a uint32 matrix, per row the chunks of n, a word ",", or
+    ",-", the chunks of |t| and a word "\n", all padded by 0 bytes that
+    bytearray.translate deletes.  The blocks take turns in one buffer, as
+    wide as the largest n and |t| ask for (|t| <= 2^63 in any block that
+    fits int64), its tail past a narrower block zeroed; a block with a
     value outside int64 (an object array's) takes Python's digits."""
     comma, minus, newline = np.frombuffer(b",\0\0\0\0-\0\0\n\0\0\0", dtype=np.uint32)
-    blocks = []
+    top = (max(int(values.max(initial=0)), -int(values.min(initial=0)))
+           if values.dtype == np.int64 else 1 << 63)
+    width = sum((len(str(v)) + 3) // 4 for v in (len(values), top)) + 2
+    buffer = bytearray(4 * min(len(values), CSV_BLOCK_ROWS) * width)
+    words = np.frombuffer(buffer, dtype=np.uint32)
+    blocks = ["n,a_n\n"]
     for start in range(0, len(values), CSV_BLOCK_ROWS):
         try:
             t = values[start : start + CSV_BLOCK_ROWS].astype(np.int64, copy=False)
         except OverflowError:
             rows = enumerate(values[start : start + CSV_BLOCK_ROWS].tolist(), start=start + 1)
-            blocks.append("".join([f"{n},{v}\n" for n, v in rows]).encode())
+            blocks.append("".join([f"{n},{v}\n" for n, v in rows]))
             continue
         n = np.arange(start + 1, start + len(t) + 1, dtype=np.uint64)
         # |INT64_MIN| wraps to itself in int64, and reads as 2^63 in uint64
         a = np.abs(t).view(np.uint64)
         nc, tc = ((len(str(int(v))) + 3) // 4 for v in (n[-1], a.max()))
-        row = np.empty((len(t), nc + tc + 2), dtype=np.uint32)
+        size = len(t) * (nc + tc + 2)
+        row = words[:size].reshape(len(t), -1)
         _put_decimal(n, row[:, :nc])
         np.multiply(t < 0, minus, out=row[:, nc])
         row[:, nc] |= comma
         _put_decimal(a, row[:, nc + 1 : -1])
         row[:, -1] = newline
-        blocks.append(row.tobytes().translate(None, b"\0"))
-    return b"".join(blocks).decode("ascii")
+        words[size:] = 0  # what an earlier block left past this one
+        blocks.append(buffer.translate(None, b"\0").decode("ascii"))
+    return "".join(blocks)
 
 
 def shell_floats(denom: int, totals) -> np.ndarray:
@@ -190,12 +205,18 @@ def running_floats(denom: int, totals) -> np.ndarray:
     from the exact running sums.  For int64 T and D = 1, T = 2^32 hi + lo
     with hi = T >> 32 and 0 <= lo < 2^32: over fewer than 2^21 shells each
     limb's running sum stays within 2^53, exact in int64 and in float64, so
-    2^32 H + L rounds once, to float(exact sum).  Anything else sums Python
-    integers."""
+    2^32 H + L rounds once, to float(exact sum).  Two arrays: H summed in
+    float64, L in int64.  Anything else sums Python integers."""
     if (isinstance(totals, np.ndarray) and totals.dtype == np.int64 and denom == 1
             and len(totals) < 1 << 21):
-        hi = np.cumsum(totals >> 32).astype(np.float64)
-        return hi * float(1 << 32) + np.cumsum(totals & 0xFFFF_FFFF)
+        limb = totals >> 32
+        sums = limb.astype(np.float64)
+        np.cumsum(sums, out=sums)
+        np.bitwise_and(totals, 0xFFFF_FFFF, out=limb)
+        np.cumsum(limb, out=limb)
+        sums *= float(1 << 32)
+        sums += limb
+        return sums
     return shell_floats(denom, np.cumsum(totals, dtype=object))
 
 
@@ -217,26 +238,31 @@ def _square_weights(exponent: int, k_max: int) -> list[int]:
     return [w0 if j == 0 else 2 * j**exponent for j in range(k_max + 1)]
 
 
-def _disc(n_max: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n_max, the mask of the pairs (a, b), 0 <= a, b <= isqrt(n_max), with
-    a^2 + b^2 <= n_max on their square grid, and each such pair's a^2 +
-    b^2): the index of `_pair_table`, built once per shell-sum call."""
+def _disc(n_max: int) -> tuple[int, list[tuple[slice, np.ndarray, np.ndarray]]]:
+    """(n_max, the pairs (a, b), 0 <= a, b <= isqrt(n_max), in blocks of
+    rows of about PAIR_BLOCK pairs, each block (its rows a, the mask of its
+    pairs with a^2 + b^2 <= n_max, and each such pair's a^2 + b^2, row by
+    row)): the index of `_pair_table`, built once per shell-sum call."""
     squares = np.arange(math.isqrt(n_max) + 1) ** 2
-    norms = squares[:, None] + squares[None, :]
-    inside = norms <= n_max
-    return n_max, inside, norms[inside]
+    rows, blocks = max(1, PAIR_BLOCK // len(squares)), []
+    for lo in range(0, len(squares), rows):
+        norms = squares[lo : lo + rows, None] + squares[None, :]
+        inside = norms <= n_max
+        blocks.append((slice(lo, lo + rows), inside, norms[inside]))
+    return n_max, blocks
 
 
-def _pair_table(wx, wy, disc: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray:
+def _pair_table(wx, wy, disc: tuple[int, list[tuple[slice, np.ndarray, np.ndarray]]]) -> np.ndarray:
     """t[m] = sum over a^2 + b^2 = m of wx[a] wy[b], for 0 <= m <= n_max.
 
     The pair stage of every square convolution: the outer product of two
     axes' weights (isqrt(n_max) + 1 each), binned by a^2 + b^2 through the
-    `_disc` index, in the weights' dtype.
+    `_disc` index, in the weights' dtype, one block of rows at a time.
     """
-    n_max, inside, norms = disc
+    n_max, blocks = disc
     t = np.zeros(n_max + 1, dtype=np.result_type(wx, wy))
-    np.add.at(t, norms, np.multiply.outer(wx, wy)[inside])
+    for rows, inside, norms in blocks:
+        np.add.at(t, norms, np.multiply.outer(wx[rows], wy)[inside])
     return t
 
 
@@ -250,17 +276,24 @@ def _add_square_axis(t: np.ndarray, w) -> np.ndarray:
     return s
 
 
-def _add_square_axis0(t: np.ndarray) -> np.ndarray:
-    """`_add_square_axis` with the weights of exponent 0, 1 at j = 0 and 2 at
-    every j >= 1: s[m] = t[m] + 2 sum over j >= 1 of t[m - j^2], by one pure
-    add per j and one doubling at the end.  uint64 sums wrap mod 2^64; int64
-    sums of residues below q stay at most (2 isqrt(m) + 1) (q - 1)."""
-    n_max = len(t) - 1
-    s = np.zeros_like(t)
-    for j in range(1, math.isqrt(n_max) + 1):
-        s[j * j :] += t[: n_max + 1 - j * j]
+def _pure_pass(t: np.ndarray, out: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """out[m - lo] = t[m] + 2 sum over j >= 1 of t[m - j^2] for lo <= m <=
+    hi: `_add_square_axis` with the weights of exponent 0 (1 at j = 0, 2 at
+    every j >= 1) on the shells lo..hi, written into the first hi - lo + 1
+    entries of out, by one pure add per j, each from max(lo, j^2), and one
+    doubling at the end.  uint64 sums wrap mod 2^64; int64 sums of residues
+    below q stay at most (2 isqrt(m) + 1) (q - 1).  out must not overlap t.
+    Returns the window of out it wrote."""
+    s = out[: max(hi - lo + 1, 0)]
+    s[...] = 0
+    j_max = math.isqrt(max(hi, 0))
+    j_in = min(math.isqrt(lo - 1) if lo > 0 else 0, j_max)  # the j with j^2 < lo
+    for j in range(1, j_in + 1):  # from lo
+        s += t[lo - j * j : hi + 1 - j * j]
+    for j in range(j_in + 1, j_max + 1):  # from j^2, as the whole pass
+        s[j * j - lo :] += t[: hi + 1 - j * j]
     s += s
-    s += t
+    s += t[lo : hi + 1]
     return s
 
 
@@ -279,10 +312,12 @@ def _fold(pairs) -> dict[int, np.ndarray]:
 
 def _z_run(folded: dict[int, np.ndarray], mod: int | None) -> np.ndarray:
     """The sum over the even z exponents e of Z_e(folded[e]), Z_e the z pass
-    of exponent e, by tau + 1 pure passes `_add_square_axis0`, 2 tau the
-    largest e: mod 2^64 in uint64 (mod None), else mod `mod` on int64
-    tables, reduced below it first.  F_t is folded[2t], zeros for an
-    exponent with no table.  Overwrites the tables.
+    of exponent e, by tau + 1 pure passes `_pure_pass`, 2 tau the largest
+    e: mod 2^64 in uint64 (mod None), else mod `mod` on int64 tables,
+    reduced below it first.  F_t is folded[2t], zeros for an exponent with
+    no table.  Overwrites the tables.  The passes and the products write
+    into arrays the call owns (the sum, a = n, and past tau = 1 G and one
+    pass output), or into the tables.
 
     On shell n, Z_2t reads F_t at a = n - j^2 with the weight 2 j^2t =
     2 (n - a)^t at j >= 1, and at j = 0 with 1 = (n - a)^0 for t = 0 and
@@ -300,19 +335,26 @@ def _z_run(folded: dict[int, np.ndarray], mod: int | None) -> np.ndarray:
     for t in tables:
         reduce(t)
     m = 1 << 64 if mod is None else mod
-    a = np.arange(len(top), dtype=top.dtype) if tau else None
-    total = reduce(_add_square_axis0(top))
+    hi = len(top) - 1
+    total = reduce(_pure_pass(top, np.empty_like(top), 0, hi))
+    if tau:
+        # G_0 is built in place on F_tau.  Past tau = 1, G_i for i > 0 and
+        # the products C(t, i) F_t take two arrays more; at tau = 1 the one
+        # pass after the first writes over F_0, read for the last time
+        a = np.arange(len(top), dtype=top.dtype)
+        g, z = (np.empty_like(top), np.empty_like(top)) if tau > 1 else (None, tables[0])
     for i in range(tau - 1, -1, -1):
         # G = C(t, i) F_t - a G from t = tau down to i; G_0, the last, has
         # every C(t, 0) = 1 and is built in place on the tables
-        g = top if i == 0 else reduce(top * (math.comb(tau, i) % m))
+        g = top if i == 0 else reduce(np.multiply(top, math.comb(tau, i) % m, out=g))
         for t in range(tau - 1, i - 1, -1):
             g *= a
             c = math.comb(t, i) % m
-            np.subtract(tables[t] if c == 1 else reduce(tables[t] * c), reduce(g), out=g)
+            f = tables[t] if c == 1 else reduce(np.multiply(tables[t], c, out=z))
+            np.subtract(f, reduce(g), out=g)
             reduce(g)
         total *= a
-        total += _add_square_axis0(g)
+        total += _pure_pass(g, z, 0, hi)
         reduce(total)
     return total
 
@@ -445,7 +487,8 @@ def _recover(g: int, s: np.ndarray, bound: int, residue) -> np.ndarray:
     if not primes:
         bound = max(-int(s.min(initial=0)), int(s.max(initial=0)))
     f = g if m > 2 * g * bound else 1
-    s = (s.view(np.uint64) * np.uint64(f % (1 << 64))).view(np.int64)
+    if f != 1:
+        s = (s.view(np.uint64) * np.uint64(f % (1 << 64))).view(np.int64)
     if not primes:
         return s if f == g else g * s.astype(object)
     u = _from_residues(s, primes, np.array([f % q * residue(q) % q for q in primes]))
@@ -478,10 +521,10 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     sums).  Weights are non-negative, so t <= max(w1) sum(w2); below 2^64
     that makes the uint64 pair table exact, and its max replaces the bound.
     So x <= max(t) sum(w3), and |U| <= B = sum |c| max(t) sum(w3), in exact
-    integers.  Each class's pair table is scaled by its c, `_fold` adds
-    the scaled tables of each z exponent into F_0, ..., F_tau (2 tau the
-    largest exponent), and `_z_run` carries them along z by tau + 1 pure
-    passes.  One uint64 stage gives s = U mod 2^64, and `_recover` adds, if
+    integers.  Each class's pair table is scaled by its c, and `_fold`
+    adds it into F_0, ..., F_tau by its z exponent as soon as it is built
+    (2 tau the largest exponent); `_z_run` carries them along z by tau + 1
+    pure passes.  One uint64 stage gives s = U mod 2^64, and `_recover` adds, if
     B >= 2^63, int64 stages for U mod q, each the same passes on every
     class.  Those take c on the x weights and reduce every weight, pair
     table and fold below q before the next stage, so no pair table passes
@@ -496,20 +539,28 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
         return p.denom, np.zeros(n_max + 1, dtype=np.int64)
     disc = _disc(n_max)
     w64 = {e: np.array([v % (1 << 64) for v in w], dtype=np.uint64) for e, w in weights.items()}
-    tables = [_pair_table(w64[e1], w64[e2], disc) for (e1, e2, _), _ in classes]
     bound = 0
-    for ((e1, e2, e3), c), t in zip(classes, tables):
-        b = max(weights[e1]) * sum(weights[e2])
-        bound += abs(c) * (int(t.max()) if b < 1 << 64 else b) * sum(weights[e3])
-        if c != 1:
-            t *= c % (1 << 64)
-    s = _z_run(_fold((e3, t) for ((_, _, e3), _), t in zip(classes, tables)), None)
-    del tables  # overwritten by the z passes: free them before any prime stage
+
+    def scaled():  # each class's table, its max added into the bound, times c
+        nonlocal bound
+        for (e1, e2, e3), c in classes:
+            t = _pair_table(w64[e1], w64[e2], disc)
+            b = max(weights[e1]) * sum(weights[e2])
+            bound += abs(c) * (int(t.max()) if b < 1 << 64 else b) * sum(weights[e3])
+            if c != 1:
+                t *= c % (1 << 64)
+            yield e3, t
+
+    s = _z_run(_fold(scaled()), None)
 
     def residue(q: int) -> np.ndarray:
         wq = {e: np.array([v % q for v in w], dtype=np.int64) for e, w in weights.items()}
-        return _z_run(_fold((e3, _pair_table(c % q * wq[e1] % q, wq[e2], disc) % q)
-                            for (e1, e2, e3), c in classes), q)
+
+        def table(key, c):  # reduced in place before the fold adds it
+            t = _pair_table(c % q * wq[key[0]] % q, wq[key[1]], disc)
+            return key[2], np.remainder(t, q, out=t)
+
+        return _z_run(_fold(table(key, c) for key, c in classes), q)
 
     return p.denom, _recover(content, s.view(np.int64), bound, residue)
 

@@ -195,13 +195,19 @@ def _eval_tol(tol: float) -> float:
     return min(1e-14, tol * 1e-4)
 
 
-def theta_context(p: Polynomial3, n_max: int = DEFAULT_N_MAX) -> ThetaContext:
-    """The exact shell sums a_0..a_n_max of a real harmonic homogeneous P,
-    each rounded once to a float, with the constant of the tail bound."""
+def _check_theta_poly(p: Polynomial3) -> None:
+    """Refuse a P with no theta series of this module: one that is not
+    harmonic and homogeneous, or is zero."""
     if not p.is_homogeneous or not p.is_harmonic:
         raise ValueError("theta context requires a harmonic homogeneous polynomial")
     if not p.terms:
         raise ValueError("theta context requires a nonzero polynomial")
+
+
+def theta_context(p: Polynomial3, n_max: int = DEFAULT_N_MAX) -> ThetaContext:
+    """The exact shell sums a_0..a_n_max of a real harmonic homogeneous P,
+    each rounded once to a float, with the constant of the tail bound."""
+    _check_theta_poly(p)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     floats = shell_floats(*shell_totals(p, n_max))
@@ -212,8 +218,10 @@ def theta_context(p: Polynomial3, n_max: int = DEFAULT_N_MAX) -> ThetaContext:
 def context_n_max(p: Polynomial3, n_max: int, tol: float) -> int:
     """min(n_max, m) for m the first of 16, 32, 64, ... whose certified tail
     at Im z = Y_MIN is below the evaluation tolerance of a check at tol:
-    shells enough for every point a check may evaluate."""
+    shells enough for every point a check may evaluate.  P is checked
+    before the tail bound, so that a refused P costs no float work."""
     check_n_max(n_max)
+    _check_theta_poly(p)
     probe = ThetaContext(nu=p.degree, floats=np.empty(0), n_max=n_max, coeff_c=_coeff_c(p))
     return int(probe.term_counts(np.array([Y_MIN]), _eval_tol(tol))[0])
 

@@ -230,7 +230,15 @@ class Polynomial3:
 
     @property
     def is_harmonic(self) -> bool:
-        return not self.laplacian()
+        """The Laplacian is zero: each of its coefficients, summed from the
+        three second partials of the numerators, is 0.  One pass over the
+        terms, with no polynomial built."""
+        lap: dict[Monomial, int] = {}
+        for (i, j, k), n in self.terms.items():
+            for m, e in (((i - 2, j, k), i), ((i, j - 2, k), j), ((i, j, k - 2), k)):
+                if e > 1:
+                    lap[m] = lap.get(m, 0) + e * (e - 1) * n
+        return not any(lap.values())
 
     # -- evaluation --------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -16,8 +17,9 @@ import pytest
 
 from latharm import exppairs, lattice, modular
 from latharm.cli import _headline_magnitudes, build_parser, main
-from latharm.poly import COEFF_BIT_CAP, parse_poly, sphere_average
+from latharm.poly import COEFF_BIT_CAP, DEGREE_CAP, parse_poly, sphere_average
 
+from conftest import SEXTIC_EXPR
 from test_modular import report_json_lines, report_text_lines
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -746,6 +748,77 @@ def test_headline_magnitudes_less_the_volume_term(text):
                          * mp.mpf(n) ** (mp.mpf(p.degree + 3) / 2) / (p.degree + 3))
             want = abs(exact(lattice.ball_sum(p, n)) - main_term)
             assert abs(mags[n - 1] - want) <= 1e-12 * main_term
+
+
+def test_volume_powers_are_the_c_librarys_pow():
+    # `_headline_magnitudes` takes n^((nu+3)/2) from np.float_power, whose
+    # bits must be Python's n**power (the C library's pow) for every even
+    # degree up to the cap: every n to 2 10^4 and seeded n to 10^6.  A numpy
+    # build that routes float_power to a SIMD pow fails here
+    n = list(range(1, 20_001)) + random.Random(0).sample(range(20_001, 10**6 + 1), 20_000)
+    floats = np.array(n, dtype=np.float64)
+    for nu in range(0, DEGREE_CAP + 1, 2):
+        power = (nu + 3) / 2
+        found = np.float_power(floats, power)
+        assert found.tolist() == [k**power for k in n], power
+
+
+@pytest.mark.parametrize("text", ["1", "x^2+y^2+z^2", "(x^2+y^2+z^2)^3+x^6"])
+def test_headline_magnitudes_equal_python_pow_rows(text):
+    # the reference: the running sums less pi main_term(p, 1, 0) n**power,
+    # one Python pow per shell
+    p = parse_poly(text)
+    denom, totals = lattice.shell_totals(p, 181 * 181)
+    running = np.cumsum(np.array(totals.tolist(), dtype=object))[1:]
+    coeff, power = math.pi * float(lattice.main_term(p, 1, 0)), (p.degree + 3) / 2
+    want = [abs(float(Fraction(t, denom)) - coeff * n**power)
+            for n, t in enumerate(running.tolist(), start=1)]
+    assert _headline_magnitudes(p, 181).tolist() == want
+
+
+@pytest.mark.parametrize("poly, message", [
+    ("x^2", "theta context requires a harmonic homogeneous polynomial"),
+    ("0", "theta context requires a nonzero polynomial")])
+def test_refused_theta_polynomial_costs_no_float_work(capsys, monkeypatch, poly, message):
+    # P is checked before `context_n_max` bounds the tail: no term count runs
+    calls = []
+    monkeypatch.setattr(modular.ThetaContext, "term_counts",
+                        lambda *args: calls.append(args) or pytest.fail("tail bound ran"))
+    assert run(capsys, "theta-check", "--poly", poly) == (2, "", f"error: {message}\n")
+    assert calls == []
+
+
+class _Discard:
+    """A stdout that keeps nothing, so that only the program's own memory
+    is traced."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# Peak traced memory of `coeffs --csv -` at 2^15 shells through `main`, its
+# output discarded (one call after a warm-up).  The CSV text is 505 KiB
+# (quartic) and 623 KiB (sextic).  Measured 1447 and 1715 KiB; 1951 and
+# 2337 KiB when each block of rows took its own row matrix, the blocks were
+# joined as bytes, decoded and then prefixed with the header
+CSV_PEAK_KIB = {QUARTIC: 1664, SEXTIC_EXPR: 2048}
+
+
+@pytest.mark.parametrize("poly", list(CSV_PEAK_KIB), ids=["quartic", "sextic"])
+def test_coeffs_csv_transient_memory_is_bounded(poly):
+    argv = ["coeffs", "--poly", poly, "--n-max", str(1 << 15), "--csv", "-"]
+    with contextlib.redirect_stdout(_Discard()):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < CSV_PEAK_KIB[poly] << 10
 
 
 def test_fit_degenerate_series(capsys):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -137,8 +138,21 @@ def _pair_loop(w1, w2, n_max):
     return t
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 100, 4096])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 100, 4096, 12000])
 def test_pair_table_matches_double_loop(n_max):
+    # one block of rows up to 4096 shells, two at 12000
+    _check_pair_table(n_max)
+
+
+@pytest.mark.parametrize("n_max, block", [(100, 1), (4096, 100)])
+def test_pair_table_in_small_blocks_of_rows(monkeypatch, n_max, block):
+    # one row per block, or one to two
+    monkeypatch.setattr(lattice, "PAIR_BLOCK", block)
+    _check_pair_table(n_max)
+
+
+def _check_pair_table(n_max):
+    """`_pair_table` against `_pair_loop` on int64, object and complex weights."""
     k = math.isqrt(n_max)
     for e1, e2 in [(0, 0), (2, 0), (4, 2), (6, 2)]:
         w1, w2 = _square_weights(e1, k), _square_weights(e2, k)
@@ -177,7 +191,7 @@ def _passes(p, n_max):
     object; an int64 pass starts from residues below 2^26, so it cannot
     wrap."""
     seen, drawn = [], []
-    weighted, pure, primes = lattice._add_square_axis, lattice._add_square_axis0, lattice._primes
+    weighted, pure, primes = lattice._add_square_axis, lattice._pure_pass, lattice._primes
 
     def check(*arrays):
         if arrays[0].dtype == np.int64:
@@ -188,10 +202,10 @@ def _passes(p, n_max):
         check(t, w)
         return weighted(t, w)
 
-    def pure_spy(t):
+    def pure_spy(t, out, lo, hi):
         seen.append(t.dtype.name + " pure")
         check(t)
-        return pure(t)
+        return pure(t, out, lo, hi)
 
     def counted():
         for q in primes():
@@ -200,7 +214,7 @@ def _passes(p, n_max):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lattice, "_add_square_axis", spy)
-        m.setattr(lattice, "_add_square_axis0", pure_spy)
+        m.setattr(lattice, "_pure_pass", pure_spy)
         m.setattr(lattice, "_primes", counted)
         denom, totals = shell_totals(p, n_max)
     assert set(seen) <= {"uint64 pure", "int64 pure"}  # no weighted pass ran
@@ -453,10 +467,11 @@ def test_residue_table_past_the_budget_is_refused_before_a_prime_pass(monkeypatc
     monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", primes * 101 * 8)
     assert _passes(p, 100)[0][1] == totals
     monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", primes * 101 * 8 - 1)
-    seen, weighted, pure = [], lattice._add_square_axis, lattice._add_square_axis0
+    seen, weighted, pure = [], lattice._add_square_axis, lattice._pure_pass
     monkeypatch.setattr(lattice, "_add_square_axis",
                         lambda t, w: seen.append(t.dtype) or weighted(t, w))
-    monkeypatch.setattr(lattice, "_add_square_axis0", lambda t: seen.append(t.dtype) or pure(t))
+    monkeypatch.setattr(lattice, "_pure_pass",
+                        lambda t, *window: seen.append(t.dtype) or pure(t, *window))
     with pytest.raises(ValueError, match="residue table past"):
         shell_totals(p, 100)
     assert seen and set(seen) == {np.dtype(np.uint64)}
@@ -504,6 +519,55 @@ def test_corpus_routes_are_stable(n_max):
     assert [_route(parse_poly(expr), n_max) for expr in ROUTE_CORPUS] == CORPUS_ROUTES[n_max]
 
 
+def _add_square_axis0(t):
+    """Reference for `lattice._pure_pass`: the whole pass on shells 0..n_max
+    into a new array, s[m] = t[m] + 2 sum over j >= 1 of t[m - j^2], by one
+    pure add per j and one doubling at the end."""
+    n_max = len(t) - 1
+    s = np.zeros_like(t)
+    for j in range(1, math.isqrt(n_max) + 1):
+        s[j * j :] += t[: n_max + 1 - j * j]
+    s += s
+    s += t
+    return s
+
+
+def _windows(n_max, rng):
+    """(lo, hi) windows of 0..n_max: the whole range, lo = hi, empty ones
+    (lo = hi + 1, at 0 and past the top), and edges on a square, one below
+    and one above it, with seeded windows among them."""
+    squares = [j * j for j in range(math.isqrt(n_max) + 1)]
+    edges = sorted({e for s in squares[-3:] + squares[:3] for e in (s - 1, s, s + 1)
+                    if 0 <= e <= n_max})
+    windows = [(0, n_max), (n_max, n_max), (0, 0), (0, -1), (n_max + 1, n_max)]
+    windows += [(e, n_max) for e in edges] + [(0, e) for e in edges]
+    windows += [(e, e) for e in edges] + [(e + 1, e) for e in edges]
+    for _ in range(4):
+        lo = rng.randrange(n_max + 1)
+        windows.append((lo, rng.randrange(lo, n_max + 1)))
+    return windows
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 1 << 15, 1 << 17])
+def test_pure_pass_equals_the_whole_pass_on_every_window(n_max):
+    # mod 2^64 on uint64 tables over the whole range (the sums wrap), and
+    # on int64 residues below the largest prime q, which no pass of at most
+    # 2 isqrt(n_max) + 1 terms wraps; the window written is returned, and
+    # entries of out past it keep what they held
+    rng = random.Random(n_max)
+    q = next(lattice._primes())
+    for mod, dtype in ((1 << 64, np.uint64), (q, np.int64)):
+        t = np.random.default_rng(n_max).integers(0, mod, n_max + 1, dtype=dtype)
+        whole = _add_square_axis0(t)
+        for lo, hi in _windows(n_max, rng):
+            width = max(hi - lo + 1, 0)
+            out = np.full(width + 3, 7, dtype=dtype)
+            window = lattice._pure_pass(t, out, lo, hi)
+            assert len(window) == width and (not width or np.shares_memory(window, out))
+            assert out[:width].tolist() == whole[lo : hi + 1].tolist(), (mod, lo, hi)
+            assert out[width:].tolist() == [7] * 3
+
+
 # the z exponents of the tables: runs 0, 2, ..., 2 tau of one to five
 # exponents, and sets with a gap or without 0, whose missing exponents
 # `_z_run` reads as zero tables
@@ -531,6 +595,27 @@ def test_pure_run_equals_the_weighted_passes(n_max):
             found = lattice._z_run(lattice._fold(tables), mod)
             assert found.dtype == dtype and found.tolist() == (expected % m).tolist(), \
                 (mod, exponents)
+
+
+# Peak traced memory of `shell_totals` at 2^15 shells (one call after a
+# warm-up): each series is 256 KiB of int64.  Measured 963 and 1291 KiB;
+# 1229 and 1802 KiB when every class's pair table was kept for a fold
+# afterwards, the outer product and its index were whole and every pass returned a
+# new array
+TOTALS_PEAK_KIB = {QUARTIC_EXPR: 1152, SEXTIC_EXPR: 1536}
+
+
+@pytest.mark.parametrize("expr", list(TOTALS_PEAK_KIB), ids=["quartic", "sextic"])
+def test_shell_totals_transient_memory_is_bounded(expr):
+    p = parse_poly(expr)
+    shell_totals(p, 1 << 15)
+    tracemalloc.start()
+    try:
+        shell_totals(p, 1 << 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < TOTALS_PEAK_KIB[expr] << 10
 
 
 def test_benchmark_polynomials_run_only_pure_passes():
@@ -702,12 +787,12 @@ def test_csv_kernel_matches_python_formatting(rows):
     totals = [min(max(t, INT64_MIN), INT64_MAX) for t in totals]
     expected = "".join(f"{n},{t}\n" for n, t in enumerate(totals, start=1))
     assert _series(totals).to_csv() == "n,a_n\n" + expected
-    assert lattice._csv_rows(np.array(totals, dtype=np.int64)) == expected
+    assert lattice._csv_text(np.array(totals, dtype=np.int64)) == "n,a_n\n" + expected
 
 
 def test_csv_kernel_edge_values():
     expected = "".join(f"{n},{t}\n" for n, t in enumerate(INT64_EDGES, start=1))
-    assert lattice._csv_rows(np.array(INT64_EDGES, dtype=np.int64)) == expected
+    assert lattice._csv_text(np.array(INT64_EDGES, dtype=np.int64)) == "n,a_n\n" + expected
     for t in INT64_EDGES:  # each alone: the block's widths are its own
         assert _series([t]).to_csv() == f"n,a_n\n1,{t}\n"
     # one past either end of int64 leaves the kernel for Python's digits
@@ -935,7 +1020,7 @@ def test_ball_sum_report_runs_no_shell_convolution(quartic, monkeypatch):
     _, counts = shell_totals(parse_poly("1"), 1 << 15)
     tables, inner = [], lattice._ball_index
     monkeypatch.setattr(lattice, "_ball_index", lambda n: tables.append(n) or inner(n))
-    for name in ("shell_totals", "_pair_table", "_add_square_axis", "_add_square_axis0"):
+    for name in ("shell_totals", "_pair_table", "_add_square_axis", "_pure_pass"):
         monkeypatch.setattr(lattice, name, refuse)
     for r_sq, value in expected.items():
         count = int(counts[: r_sq + 1].sum())

@@ -725,6 +725,21 @@ def test_isotropic_powers_random_vectors():
                 assert not part.laplacian()
 
 
+def test_is_harmonic_is_a_zero_laplacian():
+    # reference: the Laplacian built as a polynomial; seeded homogeneous and
+    # mixed-degree P, their harmonic parts, the corpus, 0 and constants
+    rng = random.Random(7)
+    cases = [parse_poly(e) for e in (QUARTIC_EXPR, SEXTIC_EXPR, OCTIC_EXPR, "0", "5",
+                                     "x^2-y^2", "x^2", "x*y*z", "x^4-6*x^2*y^2+y^4+z")]
+    for _ in range(150):
+        p = random_homogeneous(rng, rng.randint(0, 10), rng.randint(1, 8))
+        cases += [p, p + random_homogeneous(rng, rng.randint(0, 4))]
+        cases += [part for _, part in harmonic_decompose(p).parts]
+    assert {p.is_harmonic for p in cases} == {True, False}
+    for p in cases:
+        assert p.is_harmonic == (not p.laplacian()), p.to_string()
+
+
 # -- harmonic decomposition ----------------------------------------------------
 
 
