@@ -406,6 +406,8 @@ def cmd_gauss(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose refusals are usage errors: one `error:` line."""
 
+    commands: dict[str, argparse.ArgumentParser]  # the top parser's subparsers by name
+
     def error(self, message: str):
         raise UsageError(message)
 
@@ -419,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oscillatory sums, theta modularity checks, exponent balancing.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     def add(name, fn, help_):
         """A subcommand whose domain errors exit 2 (theta-check maps its own)."""
@@ -532,10 +535,22 @@ def _hold_freed_memory() -> None:
     mallopt(m_trim_threshold, 64 << 20)
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one pass: a known command is parsed
+    by its own parser alone, as the top parser would hand it over.  Only the
+    top parser words the other refusals and its help, and reads sys.argv."""
+    parser = build_parser()
+    if argv and (command := parser.commands.get(argv[0])):
+        args = command.parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     _hold_freed_memory()
     try:
-        args = build_parser().parse_args(argv)  # a non-ASCII number raises UsageError
+        args = _parse_args(argv)  # a non-ASCII number raises UsageError
         return args.fn(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0,) else 0

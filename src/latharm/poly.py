@@ -37,6 +37,11 @@ TERM_CAP = 6000  # most terms a power or product may build, bounded before it is
 COEFF_BIT_CAP = 13_000
 # Deepest parenthesis nesting that parsing accepts.
 PAREN_DEPTH_CAP = 100
+# Most multiply work one parse may do, bounded before each product or power is
+# built: the sum over the numerator pairs `_mul` multiplies of their bits plus
+# PAIR_BITS for the dict work around each pair (see `_pair_work`).
+MUL_WORK_CAP = 200_000_000
+PAIR_BITS = 128
 
 VARIABLE_NAMES = ("x", "y", "z")
 
@@ -91,19 +96,59 @@ def _neg(a: Mapping[Monomial, int]) -> dict[Monomial, int]:
 
 
 def _mul(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Monomial, int]:
-    """The numerators of a b."""
+    """The numerators of a b.  Each factor's content is taken out before the
+    pairs are multiplied and their product is put back once."""
     if len(a) == 1:  # one term times b: the monomials stay distinct
         a, b = b, a
     if len(b) == 1:
         ((p, q, r), e), = b.items()
         return {(i + p, j + q, k + r): c * e for (i, j, k), c in a.items()}
+    g, h = math.gcd(*a.values()), math.gcd(*b.values())
+    if g > 1:
+        a = {m: c // g for m, c in a.items()}
+    if h > 1:
+        b = {m: c // h for m, c in b.items()}
     out: dict[Monomial, int] = {}
     get = out.get
     for (i, j, k), c in a.items():
         for (p, q, r), e in b.items():
             mono = (i + p, j + q, k + r)
             out[mono] = get(mono, 0) + c * e
-    return {m: c for m, c in out.items() if c}
+    g *= h
+    return {m: c * g for m, c in out.items() if c}
+
+
+def _free_bits(a: Mapping[Monomial, int]) -> int:
+    """Bits of the largest numerator with the content taken out, as `_mul` multiplies it."""
+    return (max(map(abs, a.values())) // math.gcd(*a.values())).bit_length() if a else 0
+
+
+def _pair_work(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """The multiply work of `_mul` on a and b given as (terms, numerator bits)."""
+    return a[0] * b[0] * (a[1] + b[1] + PAIR_BITS)
+
+
+def _power_work(a: Mapping[Monomial, int], low: int, high: int, e: int) -> int:
+    """A bound on the multiply work of `_pow` raising a, of degrees low .. high,
+    to the power e, step by step as it squares: a^k has at most C(n + k - 1, k)
+    terms and no more than the monomials of degrees k low .. k high, and with
+    the content out its numerators are at most (n max|c|)^k."""
+    n, bits = len(a), _free_bits(a)
+
+    def size(k: int) -> tuple[int, int]:
+        terms = min(math.comb(n + k - 1, k), math.comb(k * high + 3, 3) - math.comb(k * low + 2, 3))
+        return terms, k * bits + (n**k).bit_length()
+
+    work, have, square = 0, 0, 1
+    while e:
+        if e & 1:
+            work += have and _pair_work(size(have), size(square))
+            have += square
+        e >>= 1
+        if e:
+            work += _pair_work(size(square), size(square))
+            square *= 2
+    return work
 
 
 def _pow(a: Mapping[Monomial, int], d: int, n: int) -> tuple[dict[Monomial, int], int]:
@@ -343,6 +388,14 @@ def parse_poly(text: str) -> Polynomial3:
         if count > TERM_CAP < (n := min(count, math.comb(high + 3, 3) - math.comb(low + 2, 3))):
             fail(f"an expansion of up to {n} terms passes the {TERM_CAP}-term cap", i)
 
+    spent = 0  # the multiply work of the products and powers built so far
+
+    def afford(work: int, i: int) -> None:
+        """Refuse at token i a product or power whose work takes the parse past the budget."""
+        nonlocal spent
+        if (spent := spent + work) > MUL_WORK_CAP:
+            fail(f"multiplying out passes the {MUL_WORK_CAP}-unit work budget", i)
+
     # The grammar's descent as one loop: expr = term (('+' | '-') term)*,
     # term = factor ('*' factor)*, factor = ('+' | '-')* atom ('^' number)?.
     # A factor is a reduced (terms, denom) with its top and lowest degrees and a
@@ -395,8 +448,11 @@ def parse_poly(text: str) -> Polynomial3:
                     raise DegreeCapError(f"exponent {exponent} exceeds degree cap {DEGREE_CAP}")
                 if not degree and exponent * (bits - 1) >= COEFF_BIT_CAP:
                     fail(f"power {exponent} passes the {COEFF_BIT_CAP}-bit coefficient cap", caret)
+                capped(math.comb(max(len(terms), 1) + exponent - 1, exponent), low * exponent,
+                       degree * exponent, caret)
+                if len(terms) > 1:
+                    afford(_power_work(terms, low, degree, exponent), caret)
                 degree, low = degree * exponent, low * exponent
-                capped(math.comb(max(len(terms), 1) + exponent - 1, exponent), low, degree, caret)
                 bound = exponent * (bits + len(terms).bit_length()) or 1
                 terms, denom = _pow(terms, denom, exponent)
                 bits = sized(terms, denom, bound, caret)
@@ -411,6 +467,9 @@ def parse_poly(text: str) -> Polynomial3:
                 if degree > DEGREE_CAP:
                     raise DegreeCapError(f"degree {degree} exceeds degree cap {DEGREE_CAP}")
                 capped(len(a) * len(terms), low, degree, star)
+                if len(a) > 1 and len(terms) > 1:
+                    afford(_pair_work((len(a), _free_bits(a)), (len(terms), _free_bits(terms))),
+                           star)
                 bound = a_bits + bits + min(len(a), len(terms)).bit_length()
                 terms, denom = _reduced(_mul(a, terms), a_denom * denom)
                 bits = sized(terms, denom, bound, star)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from latharm import exppairs, lattice, modular
-from latharm.cli import _headline_magnitudes, build_parser, main
+from latharm.cli import UsageError, _headline_magnitudes, _parse_args, build_parser, main
 from latharm.poly import COEFF_BIT_CAP, DEGREE_CAP, parse_poly, sphere_average
 
 from conftest import SEXTIC_EXPR
@@ -71,6 +73,96 @@ def test_parser_is_built_once_and_calls_stay_independent(capsys):
     again = run(capsys, "pair", "--pair", "32/205,269/410")
     assert first == again == (0, "32/205,269/410 (+eps)\n", "")
     assert no_eps == (0, "32/205,269/410\n", "")
+
+
+COMMANDS = ("sum", "coeffs", "shortsum", "longsum", "freqsum", "expsum", "pair", "balance",
+            "table", "fit", "theta-check", "gauss")
+# argvs whose parse is the tricky part: help, a missing or unknown command, a
+# flag before the command, abbreviations, '=' forms, negative numbers, '--',
+# another script's digit, unrecognised arguments and a NaN
+PARSE_EDGES = [
+    (), ("-h",), ("--help",), ("bogus",), ("--poly", "1", "sum"), ("--", "sum"),
+    ("-h", "sum"), ("sum", "-h", "--bogus"), ("sum", "--", "--poly", "1"),
+    ("coeffs", "--poly", "1", "--n", "64", "--csv", "-"),
+    ("expsum", "--r", "10", "--n-l", "4,16"), ("expsum", "--r", "10", "--n", "4"),
+    ("theta-check", "--gamma=-1,0,0,-1", "--z=-0.25,0.5"),
+    ("theta-check", "--gamma", "-1,0,0,-1", "--z", "0,1"),
+    ("gauss", "--d", "-3", "--c", "-4", "--xi=-2"), ("gauss", "--d", "3", "--c", "\u0663"),
+    ("sum", "--poly", "1", "--r-sq", "4", "extra"), ("sum", "--poly", "1", "--r-sq"),
+    ("longsum", "--poly", "1", "--r", "nan", "--h", "0.5"), ("table", "--csv", "--out=-"),
+    *((command, "-h") for command in COMMANDS),
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """The namespace's fields with NaN made comparable, the refusal's message,
+    or the exit's code and output."""
+    try:
+        args = parse(argv)
+    except UsageError as exc:
+        return "refused", str(exc)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return "exit", exc.code, captured.out, captured.err
+    return {k: "nan" if isinstance(v, float) and math.isnan(v) else v
+            for k, v in vars(args).items()}
+
+
+def _workloads():
+    """perfbench/workloads.py, the benchmark's op lists."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        del sys.path[0]
+    return workloads
+
+
+def test_each_command_parses_as_the_top_parser_would(capsys, monkeypatch):
+    # the one-pass dispatch against build_parser().parse_args, the reference
+    rows = json.loads((GOLDEN / "cli_digests.json").read_text())
+    workloads = _workloads()
+    argvs = [*(op.argv for name in workloads.WORKLOADS for seed in (1, 2, 3)
+               for op in workloads.build(name, seed)),
+             *(row["argv"] for row in rows), *BAD_INPUT.values(), *PARSE_EDGES]
+    assert len(argvs) > 590
+    reference = build_parser().parse_args
+    for argv in argvs:
+        assert (_parse_outcome(capsys, _parse_args, list(argv))
+                == _parse_outcome(capsys, reference, list(argv))), argv
+    for argv in (["pair", "--pair", "0,1"], ["-h"], ["sum", "-h"], ["bogus"], []):
+        monkeypatch.setattr(sys, "argv", ["latharm", *argv])
+        assert (_parse_outcome(capsys, _parse_args, None)
+                == _parse_outcome(capsys, reference, None)), argv
+        assert run(capsys, *argv) == (main(None), *capsys.readouterr()), argv
+
+
+def test_each_call_parses_its_argv_once(capsys, monkeypatch):
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    bases = {base[0]: base for base in FUZZ_BASES}
+    assert sorted(bases) == sorted(COMMANDS)
+    for command, argv in bases.items():
+        passes.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert passes == [f"latharm {command}"], argv
+    # what the top parser alone can word still comes from it, once
+    for argv, code, err in [
+        ((), 2, "error: the following arguments are required: command\n"),
+        (("bogus",), 2, "error: argument command: invalid choice: 'bogus' (choose from "
+                        + ", ".join(map(repr, COMMANDS)) + ")\n"),
+        (("-h",), 0, ""),
+    ]:
+        passes.clear()
+        out = build_parser().format_help() if code == 0 else ""
+        assert run(capsys, *argv) == (code, out, err)
+        assert passes == ["latharm"]
 
 
 def test_balance_named_term_lists(capsys):
@@ -406,6 +498,8 @@ BAD_INPUT = {
     # a coefficient past the cap, whose sums would pass the 4300-digit limit
     "sum-coeff-past-cap": ("sum", "--poly", "2^20000*x^2", "--r-sq", "2", "--json"),
     "sum-unknown-flag": ("sum", "--poly", "1", "--r-sq", "4", "--bogus"),
+    # a power whose multiplications pass poly.MUL_WORK_CAP is refused unbuilt
+    "sum-poly-past-the-work-budget": ("sum", "--poly", "(2^400*x+y+z+1)^31", "--r-sq", "2"),
 }
 
 
@@ -465,6 +559,22 @@ def test_the_widest_coefficient_prints_its_exact_sum(capsys):
     assert len(value) > 4000
     assert int(value) == 2 ** (COEFF_BIT_CAP - 1) * lattice.ball_sum(parse_poly("x^64"),
                                                                      lattice.N_MAX_CAP)
+
+
+@pytest.mark.parametrize("text", [
+    "(2^400*x+y+z+1)^31",
+    "(2^400*x+y+z+1)^15*(2^400*x+y+z+1)^16",
+    "(2^800*(x+y+z+1)^15)*(2^800*(x+y+z+1)^16)",
+    "(2^6400*(x+y+z+1)^15)*(2^6400*(x+y+z+1)^16)",
+    "(x+y+z+1)^31",
+])
+def test_large_expansions_end_within_a_second(capsys, text):
+    # each ends within the parser's aim of 1 s of CPU time: refused by the work
+    # budget, or parsed and then refused by sum as not homogeneous
+    start = time.process_time()
+    code, _, err = run(capsys, "sum", "--poly", text, "--r-sq", "2")
+    assert time.process_time() - start < 1.0
+    assert code == 2 and err.startswith("error: ")  # refused, or P is not homogeneous
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT)
@@ -679,12 +789,7 @@ def test_theta_check_does_not_import_numpy_random():
 def test_benchmark_theta_ops_pass_its_oracle(capsys, seed):
     # the benchmark oracle wants exit 0 and one passing JSON line per sample
     # from every theta-check op of the checks workload
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import workloads
-    finally:
-        del sys.path[0]
-    ops = [op for op in workloads.build("checks", seed) if op.command == "theta-check"]
+    ops = [op for op in _workloads().build("checks", seed) if op.command == "theta-check"]
     assert ops
     for op in ops:
         code, out, _ = run(capsys, *op.argv)

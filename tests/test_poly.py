@@ -149,6 +149,69 @@ def test_term_bounds(monkeypatch):
             parse_poly(text)
 
 
+def _mul_by_pairs(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j, k), c in a.items():
+        for (p, q, r), e in b.items():
+            out[i + p, j + q, k + r] = out.get((i + p, j + q, k + r), 0) + c * e
+    return {m: c for m, c in out.items() if c}
+
+
+def _random_numerators(rng: random.Random, n: int) -> dict:
+    """n or fewer terms of degree < 4, a random content, signs and sizes."""
+    content = rng.choice([1, 1, 2, 6, 2**50, 3**200])
+    return {(rng.randrange(4), rng.randrange(4), rng.randrange(4)):
+            content * rng.choice([-1, 1]) * (rng.getrandbits(rng.choice([1, 3, 40, 300])) or 1)
+            for _ in range(n)}
+
+
+def test_products_taking_the_content_out_are_exact():
+    rng = random.Random(34)
+    for _ in range(300):
+        a, b = (_random_numerators(rng, rng.randrange(1, 8)) for _ in range(2))
+        assert poly._mul(a, b) == _mul_by_pairs(a, b)
+
+
+def test_power_work_bounds_the_work_of_each_power(monkeypatch):
+    # what `_pow` multiplies, pair by pair, never passes `_power_work`'s bound
+    done = []
+    mul = poly._mul
+
+    def counted(a, b):
+        if len(a) > 1 and len(b) > 1:
+            done.append(poly._pair_work((len(a), poly._free_bits(a)), (len(b), poly._free_bits(b))))
+        return mul(a, b)
+
+    monkeypatch.setattr(poly, "_mul", counted)
+    rng = random.Random(34)
+    tight = 0.0
+    for _ in range(300):
+        a = _random_numerators(rng, rng.randrange(2, 7))
+        if len(a) < 2:
+            continue
+        degrees = [sum(m) for m in a]
+        e = rng.randrange(14)
+        done.clear()
+        poly._pow(a, 1, e)
+        bound = poly._power_work(a, min(degrees), max(degrees), e)
+        assert sum(done) <= bound, (a, e)
+        tight = max(tight, sum(done) / (bound or 1))
+    assert tight > 0.9  # and the bound is close on some powers
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(2^400*x+y+z+1)^31", 15),
+    ("(2^400*x+y+z+1)^15*(2^400*x+y+z+1)^16", 34),
+    ("(x+y+z+1)^31+(x+y+z+1)^31", 22),  # each alone is admitted: the budget is the parse's
+    ("(2^400*x+y+z+1)^8*(2^400*x+y+z+1)^8*(2^400*x+y+z+1)^8", 35),
+])
+def test_multiply_work_past_the_budget_is_refused_unbuilt(text, position):
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(text)
+    assert str(info.value) == (f"multiplying out passes the {poly.MUL_WORK_CAP}-unit work budget "
+                               f"(at position {position})")
+
+
 # The grammar's results, error classes, messages and positions: the token
 # after '/' is read before a '/' that starts no literal is handed back, a
 # bad character raises only once the parser reaches it, and the degree cap
