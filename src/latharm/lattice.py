@@ -2,9 +2,9 @@
 
 The shell coefficients a_n (sums of a polynomial over all lattice points of
 norm-squared n) are computed exactly as integers T[n] over one denominator D,
-held in int64 when they fit and no prime was drawn to recover them, else as
-Python integers.  They become Fractions only at the output edge and floats only
-through `shell_floats`, `running_floats` or a window weight.  The edge keeps
+held in int64 exactly when every one fits, else as Python integers.  They
+become Fractions only at the output edge and floats only through
+`shell_floats`, `running_floats` or a window weight.  The edge keeps
 int64 where it can: the CSV digits, the float conversions and the running
 sums are numpy kernels that give the same bytes as the Python-int rows.
 
@@ -19,10 +19,10 @@ exponent with no class reading a zero table.  Only `offset_shell_sums`
 multiply-add pass per exponent.  `shell_totals` runs the z axis on
 residues only: one uint64 stage mod 2^64, then, as many as an exact bound
 on |T| asks for, int64 stages mod primes below 2^26, each the same passes
-on every class, joined by Garner's method (`_recover`).  Only the
-per-shell consumers run the z axis: the ball sum (`_ball_total`) is one
-bilinear form per class on the same residues, in O(n_max), read through
-the ball's index table (`_ball_index`).  Every lattice-point count is one
+on every class, joined by the explicit CRT in one matrix product
+(`_recover`).  Only the per-shell consumers run the z axis: the ball sum
+(`_ball_total`) is one bilinear form per class on the same residues, in
+O(n_max), read through the ball's index table (`_ball_index`).  Every lattice-point count is one
 int64 form on such a table (`_ball_points`): a ball report's on the value's
 own table, a window's the difference of two balls.
 """
@@ -43,7 +43,8 @@ from .util import FitResult, linear_fit
 # Largest shell count a series or sum may ask for (see check_n_max).
 N_MAX_CAP = 10**6
 
-# Largest table of int64 prime residues (primes x shells) `_recover` builds.
+# Largest set of tables `_recover` builds for its primes: the digits (primes x
+# shells), the limbs of the moduli, and the limb accumulator.
 RESIDUE_TABLE_BYTES = 1 << 30
 
 # Products per block of rows of a pair table's outer product (`_pair_table`):
@@ -437,62 +438,77 @@ def _primes():
     return (n for n in range((1 << 26) - 1, 7, -2) if _is_prime(n))
 
 
-def _from_residues(s: np.ndarray, primes: list[int], r: np.ndarray) -> np.ndarray:
-    """The integers -M/2 <= T < M/2, M = 2^64 prod primes, with s = T mod
-    2^64 read as int64 and r[i] = T mod primes[i] (r is overwritten with
-    the digits), as an object array.
-
-    Garner's method (Knuth, TAOCP vol. 2, 4.3.2): T = s + 2^64 (d_1 + q_1
-    (d_2 + q_2 (...))), each digit taken from the rows r left after removing
-    the ones before it, and centred, |d_i| <= q_i / 2, so the digits span
-    -M/2 .. M/2 - 1 once.  Rows stay below 2^53 in int64; only the shells
-    with a nonzero digit go to Python integers.
-    """
-    q = np.array(primes, dtype=np.int64)[:, None]
-    digit, radix = s, 1 << 64
-    for i in range(len(primes)):
-        inverses = np.array([pow(radix, -1, v) for v in primes[i:]])[:, None]
-        r[i:] = (r[i:] - digit % q[i:]) * inverses % q[i:]
-        r[i] = digit = np.where(r[i] > q[i] // 2, r[i] - q[i], r[i])
-        radix = primes[i]
-    carry = np.flatnonzero(r.any(axis=0))
-    high = np.zeros(len(carry), dtype=object)
-    for d, v in zip(r[::-1], primes[::-1]):
-        high = d[carry].astype(object) + v * high
-    totals = s.astype(object)
-    totals[carry] += high << 64
-    return totals
-
-
 def _recover(g: int, s: np.ndarray, bound: int, residue) -> np.ndarray:
-    """g U for the integers |U| <= bound with s = U mod 2^64 read as int64
-    and residue(q) = U mod q (int64).  The primes q < 2^26 (`_primes`) that
-    make M = 2^64 prod q > 2 bound are drawn, none if bound < 2^63, and
-    `_from_residues` recovers U, so |U| < M/2.  When M > 2 g bound too, g is
-    folded into the residues instead, and g U comes back with no product of
-    Python integers.  With no prime drawn, s is U itself, so its largest |U|
-    replaces the bound: g folds exactly when 2^64 > 2 |g U|, and then the
-    folded residue read as int64 is g U and is returned as it is.  Every
-    other g U is an object array of Python integers.  A residue table
-    (primes x shells int64) past RESIDUE_TABLE_BYTES is refused before any
-    prime pass."""
-    primes, candidates, m = [], _primes(), 1 << 64
-    while m <= 2 * bound:
-        if (len(primes) + 1) * len(s) * 8 > RESIDUE_TABLE_BYTES:
-            raise ValueError(f"an exact sum over {len(s)} shells would need more than "
-                             f"{len(primes)} primes, a residue table past "
-                             f"{RESIDUE_TABLE_BYTES >> 20} MiB")
+    """T = g U for the integers |U| <= bound, given s = U mod 2^64 read as
+    int64 and residue(q) = U mod q (int64): int64 exactly when every |T| <
+    2^63, else an object array of Python integers.
+
+    While bound < 2^63, s is U.  Otherwise the primes q < 2^26 (`_primes`)
+    are drawn until M = 2^64 Q > 4 bound, Q their product, and g is folded
+    into the residues when M > 4 g bound too.  Then W (g U or U) = s + 2^64 V
+    with |V| <= |W| / 2^64 + 1/2 < Q/4 + 1/2, and the explicit CRT
+    (Montgomery and Silverman, Math. Comp. 1990; Bernstein, 1995) gives
+    V = sum a_q Q/q - k Q, for any digits a_q = (W mod q - s) (2^64 Q/q)^-1
+    mod q, here |a_q| < q, and k = round(sum a_q / q): that sum is V/Q + k,
+    within 1/4 + 2^-26 of k, and float64 errs by less than 2^-25 on it for
+    P < 2^14 primes.  V = 0, and s is W, exactly where every digit is 0.
+    Elsewhere the sum over q is one product of the digits and k ((P + 1)
+    rows) by the 16-bit limbs of each Q/q and of -Q, in float64 (BLAS):
+    each term is below 2^42 and a block of 2^11 rows sums below 2^53, so it
+    is exact.  L carry passes leave the limbs of V - [s < 0], and one
+    `int.from_bytes` of s's 8 bytes and those limbs gives W.  Tables past
+    RESIDUE_TABLE_BYTES (the digits, the limbs, the accumulator and one
+    block's product) are refused before any prime pass; that keeps P below
+    2^14."""
+    n, primes, q_all, candidates = len(s), [], 1, _primes()
+    while bound >= 1 << 63 and q_all << 64 <= 4 * bound:
         primes.append(next(candidates))
-        m *= primes[-1]
-    if not primes:
-        bound = max(-int(s.min(initial=0)), int(s.max(initial=0)))
-    f = g if m > 2 * g * bound else 1
-    if f != 1:
-        s = (s.view(np.uint64) * np.uint64(f % (1 << 64))).view(np.int64)
-    if not primes:
-        return s if f == g else g * s.astype(object)
-    u = _from_residues(s, primes, np.array([f % q * residue(q) % q for q in primes]))
-    return u if f == g else g * u
+        q_all *= primes[-1]
+    f = g if primes and q_all << 64 > 4 * g * bound else 1
+    if primes:
+        limbs, rows = -(-q_all.bit_length() // 16), len(primes) + 1
+        if 8 * (rows * (n + limbs) + 2 * limbs * n) > RESIDUE_TABLE_BYTES:
+            raise ValueError(f"an exact sum over {n} shells would need {len(primes)} primes, "
+                             f"a residue table past {RESIDUE_TABLE_BYTES >> 20} MiB")
+        if f != 1:
+            s = (s.view(np.uint64) * np.uint64(f % (1 << 64))).view(np.int64)
+        digits = np.empty((rows, n))
+        for row, q in zip(digits, primes):
+            c = pow((q_all // q << 64) % q, -1, q)
+            np.multiply(residue(q), f * c % q, out=row)
+            row -= np.fmod(s, q) * float(c)
+            row -= np.rint(row / q) * q
+        wide = np.flatnonzero(digits[:-1].any(axis=0))
+        if len(wide):
+            if len(wide) < n:
+                digits = digits[:, wide]
+            np.rint(1 / np.array(primes, dtype=np.float64) @ digits[:-1], out=digits[-1])
+            table = b"".join(c.to_bytes(2 * limbs, "little")
+                             for c in [q_all // q for q in primes] + [q_all])
+            table = np.frombuffer(table, dtype="<u2").reshape(rows, limbs).T.astype(np.float64)
+            table[:, -1] *= -1
+            acc = np.zeros((limbs, len(wide)), dtype=np.int64)
+            for i in range(0, rows, 1 << 11):
+                np.add(acc, table[:, i : i + (1 << 11)] @ digits[i : i + (1 << 11)], out=acc,
+                       casting="unsafe")
+            del digits
+            acc[0] -= s[wide] < 0  # W = (s mod 2^64) + 2^64 (V - [s < 0])
+            for low, high in zip(acc[:-1], acc[1:]):
+                high += low >> 16
+                low &= 0xFFFF
+            words = np.empty((len(wide), 4 + limbs), dtype="<u2")
+            words[:, :4] = s[wide].astype("<i8").view("<u2").reshape(-1, 4)
+            words[:, 4:] = acc.T
+            data, width = words.tobytes(), 2 * words.shape[1]
+            w = s.astype(object)
+            w[wide] = np.fromiter((int.from_bytes(data[i : i + width], "little", signed=True)
+                                   for i in range(0, len(data), width)),
+                                  dtype=object, count=len(wide))
+            return w if f == g else g * w
+    h, m = g // f, max(-int(s.min(initial=0)), int(s.max(initial=0)))
+    if h * m < 1 << 63:
+        return s * h if h != 1 and m else s
+    return h * s.astype(object)
 
 
 def _content(p: Polynomial3, k: int):
@@ -510,10 +526,10 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     """Exact shell sums of a polynomial, as integers over one denominator.
 
     Returns (D, T) with T[n] / D = sum of p over |x|^2 = n for 0 <= n <= n_max
-    (T[0] / D is p at the origin).  T is int64 exactly when no prime is
-    drawn (B < 2^63, B below) and every |T| is below 2^63, and an object
-    array of Python integers otherwise; readers that sum or divide T take
-    its elements as Python integers, as an int64 sum wraps.
+    (T[0] / D is p at the origin).  T is int64 exactly when every |T| is
+    below 2^63, whatever route ran, and an object array of Python integers
+    otherwise; readers that sum or divide T take its elements as Python
+    integers, as an int64 sum wraps.
     p need not be homogeneous.  n_max above N_MAX_CAP is refused.
 
     T = G U with G the gcd of the class coefficients (`_content`), and U =
@@ -525,8 +541,8 @@ def shell_totals(p: Polynomial3, n_max: int) -> tuple[int, np.ndarray]:
     adds it into F_0, ..., F_tau by its z exponent as soon as it is built
     (2 tau the largest exponent); `_z_run` carries them along z by tau + 1
     pure passes.  One uint64 stage gives s = U mod 2^64, and `_recover` adds, if
-    B >= 2^63, int64 stages for U mod q, each the same passes on every
-    class.  Those take c on the x weights and reduce every weight, pair
+    B >= 2^63, int64 stages for U mod q until 2^64 prod q > 4 B, each the
+    same passes on every class.  Those take c on the x weights and reduce every weight, pair
     table and fold below q before the next stage, so no pair table passes
     (k + 1) (q - 1)^2 < 2^63, and no pure pass (2k + 1) (q - 1) < 2^37.
     A harmonic p has no gap in its z exponents; one with a gap, or none at

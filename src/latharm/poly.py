@@ -353,6 +353,11 @@ def _coefficient_bits(terms: Mapping[Monomial, int], denom: int) -> int:
     return max(denom, max(map(abs, terms.values()), default=0)).bit_length()
 
 
+def _lead_bits(terms: Mapping[Monomial, int], denom: int) -> int:
+    """Bits of the larger of the denominator and the leading (lex) numerator."""
+    return max(denom, abs(terms[max(terms)]) if terms else 0).bit_length()
+
+
 def parse_poly(text: str) -> Polynomial3:
     """Parse an expression in x, y, z with +, -, *, ^ and parentheses.
 
@@ -440,18 +445,19 @@ def parse_poly(text: str) -> Polynomial3:
                     fail("expected integer exponent after '^'", at)
                 exponent = int(tokens[at])
                 at += 1
-                # degree(b^e) = e degree(b) for b != 0, and a constant's power has
-                # at least e (bits - 1) + 1 bits: both are refused unbuilt.  Past degree
-                # 0 the degree cap bounds e, b^e has at most C(n + e - 1, e) terms, and
-                # it is built and sized: its coefficients are at most (len(b) max|c|)^e.
+                # degree(b^e) = e degree(b) for b != 0, and b^e, reduced, has the
+                # denominator d^e and the leading (lex) numerator c^e for b's d and c:
+                # past either cap, b^e is refused unbuilt.  Past degree 0 the degree cap
+                # bounds e, b^e has at most C(n + e - 1, e) terms, and it is built and
+                # sized: its coefficients are at most (len(b) max|c|)^e.
                 if degree * exponent > DEGREE_CAP:
                     raise DegreeCapError(f"exponent {exponent} exceeds degree cap {DEGREE_CAP}")
-                if not degree and exponent * (bits - 1) >= COEFF_BIT_CAP:
-                    fail(f"power {exponent} passes the {COEFF_BIT_CAP}-bit coefficient cap", caret)
                 capped(math.comb(max(len(terms), 1) + exponent - 1, exponent), low * exponent,
                        degree * exponent, caret)
                 if len(terms) > 1:
                     afford(_power_work(terms, low, degree, exponent), caret)
+                if exponent * (_lead_bits(terms, denom) - 1) >= COEFF_BIT_CAP:
+                    fail(f"power {exponent} passes the {COEFF_BIT_CAP}-bit coefficient cap", caret)
                 degree, low = degree * exponent, low * exponent
                 bound = exponent * (bits + len(terms).bit_length()) or 1
                 terms, denom = _pow(terms, denom, exponent)
@@ -461,7 +467,10 @@ def parse_poly(text: str) -> Polynomial3:
             terms = _neg(terms) if negate else terms
             if product is not None:
                 # the degrees of a product of nonzero polynomials are the sums,
-                # and its coefficient sums at most min(len) products of two
+                # and its coefficient sums at most min(len) products of two.  Its
+                # leading (lex) numerator is exactly c_a c_b, which reducing
+                # divides by at most a_denom denom: past the cap, it is refused
+                # unbuilt
                 a, a_denom, a_degree, a_low, a_bits = product
                 degree, low = (a_degree + degree, a_low + low) if a and terms else (0, 0)
                 if degree > DEGREE_CAP:
@@ -470,6 +479,11 @@ def parse_poly(text: str) -> Polynomial3:
                 if len(a) > 1 and len(terms) > 1:
                     afford(_pair_work((len(a), _free_bits(a)), (len(terms), _free_bits(terms))),
                            star)
+                if a and terms and a_bits + bits > COEFF_BIT_CAP and (n := (
+                        abs(a[max(a)] * terms[max(terms)]) // (a_denom * denom)).bit_length()
+                        ) > COEFF_BIT_CAP:
+                    fail(f"a coefficient of at least {n} bits passes the {COEFF_BIT_CAP}-bit cap",
+                         star)
                 bound = a_bits + bits + min(len(a), len(terms)).bit_length()
                 terms, denom = _reduced(_mul(a, terms), a_denom * denom)
                 bits = sized(terms, denom, bound, star)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from latharm import exppairs, lattice, modular
+from latharm import exppairs, lattice, modular, poly
 from latharm.cli import UsageError, _headline_magnitudes, _parse_args, build_parser, main
 from latharm.poly import COEFF_BIT_CAP, DEGREE_CAP, parse_poly, sphere_average
 
@@ -575,6 +576,32 @@ def test_large_expansions_end_within_a_second(capsys, text):
     code, _, err = run(capsys, "sum", "--poly", text, "--r-sq", "2")
     assert time.process_time() - start < 1.0
     assert code == 2 and err.startswith("error: ")  # refused, or P is not homogeneous
+
+
+def test_a_product_past_the_coefficient_cap_exits_2_unbuilt(capsys, monkeypatch):
+    # the slowest product found at the work budget's edge: two factors of 87
+    # terms with 12 900-bit coefficients, n^2 (2b + PAIR_BITS) within
+    # MUL_WORK_CAP.  Their leading numerators multiply to 25 799 bits or more,
+    # so the '*' refuses the product before it is multiplied out (it took
+    # 0.7-0.9 s built and then refused)
+    rng = random.Random(12900)
+    monomials = [m for m in itertools.product(range(8), repeat=3) if sum(m) <= 7][:87]
+
+    def factor():
+        return "(" + "+".join(f"{rng.getrandbits(12900) | 1 << 12899}*x^{i}*y^{j}*z^{k}"
+                              for i, j, k in monomials) + ")"
+
+    text = factor() + "*" + factor()
+    assert 87**2 * (2 * 12900 + poly.PAIR_BITS) <= poly.MUL_WORK_CAP
+    built, mul = [], poly._mul
+    monkeypatch.setattr(poly, "_mul", lambda a, b: len(a) > 1 < len(b) and built.append(1)
+                        or mul(a, b))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coeffs", "--poly", text, "--n-max", "10")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, built) == (2, "", [])
+    assert err == (f"error: bad polynomial: a coefficient of at least 25799 bits passes the "
+                   f"{COEFF_BIT_CAP}-bit cap (at position {text.index(')*(') + 1})\n")
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT)

@@ -182,6 +182,72 @@ def _z_passes(p):
     return max((key[2] for key, _ in _monomial_classes(p)), default=0) // 2 + 1
 
 
+_PRIMES = lattice._primes  # the prime source itself, whatever a test patches
+
+
+def _from_residues(s, primes, r):
+    """The integers -M/2 <= T < M/2, M = 2^64 prod primes, with s = T mod
+    2^64 read as int64 and r[i] = T mod primes[i] (r is overwritten with
+    the digits), as an object array.
+
+    Garner's method (Knuth, TAOCP vol. 2, 4.3.2): T = s + 2^64 (d_1 + q_1
+    (d_2 + q_2 (...))), each digit taken from the rows r left after removing
+    the ones before it, and centred, |d_i| <= q_i / 2, so the digits span
+    -M/2 .. M/2 - 1 once.  Rows stay below 2^53 in int64; only the shells
+    with a nonzero digit go to Python integers.
+    """
+    q = np.array(primes, dtype=np.int64)[:, None]
+    digit, radix = s, 1 << 64
+    for i in range(len(primes)):
+        inverses = np.array([pow(radix, -1, v) for v in primes[i:]])[:, None]
+        r[i:] = (r[i:] - digit % q[i:]) * inverses % q[i:]
+        r[i] = digit = np.where(r[i] > q[i] // 2, r[i] - q[i], r[i])
+        radix = primes[i]
+    carry = np.flatnonzero(r.any(axis=0))
+    high = np.zeros(len(carry), dtype=object)
+    for d, v in zip(r[::-1], primes[::-1]):
+        high = d[carry].astype(object) + v * high
+    totals = s.astype(object)
+    totals[carry] += high << 64
+    return totals
+
+
+def _garner_recover(g, s, bound, residue):
+    """Reference for `lattice._recover`: g U as a list of Python integers by
+    Garner's method, on the primes drawn until M = 2^64 prod q > 2 bound
+    (none while bound < 2^63)."""
+    primes, candidates, m = [], _PRIMES(), 1 << 64
+    while m <= 2 * bound:
+        primes.append(next(candidates))
+        m *= primes[-1]
+    u = _from_residues(s, primes, np.array([residue(q) for q in primes])) if primes else s
+    return [g * t for t in u.tolist()]
+
+
+def _fits(totals):
+    return all(-(1 << 63) < t < 1 << 63 for t in totals)
+
+
+def _against_garner(m):
+    """Patch `lattice._recover` in the MonkeyPatch context m so that each
+    result is checked against `_garner_recover` on the same residues, each
+    computed once, and is int64 exactly when every |T| < 2^63."""
+    recover = lattice._recover
+
+    def checked(g, s, bound, residue):
+        @functools.cache
+        def once(q):
+            return residue(q)
+
+        totals = recover(g, s, bound, once)
+        expected = _garner_recover(g, s, bound, once)
+        assert totals.tolist() == expected
+        assert totals.dtype == (np.int64 if _fits(expected) else object)
+        return totals
+
+    m.setattr(lattice, "_recover", checked)
+
+
 def _passes(p, n_max):
     """((D, T as a list), passes, primes): `shell_totals`, the dtype of each
     z pass it ran, with " pure" appended for a pass of exponent 0's weights
@@ -189,7 +255,7 @@ def _passes(p, n_max):
     (the weighted `_add_square_axis` is spied on, and never called) and a
     uint64 residue mod 2^64 or an int64 residue mod a prime, never float or
     object; an int64 pass starts from residues below 2^26, so it cannot
-    wrap."""
+    wrap.  The totals are checked against Garner's (`_against_garner`)."""
     seen, drawn = [], []
     weighted, pure, primes = lattice._add_square_axis, lattice._pure_pass, lattice._primes
 
@@ -216,6 +282,7 @@ def _passes(p, n_max):
         m.setattr(lattice, "_add_square_axis", spy)
         m.setattr(lattice, "_pure_pass", pure_spy)
         m.setattr(lattice, "_primes", counted)
+        _against_garner(m)
         denom, totals = shell_totals(p, n_max)
     assert set(seen) <= {"uint64 pure", "int64 pure"}  # no weighted pass ran
     totals = totals.tolist()
@@ -416,22 +483,92 @@ def test_wide_and_negative_coefficients_match_class_sums(n_max):
 
 
 @pytest.mark.parametrize("n_max", [300, 17867, 32768])
-def test_totals_are_int64_exactly_when_no_prime_is_drawn(n_max):
-    # the routes without a prime hand the folded residue back as int64,
-    # content included (the sextic's 6, which at 32768 shells folds by the
-    # largest |U| and not by the bound); a drawn prime gives Python integers
+def test_totals_are_int64_exactly_when_every_total_fits(n_max):
+    # whatever route ran, T is int64 exactly when every |T| < 2^63: the
+    # octic draws a prime at 17867 and 32768 shells and its totals pass
+    # int64, the sextic's content 6 multiplies U in int64, and the wide
+    # coefficients draw primes and pass it (`_passes` checks each against
+    # Garner's integers)
     for expr in ROUTE_CORPUS + [MIXED_Z, WIDE_COEFFS]:
         p = parse_poly(expr)
         (_, expected), _, primes = _passes(p, n_max)
         totals = shell_totals(p, n_max)[1]
-        assert totals.dtype == (object if primes else np.int64), expr
+        assert totals.dtype == (np.int64 if _fits(expected) else object), expr
         assert totals.tolist() == expected
 
 
+# (expr, n_max, primes drawn, dtype of T): a drawn prime hands int64 back
+# when every |T| < 2^63 (the octic at 11664 shells, whose largest |T| has 62
+# bits, and 2^55 x^2 + y^4 at 10, bound 64 bits and totals 62), and Python
+# integers past it (the octic at 17867, x^64 at 512, the wide coefficients)
+PRIME_ROUTE_DTYPES = [
+    (OCTIC_EXPR, 11664, 1, np.int64), (OCTIC_EXPR, 17867, 1, object),
+    ("x^64", 512, 10, object), (WIDE_COEFFS, 300, 2, object),
+    ("2^1100*x^4+y^2*z^2", 300, 41, object), ("2^70*x^2+y^4", 300, 1, object),
+    ("2^55*x^2+y^4", 10, 1, np.int64),
+]
+
+
+@pytest.mark.parametrize("expr, n_max, drawn, dtype", PRIME_ROUTE_DTYPES)
+def test_prime_routes_give_int64_exactly_when_every_total_fits(expr, n_max, drawn, dtype):
+    p = parse_poly(expr)
+    (_, expected), _, primes = _passes(p, n_max)
+    totals = shell_totals(p, n_max)[1]
+    assert primes == drawn and totals.dtype == dtype and totals.tolist() == expected
+    assert _fits(expected) == (dtype == np.int64)
+    assert expected == _class_by_class(p, n_max)
+
+
+@pytest.mark.parametrize("count", [1, 2, 42])
+def test_explicit_crt_equals_garner_on_random_residues(count):
+    # the largest bound that draws `count` primes, 4 B < 2^64 Q; |U| up to
+    # it, most of them near it, with the ends of int64 and 0, and a second
+    # set inside int64 (V = 0 on every shell); g = 1, 3 and 2^70, which the
+    # recovery folds into the residues only where M > 4 g B
+    rng = random.Random(count)
+    bound = (math.prod(itertools.islice(lattice._primes(), count)) << 64) // 4 - 1
+    edges = [0, 1, -1, (1 << 63) - 1, -(1 << 63), 1 << 63, 1 << 64, -(1 << 64), bound, -bound]
+    wide = edges + [rng.choice([1, -1]) * (bound - rng.randrange(1 << rng.randrange(1, 80)))
+                    for _ in range(1500)] + [rng.randint(-bound, bound) for _ in range(500)]
+    narrow = [rng.randint(-(1 << 63) + 1, (1 << 63) - 1) >> rng.randrange(64) for _ in range(500)]
+    for values in (wide, narrow):
+        s = np.array([u % (1 << 64) for u in values], dtype=np.uint64).view(np.int64)
+
+        def residue(q):
+            return np.array([u % q for u in values], dtype=np.int64)
+
+        for g in (1, 3, 1 << 70):
+            drawn = []
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(lattice, "_primes", lambda: (drawn.append(q) or q for q in _PRIMES()))
+                totals = lattice._recover(g, s.copy(), bound, residue)
+            expected = [g * u for u in values]
+            assert len(drawn) == count and totals.tolist() == expected
+            assert _garner_recover(g, s, bound, residue) == expected
+            assert totals.dtype == (np.int64 if _fits(expected) else object)
+
+
+@pytest.mark.parametrize("expr, n_max", [("x^64", 1 << 15), (OCTIC_EXPR, 17867),
+                                         ("2^1100*x^4+y^2*z^2", 1 << 12)],
+                         ids=["x64", "octic-top-rung", "wide"])
+def test_coeffs_equal_garners_integers(expr, n_max):
+    # `_against_garner` checks the recovery on the same residues; the CSV
+    # prints those integers
+    p = parse_poly(expr)
+    with pytest.MonkeyPatch.context() as m:
+        _against_garner(m)
+        series = coeff_series(p, n_max)
+    totals = series.totals.tolist()
+    assert series.totals.dtype == object and max(map(abs, totals)).bit_length() > 64
+    rows = series.to_csv().splitlines()
+    for n in (1, 2, n_max // 2, n_max - 1, n_max):
+        assert rows[n] == f"{n},{F(totals[n], series.denom)}"
+
+
 def test_content_that_does_not_fold_gives_python_ints():
-    # no prime is drawn for U, but G U fits int64 only while 2^64 > 2 G
-    # max |U|: 2^27 (x^4+y^4+z^4) does at 4096 shells and not at 17867;
-    # 2^63 times it never does
+    # no prime is drawn for U, but G U fits int64 only while G max |U| <
+    # 2^63: 2^27 (x^4+y^4+z^4) does at 4096 shells and not at 17867; 2^63
+    # times it never does
     for c, n_max, dtype in ((2**27, 4096, np.int64), (2**27, 17867, object),
                             (2**63, 300, object), (2**1100, 300, object)):
         p = Polynomial3({(4, 0, 0): c, (0, 4, 0): c, (0, 0, 4): c}, 1)
@@ -459,14 +596,19 @@ def test_overall_gcd_stays_out_of_the_residues():
 
 def test_residue_table_past_the_budget_is_refused_before_a_prime_pass(monkeypatch):
     # 3^5000 x^4 + x^2 y^2 has gcd 1, so at 100 shells U asks for about 300
-    # primes; a budget one byte below their int64 table is refused after
-    # the uint64 passes and before any int64 pass
+    # primes.  The recovery holds the float64 digits and k ((P + 1) x 101),
+    # the limbs of each Q/q and of Q ((P + 1) x L, L the 16-bit limbs of Q),
+    # and the int64 accumulator and one block product (L x 101 each); a
+    # budget one byte below them is refused after the uint64 passes and
+    # before any int64 pass
     p = Polynomial3({(4, 0, 0): 3**5000, (2, 2, 0): 1}, 1)
     (_, totals), _, primes = _passes(p, 100)
     assert primes > 250 and totals == _class_by_class(p, 100)
-    monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", primes * 101 * 8)
+    limbs = -(-math.prod(itertools.islice(lattice._primes(), primes)).bit_length() // 16)
+    need = 8 * ((primes + 1) * (101 + limbs) + 2 * limbs * 101)
+    monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", need)
     assert _passes(p, 100)[0][1] == totals
-    monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", primes * 101 * 8 - 1)
+    monkeypatch.setattr(lattice, "RESIDUE_TABLE_BYTES", need - 1)
     seen, weighted, pure = [], lattice._add_square_axis, lattice._pure_pass
     monkeypatch.setattr(lattice, "_add_square_axis",
                         lambda t, w: seen.append(t.dtype) or weighted(t, w))
@@ -731,7 +873,7 @@ def test_csv_rows_are_reduced_fractions(denom):
 
 @pytest.mark.parametrize("expr, n_max, dtype, bits", [
     ("1", 4096, np.int64, 0), (QUARTIC_EXPR, 4096, np.int64, 0),
-    ("1/3*x^2-1/7*y^2", 300, np.int64, 0), (OCTIC_EXPR, 8192, object, 59),
+    ("1/3*x^2-1/7*y^2", 300, np.int64, 0), (OCTIC_EXPR, 8192, np.int64, 59),
     (OCTIC_EXPR, 17000, object, 64), (None, 3 * lattice.CSV_BLOCK_ROWS - 2, object, 65)],
     ids=["one", "quartic", "denominator", "octic-prime-in-int64", "octic-past-int64",
          "by-hand-past-int64-in-a-middle-block"])
@@ -896,7 +1038,8 @@ def _ball_passes(p, n_max):
     """((D, T), dtypes, primes): `_ball_total`, the dtype of each bilinear
     form it took and the number of primes it drew.  It runs no z stage, and
     an int64 form's operands lie in 0 .. q - 1 < 2^26, so none wraps; a
-    homogeneous p's `ball_sum` takes the same route."""
+    homogeneous p's `ball_sum` takes the same route, and the total is
+    checked against Garner's (`_against_garner`)."""
     seen, drawn = [], []
     form, primes = lattice._bilinear, lattice._primes
 
@@ -919,6 +1062,7 @@ def _ball_passes(p, n_max):
         m.setattr(lattice, "_add_square_axis", no_z_stage)
         m.setattr(lattice, "_bilinear", spy)
         m.setattr(lattice, "_primes", counted)
+        _against_garner(m)
         denom, total = lattice._ball_total(p, lattice._ball_index(n_max))
         route = seen[:], len(drawn)
         if p.is_homogeneous:

@@ -339,6 +339,11 @@ def _reference_bits(p: Polynomial3) -> int:
     return max(p.denom, max(map(abs, p.terms.values()), default=0)).bit_length()
 
 
+def _lead(p: Polynomial3) -> int:
+    """The numerator of p's leading monomial in lex order, 0 for p = 0."""
+    return p.terms[max(p.terms)] if p.terms else 0
+
+
 def reference_parse(text: str, degree_cap: int = DEGREE_CAP) -> Polynomial3:
     tokens = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex))
               for m in _REFERENCE_TOKEN.finditer(text)]
@@ -376,10 +381,16 @@ def reference_parse(text: str, degree_cap: int = DEGREE_CAP) -> Polynomial3:
         result = factor()
         while peek()[1] == "*":
             pos = take()[2]
-            result = result * factor()
-            if result.degree > degree_cap:
-                raise DegreeCapError(f"degree {result.degree} exceeds degree cap {degree_cap}")
-            sized(result, pos)
+            rhs = factor()
+            product = result * rhs
+            if product.degree > degree_cap:
+                raise DegreeCapError(f"degree {product.degree} exceeds degree cap {degree_cap}")
+            # the leading monomials' product, reduced by at most the denominators
+            bits = (abs(_lead(result) * _lead(rhs)) // (result.denom * rhs.denom)).bit_length()
+            if bits > COEFF_BIT_CAP:
+                raise PolyParseError(f"a coefficient of at least {bits} bits passes the "
+                                     f"{COEFF_BIT_CAP}-bit cap", pos)
+            result = sized(product, pos)
         return result
 
     def factor():
@@ -396,7 +407,7 @@ def reference_parse(text: str, degree_cap: int = DEGREE_CAP) -> Polynomial3:
             exponent = int(value)
             if (degree := base.degree) * exponent > degree_cap:
                 raise DegreeCapError(f"exponent {exponent} exceeds degree cap {degree_cap}")
-            if not degree and exponent * (_reference_bits(base) - 1) >= COEFF_BIT_CAP:
+            if exponent * (max(base.denom, abs(_lead(base))).bit_length() - 1) >= COEFF_BIT_CAP:
                 raise PolyParseError(f"power {exponent} passes the {COEFF_BIT_CAP}-bit "
                                      "coefficient cap", pos)
             base = sized(base**exponent, pos)
@@ -552,7 +563,14 @@ def _cap_cases(rng: random.Random) -> list[str]:
              "x^64*x@", f"2^{half}*2^{half + 1}i", "x^64*3/@", "(x^64)*(x)\u00b2",
              # 6 * sixth bits, just past the cap; a product sized only once reduced
              f"({2**sixth - 1}*x)^6", f"({2**sixth - 1}*x)^5",
-             f"(1/2)^{cap - 1000}*2^{cap - 1000}*2^{half}"]
+             f"(1/2)^{cap - 1000}*2^{cap - 1000}*2^{half}",
+             # leading (lex) numerators: refused unbuilt past the cap, reduced by
+             # the denominators, or within it with a larger coefficient elsewhere
+             f"(2^{half}*x+3)*(2^{half + 1}*x+1)", f"({2**half}/3*x+1)*({2**(cap - half + 1)}/5*x+y)",
+             f"({2**half}/3*x+1)*({2**(cap - half + 3)}/5*x+y)", f"(x+2^{cap - 1})*(x+2)",
+             f"(y+2^{half}*x^2)*(z-2^{half + 1}*x)", f"(x+2^{cap // 3})^3",
+             f"({2**(cap // 5)}/3*x+y)^5", f"({2**(cap // 5 - 1)}/3*x+y)^5",
+             f"(1/{2**(cap // 4)}*x+y)^4"]
     for _ in range(300):
         base = rng.choice([2, 3, 5, 7, 10, 255, 256])
         over = rng.choice(["", f"/{rng.choice([3, 7, 1024])}"])
