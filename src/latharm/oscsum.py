@@ -229,11 +229,10 @@ def gP_fourier_terms(p: Polynomial3) -> FourierTerms:
     return FourierTerms(nu=nu, terms=final, imaginary=nu % 2 == 1)
 
 
-def _radial_factor(t: RadialTerm, norm, r: float, h: float, cache: dict | None = None):
+def _radial_factor(t: RadialTerm, norm, r: float, h: float, cache: dict):
     """t at |xi| = norm without its numerator polynomial: the prefactor, the
     trig factors and 1/|xi|^denom_pow (norm a float or an array), each
     power and trig factor kept in `cache` for the terms at the same norm."""
-    cache = {} if cache is None else cache
     if t.denom_pow not in cache:
         cache[t.denom_pow] = norm**t.denom_pow
     val = t.prefactor(r, h) / cache[t.denom_pow]

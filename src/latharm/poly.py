@@ -27,7 +27,6 @@ from typing import Mapping, NamedTuple, NoReturn
 Monomial = tuple[int, int, int]
 
 DEGREE_CAP = 64
-TERM_CAP = 6000  # most terms a power or product may build, bounded before it is built
 # Largest coefficient numerator or denominator, in bits, that parsing builds,
 # so that every exact output prints within Python's 4300-digit limit on int
 # to str: a homogeneous P of degree <= 64 has at most C(66, 2) = 2145
@@ -128,12 +127,13 @@ def _pair_work(a: tuple[int, int], b: tuple[int, int]) -> int:
     return a[0] * b[0] * (a[1] + b[1] + PAIR_BITS)
 
 
-def _power_work(a: Mapping[Monomial, int], low: int, high: int, e: int) -> int:
-    """A bound on the multiply work of `_pow` raising a, of degrees low .. high,
-    to the power e, step by step as it squares: a^k has at most C(n + k - 1, k)
-    terms and no more than the monomials of degrees k low .. k high, and with
-    the content out its numerators are at most (n max|c|)^k."""
+def _power_work(a: Mapping[Monomial, int], e: int) -> int:
+    """A bound on the multiply work of `_pow` raising a, of n terms and degrees
+    low .. high, to the power e, step by step as it squares: a^k has at most
+    C(n + k - 1, k) terms and no more than the monomials of degrees k low ..
+    k high, and with the content out its numerators are at most (n max|c|)^k."""
     n, bits = len(a), _free_bits(a)
+    low, high = min(map(sum, a)), max(map(sum, a))
 
     def size(k: int) -> tuple[int, int]:
         terms = min(math.comb(n + k - 1, k), math.comb(k * high + 3, 3) - math.comb(k * low + 2, 3))
@@ -364,8 +364,10 @@ def parse_poly(text: str) -> Polynomial3:
     Rational literals are written p/q with ASCII digits; any other
     character, `i` included, is refused.  Raises PolyParseError with the
     offending position on bad syntax, a coefficient past COEFF_BIT_CAP bits,
-    an expansion past TERM_CAP terms or parentheses nested past
-    PAREN_DEPTH_CAP, DegreeCapError past DEGREE_CAP.
+    multiply work past MUL_WORK_CAP or parentheses nested past
+    PAREN_DEPTH_CAP, DegreeCapError past DEGREE_CAP.  Each resource has one
+    bound: the work budget bounds the time, the degree cap the number of
+    terms (at most C(DEGREE_CAP + 3, 3)) and the coefficient cap the digits.
     """
     bad = _BAD_CHARACTER.search(text)
     cut = bad.start() if bad else len(text)
@@ -388,11 +390,6 @@ def parse_poly(text: str) -> Polynomial3:
             fail(f"a {bits}-bit coefficient passes the {COEFF_BIT_CAP}-bit cap", i)
         return bits
 
-    def capped(count: int, low: int, high: int, i: int) -> None:
-        """Refuse at token i an expansion of count terms of degrees low .. high."""
-        if count > TERM_CAP < (n := min(count, math.comb(high + 3, 3) - math.comb(low + 2, 3))):
-            fail(f"an expansion of up to {n} terms passes the {TERM_CAP}-term cap", i)
-
     spent = 0  # the multiply work of the products and powers built so far
 
     def afford(work: int, i: int) -> None:
@@ -403,8 +400,8 @@ def parse_poly(text: str) -> Polynomial3:
 
     # The grammar's descent as one loop: expr = term (('+' | '-') term)*,
     # term = factor ('*' factor)*, factor = ('+' | '-')* atom ('^' number)?.
-    # A factor is a reduced (terms, denom) with its top and lowest degrees and a
-    # bound on its coefficient bits, exact for an atom; '(' saves the outer state.
+    # A factor is a reduced (terms, denom) with its top degree and a bound on
+    # its coefficient bits, exact for an atom; '(' saves the outer state.
     frames: list[tuple] = []
     total = product = None  # the expression's sum so far, the term's product so far
     at = sign = star = 0  # the token read, the sign before the term, the pending '*'
@@ -425,10 +422,10 @@ def parse_poly(text: str) -> Polynomial3:
                     g = math.gcd(p, q)
                     p, q = p // g, q // g
                     at += 2
-            terms, denom, degree, low = {(0, 0, 0): p} if p else {}, q, 0, 0
+            terms, denom, degree = {(0, 0, 0): p} if p else {}, q, 0
             bits = max(p, q).bit_length()
         elif value in _VARIABLES:
-            terms, denom, degree, low, bits = {_VARIABLES[value]: 1}, 1, 1, 1, 1
+            terms, denom, degree, bits = {_VARIABLES[value]: 1}, 1, 1, 1
         elif value == "(":
             if len(frames) == PAREN_DEPTH_CAP:
                 fail(f"parentheses nested deeper than {PAREN_DEPTH_CAP}", at - 1)
@@ -447,18 +444,16 @@ def parse_poly(text: str) -> Polynomial3:
                 at += 1
                 # degree(b^e) = e degree(b) for b != 0, and b^e, reduced, has the
                 # denominator d^e and the leading (lex) numerator c^e for b's d and c:
-                # past either cap, b^e is refused unbuilt.  Past degree 0 the degree cap
-                # bounds e, b^e has at most C(n + e - 1, e) terms, and it is built and
-                # sized: its coefficients are at most (len(b) max|c|)^e.
+                # past either cap, or past the work budget, b^e is refused unbuilt.
+                # Past degree 0 the degree cap bounds e, and b^e is built and sized:
+                # its coefficients are at most (len(b) max|c|)^e.
                 if degree * exponent > DEGREE_CAP:
                     raise DegreeCapError(f"exponent {exponent} exceeds degree cap {DEGREE_CAP}")
-                capped(math.comb(max(len(terms), 1) + exponent - 1, exponent), low * exponent,
-                       degree * exponent, caret)
                 if len(terms) > 1:
-                    afford(_power_work(terms, low, degree, exponent), caret)
+                    afford(_power_work(terms, exponent), caret)
                 if exponent * (_lead_bits(terms, denom) - 1) >= COEFF_BIT_CAP:
                     fail(f"power {exponent} passes the {COEFF_BIT_CAP}-bit coefficient cap", caret)
-                degree, low = degree * exponent, low * exponent
+                degree *= exponent
                 bound = exponent * (bits + len(terms).bit_length()) or 1
                 terms, denom = _pow(terms, denom, exponent)
                 bits = sized(terms, denom, bound, caret)
@@ -466,16 +461,15 @@ def parse_poly(text: str) -> Polynomial3:
                 fail("", at)
             terms = _neg(terms) if negate else terms
             if product is not None:
-                # the degrees of a product of nonzero polynomials are the sums,
+                # the degree of a product of nonzero polynomials is the sum,
                 # and its coefficient sums at most min(len) products of two.  Its
                 # leading (lex) numerator is exactly c_a c_b, which reducing
                 # divides by at most a_denom denom: past the cap, it is refused
                 # unbuilt
-                a, a_denom, a_degree, a_low, a_bits = product
-                degree, low = (a_degree + degree, a_low + low) if a and terms else (0, 0)
+                a, a_denom, a_degree, a_bits = product
+                degree = a_degree + degree if a and terms else 0
                 if degree > DEGREE_CAP:
                     raise DegreeCapError(f"degree {degree} exceeds degree cap {DEGREE_CAP}")
-                capped(len(a) * len(terms), low, degree, star)
                 if len(a) > 1 and len(terms) > 1:
                     afford(_pair_work((len(a), _free_bits(a)), (len(terms), _free_bits(terms))),
                            star)
@@ -487,7 +481,7 @@ def parse_poly(text: str) -> Polynomial3:
                 bound = a_bits + bits + min(len(a), len(terms)).bit_length()
                 terms, denom = _reduced(_mul(a, terms), a_denom * denom)
                 bits = sized(terms, denom, bound, star)
-            product = terms, denom, degree, low, bits
+            product = terms, denom, degree, bits
             if (value := tokens[at]) == "*":
                 star = at
                 at += 1
@@ -506,8 +500,7 @@ def parse_poly(text: str) -> Polynomial3:
                 fail("expected ')'", at)
             at += 1
             (terms, denom), (total, sign, product, star, negate) = total, frames.pop()
-            degrees = [sum(m) for m in terms] or [0]
-            degree, low, bits = max(degrees), min(degrees), _coefficient_bits(terms, denom)
+            degree, bits = max(map(sum, terms), default=0), _coefficient_bits(terms, denom)
 
 
 # -- sphere averages and harmonic decomposition ------------------------------

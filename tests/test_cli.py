@@ -457,7 +457,8 @@ BAD_INPUT = {
     "freqsum-complex": ("freqsum", "--poly", "(x+i*y)^4", "--r", "10", "--h", "0.5",
                         "--n-trunc", "64"),
     "theta-check-complex": ("theta-check", "--poly", "(x+i*y)^4"),
-    # a power or product that may pass poly.TERM_CAP terms is refused unbuilt
+    # a power whose multiply work would pass poly.MUL_WORK_CAP is refused at its
+    # '^', unbuilt, alone or as a product's first factor
     "sum-power-terms-huge": ("sum", "--poly", "(x+y+z+1)^64", "--r-sq", "4"),
     "sum-product-terms-huge": ("sum", "--poly", "(x+y+z+1)^32*(x+y+z+1)^32", "--r-sq", "4"),
     # parentheses nest at most poly.PAREN_DEPTH_CAP (100) deep

@@ -31,7 +31,14 @@ from latharm.lattice import (
     short_sum_report,
 )
 from latharm.oscsum import freq_long_sum
-from latharm.poly import Polynomial3, harmonic_decompose, parse_poly, sphere_average
+from latharm.poly import (
+    COEFF_BIT_CAP,
+    DEGREE_CAP,
+    Polynomial3,
+    harmonic_decompose,
+    parse_poly,
+    sphere_average,
+)
 from latharm.util import linear_fit
 
 from conftest import OCTIC_EXPR, QUARTIC_EXPR, SEXTIC_EXPR, random_homogeneous
@@ -327,9 +334,6 @@ def test_primes_are_distinct_primes_below_2_26():
     assert len(set(primes)) == 100 and max(primes) < 1 << 26
     # the oracle: trial division
     assert all(all(q % d for d in range(2, math.isqrt(q) + 1)) for q in primes)
-    # nothing in an int64 pair or z stage on residues mod q can wrap, even
-    # at the largest shell count: at most isqrt(n) + 1 products per entry
-    assert (math.isqrt(lattice.N_MAX_CAP) + 1) * (max(primes) - 1) ** 2 < 1 << 63
 
 
 def test_is_prime_matches_trial_division():
@@ -337,6 +341,34 @@ def test_is_prime_matches_trial_division():
         assert lattice._is_prime(n) == all(n % d for d in range(3, math.isqrt(n) + 1, 2)), n
     # strong pseudoprimes to base 2, and 25326001 to bases 2, 3 and 5
     assert not any(lattice._is_prime(n) for n in (2047, 3277, 4033, 4681, 8321, 25326001))
+
+
+def test_word_size_bounds_hold_at_the_caps():
+    # the inequalities the exact engine's docstrings rest on, recomputed from
+    # the caps, so that a cap raised past its proof fails here, not by wrapping
+    k = math.isqrt(lattice.N_MAX_CAP)
+    q = next(lattice._primes())  # the largest prime, drawn first
+    # a pair table or ball entry sums k + 1 products below (q - 1)^2 in int64,
+    # and `_z_run`'s Horner products stay exact in float64
+    assert (k + 1) * (q - 1) ** 2 < 1 << 63 and (q - 1) ** 2 < 1 << 52
+    # the residue tables of `_recover`, on one shell, refuse before 2^14 primes,
+    # and every prime drawn is above the a, n < q of the Horner products
+    drawn, q_all = [], 1
+    for q in lattice._primes():
+        q_all *= q
+        limbs = -(-q_all.bit_length() // 16)
+        if 8 * ((len(drawn) + 2) * (1 + limbs) + 2 * limbs) > lattice.RESIDUE_TABLE_BYTES:
+            break
+        drawn.append(q)
+    assert len(drawn) < 1 << 14 and min(drawn) > lattice.N_MAX_CAP
+    # `_ball_points` counts at most (2 k + 1)^3 points in int64
+    assert (2 * k + 1) ** 3 < 1 << 33
+    # every exact sum prints within Python's 4300-digit limit: a homogeneous P
+    # has at most C(DEGREE_CAP + 2, 2) numerators of COEFF_BIT_CAP bits, each
+    # monomial is at most N_MAX_CAP^(DEGREE_CAP / 2) on the ball
+    numerator = (2**COEFF_BIT_CAP * math.comb(DEGREE_CAP + 2, 2)
+                 * lattice.N_MAX_CAP ** (DEGREE_CAP // 2) * (2 * k + 1) ** 3)
+    assert numerator < 10**4300
 
 
 def test_random_wide_polynomials_match_the_class_sums():

@@ -247,7 +247,7 @@ def _hobson_value(p, xi, r, h):
     norm = math.sqrt(sum(c * c for c in xi))
     total = math.pi**-nu * sum(
         float(lap.evaluate(*xi))
-        * sum(c * oscsum._radial_factor(t, norm, r, h) for t, c in oscsum._radial_chain(nu - k))
+        * sum(c * oscsum._radial_factor(t, norm, r, h, {}) for t, c in oscsum._radial_chain(nu - k))
         for k, lap in parts
     )
     return total * 1j if nu % 2 else complex(total)
@@ -438,7 +438,7 @@ def test_freq_sum_takes_each_trig_factor_once(expr, monkeypatch):
     contrib = np.zeros(n_trunc)
     for k, lap in parts:
         denom, totals = shell_totals(lap, n_trunc)
-        factor = sum(c * oscsum._radial_factor(t, norm, r, h)
+        factor = sum(c * oscsum._radial_factor(t, norm, r, h, {})
                      for t, c in oscsum._radial_chain(nu - k))
         contrib += shell_floats(denom, totals[1:]) * factor
     expected = (float(main_term(p, Fraction(r), Fraction(h))) * math.pi

@@ -12,7 +12,6 @@ from latharm.poly import (
     COEFF_BIT_CAP,
     DEGREE_CAP,
     PAREN_DEPTH_CAP,
-    TERM_CAP,
     DegreeCapError,
     GaussianRational,
     Polynomial3,
@@ -123,30 +122,34 @@ def test_parse_degree_cap(monkeypatch):
     assert parse_poly("x^65").degree == 65
 
 
-@pytest.mark.parametrize("text, position, terms", [
-    ("(x+y+z+1)^64", 9, 47905),
-    ("(x+y+z+1)^32*(x+y+z+1)^32", 9, 6545),
-    ("(x+y+z+1)^16*(x+y+z+1)^16", 12, 6545),
-])
-def test_expansions_past_the_term_cap_are_refused_unbuilt(text, position, terms):
-    with pytest.raises(PolyParseError) as info:
-        parse_poly(text)
-    assert str(info.value) == (f"an expansion of up to {terms} terms passes the {TERM_CAP}-term "
-                               f"cap (at position {position})")
-
-
-def test_term_bounds(monkeypatch):
-    # C(n + e - 1, e) for a power of n terms, n_a n_b for a product, and the
-    # monomials of the degrees d .. D, C(D + 3, 3) - C(d + 2, 3): each is
-    # exact on one of these, so a cap of 35 admits them and no more
-    assert len(parse_poly("(x+y+z)^64").terms) == 2145 <= TERM_CAP
-    monkeypatch.setattr(poly, "TERM_CAP", 35)
-    assert len(parse_poly("(x+y+z+1)^4").terms) == 35
-    assert len(parse_poly("(x+y+z+1)^2*(x+y+z+1)^2").terms) == 35
-    assert len(parse_poly("(x+y+z)^3*(x+y+z)^3").terms) == 28
-    for text in ("(x+y+z+1)^5", "(x+y+z+1)^2*(x+y+z+1)^3", "(x+y+z)^4*(x+y+z)^4"):
-        with pytest.raises(PolyParseError, match="passes the 35-term cap"):
+def test_expansions_past_the_work_budget_are_refused_unbuilt(monkeypatch):
+    # the work budget alone bounds an expansion's time: (x+y+z+1)^64 and the
+    # first power of (x+y+z+1)^32*(x+y+z+1)^32 are refused at their '^',
+    # before `_pow` runs
+    built = []
+    power = poly._pow
+    monkeypatch.setattr(poly, "_pow", lambda *args: built.append(args) or power(*args))
+    for text in ("(x+y+z+1)^64", "(x+y+z+1)^32*(x+y+z+1)^32"):
+        with pytest.raises(PolyParseError) as info:
             parse_poly(text)
+        assert str(info.value) == (f"multiplying out passes the {poly.MUL_WORK_CAP}-unit work "
+                                   "budget (at position 9)")
+    assert not built
+    # a product of 6545 terms within the budget is built
+    half = parse_poly("(x+y+z+1)^16")
+    whole = parse_poly("(x+y+z+1)^16*(x+y+z+1)^16")
+    assert whole == half * half and len(whole.terms) == 6545
+
+
+def test_term_bounds():
+    # each count is the least of C(n + e - 1, e) for a power of n terms, n_a n_b
+    # for a product and C(D + 3, 3) - C(d + 2, 3), the monomials of degrees
+    # d .. D; a homogeneous P within the degree cap has at most C(66, 2) terms
+    for text, terms in [("(x+y+z)^64", 2145), ("(x+y+z+1)^4", 35), ("(x+y+z+1)^5", 56),
+                        ("(x+y+z+1)^2*(x+y+z+1)^2", 35), ("(x+y+z+1)^2*(x+y+z+1)^3", 56),
+                        ("(x+y+z)^3*(x+y+z)^3", 28), ("(x+y+z)^4*(x+y+z)^4", 45)]:
+        assert len(parse_poly(text).terms) == terms, text
+    assert math.comb(DEGREE_CAP + 2, 2) == 2145
 
 
 def _mul_by_pairs(a: dict, b: dict) -> dict:
@@ -189,11 +192,10 @@ def test_power_work_bounds_the_work_of_each_power(monkeypatch):
         a = _random_numerators(rng, rng.randrange(2, 7))
         if len(a) < 2:
             continue
-        degrees = [sum(m) for m in a]
         e = rng.randrange(14)
         done.clear()
         poly._pow(a, 1, e)
-        bound = poly._power_work(a, min(degrees), max(degrees), e)
+        bound = poly._power_work(a, e)
         assert sum(done) <= bound, (a, e)
         tight = max(tight, sum(done) / (bound or 1))
     assert tight > 0.9  # and the bound is close on some powers
