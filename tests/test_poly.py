@@ -122,23 +122,34 @@ def test_parse_degree_cap(monkeypatch):
     assert parse_poly("x^65").degree == 65
 
 
-def test_expansions_past_the_work_budget_are_refused_unbuilt(monkeypatch):
-    # the work budget alone bounds an expansion's time: (x+y+z+1)^64 and the
-    # first power of (x+y+z+1)^32*(x+y+z+1)^32 are refused at their '^',
-    # before `_pow` runs
-    built = []
-    power = poly._pow
-    monkeypatch.setattr(poly, "_pow", lambda *args: built.append(args) or power(*args))
-    for text in ("(x+y+z+1)^64", "(x+y+z+1)^32*(x+y+z+1)^32"):
-        with pytest.raises(PolyParseError) as info:
-            parse_poly(text)
-        assert str(info.value) == (f"multiplying out passes the {poly.MUL_WORK_CAP}-unit work "
-                                   "budget (at position 9)")
-    assert not built
-    # a product of 6545 terms within the budget is built
-    half = parse_poly("(x+y+z+1)^16")
-    whole = parse_poly("(x+y+z+1)^16*(x+y+z+1)^16")
-    assert whole == half * half and len(whole.terms) == 6545
+@pytest.mark.parametrize("text, position, terms", [
+    ("(x+y+z+1)^64", 9, 47905),
+    ("(x+y+z+1)^32*(x+y+z+1)^32", 9, 6545),
+    ("(x+y+z+1)^16*(x+y+z+1)^16", 12, 6545),
+])
+def test_expansions_past_the_term_cap_are_refused_unbuilt(monkeypatch, text, position, terms):
+    # expansions of `terms` terms, past the 6000-term cap the parser once had:
+    # the work budget alone bounds them now, and refuses each at its '^' or '*'
+    # before anything of that size is built.  (x+y+z+1)^64 and the first power
+    # of the ^32 product are refused before `_pow` runs.  The ^16 product fits
+    # the budget and is built; a budget that holds only its two powers refuses
+    # it at its '*'
+    admitted = text.startswith("(x+y+z+1)^16")
+    if admitted:
+        half = parse_poly("(x+y+z+1)^16")
+        whole = parse_poly(text)
+        assert whole == half * half and len(whole.terms) == terms
+        power_work = poly._power_work(parse_poly("x+y+z+1").terms, 16)
+        monkeypatch.setattr(poly, "MUL_WORK_CAP", 2 * power_work)
+    powers, sizes = [], []  # the calls to `_pow`, the sizes of the products `_mul` builds
+    power, mul = poly._pow, poly._mul
+    monkeypatch.setattr(poly, "_pow", lambda *args: powers.append(args) or power(*args))
+    monkeypatch.setattr(poly, "_mul", lambda a, b: sizes.append(len(out := mul(a, b))) or out)
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(text)
+    assert str(info.value) == (f"multiplying out passes the {poly.MUL_WORK_CAP}-unit work budget "
+                               f"(at position {position})")
+    assert len(powers) == (2 if admitted else 0) and max(sizes, default=0) < terms
 
 
 def test_term_bounds():
